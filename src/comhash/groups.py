@@ -9,6 +9,7 @@ reduced by.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
@@ -20,6 +21,13 @@ from .errors import GroupError
 Point = Optional[Tuple[int, int]]  # affine coordinates; None is the identity
 
 DEFAULT_H_LABEL = b"comhash/second-generator/v1"
+
+# On a curve, g and h get fixed-base tables: row i holds d * 2^(COMB_WINDOW*i)
+# times the base for every nonzero digit d, so 64 rows of 15 affine points
+# (about 0.2 MB) on a 256-bit curve. Every other base uses width-WNAF_WIDTH
+# w-NAF.
+COMB_WINDOW = 4
+WNAF_WIDTH = 5
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -235,7 +243,10 @@ class EcParams:
 
     def power(self, base: Point, exponent: int) -> Point:
         self._check(base)
-        return _ec_mul(self, base, exponent % self.order)
+        k = exponent % self.order
+        if base is not None and (base == self.g or base == self.h):
+            return _comb_mul(self, base, k)
+        return _ec_mul(self, base, k)
 
     def combine(self, p1: Point, p2: Point) -> Point:
         return _ec_add(self, self._check(p1), self._check(p2))
@@ -278,22 +289,117 @@ def _ec_double(params: EcParams, pt: Point) -> Point:
 
 
 def _ec_mul(params: EcParams, pt: Point, k: int) -> Point:
-    """Scalar multiplication via Jacobian coordinates (one inversion total)."""
+    """k * pt for any point and any k >= 0, by width-WNAF_WIDTH w-NAF.
+
+    The odd multiples pt, 3pt, ..., (2^(WNAF_WIDTH-1) - 1)pt are built once
+    per call and made affine with one batch inversion. The loop then costs
+    one Jacobian doubling per bit of k and one mixed addition per nonzero
+    digit (about one in WNAF_WIDTH + 1). ``power`` sends every base except
+    g and h here; ``validate_group`` calls it with the unreduced order.
+    """
     if pt is None or k == 0:
         return None
     p, a = params.field_prime, params.curve_a
-    xa, ya = pt[0] % p, pt[1] % p
-    # accumulate in Jacobian (X, Y, Z); Z == 0 is the identity
+    x, y = pt[0] % p, pt[1] % p
+    two = _normalize([_jac_double(x, y, 1, p, a)], p)[0]
+    jac = [(x, y, 1)]
+    for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
+        # 2pt is the identity only for a base of order 2: its odd multiples are all pt
+        X, Y, Z = jac[-1]
+        jac.append(_jac_add_affine(X, Y, Z, two[0], two[1], p, a) if two else (X, Y, Z))
+    odd = _normalize(jac, p)
+    neg = [q and (q[0], -q[1] % p) for q in odd]
     X, Y, Z = 0, 1, 0
-    for bit in bin(k)[2:]:
+    for d in reversed(_wnaf(k)):
         X, Y, Z = _jac_double(X, Y, Z, p, a)
-        if bit == "1":
-            X, Y, Z = _jac_add_affine(X, Y, Z, xa, ya, p, a)
-    if Z == 0:
-        return None
-    zinv = pow(Z, -1, p)
-    z2 = zinv * zinv % p
-    return (X * z2 % p, Y * z2 % p * zinv % p)
+        if d:
+            q = odd[d >> 1] if d > 0 else neg[-d >> 1]
+            if q is not None:  # the identity, for a base of small order
+                X, Y, Z = _jac_add_affine(X, Y, Z, q[0], q[1], p, a)
+    return _normalize([(X, Y, Z)], p)[0]
+
+
+def _wnaf(k: int) -> list[int]:
+    """Width-WNAF_WIDTH NAF digits of k >= 0, least significant first.
+
+    Every nonzero digit is odd with |d| < 2^(WNAF_WIDTH-1), and any
+    WNAF_WIDTH consecutive digits hold at most one nonzero one.
+    """
+    full = 1 << WNAF_WIDTH
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & (full - 1)
+            if d >= full >> 1:
+                d -= full
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+def _comb_mul(params: EcParams, pt: Tuple[int, int], k: int) -> Point:
+    """k * pt for 0 <= k < order from pt's fixed-base table: one mixed
+    addition per nonzero base-2^COMB_WINDOW digit of k, no doublings."""
+    p, a = params.field_prime, params.curve_a
+    mask = (1 << COMB_WINDOW) - 1
+    X, Y, Z = 0, 1, 0
+    for row in _comb_table(p, a, params.order, pt):
+        if not k:
+            break
+        d = k & mask
+        k >>= COMB_WINDOW
+        q = row[d - 1] if d else None
+        if q is not None:
+            X, Y, Z = _jac_add_affine(X, Y, Z, q[0], q[1], p, a)
+    return _normalize([(X, Y, Z)], p)[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _comb_table(p: int, a: int, order: int, base: Tuple[int, int]) -> tuple:
+    """Row i holds d * 2^(COMB_WINDOW*i) * base for d = 1..2^COMB_WINDOW - 1,
+    affine, with enough rows for every scalar below ``order``.
+
+    Keyed by value, not by params instance, so every ``secp256k1()`` built
+    in a process shares one table per generator. The bound caps the memory a
+    process that builds many parameter sets spends on tables.
+    """
+    width = (1 << COMB_WINDOW) - 1
+    rows = -(-order.bit_length() // COMB_WINDOW)
+    jac = []
+    row_base: Point = (base[0] % p, base[1] % p)
+    for _ in range(rows):
+        X, Y, Z = 0, 1, 0
+        for _ in range(width + 1):
+            if row_base is not None:
+                X, Y, Z = _jac_add_affine(X, Y, Z, row_base[0], row_base[1], p, a)
+            jac.append((X, Y, Z))
+        # the last sum is 2^COMB_WINDOW * row_base, the next row's base
+        row_base = _normalize([jac.pop()], p)[0]
+    flat = _normalize(jac, p)
+    return tuple(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
+
+
+def _normalize(points: list, p: int) -> list:
+    """Affine forms of Jacobian points with a single field inversion
+    (Montgomery's batch trick); Z == 0 maps to None, the identity."""
+    prefix = []
+    acc = 1
+    for _, _, Z in points:
+        prefix.append(acc)
+        if Z:
+            acc = acc * Z % p
+    inv = pow(acc, -1, p)
+    out: list = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        X, Y, Z = points[i]
+        if Z:
+            zinv = inv * prefix[i] % p
+            inv = inv * Z % p
+            z2 = zinv * zinv % p
+            out[i] = (X * z2 % p, Y * z2 % p * zinv % p)
+    return out
 
 
 def _jac_double(X, Y, Z, p, a):
@@ -301,8 +407,11 @@ def _jac_double(X, Y, Z, p, a):
         return (0, 1, 0)
     Y2 = Y * Y % p
     S = 4 * X * Y2 % p
-    Z2 = Z * Z % p
-    M = (3 * X * X + a * Z2 * Z2) % p
+    if a:
+        Z2 = Z * Z % p
+        M = (3 * X * X + a * Z2 * Z2) % p
+    else:  # a == 0 (secp256k1): the a*Z^4 term vanishes
+        M = 3 * X * X % p
     X3 = (M * M - 2 * S) % p
     Y3 = (M * (S - X3) - 8 * Y2 * Y2) % p
     return (X3, Y3, 2 * Y * Z % p)
@@ -557,7 +666,7 @@ def validate_group(params: GroupParams, rounds: int = 64) -> list[str]:
             problems.append(f"{name} is the identity")
         elif not params.on_curve(pt):
             problems.append(f"{name} not on curve")
-        elif not problems and params.power(pt, n) is not None:
+        elif not problems and _ec_mul(params, pt, n) is not None:
             problems.append(f"{name} order does not divide the group order")
     if params.h_label and not problems:
         if derive_second_generator(params, params.h_label) != params.h:

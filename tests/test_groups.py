@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from comhash import (
 )
 from comhash.groups import (
     _ec_add,
+    _ec_mul,
     is_probable_prime,
     scalar_add,
     scalar_inv,
@@ -144,9 +146,18 @@ def test_validate_rejects_wrong_order_generator():
 
 def test_validate_rejects_composite_curve_order(toy_curve):
     from comhash import validate_group
-    from dataclasses import replace
     bad = replace(toy_curve, order=20, h_label=b"")
     assert "group order not prime" in validate_group(bad, rounds=16)
+
+
+def test_validate_rejects_wrong_prime_curve_order(toy_curve):
+    # 17 is prime and inside the Hasse interval, but the curve has 19 points:
+    # only multiplying by the unreduced order can tell
+    from comhash import validate_group
+    bad = replace(toy_curve, order=17, h_label=b"")
+    assert _ec_mul(bad, bad.g, 17) == (6, 14)
+    assert "base point g order does not divide the group order" in \
+        validate_group(bad, rounds=16)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +240,73 @@ def test_backend_mismatch_rejected(toy_subgroup, toy_curve):
         toy_curve.power(7, 3)
     with pytest.raises(GroupError):
         toy_subgroup.power(0, 3)  # zero is not a group element
+
+
+# ---------------------------------------------------------------------------
+# scalar multiplication engines: fixed-base tables for g and h, w-NAF otherwise
+# ---------------------------------------------------------------------------
+
+def combine_oracle(params, pt, k):
+    """k * pt by double-and-add over ``combine`` alone."""
+    k %= params.order
+    acc = None
+    while k:
+        if k & 1:
+            acc = params.combine(acc, pt)
+        pt = params.combine(pt, pt)
+        k >>= 1
+    return acc
+
+
+def test_toy_curve_every_point_every_scalar(toy_curve):
+    for pt in enumerate_curve_points(toy_curve):
+        as_h = replace(toy_curve, h=pt, h_label=b"")  # pt gets a fixed-base table
+        multiples = [None]  # multiples[k] is pt added k times by the group law
+        for _ in range(57):
+            multiples.append(toy_curve.combine(multiples[-1], pt))
+        for k in range(-19, 58):
+            assert toy_curve.power(pt, k) == multiples[k % 19], (pt, k)
+            assert as_h.power(pt, k) == multiples[k % 19], (pt, k)
+        for k in range(58):  # w-NAF on unreduced scalars
+            assert _ec_mul(toy_curve, pt, k) == multiples[k], (pt, k)
+
+
+def test_secp256k1_known_multiples(secp):
+    gx, gy = secp.g
+    assert secp.power(secp.g, 2) == (
+        0xC6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5,
+        0x1AE168FEA63DC339A3C58419466CEAEEF7F632653266D0E1236431A950CFE52A,
+    )
+    assert secp.power(secp.g, 3) == (
+        0xF9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9,
+        0x388F7B0F632DE8140FE337E62A37F3566500A99934C2231B6CB9FD7584B8E672,
+    )
+    assert secp.power(secp.g, secp.order - 1) == (gx, secp.field_prime - gy)
+    assert _ec_mul(secp, secp.g, secp.order - 1) == (gx, secp.field_prime - gy)
+
+
+def test_secp256k1_edge_scalars(secp, rng):
+    n = secp.order
+    other = secp.power(secp.g, rng.randrange(1, n))
+    scalars = [0, 1, n, n - 1, n + 1, -1, 2**256 - 1]
+    for j in range(1, 65):  # every comb row boundary
+        scalars += [2**(4 * j) - 1, 2**(4 * j) + 1]
+    for base in (secp.g, secp.h, other):
+        for k in scalars:
+            expected = combine_oracle(secp, base, k)
+            assert secp.power(base, k) == expected, (base, k)
+            assert _ec_mul(secp, base, k % n) == expected, (base, k)
+
+
+def test_fixed_base_table_follows_the_point_not_the_curve(secp, rng):
+    # same curve, another h: a table cached per curve would give h's multiples
+    other = replace(secp, h=derive_second_generator(secp, b"another label"),
+                    h_label=b"another label")
+    assert other.h != secp.h
+    for _ in range(4):
+        k = rng.randrange(secp.order)
+        assert other.power(other.h, k) == combine_oracle(other, other.h, k)
+        assert secp.power(secp.h, k) == combine_oracle(secp, secp.h, k)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from comhash import ErrorCode, MsgType, ParticipantKeys, Phase, decode_frame
+from comhash import (EcParams, ErrorCode, MsgType, ParticipantKeys, Phase, decode_frame,
+                     reference_digest)
 from comhash import pke
 from comhash.net import (
     Delivery,
@@ -215,3 +216,28 @@ def test_fuzz_faults_never_store_a_wrong_digest(toy_subgroup):
             assert out.error_code is not None
         checked += 1
     assert checked == 300
+
+
+def test_session_power_budget(secp, monkeypatch):
+    # per share: g^x and h^y in the share and g^e in the receipt (fixed base),
+    # the receipt key pk^e, and the server's ephemeral^sk on decryption
+    rng = random.Random(11)
+    n = 4
+    keys = [ParticipantKeys.random(secp, rng) for _ in range(n)]
+    server = pke.generate_keypair(secp, rng)
+    m = rng.randrange(secp.order)
+    calls = {"fixed": 0, "key": 0, "var": 0}
+    power = EcParams.power
+
+    def counted(self, base, exponent):
+        kind = ("fixed" if base in (self.g, self.h)
+                else "key" if base == server.public else "var")
+        calls[kind] += 1
+        return power(self, base, exponent)
+
+    monkeypatch.setattr(EcParams, "power", counted)
+    out = run_basic_session(secp, keys, m, owner_index=2, seed=5, server_keypair=server)
+    assert out.phase is Phase.DONE
+    assert calls == {"fixed": 3 * n, "key": n, "var": n}
+    monkeypatch.undo()
+    assert out.digest == reference_digest(secp, m, keys)
