@@ -5,9 +5,13 @@ Curve points use SEC1 compression (0x02/0x03 prefix + x coordinate); the
 identity is the single byte 0x00. Parameter sets are a tag byte, a mode byte,
 then length-prefixed fields: (p, q, g, h) for modp, (curve id, g, h) for ec.
 
-Decoding is strict: wrong widths, out-of-range values, off-curve x, and
-non-members of the subgroup are all rejected, so a decoded value is always a
-valid element.
+Encoding trusts its input, decoding validates it. ``element_to_bytes`` takes
+an element this process computed with ``power``/``combine`` or got from
+``element_from_bytes``; for modp it checks only type and range, not subgroup
+membership (a curve point still gets its cheap on-curve check). Decoding is
+strict: wrong widths, out-of-range values, off-curve x, and non-members of
+the subgroup are all rejected, so a decoded value is always a valid element
+and untrusted bytes are checked exactly once, where they enter.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def scalar_from_bytes(params: GroupParams, data: bytes) -> int:
 
 def element_to_bytes(params: GroupParams, el) -> bytes:
     if isinstance(params, ModpParams):
-        if not params.element_valid(el):
+        if not isinstance(el, int) or isinstance(el, bool) or not 1 <= el < params.modulus:
             raise EncodingError("not a valid group element")
         return el.to_bytes(element_byte_length(params), "big")
     if el is None:
@@ -99,16 +103,24 @@ def element_from_bytes(params: GroupParams, data: bytes):
     return (x, y)
 
 
+def element_span(params: GroupParams, data: bytes) -> int:
+    """Length of the element encoding that data starts with.
+
+    Unambiguous because the ec identity (``None``) is the 1-byte 0x00 while
+    every other ec encoding starts 0x02/0x03 at fixed width, and modp
+    encodings are always fixed width.
+    """
+    if params.identity is None and data[:1] == b"\x00":
+        return 1
+    return element_byte_length(params)
+
+
 def split_element(params: GroupParams, data: bytes):
     """Split a concatenation that starts with a canonical element.
 
-    Returns (element, rest). Unambiguous because an ec identity is the 1-byte
-    0x00 while every other ec encoding starts 0x02/0x03 at fixed width, and
-    modp encodings are always fixed width.
+    Returns (element, rest).
     """
-    if isinstance(params, EcParams) and data[:1] == b"\x00":
-        return None, data[1:]
-    width = element_byte_length(params)
+    width = element_span(params, data)
     if len(data) < width:
         raise EncodingError("truncated element")
     return element_from_bytes(params, data[:width]), data[width:]

@@ -112,6 +112,26 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0: 1, -1, or 0 when gcd(a, n) > 1.
+
+    Binary algorithm: strip the factors of two from a in one shift, each
+    odd power of two flips the sign when n = 3 or 5 mod 8, then swap by
+    quadratic reciprocity. No multiplication mod n is done.
+    """
+    a %= n
+    t = 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        if z & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & n & 3 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
 def sqrt_mod(a: int, p: int) -> Optional[int]:
     """A square root of a mod prime p, or None if a is a non-residue."""
     a %= p
@@ -170,7 +190,7 @@ class ModpParams:
 
     def _check(self, el) -> int:
         # cheap structural check on every call; the subgroup-membership test
-        # costs a full exponentiation and is done only at deserialization
+        # is done only where untrusted bytes are decoded
         if not isinstance(el, int) or isinstance(el, bool):
             raise GroupError(f"modp backend expects int elements, got {type(el).__name__}")
         if not 1 <= el < self.modulus:
@@ -178,10 +198,19 @@ class ModpParams:
         return el
 
     def element_valid(self, el) -> bool:
+        """Whether el is an element of the group this instance works in.
+
+        SUBGROUP mode tests membership of the order-q subgroup with one
+        Jacobi symbol instead of ``pow(el, q, p)``. That relies on p being
+        a safe prime 2q + 1: then the order-q subgroup is exactly the set
+        of quadratic residues mod p, and the Jacobi symbol of a unit mod a
+        prime is its Legendre symbol, 1 precisely on the residues.
+        ``validate_group`` checks that precondition.
+        """
         if not isinstance(el, int) or isinstance(el, bool) or not 1 <= el < self.modulus:
             return False
         if self.mode is ModpMode.SUBGROUP:
-            return pow(el, self.subgroup_order, self.modulus) == 1
+            return _jacobi(el, self.modulus) == 1
         return True
 
     def power(self, base: int, exponent: int) -> int:

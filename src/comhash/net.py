@@ -15,10 +15,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .encoding import element_byte_length
+from .encoding import element_span
 from .errors import FrameError, ProtocolStateError
 from .frames import ErrorCode, Frame, MsgType, SERVER_ID, decode_frame, encode_frame
-from .groups import EcParams, GroupParams
+from .groups import GroupParams
 from .hashing import ParticipantKeys
 from .protocol import (
     OwnerRole,
@@ -86,14 +86,6 @@ class FaultPlan:
         return dict(self._faults)
 
 
-def _element_span(params: Optional[GroupParams], payload: bytes) -> int:
-    if params is None:
-        raise ValueError("need group parameters to locate the receipt section")
-    if isinstance(params, EcParams) and payload[:1] == b"\x00":
-        return 1
-    return element_byte_length(params)
-
-
 def apply_mutation(mutation, data: bytes, params: Optional[GroupParams] = None) -> bytes:
     """Rewrite one frame's bytes according to the mutation."""
     if isinstance(mutation, FlipByte):
@@ -108,7 +100,9 @@ def apply_mutation(mutation, data: bytes, params: Optional[GroupParams] = None) 
             replaced = Frame(frame.msg_type, frame.session_id, frame.sender,
                              mutation.replacement)
         elif frame.msg_type in (MsgType.SHARE, MsgType.THRESH_SHARE):
-            keep = _element_span(params, frame.payload)
+            if params is None:
+                raise ValueError("need group parameters to locate the receipt section")
+            keep = element_span(params, frame.payload)
             replaced = Frame(frame.msg_type, frame.session_id, frame.sender,
                              frame.payload[:keep] + mutation.replacement)
         else:

@@ -3,7 +3,9 @@
 Used for the encrypted nonce receipts: the KEM shared point is hashed into a
 stream/MAC key, so the only hardness assumption stays the discrete log in
 the group already in use. SHA-256 drives both the keystream (counter mode)
-and the authentication tag (HMAC, truncated to 16 bytes).
+and the authentication tag (HMAC, truncated to 16 bytes). The tag can also
+cover associated data that travels outside the ciphertext; a share receipt
+uses it to bind the share element it was sent with.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import struct
 from dataclasses import dataclass
 
 from .encoding import element_byte_length, element_to_bytes
-from .errors import AuthenticationError, EncodingError
+from .errors import AuthenticationError, EncodingError, GroupError
 from .groups import GroupParams
 
 TAG_LENGTH = 16
@@ -65,14 +67,30 @@ def _keystream(key: bytes, length: int) -> bytes:
     return out[:length]
 
 
-def _tag(params: GroupParams, key: bytes, ephemeral, body: bytes) -> bytes:
-    msg = element_to_bytes(params, ephemeral) + body
-    return hmac.new(key, msg, hashlib.sha256).digest()[:TAG_LENGTH]
+def _tag(params: GroupParams, key: bytes, ephemeral, body: bytes,
+         associated: bytes) -> bytes:
+    msg = element_to_bytes(params, ephemeral)
+    if associated:
+        # length-prefixed so no bytes can move between it and the body; when
+        # empty, nothing is added and the tag is the one without it
+        msg += struct.pack("!H", len(associated)) + associated
+    return hmac.new(key, msg + body, hashlib.sha256).digest()[:TAG_LENGTH]
 
 
-def encrypt(params: GroupParams, public, plaintext: bytes, rng=None) -> Ciphertext:
+def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
+            associated: bytes = b"") -> Ciphertext:
+    """Encrypt to ``public``; the tag also covers ``associated``, which
+    ``decrypt`` must be given unchanged.
+
+    ``public`` is checked here, one membership test per call, because it may
+    come from outside and the KEM point ``public^e`` is encoded as trusted.
+    """
     if len(plaintext) > MAX_PLAINTEXT:
         raise ValueError("plaintext too long")
+    if len(associated) > MAX_PLAINTEXT:
+        raise ValueError("associated data too long")
+    if public == params.identity or not params.element_valid(public):
+        raise GroupError("public key is not a group element other than the identity")
     rng = _rng(rng)
     m = params.exponent_modulus
     e = 0
@@ -82,12 +100,13 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None) -> Cipherte
     key = _derive_key(params, params.power(public, e))
     body = bytes(a ^ b for a, b in zip(plaintext, _keystream(key, len(plaintext))))
     return Ciphertext(ephemeral=ephemeral, body=body,
-                      tag=_tag(params, key, ephemeral, body))
+                      tag=_tag(params, key, ephemeral, body, associated))
 
 
-def decrypt(params: GroupParams, secret: int, ct: Ciphertext) -> bytes:
+def decrypt(params: GroupParams, secret: int, ct: Ciphertext,
+            associated: bytes = b"") -> bytes:
     key = _derive_key(params, params.power(ct.ephemeral, secret))
-    expected = _tag(params, key, ct.ephemeral, ct.body)
+    expected = _tag(params, key, ct.ephemeral, ct.body, associated)
     if not hmac.compare_digest(expected, ct.tag):
         raise AuthenticationError("ciphertext tag mismatch")
     return bytes(a ^ b for a, b in zip(ct.body, _keystream(key, len(ct.body))))

@@ -47,6 +47,16 @@ class OwnerRole:
     second_message: Optional[int] = None
 
 
+def share_payload(params: GroupParams, element, server_public, nonce: bytes,
+                  rng: random.Random) -> bytes:
+    """A SHARE payload: the share element's bytes, then the nonce receipt
+    encrypted to the server with those bytes as associated data, so the
+    receipt checks out only next to the element it was made for."""
+    element_bytes = element_to_bytes(params, element)
+    receipt = pke.encrypt(params, server_public, nonce, rng, element_bytes)
+    return element_bytes + pke.ciphertext_to_bytes(params, receipt)
+
+
 class ServerSession:
     """Server side of one run; mutated by a single logical thread."""
 
@@ -97,14 +107,31 @@ class ServerSession:
             ct = pke.ciphertext_from_bytes(self.params, rest)
         except (EncodingError, IndexError):
             return self.fail(ErrorCode.MALFORMED)
+        # the receipt's tag covers the element bytes exactly as received
+        element_bytes = frame.payload[:len(frame.payload) - len(rest)]
         try:
-            echoed = pke.decrypt(self.params, self.keypair.secret, ct)
+            echoed = pke.decrypt(self.params, self.keypair.secret, ct, element_bytes)
         except AuthenticationError:
-            return self.fail(ErrorCode.DECRYPT_FAIL)
+            return self.fail(self._rejected_receipt_code(ct, index))
         if not hmac.compare_digest(echoed, self.nonces[index]):
             return self.fail(ErrorCode.NONCE_MISMATCH)
         self.shares[index] = element
         self.phase = Phase.COLLECTING
+
+    def _rejected_receipt_code(self, ct: pke.Ciphertext, index: int) -> ErrorCode:
+        """The code for a receipt whose tag fails with the element bound in.
+
+        A receipt made for no element still opens without one. It is refused
+        all the same, but a wrong nonce in it is reported as such; any other
+        failure means the receipt or its element was altered.
+        """
+        try:
+            echoed = pke.decrypt(self.params, self.keypair.secret, ct)
+        except AuthenticationError:
+            return ErrorCode.DECRYPT_FAIL
+        if hmac.compare_digest(echoed, self.nonces[index]):
+            return ErrorCode.DECRYPT_FAIL
+        return ErrorCode.NONCE_MISMATCH
 
     @property
     def complete(self) -> bool:
@@ -173,10 +200,8 @@ class ParticipantSession:
                                   m2=self.owner.second_message)
         else:
             element = member_share(self.params, self.keys)
-        receipt = pke.encrypt(self.params, self.server_public, frame.payload,
-                              self.rng)
-        payload = (element_to_bytes(self.params, element)
-                   + pke.ciphertext_to_bytes(self.params, receipt))
+        payload = share_payload(self.params, element, self.server_public,
+                                frame.payload, self.rng)
         return Frame(MsgType.SHARE, self.session_id, self.index, payload)
 
     def upload_request(self) -> Frame:

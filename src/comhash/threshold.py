@@ -21,7 +21,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .encoding import (
-    element_to_bytes,
     scalar_byte_length,
     scalar_from_bytes,
     scalar_to_bytes,
@@ -30,7 +29,7 @@ from .errors import EncodingError, ProtocolStateError
 from .frames import Frame, MsgType, SERVER_ID, SESSION_ID_LENGTH
 from .groups import GroupParams, ModpMode, ModpParams, scalar_inv
 from .hashing import ParticipantKeys, member_share, owner_share
-from .protocol import Phase, ServerSession
+from .protocol import Phase, ServerSession, share_payload
 from . import pke
 
 
@@ -457,10 +456,8 @@ class ThresholdParticipant:
             element = member_share(self.params, keys)
         else:
             element = owner_share(self.params, keys, m)
-        receipt = pke.encrypt(self.params, self.server_public,
-                              nonce_frame.payload, self.rng)
-        payload = (element_to_bytes(self.params, element)
-                   + pke.ciphertext_to_bytes(self.params, receipt))
+        payload = share_payload(self.params, element, self.server_public,
+                                nonce_frame.payload, self.rng)
         return Frame(MsgType.THRESH_SHARE, self.session_id, self.index, payload)
 
 

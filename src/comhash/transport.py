@@ -3,9 +3,12 @@
 A link opens with a handshake: both sides send the 32-byte digest of their
 group parameters (mismatched parameter sets are rejected immediately), then
 exchange fresh link public keys. Every frame afterwards travels as one
-length-delimited record holding an authenticated ciphertext, so any
-on-the-wire tampering is detected and surfaces as a transport error instead
-of reaching the protocol layer.
+length-delimited record holding a ciphertext encrypted to the receiver's link
+public key. Its tag shows only that the record was not altered after it was
+made: altered records surface as a transport error, but replayed records, and
+records forged by anyone who holds the link public key, are accepted. Treat
+the link as untrusted until records are authenticated with keys derived from
+the handshake.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from comhash import (
 from comhash.groups import (
     _ec_add,
     _ec_mul,
+    _jacobi,
     is_probable_prime,
     scalar_add,
     scalar_inv,
@@ -361,6 +362,42 @@ def test_sqrt_mod_both_residue_classes():
                 assert r * r % p == a % p
                 seen += 1
         assert 0 < seen < 20  # both residues and non-residues occurred
+
+
+def test_jacobi_matches_euler_criterion_on_p23():
+    # (a/23) is a^11 mod 23 read as 1, -1 (= 22) or 0, for every a in 0..23
+    for a in range(24):
+        assert _jacobi(a, 23) % 23 == pow(a, 11, 23)
+
+
+def test_jacobi_is_the_product_of_legendre_symbols():
+    # composite odd moduli take the reciprocity swaps down every branch
+    odd_primes = [d for d in range(3, 300, 2) if is_probable_prime(d)]
+    for n in range(1, 300, 2):
+        factors, rest = [], n
+        for d in odd_primes:
+            while rest % d == 0:
+                factors.append(d)
+                rest //= d
+        for a in range(-3, 2 * n + 3):
+            want = 1
+            for d in factors:  # Euler's criterion, read as 1, -1 or 0
+                want *= (pow(a, (d - 1) // 2, d) + 1) % d - 1
+            assert _jacobi(a, n) == want, (a, n)
+
+
+@pytest.mark.parametrize("bits", [2048, 3072])
+def test_jacobi_separates_members_of_the_standard_subgroups(bits):
+    params = modp_group(bits)
+    p, q = params.modulus, params.subgroup_order
+    rng = random.Random(bits)
+    for _ in range(3):
+        member = params.power(params.g, rng.randrange(1, q))
+        # p = 3 mod 4, so -1 is a non-residue and p - member is outside
+        outside = p - member
+        assert pow(member, q, p) == 1 and pow(outside, q, p) == p - 1
+        assert _jacobi(member, p) == 1 and params.element_valid(member)
+        assert _jacobi(outside, p) == -1 and not params.element_valid(outside)
 
 
 @settings(max_examples=40)

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
-from comhash import (EcParams, ErrorCode, MsgType, ParticipantKeys, Phase, decode_frame,
-                     reference_digest)
+from comhash import (EcParams, ErrorCode, ModpParams, MsgType, ParticipantKeys, Phase,
+                     decode_frame, reference_digest)
 from comhash import pke
+from comhash.encoding import element_byte_length
+from comhash.frames import HEADER_LENGTH
 from comhash.net import (
     Delivery,
     Drop,
@@ -216,6 +219,54 @@ def test_fuzz_faults_never_store_a_wrong_digest(toy_subgroup):
             assert out.error_code is not None
         checked += 1
     assert checked == 300
+
+
+@pytest.mark.parametrize("which, seeds", [("secp", range(1)), ("toy_subgroup", range(40))])
+def test_flipped_share_element_never_stores_a_wrong_digest(which, seeds, request):
+    # every byte of every share's element; the receipt's tag covers the
+    # element, so a flip that still decodes to a group element fails it
+    params = request.getfixturevalue(which)
+    rng = random.Random(31)
+    width = element_byte_length(params)
+    codes = Counter()
+    for seed in seeds:
+        keys = [ParticipantKeys.random(params, rng) for _ in range(3)]
+        m = rng.randrange(params.exponent_modulus)
+        clean = run_basic_session(params, keys, m, seed=seed)
+        assert clean.digest == reference_digest(params, m, keys)
+        shares = [i for i, d in enumerate(clean.trace)
+                  if decode_frame(d.data).msg_type is MsgType.SHARE]
+        assert len(shares) == 3
+        for ordinal in shares:
+            for offset in range(HEADER_LENGTH, HEADER_LENGTH + width):
+                out = run_basic_session(params, keys, m, seed=seed,
+                                        faults=FaultPlan({ordinal: FlipByte(offset)}))
+                assert out.phase is Phase.FAILED, (seed, ordinal, offset)
+                assert out.digest is None
+                codes[out.error_code] += 1
+    assert set(codes) == {ErrorCode.DECRYPT_FAIL, ErrorCode.MALFORMED}
+
+
+def test_modp_session_membership_budget(modp2048, monkeypatch):
+    # per share, only untrusted values get a membership check: the share
+    # element and the receipt's ephemeral as the server decodes them, and
+    # the server key in pke.encrypt; computed elements are encoded unchecked
+    rng = random.Random(12)
+    n = 4
+    keys = [ParticipantKeys.random(modp2048, rng) for _ in range(n)]
+    server = pke.generate_keypair(modp2048, rng)
+    m = rng.randrange(modp2048.exponent_modulus)
+    calls = Counter()
+    for name in ("power", "element_valid"):
+        def counted(self, *args, _name=name, _method=getattr(ModpParams, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(ModpParams, name, counted)
+    out = run_basic_session(modp2048, keys, m, owner_index=2, seed=5, server_keypair=server)
+    assert out.phase is Phase.DONE
+    assert calls == {"element_valid": 3 * n, "power": 5 * n}
+    monkeypatch.undo()
+    assert out.digest == reference_digest(modp2048, m, keys)
 
 
 def test_session_power_budget(secp, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comhash import AuthenticationError, EncodingError
+from comhash import AuthenticationError, EncodingError, GroupError
 from comhash import pke
 
 
@@ -101,3 +101,48 @@ def test_plaintext_length_cap(toy_subgroup):
     kp = pke.generate_keypair(toy_subgroup, rng=random.Random(1))
     with pytest.raises(ValueError):
         pke.encrypt(toy_subgroup, kp.public, b"\x00" * 65536, rng=random.Random(2))
+
+
+def test_encrypt_rejects_a_public_key_outside_the_group(toy_subgroup, secp):
+    # 5 is not a square mod 23. Without the key check, encrypting to it
+    # failed only when the KEM point 5^e fell outside the subgroup (odd e),
+    # and encrypting to the identity never failed.
+    for seed in range(40):
+        for bad in (5, toy_subgroup.identity):
+            with pytest.raises(GroupError):
+                pke.encrypt(toy_subgroup, bad, b"nonce", rng=random.Random(seed))
+    for bad in (secp.identity, (1, 1)):  # (1, 1) is off the curve
+        with pytest.raises(GroupError):
+            pke.encrypt(secp, bad, b"nonce", rng=random.Random(1))
+
+
+def test_associated_data_is_bound_by_the_tag(secp):
+    kp = pke.generate_keypair(secp, rng=random.Random(5))
+    ad = b"share element bytes"
+    ct = pke.encrypt(secp, kp.public, b"nonce", rng=random.Random(6), associated=ad)
+    plain = pke.encrypt(secp, kp.public, b"nonce", rng=random.Random(6))
+    assert (ct.ephemeral, ct.body) == (plain.ephemeral, plain.body)
+    assert ct.tag != plain.tag  # the data travels outside, only the tag changes
+    assert pke.decrypt(secp, kp.secret, ct, ad) == b"nonce"
+    for wrong in (b"", ad[:-1], ad + b"\x00", b"share element byteS"):
+        with pytest.raises(AuthenticationError):
+            pke.decrypt(secp, kp.secret, ct, wrong)
+    # the length prefix keeps bytes from moving between the data and the body
+    moved = pke.Ciphertext(ct.ephemeral, ad[-1:] + ct.body, ct.tag)
+    with pytest.raises(AuthenticationError):
+        pke.decrypt(secp, kp.secret, moved, ad[:-1])
+
+
+@pytest.mark.parametrize("which, pinned", [
+    ("toy_subgroup", "04000ce23ee40e4c2723ff68df90605cf19fb667e360d42ea01cfee6465412"),
+    ("secp", "0210f7ade9732f3d377ab05eeec117acf7bb1b56925ceb9f99907a191233eeec27"
+             "000cc6f124a70c651eff2ffc06614612ff9d1659876ae6212bad83fc788f"),
+])
+def test_no_associated_data_keeps_the_pinned_ciphertext(which, pinned, request):
+    # transport records carry no associated data; their bytes, tag included,
+    # are the ones made before the tag could cover any
+    params = request.getfixturevalue(which)
+    kp = pke.generate_keypair(params, rng=random.Random(21))
+    ct = pke.encrypt(params, kp.public, b"record bytes", rng=random.Random(22))
+    assert pke.ciphertext_to_bytes(params, ct).hex() == pinned
+    assert pke.decrypt(params, kp.secret, ct) == b"record bytes"
