@@ -4,9 +4,10 @@ participant count and fits a line to the result.
 The running time of one session is linear in the number of participants, so
 an ordinary least-squares line fit captures it; R-squared close to 1 is the
 check that the linear model holds. REFERENCE_TIMINGS carries a published
-reference table for the two standard backends (secp256k1 and 2048-bit modp)
-used by the ``verify`` subcommand; absolute numbers are hardware-specific
-and are not expected to be reproduced.
+reference table for the two standard backends (secp256k1 and 2048-bit modp),
+read from the bundled ``data/reference_timings.csv`` and used by the
+``verify`` subcommand; absolute numbers are hardware-specific and are not
+expected to be reproduced.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
+from importlib import resources
 from typing import Optional, Sequence
 
 from .errors import BenchError
@@ -24,23 +26,6 @@ from .hashing import ParticipantKeys
 from .net import run_basic_session
 from .protocol import Phase
 from . import pke
-
-# (participants, seconds over ec backend, seconds over modp backend)
-REFERENCE_TIMINGS: tuple[tuple[int, float, float], ...] = (
-    (4, 0.028, 0.280),
-    (8, 0.058, 0.561),
-    (16, 0.111, 1.122),
-    (32, 0.222, 2.245),
-    (64, 0.442, 4.511),
-    (128, 0.882, 9.065),
-    (256, 1.772, 18.318),
-    (512, 3.551, 37.178),
-    (1024, 7.135, 76.174),
-    (2048, 14.431, 160.599),
-    (4096, 29.474, 352.496),
-    (8192, 61.157, 837.490),
-    (16384, 132.225, 2242.677),
-)
 
 CSV_HEADER = ("backend", "N", "trials", "mean_s", "stddev_s")
 
@@ -163,3 +148,8 @@ def read_reference_csv(path: str) -> list[tuple[int, float, float]]:
     if not rows:
         raise BenchError(f"no rows in {path}")
     return rows
+
+
+# (participants, seconds over ec backend, seconds over modp backend)
+with resources.as_file(resources.files("comhash.data") / "reference_timings.csv") as _path:
+    REFERENCE_TIMINGS = tuple(read_reference_csv(str(_path)))

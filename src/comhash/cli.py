@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 
 from . import bench
 from .groups import ModpMode
@@ -77,12 +76,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.table1:
-        rows = bench.read_reference_csv(args.table1)
-    else:
-        with resources.as_file(resources.files("comhash.data")
-                               / "reference_timings.csv") as path:
-            rows = bench.read_reference_csv(str(path))
+    rows = bench.read_reference_csv(args.table1) if args.table1 else bench.REFERENCE_TIMINGS
     report = {backend: _fit_json(bench.reference_fit(backend, rows))
               for backend in ("ec", "modp")}
     print(json.dumps(report, indent=2))

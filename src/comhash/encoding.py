@@ -2,8 +2,10 @@
 
 Scalars and mod-p elements are fixed-width big-endian (width of the modulus).
 Curve points use SEC1 compression (0x02/0x03 prefix + x coordinate); the
-identity is the single byte 0x00. Parameter sets are a tag byte, a mode byte,
-then length-prefixed fields: (p, q, g, h) for modp, (curve id, g, h) for ec.
+identity is the single byte 0x00. The element codec lives on the params
+classes (``element_width``, ``encode``, ``decode``); the functions here are
+its one entry point. Parameter sets are a tag byte, a mode byte, then
+length-prefixed fields: (p, q, g, h) for modp, (curve id, g, h) for ec.
 
 Encoding trusts its input, decoding validates it. ``element_to_bytes`` takes
 an element this process computed with ``power``/``combine`` or got from
@@ -11,7 +13,8 @@ an element this process computed with ``power``/``combine`` or got from
 membership (a curve point still gets its cheap on-curve check). Decoding is
 strict: wrong widths, out-of-range values, off-curve x, and non-members of
 the subgroup are all rejected, so a decoded value is always a valid element
-and untrusted bytes are checked exactly once, where they enter.
+and untrusted bytes are checked exactly once, where they enter. Decoded modp
+parameters go through ``validate_group``: that membership test needs p safe.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from .groups import (
     GroupParams,
     ModpMode,
     ModpParams,
-    Point,
     curve_registry,
-    sqrt_mod,
+    validate_group,
 )
 
 _PARAMS_TAG_MODP = 0x01
@@ -42,9 +44,7 @@ def scalar_byte_length(params: GroupParams) -> int:
 
 def element_byte_length(params: GroupParams) -> int:
     """Width of a non-identity element encoding."""
-    if isinstance(params, ModpParams):
-        return (params.modulus.bit_length() + 7) // 8
-    return 1 + (params.field_prime.bit_length() + 7) // 8
+    return params.element_width
 
 
 def scalar_to_bytes(params: GroupParams, value: int) -> bytes:
@@ -64,55 +64,22 @@ def scalar_from_bytes(params: GroupParams, data: bytes) -> int:
 
 
 def element_to_bytes(params: GroupParams, el) -> bytes:
-    if isinstance(params, ModpParams):
-        if not isinstance(el, int) or isinstance(el, bool) or not 1 <= el < params.modulus:
-            raise EncodingError("not a valid group element")
-        return el.to_bytes(element_byte_length(params), "big")
-    if el is None:
-        return b"\x00"
-    if not params.element_valid(el):
-        raise EncodingError("point not on curve")
-    x, y = el
-    prefix = b"\x02" if y % 2 == 0 else b"\x03"
-    return prefix + x.to_bytes((params.field_prime.bit_length() + 7) // 8, "big")
+    return params.encode(el)
 
 
 def element_from_bytes(params: GroupParams, data: bytes):
-    if isinstance(params, ModpParams):
-        if len(data) != element_byte_length(params):
-            raise EncodingError("bad element length")
-        el = int.from_bytes(data, "big")
-        if not params.element_valid(el):
-            raise EncodingError("value is not a group element")
-        return el
-    if data == b"\x00":
-        return None
-    if len(data) != element_byte_length(params):
-        raise EncodingError("malformed point encoding")
-    if data[0] not in (0x02, 0x03):
-        raise EncodingError("bad point prefix")
-    p = params.field_prime
-    x = int.from_bytes(data[1:], "big")
-    if x >= p:
-        raise EncodingError("x coordinate out of range")
-    y = sqrt_mod((x * x * x + params.curve_a * x + params.curve_b) % p, p)
-    if y is None:
-        raise EncodingError("x is not on the curve")
-    if (y % 2 == 0) != (data[0] == 0x02):
-        y = p - y
-    return (x, y)
+    return params.decode(data)
 
 
 def element_span(params: GroupParams, data: bytes) -> int:
     """Length of the element encoding that data starts with.
 
-    Unambiguous because the ec identity (``None``) is the 1-byte 0x00 while
-    every other ec encoding starts 0x02/0x03 at fixed width, and modp
-    encodings are always fixed width.
+    Unambiguous because only the identity's encoding can be shorter than
+    ``element_width`` (the ec identity is the 1-byte 0x00), and no other
+    encoding starts with it.
     """
-    if params.identity is None and data[:1] == b"\x00":
-        return 1
-    return element_byte_length(params)
+    identity = params.encode(params.identity)
+    return len(identity) if data.startswith(identity) else element_byte_length(params)
 
 
 def split_element(params: GroupParams, data: bytes):
@@ -164,7 +131,7 @@ class _Reader:
 
 
 def params_to_bytes(params: GroupParams) -> bytes:
-    if isinstance(params, ModpParams):
+    if params.backend == "modp":
         return bytes([_PARAMS_TAG_MODP, _MODE_BYTES[params.mode]]) + b"".join((
             _int_field(params.modulus),
             _int_field(params.subgroup_order),
@@ -190,9 +157,9 @@ def params_from_bytes(data: bytes) -> GroupParams:
         rd.done()
         params = ModpParams(modulus=p, subgroup_order=q, g=g, h=h,
                             mode=_MODE_FROM_BYTE[mode_byte])
-        for gen in (g, h):
-            if not 1 <= gen < p:
-                raise EncodingError("generator out of range")
+        problems = validate_group(params)
+        if problems:
+            raise EncodingError("invalid modp parameters: " + "; ".join(problems))
         return params
     if tag == _PARAMS_TAG_EC:
         if mode_byte != 0x00:

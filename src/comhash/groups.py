@@ -1,22 +1,26 @@
 """Group backends for the commutative hash: safe-prime multiplicative groups
 (mod p) and prime-order elliptic curves in short Weierstrass form.
 
-Both backends expose the same small surface: two independent generators ``g``
-and ``h``, ``power`` (exponentiation / scalar multiplication), ``combine``
-(the group law), and an exponent modulus that all scalar arithmetic is
-reduced by.
+``ModpParams`` and ``EcParams`` share one interface, and this module is the
+only one that tells them apart: generators ``g``/``h``, ``identity``, the
+``exponent_modulus`` all scalar arithmetic is reduced by, ``prime_order``;
+``power``, ``combine`` (the group law) and ``element_valid``; the element
+codec ``element_width``, ``encode`` (trusting) and ``decode`` (strict); and
+``generator_candidate`` and ``structure_problems``, the backend's steps of
+``derive_second_generator`` and ``validate_group``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from .errors import GroupError
+from .errors import EncodingError, GroupError
 
 Point = Optional[Tuple[int, int]]  # affine coordinates; None is the identity
 
@@ -188,13 +192,23 @@ class ModpParams:
     def identity(self) -> int:
         return 1
 
+    @property
+    def prime_order(self) -> bool:
+        # PRIMITIVE mode's generators have order 2q
+        return self.mode is ModpMode.SUBGROUP
+
+    @property
+    def element_width(self) -> int:
+        return (self.modulus.bit_length() + 7) // 8
+
+    def _in_range(self, el) -> bool:
+        # cheap structural test; subgroup membership is tested only where
+        # untrusted bytes are decoded
+        return isinstance(el, int) and not isinstance(el, bool) and 1 <= el < self.modulus
+
     def _check(self, el) -> int:
-        # cheap structural check on every call; the subgroup-membership test
-        # is done only where untrusted bytes are decoded
-        if not isinstance(el, int) or isinstance(el, bool):
-            raise GroupError(f"modp backend expects int elements, got {type(el).__name__}")
-        if not 1 <= el < self.modulus:
-            raise GroupError("element out of range")
+        if not self._in_range(el):
+            raise GroupError("modp backend expects an int element in [1, p)")
         return el
 
     def element_valid(self, el) -> bool:
@@ -207,20 +221,60 @@ class ModpParams:
         prime is its Legendre symbol, 1 precisely on the residues.
         ``validate_group`` checks that precondition.
         """
-        if not isinstance(el, int) or isinstance(el, bool) or not 1 <= el < self.modulus:
+        if not self._in_range(el):
             return False
         if self.mode is ModpMode.SUBGROUP:
             return _jacobi(el, self.modulus) == 1
         return True
 
+    def encode(self, el: int) -> bytes:
+        """Fixed-width big-endian; checks type and range only."""
+        if not self._in_range(el):
+            raise EncodingError("not a valid group element")
+        return el.to_bytes(self.element_width, "big")
+
+    def decode(self, data: bytes) -> int:
+        if len(data) != self.element_width:
+            raise EncodingError("bad element length")
+        el = int.from_bytes(data, "big")
+        if not self.element_valid(el):
+            raise EncodingError("value is not a group element")
+        return el
+
     def power(self, base: int, exponent: int) -> int:
-        self._check(base)
-        return pow(base, exponent % self.exponent_modulus, self.modulus)
+        return pow(self._check(base), exponent % self.exponent_modulus, self.modulus)
 
     def combine(self, e1: int, e2: int) -> int:
-        self._check(e1)
-        self._check(e2)
-        return e1 * e2 % self.modulus
+        return self._check(e1) * self._check(e2) % self.modulus
+
+    def generator_candidate(self, seed: bytes) -> Optional[int]:
+        """The generator seed hashes to, or None if it hashes to none."""
+        p = self.modulus
+        c = int.from_bytes(_expand(seed, self.element_width), "big") % p
+        if self.mode is ModpMode.SUBGROUP:
+            c = c * c % p  # squaring lands in the order-q subgroup
+            return c if c not in (0, 1) else None
+        if c > 1 and pow(c, 2, p) != 1 and pow(c, self.subgroup_order, p) != 1:
+            return c
+        return None
+
+    def structure_problems(self, rounds: int) -> list[str]:
+        p, q = self.modulus, self.subgroup_order
+        problems = []
+        if not is_probable_prime(p, rounds):
+            problems.append("p not prime")
+        if not is_probable_prime(q, rounds):
+            problems.append("q not prime")
+        if p != 2 * q + 1:
+            problems.append("p != 2q + 1")
+        for name, gen in (("g", self.g), ("h", self.h)):
+            if not 1 < gen < p:
+                problems.append(f"{name} out of range")
+            elif self.mode is ModpMode.SUBGROUP and pow(gen, q, p) != 1:
+                problems.append(f"{name} has wrong order")
+            elif self.mode is ModpMode.PRIMITIVE and 1 in (pow(gen, 2, p), pow(gen, q, p)):
+                problems.append(f"{name} has wrong order")
+        return problems
 
 
 @dataclass(frozen=True)
@@ -237,6 +291,7 @@ class EcParams:
     h_label: bytes = field(default=b"", compare=False)
 
     backend = "ec"
+    prime_order = True  # structure_problems checks that ``order`` is prime
 
     @property
     def exponent_modulus(self) -> int:
@@ -245,6 +300,10 @@ class EcParams:
     @property
     def identity(self) -> Point:
         return None
+
+    @property
+    def element_width(self) -> int:
+        return 1 + (self.field_prime.bit_length() + 7) // 8  # prefix byte, then x
 
     def on_curve(self, pt: Point) -> bool:
         if pt is None:
@@ -270,6 +329,34 @@ class EcParams:
             return False
         return self.on_curve(pt)
 
+    def encode(self, pt: Point) -> bytes:
+        """SEC1 compression; the identity is the single byte 0x00."""
+        if pt is None:
+            return b"\x00"
+        if not self.element_valid(pt):
+            raise EncodingError("point not on curve")
+        x, y = pt
+        prefix = b"\x02" if y % 2 == 0 else b"\x03"
+        return prefix + x.to_bytes(self.element_width - 1, "big")
+
+    def decode(self, data: bytes) -> Point:
+        if data == b"\x00":
+            return None
+        if len(data) != self.element_width:
+            raise EncodingError("malformed point encoding")
+        if data[0] not in (0x02, 0x03):
+            raise EncodingError("bad point prefix")
+        p = self.field_prime
+        x = int.from_bytes(data[1:], "big")
+        if x >= p:
+            raise EncodingError("x coordinate out of range")
+        y = sqrt_mod((x * x * x + self.curve_a * x + self.curve_b) % p, p)
+        if y is None:
+            raise EncodingError("x is not on the curve")
+        if (y % 2 == 0) != (data[0] == 0x02):
+            y = p - y
+        return (x, y)
+
     def power(self, base: Point, exponent: int) -> Point:
         self._check(base)
         k = exponent % self.order
@@ -279,6 +366,35 @@ class EcParams:
 
     def combine(self, p1: Point, p2: Point) -> Point:
         return _ec_add(self, self._check(p1), self._check(p2))
+
+    def generator_candidate(self, seed: bytes) -> Point:
+        """The point with x hashed from seed and even y; None if x is off the curve."""
+        p = self.field_prime
+        x = int.from_bytes(_expand(seed, self.element_width - 1), "big") % p
+        y = sqrt_mod((x * x * x + self.curve_a * x + self.curve_b) % p, p)
+        if y is None:
+            return None
+        return (x, p - y if y % 2 else y)
+
+    def structure_problems(self, rounds: int) -> list[str]:
+        p, n = self.field_prime, self.order
+        problems = []
+        if not is_probable_prime(p, rounds):
+            problems.append("field prime not prime")
+        if not is_probable_prime(n, rounds):
+            problems.append("group order not prime")
+        # group order must sit in the Hasse interval of the field size
+        root = math.isqrt(p)
+        if not (p + 1 - 2 * (root + 1)) <= n <= (p + 1 + 2 * (root + 1)):
+            problems.append("group order outside the Hasse interval")
+        for name, pt in (("base point g", self.g), ("base point h", self.h)):
+            if pt is None:
+                problems.append(f"{name} is the identity")
+            elif not self.on_curve(pt):
+                problems.append(f"{name} not on curve")
+            elif not problems and _ec_mul(self, pt, n) is not None:
+                problems.append(f"{name} order does not divide the group order")
+        return problems
 
 
 GroupParams = Union[ModpParams, EcParams]
@@ -530,15 +646,14 @@ def toy_modp_primitive() -> ModpParams:
 
 
 def toy_ec(h_label: bytes = DEFAULT_H_LABEL) -> EcParams:
-    spec = _CURVE_REGISTRY["toy17"]
-    partial = EcParams(name="toy17", g=_TOY17_G, h=_TOY17_G, **spec)
-    return replace(partial, h=derive_second_generator(partial, h_label), h_label=h_label)
+    partial = EcParams(name="toy17", g=_TOY17_G, h=_TOY17_G, **_CURVE_REGISTRY["toy17"])
+    return _with_second_generator(partial, h_label)
 
 
 def secp256k1(h_label: bytes = DEFAULT_H_LABEL) -> EcParams:
-    spec = _CURVE_REGISTRY["secp256k1"]
-    partial = EcParams(name="secp256k1", g=_SECP256K1_G, h=_SECP256K1_G, **spec)
-    return replace(partial, h=derive_second_generator(partial, h_label), h_label=h_label)
+    partial = EcParams(name="secp256k1", g=_SECP256K1_G, h=_SECP256K1_G,
+                       **_CURVE_REGISTRY["secp256k1"])
+    return _with_second_generator(partial, h_label)
 
 
 def modp_group(bits: int, mode: ModpMode = ModpMode.SUBGROUP,
@@ -554,7 +669,7 @@ def modp_group(bits: int, mode: ModpMode = ModpMode.SUBGROUP,
     else:
         g = _smallest_primitive_root(p, q)
     partial = ModpParams(modulus=p, subgroup_order=q, g=g, h=g, mode=mode)
-    return replace(partial, h=derive_second_generator(partial, h_label), h_label=h_label)
+    return _with_second_generator(partial, h_label)
 
 
 # ---------------------------------------------------------------------------
@@ -583,35 +698,16 @@ def derive_second_generator(params: GroupParams, label: bytes) -> Union[int, Tup
     """
     if not label:
         raise GroupError("label must be non-empty")
-    if isinstance(params, ModpParams):
-        p, q = params.modulus, params.subgroup_order
-        width = (p.bit_length() + 7) // 8
-        for ctr in range(10000):
-            c = int.from_bytes(
-                _expand(b"comhash/h2g/modp/" + label + b"/" + ctr.to_bytes(4, "big"), width),
-                "big") % p
-            if params.mode is ModpMode.SUBGROUP:
-                cand = c * c % p  # squaring lands in the order-q subgroup
-                if cand not in (0, 1):
-                    return cand
-            else:
-                if c > 1 and pow(c, 2, p) != 1 and pow(c, q, p) != 1:
-                    return c
-        raise GroupError("second-generator derivation exhausted its retries")
-    p = params.field_prime
-    width = (p.bit_length() + 7) // 8
+    prefix = b"comhash/h2g/" + params.backend.encode() + b"/" + label + b"/"
     for ctr in range(10000):
-        x = int.from_bytes(
-            _expand(b"comhash/h2g/ec/" + label + b"/" + ctr.to_bytes(4, "big"), width),
-            "big") % p
-        rhs = (x * x * x + params.curve_a * x + params.curve_b) % p
-        y = sqrt_mod(rhs, p)
-        if y is None:
-            continue
-        if y % 2 == 1:
-            y = p - y  # canonical even-y root
-        return (x, y)
+        cand = params.generator_candidate(prefix + ctr.to_bytes(4, "big"))
+        if cand is not None:
+            return cand
     raise GroupError("second-generator derivation exhausted its retries")
+
+
+def _with_second_generator(partial: GroupParams, h_label: bytes) -> GroupParams:
+    return replace(partial, h=derive_second_generator(partial, h_label), h_label=h_label)
 
 
 def generate_group(backend: str, security_bits: int, seed=None,
@@ -649,60 +745,15 @@ def generate_group(backend: str, security_bits: int, seed=None,
         if is_probable_prime(q) and is_probable_prime(p):
             root = _smallest_primitive_root(p, q)
             g = root * root % p if mode is ModpMode.SUBGROUP else root
-            partial = ModpParams(modulus=p, subgroup_order=q, g=g, h=g, mode=mode)
-            return replace(partial, h=derive_second_generator(partial, h_label),
-                           h_label=h_label)
+            return _with_second_generator(
+                ModpParams(modulus=p, subgroup_order=q, g=g, h=g, mode=mode), h_label)
     raise GroupError("safe-prime search exhausted its attempt budget")
 
 
 def validate_group(params: GroupParams, rounds: int = 64) -> list[str]:
     """Check every structural invariant; returns a list of violations (empty = ok)."""
-    problems: list[str] = []
-    if isinstance(params, ModpParams):
-        p, q = params.modulus, params.subgroup_order
-        if not is_probable_prime(p, rounds):
-            problems.append("p not prime")
-        if not is_probable_prime(q, rounds):
-            problems.append("q not prime")
-        if p != 2 * q + 1:
-            problems.append("p != 2q + 1")
-        for name, gen in (("g", params.g), ("h", params.h)):
-            if not 1 < gen < p:
-                problems.append(f"{name} out of range")
-                continue
-            if params.mode is ModpMode.SUBGROUP:
-                if pow(gen, q, p) != 1 or gen == 1:
-                    problems.append(f"{name} has wrong order")
-            else:
-                if pow(gen, 2, p) == 1 or pow(gen, q, p) == 1:
-                    problems.append(f"{name} has wrong order")
-        if params.h_label and not problems:
-            if derive_second_generator(params, params.h_label) != params.h:
-                problems.append("h does not match its derivation label")
-        return problems
-
-    p, n = params.field_prime, params.order
-    if not is_probable_prime(p, rounds):
-        problems.append("field prime not prime")
-    if not is_probable_prime(n, rounds):
-        problems.append("group order not prime")
-    # group order must sit in the Hasse interval of the field size
-    root = _isqrt(p)
-    if not (p + 1 - 2 * (root + 1)) <= n <= (p + 1 + 2 * (root + 1)):
-        problems.append("group order outside the Hasse interval")
-    for name, pt in (("base point g", params.g), ("base point h", params.h)):
-        if pt is None:
-            problems.append(f"{name} is the identity")
-        elif not params.on_curve(pt):
-            problems.append(f"{name} not on curve")
-        elif not problems and _ec_mul(params, pt, n) is not None:
-            problems.append(f"{name} order does not divide the group order")
+    problems = params.structure_problems(rounds)
     if params.h_label and not problems:
         if derive_second_generator(params, params.h_label) != params.h:
             problems.append("h does not match its derivation label")
     return problems
-
-
-def _isqrt(n: int) -> int:
-    import math
-    return math.isqrt(n)

@@ -16,9 +16,9 @@ import random
 import struct
 from dataclasses import dataclass
 
-from .encoding import element_byte_length, element_to_bytes
+from .encoding import element_byte_length, element_from_bytes, element_to_bytes
 from .errors import AuthenticationError, EncodingError, GroupError
-from .groups import GroupParams
+from .groups import GroupParams, random_scalar
 
 TAG_LENGTH = 16
 MAX_PLAINTEXT = 0xFFFF  # body length travels as u16
@@ -46,11 +46,7 @@ def _rng(rng) -> random.Random:
 
 
 def generate_keypair(params: GroupParams, rng=None) -> KeyPair:
-    rng = _rng(rng)
-    m = params.exponent_modulus
-    secret = 0
-    while secret == 0:  # zero would publish the identity
-        secret = rng.randrange(m)
+    secret = random_scalar(params, _rng(rng), nonzero=True)  # zero would publish the identity
     return KeyPair(secret=secret, public=params.power(params.g, secret))
 
 
@@ -91,11 +87,7 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
         raise ValueError("associated data too long")
     if public == params.identity or not params.element_valid(public):
         raise GroupError("public key is not a group element other than the identity")
-    rng = _rng(rng)
-    m = params.exponent_modulus
-    e = 0
-    while e == 0:
-        e = rng.randrange(m)
+    e = random_scalar(params, _rng(rng), nonzero=True)
     ephemeral = params.power(params.g, e)
     key = _derive_key(params, params.power(public, e))
     body = bytes(a ^ b for a, b in zip(plaintext, _keystream(key, len(plaintext))))
@@ -118,13 +110,11 @@ def ciphertext_to_bytes(params: GroupParams, ct: Ciphertext) -> bytes:
 
 
 def ciphertext_from_bytes(params: GroupParams, data: bytes) -> Ciphertext:
-    from .encoding import element_from_bytes
-
     width = element_byte_length(params)
     if len(data) < width + 2 + TAG_LENGTH:
         raise EncodingError("ciphertext too short")
     ephemeral = element_from_bytes(params, data[:width])
-    if ephemeral is None or ephemeral == params.identity:
+    if ephemeral == params.identity:
         raise EncodingError("ephemeral element cannot be the identity")
     (body_len,) = struct.unpack("!H", data[width:width + 2])
     if len(data) != width + 2 + body_len + TAG_LENGTH:

@@ -60,6 +60,9 @@ def share_payload(params: GroupParams, element, server_public, nonce: bytes,
 class ServerSession:
     """Server side of one run; mutated by a single logical thread."""
 
+    share_type = MsgType.SHARE    # the frame type absorb accepts
+    result_type = MsgType.RESULT  # the frame type result_frame sends
+
     def __init__(self, params: GroupParams, n: int, keypair: pke.KeyPair,
                  rng: random.Random):
         if n < 1:
@@ -91,11 +94,11 @@ class ServerSession:
         self.shares.clear()
 
     def absorb(self, frame: Frame) -> None:
-        """Process one SHARE frame; on any defect the session fails with a
+        """Process one share frame; on any defect the session fails with a
         code identifying the defect."""
         if self.phase not in (Phase.ISSUED, Phase.COLLECTING):
             raise ProtocolStateError(f"cannot absorb in phase {self.phase.value}")
-        if frame.msg_type is not MsgType.SHARE or frame.session_id != self.session_id:
+        if frame.msg_type is not self.share_type or frame.session_id != self.session_id:
             return self.fail(ErrorCode.MALFORMED)
         index = frame.sender
         if index not in self.nonces:
@@ -160,7 +163,7 @@ class ServerSession:
     def result_frame(self) -> Frame:
         if self.phase is not Phase.DONE:
             raise ProtocolStateError("no digest to publish")
-        return Frame(MsgType.RESULT, self.session_id, SERVER_ID,
+        return Frame(self.result_type, self.session_id, SERVER_ID,
                      element_to_bytes(self.params, self.digest))
 
     def error_frame(self) -> Frame:

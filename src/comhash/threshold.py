@@ -27,7 +27,7 @@ from .encoding import (
 )
 from .errors import EncodingError, ProtocolStateError
 from .frames import Frame, MsgType, SERVER_ID, SESSION_ID_LENGTH
-from .groups import GroupParams, ModpMode, ModpParams, scalar_inv
+from .groups import GroupParams, scalar_inv
 from .hashing import ParticipantKeys, member_share, owner_share
 from .protocol import Phase, ServerSession, share_payload
 from . import pke
@@ -296,18 +296,12 @@ class SealedPolynomialEvaluator:
         return Polynomial(coeffs, self.params.exponent_modulus)(x)
 
 
-def homomorphic_eval(evaluator: SealedPolynomialEvaluator, blob: bytes,
-                     poly: Polynomial) -> bytes:
-    """Server-side application of a polynomial to an encrypted input."""
-    return evaluator.apply_poly(blob, poly)
-
-
 # ---------------------------------------------------------------------------
 # threshold session
 # ---------------------------------------------------------------------------
 
 def _require_prime_order(params: GroupParams) -> None:
-    if isinstance(params, ModpParams) and params.mode is ModpMode.PRIMITIVE:
+    if not params.prime_order:
         # order-2q generators make exponent sums sign-ambiguous, which breaks
         # the recombination identity; only prime-order settings are sound
         raise ValueError("threshold sessions require subgroup-mode modp or ec parameters")
@@ -333,6 +327,9 @@ class ThresholdServer(ServerSession):
     table, issues nonces and coefficients to a chosen subset, and verifies
     receipts exactly like the basic server."""
 
+    share_type = MsgType.THRESH_SHARE
+    result_type = MsgType.THRESH_RESULT
+
     def __init__(self, params: GroupParams, n: int, k: int, s0: int, t0: int,
                  keypair: pke.KeyPair, rng: random.Random,
                  evaluator: Optional[SealedPolynomialEvaluator] = None):
@@ -354,7 +351,7 @@ class ThresholdServer(ServerSession):
         """Answer a THRESH_INPUT with both sealed polynomial evaluations."""
         if input_frame.msg_type is not MsgType.THRESH_INPUT:
             raise ProtocolStateError("expected a THRESH_INPUT frame")
-        blobs = [homomorphic_eval(self.evaluator, input_frame.payload, poly)
+        blobs = [self.evaluator.apply_poly(input_frame.payload, poly)
                  for poly in (self.share_poly, self.mask_poly)]
         payload = b"".join(struct.pack("!I", len(b)) + b for b in blobs)
         return Frame(MsgType.THRESH_EVAL, self.session_id, SERVER_ID, payload)
@@ -387,20 +384,9 @@ class ThresholdServer(ServerSession):
                                  SERVER_ID, coeff.to_bytes(width, "big"))))
         return out
 
-    def absorb(self, frame: Frame) -> None:
-        if frame.msg_type is MsgType.THRESH_SHARE:
-            frame = Frame(MsgType.SHARE, frame.session_id, frame.sender,
-                          frame.payload)
-        super().absorb(frame)
-
     @property
     def complete(self) -> bool:
         return self.subset is not None and set(self.shares) == set(self.subset)
-
-    def result_frame(self) -> Frame:
-        frame = super().result_frame()
-        return Frame(MsgType.THRESH_RESULT, frame.session_id, frame.sender,
-                     frame.payload)
 
 
 class ThresholdParticipant:
@@ -434,13 +420,9 @@ class ThresholdParticipant:
         payload, values = frame.payload, []
         for _ in range(2):
             (blen,) = struct.unpack("!I", payload[:4])
-            values.append(self.evaluator_decrypt(evaluator, payload[4:4 + blen]))
+            values.append(evaluator.decrypt_output(self.keypair.secret, payload[4:4 + blen]))
             payload = payload[4 + blen:]
         self.share_value, self.mask_value = values
-
-    def evaluator_decrypt(self, evaluator: SealedPolynomialEvaluator,
-                          blob: bytes) -> int:
-        return evaluator.decrypt_output(self.keypair.secret, blob)
 
     def respond(self, nonce_frame: Frame, coeff_frame: Frame,
                 m: Optional[int] = None) -> Frame:

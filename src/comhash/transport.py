@@ -57,9 +57,12 @@ class SecureChannel:
         self.sock.sendall(mine)
         raw = _read_exact(self.sock, element_byte_length(self.params))
         try:
-            self.peer_public = element_from_bytes(self.params, raw)
+            peer_public = element_from_bytes(self.params, raw)
         except EncodingError as exc:
             raise TransportError(f"bad link key from peer: {exc}") from exc
+        if peer_public == self.params.identity:
+            raise TransportError("bad link key from peer: the identity")
+        self.peer_public = peer_public
 
     def send_frame(self, frame_bytes: bytes) -> None:
         if self.peer_public is None:

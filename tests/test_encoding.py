@@ -138,3 +138,15 @@ def test_params_unknown_curve_rejected(toy_curve):
     mangled = data.replace(b"toy17", b"toy99")
     with pytest.raises(EncodingError):
         params_from_bytes(mangled)
+
+
+def test_params_decode_validates_modp_parameters():
+    # p = 25 is not prime, so the Jacobi membership test would mean nothing;
+    # encoding trusts the parameters, decoding does not
+    from comhash import ModpParams
+
+    data = params_to_bytes(ModpParams(25, 12, 4, 9))
+    with pytest.raises(EncodingError, match="p not prime"):
+        params_from_bytes(data)
+    with pytest.raises(EncodingError, match="g out of range"):
+        params_from_bytes(params_to_bytes(ModpParams(23, 11, 23, 3)))

@@ -21,7 +21,7 @@ from comhash import (
 )
 from comhash import pke
 from comhash.groups import scalar_inv
-from comhash.threshold import distinct_nonzero_scalars, homomorphic_eval
+from comhash.threshold import distinct_nonzero_scalars
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def test_evaluator_matches_direct_evaluation(toy_subgroup):
     kp = pke.generate_keypair(toy_subgroup, rng=random.Random(1))
     poly = Polynomial((5, 3), 11)
     blob = evaluator.encrypt_input(kp.public, 2, rng=random.Random(2))
-    sealed = homomorphic_eval(evaluator, blob, poly)
+    sealed = evaluator.apply_poly(blob, poly)
     assert evaluator.decrypt_output(kp.secret, sealed) == 0 == poly_eval(poly, 2)
 
 
@@ -255,7 +255,7 @@ def test_evaluator_constant_polynomial(toy_subgroup):
     poly = Polynomial((9,), 11)
     for x in (1, 5, 10):
         blob = evaluator.encrypt_input(kp.public, x, rng=random.Random(x))
-        assert evaluator.decrypt_output(kp.secret, homomorphic_eval(evaluator, blob, poly)) == 9
+        assert evaluator.decrypt_output(kp.secret, evaluator.apply_poly(blob, poly)) == 9
 
 
 def test_evaluator_degree_limit(toy_subgroup):
@@ -263,7 +263,7 @@ def test_evaluator_degree_limit(toy_subgroup):
     kp = pke.generate_keypair(toy_subgroup, rng=random.Random(4))
     blob = evaluator.encrypt_input(kp.public, 2, rng=random.Random(5))
     with pytest.raises(ValueError):
-        homomorphic_eval(evaluator, blob, Polynomial((1, 2, 3), 11))
+        evaluator.apply_poly(blob, Polynomial((1, 2, 3), 11))
 
 
 def test_evaluator_blob_opaque_to_other_keys(toy_subgroup):
@@ -275,13 +275,11 @@ def test_evaluator_blob_opaque_to_other_keys(toy_subgroup):
     owner_kp = pke.generate_keypair(toy_subgroup, rng=random.Random(6))
     blob = evaluator.encrypt_input(owner_kp.public, 7, rng=random.Random(7))
     assert evaluator.decrypt_output(owner_kp.secret,
-                                    homomorphic_eval(evaluator, blob,
-                                                     Polynomial((0, 1), 11))) == 7
+                                    evaluator.apply_poly(blob, Polynomial((0, 1), 11))) == 7
     server_secret = (owner_kp.secret + 1) % 11 or 1
     with pytest.raises(AuthenticationError):
         evaluator.decrypt_output(server_secret,
-                                 homomorphic_eval(evaluator, blob,
-                                                  Polynomial((0, 1), 11)))
+                                 evaluator.apply_poly(blob, Polynomial((0, 1), 11)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +381,52 @@ def test_threshold_nonce_mismatch_fails(toy_subgroup):
     assert server.phase is Phase.FAILED
     assert server.error_code is ErrorCode.NONCE_MISMATCH
     assert server.digest is None
+
+
+def _open_round(params, rng):
+    """A 2-of-3 ThresholdServer with participants 1 and 2 chosen; returns
+    the server, the participants, and each chosen one's (nonce, coeff)."""
+    from comhash.threshold import ThresholdParticipant, ThresholdServer
+
+    server_kp = pke.generate_keypair(params, rng)
+    server = ThresholdServer(params, 3, 2, 5, 6, server_kp, rng)
+    parts = [ThresholdParticipant(params, i, x, server_kp.public, rng)
+             for i, x in zip(range(1, 4), (3, 5, 7))]
+    for part in parts:
+        reply = server.eval_frame(part.input_frame(server.evaluator, server.session_id))
+        part.receive_eval(reply, server.evaluator)
+    mod = params.exponent_modulus
+    for i in range(2):
+        server.record_quotient(i + 1, parts[i + 1].x * scalar_inv(parts[i].x, mod) % mod)
+    issued = {}
+    for index, frame in server.begin_round(subset=(1, 2)):
+        issued.setdefault(index, []).append(frame)
+    return server, parts, issued
+
+
+def test_threshold_server_rejects_plain_share_frame(toy_subgroup):
+    # the threshold server takes THRESH_SHARE frames only; a SHARE-typed
+    # frame with a valid payload is malformed there
+    from comhash import ErrorCode, Frame, MsgType, Phase
+
+    server, parts, issued = _open_round(toy_subgroup, random.Random(41))
+    share = parts[0].respond(*issued[1], m=4)
+    assert share.msg_type is MsgType.THRESH_SHARE
+    server.absorb(Frame(MsgType.SHARE, share.session_id, share.sender, share.payload))
+    assert server.phase is Phase.FAILED
+    assert server.error_code is ErrorCode.MALFORMED
+    assert server.digest is None
+
+
+def test_threshold_server_result_frame_type(toy_subgroup):
+    from comhash import MsgType, Phase, element_to_bytes
+
+    server, parts, issued = _open_round(toy_subgroup, random.Random(42))
+    server.absorb(parts[0].respond(*issued[1], m=4))
+    server.absorb(parts[1].respond(*issued[2]))
+    assert server.phase is Phase.COLLECTING
+    digest = server.finalize()
+    assert digest == cvhp(toy_subgroup, (4 + 5) % 11, 6)
+    result = server.result_frame()
+    assert result.msg_type is MsgType.THRESH_RESULT
+    assert result.payload == element_to_bytes(toy_subgroup, digest)

@@ -167,3 +167,22 @@ def test_frames_unusable_before_handshake(toy_subgroup):
         channel.recv_frame()
     a.close()
     b.close()
+
+
+@pytest.mark.parametrize("mode", ["subgroup", "primitive"])
+def test_handshake_rejects_identity_link_key(mode, toy_subgroup, toy_primitive):
+    # the peer's link key is a valid encoding of the identity, 1; every
+    # record encrypted to it would have a KEM key anyone can compute
+    from comhash import params_digest
+
+    params = toy_subgroup if mode == "subgroup" else toy_primitive
+    a, b = socket.socketpair()
+    b.sendall(params_digest(params) + b"\x01")
+    channel = SecureChannel(a, params, rng=random.Random(3))
+    with pytest.raises(TransportError, match="identity"):
+        channel.handshake()
+    assert channel.peer_public is None
+    with pytest.raises(TransportError):
+        channel.send_frame(b"data")
+    a.close()
+    b.close()
