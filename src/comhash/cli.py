@@ -17,6 +17,7 @@ import json
 import sys
 
 from . import bench
+from .errors import ComhashError
 from .groups import ModpMode
 
 
@@ -28,6 +29,16 @@ def _parse_sizes(text: str) -> list[int]:
     if not sizes or any(n < 1 for n in sizes):
         raise argparse.ArgumentTypeError("sizes must be positive integers")
     return sizes
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
 
 
 def _fit_json(fit: bench.LinearFit) -> dict:
@@ -43,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--backend", choices=("modp", "ec"), required=True)
     b.add_argument("--sizes", type=_parse_sizes, default=[4, 8, 16, 32, 64],
                    help="comma-separated participant counts")
-    b.add_argument("--trials", type=int, default=100)
+    b.add_argument("--trials", type=_positive_int, default=100)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", help="CSV output path (stdout table if omitted)")
     b.add_argument("--fit", action="store_true",
@@ -85,9 +96,13 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    return _cmd_verify(args)
+    try:
+        if args.command == "bench":
+            return _cmd_bench(args)
+        return _cmd_verify(args)
+    except ComhashError as exc:
+        print(f"comhash: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

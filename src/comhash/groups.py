@@ -8,6 +8,11 @@ only one that tells them apart: generators ``g``/``h``, ``identity``, the
 codec ``element_width``, ``encode`` (trusting) and ``decode`` (strict); and
 ``generator_candidate`` and ``structure_problems``, the backend's steps of
 ``derive_second_generator`` and ``validate_group``.
+
+Both backends' ``power`` send a base equal to ``g`` or ``h`` to a fixed-base
+table, built once per process and shared by value: a comb of precomputed
+multiples on a curve, a Lim-Lee comb (CRYPTO '94) mod p. Every other base
+goes to width-5 w-NAF on a curve and to built-in ``pow`` mod p.
 """
 
 from __future__ import annotations
@@ -32,6 +37,18 @@ DEFAULT_H_LABEL = b"comhash/second-generator/v1"
 # w-NAF.
 COMB_WINDOW = 4
 WNAF_WIDTH = 5
+
+# Mod p, g and h get Lim-Lee comb tables. The exponent's bits are laid out
+# as MODP_COMB_TEETH rows (teeth) split into MODP_COMB_COLUMNS columns of
+# ceil(bits / (teeth * columns)) bits each (64 at 2048 bits). The table holds,
+# per column, the product of every subset of the teeth's base powers:
+# columns * 2^teeth = 1024 elements, about 0.31 MB at 2048 bits and 0.42 MB
+# at 3072. A power then costs 64 squarings and at most 256 multiplications,
+# against about 2,400 for built-in pow. The shape is set by memory: 8 x 6 and
+# 9 x 3 (0.47 MB at 2048 bits) measured no faster, 8 x 8 (0.63 MB) under 10%
+# faster.
+MODP_COMB_TEETH = 8
+MODP_COMB_COLUMNS = 4
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -242,7 +259,11 @@ class ModpParams:
         return el
 
     def power(self, base: int, exponent: int) -> int:
-        return pow(self._check(base), exponent % self.exponent_modulus, self.modulus)
+        base = self._check(base)
+        k = exponent % self.exponent_modulus
+        if base == self.g or base == self.h:
+            return _modp_comb_pow(self.modulus, self.exponent_modulus, base, k)
+        return pow(base, k, self.modulus)
 
     def combine(self, e1: int, e2: int) -> int:
         return self._check(e1) * self._check(e2) % self.modulus
@@ -398,6 +419,69 @@ class EcParams:
 
 
 GroupParams = Union[ModpParams, EcParams]
+
+
+# ---------------------------------------------------------------------------
+# modp fixed-base arithmetic
+# ---------------------------------------------------------------------------
+
+def _modp_comb_span(order: int) -> int:
+    """Bits per column: teeth * columns * span covers every exponent below order."""
+    return -(-order.bit_length() // (MODP_COMB_TEETH * MODP_COMB_COLUMNS))
+
+
+def _modp_comb_pow(p: int, order: int, base: int, k: int) -> int:
+    """base^k mod p for 0 <= k < order from base's comb table.
+
+    Tooth i holds bits [i*a, (i+1)*a) of k, a = span * columns, and column j
+    of a tooth its bits [j*span, (j+1)*span). The digit at (j, s) gathers bit
+    j*span + s of every tooth, tooth i as bit i, and selects one product from
+    column j's row. One squaring per bit of a column, one multiplication per
+    nonzero digit.
+    """
+    span = _modp_comb_span(order)
+    a = span * MODP_COMB_COLUMNS
+    mask = (1 << a) - 1
+    # zip reads the teeth's binary strings column by column; the last tooth
+    # comes first so that it lands on the digit's top bit
+    teeth = [f"{(k >> (i * a)) & mask:0{a}b}" for i in reversed(range(MODP_COMB_TEETH))]
+    digits = [int("".join(bits), 2) for bits in zip(*teeth)][::-1]
+    table = _modp_comb_table(p, order, base)
+    r = 1
+    for s in range(span - 1, -1, -1):
+        r = r * r % p
+        for j, row in enumerate(table):
+            d = digits[j * span + s]
+            if d:
+                r = r * row[d] % p
+    return r
+
+
+@functools.lru_cache(maxsize=16)
+def _modp_comb_table(p: int, order: int, base: int) -> tuple:
+    """Row j, entry u: the product over the set bits i of u of
+    base^(2^(i*a + j*span)), with entry 0 the identity.
+
+    Keyed by value like ``_comb_table``, so every ``modp_group(2048)`` in a
+    process shares one table per generator. The base powers cost one
+    squaring per exponent bit and each entry one multiplication.
+    """
+    span = _modp_comb_span(order)
+    powers = [base]  # base^(2^(n*span)); tooth i, column j is n = i*columns + j
+    for _ in range(MODP_COMB_TEETH * MODP_COMB_COLUMNS - 1):
+        x = powers[-1]
+        for _ in range(span):
+            x = x * x % p
+        powers.append(x)
+    rows = []
+    for j in range(MODP_COMB_COLUMNS):
+        teeth = powers[j::MODP_COMB_COLUMNS]
+        row = [1]
+        for u in range(1, 1 << MODP_COMB_TEETH):
+            low = u & -u
+            row.append(row[u ^ low] * teeth[low.bit_length() - 1] % p)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

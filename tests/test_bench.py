@@ -177,3 +177,20 @@ def test_cli_verify_explicit_table(tmp_path, capsys):
 def test_cli_rejects_bad_sizes():
     with pytest.raises(SystemExit):
         cli.main(["bench", "--backend", "modp", "--sizes", "4,-2"])
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "two"])
+def test_cli_rejects_bad_trials(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--backend", "ec", "--bits", "5", "--trials", trials,
+                  "--sizes", "2"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_cli_reports_library_errors_without_traceback(capsys):
+    rc = cli.main(["bench", "--backend", "modp", "--bits", "7000", "--sizes", "2",
+                   "--trials", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "comhash: error: unsupported modp size: 7000\n"

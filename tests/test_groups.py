@@ -16,6 +16,8 @@ from comhash import (
     secp256k1,
 )
 from comhash.groups import (
+    MODP_COMB_COLUMNS,
+    MODP_COMB_TEETH,
     _ec_add,
     _ec_mul,
     _jacobi,
@@ -308,6 +310,47 @@ def test_fixed_base_table_follows_the_point_not_the_curve(secp, rng):
         k = rng.randrange(secp.order)
         assert other.power(other.h, k) == combine_oracle(other, other.h, k)
         assert secp.power(secp.h, k) == combine_oracle(secp, secp.h, k)
+
+
+@pytest.mark.parametrize("which", ["toy_subgroup", "toy_primitive"])
+def test_modp_every_element_every_exponent(which, request):
+    params = request.getfixturevalue(which)
+    m = params.exponent_modulus
+    for el in filter(params.element_valid, range(1, params.modulus)):
+        as_h = replace(params, h=el, h_label=b"")  # el gets a comb table
+        multiples = [1]  # multiples[k] is el combined with itself k times
+        for _ in range(60):
+            multiples.append(params.combine(multiples[-1], el))
+        for k in range(-30, 61):
+            assert params.power(el, k) == multiples[k % m], (el, k)
+            assert as_h.power(el, k) == multiples[k % m], (el, k)
+
+
+@pytest.mark.parametrize("bits, mode", [(2048, ModpMode.SUBGROUP),
+                                        (3072, ModpMode.SUBGROUP),
+                                        (2048, ModpMode.PRIMITIVE)])
+def test_modp_comb_edge_exponents(bits, mode):
+    params = modp_group(bits, mode)
+    p, q, m = params.modulus, params.subgroup_order, params.exponent_modulus
+    exponents = {0, 1, -1, q - 1, q, q + 1, m - 1, m, m + 1, 2**bits - 1}
+    span = -(-m.bit_length() // (MODP_COMB_TEETH * MODP_COMB_COLUMNS))
+    for n in range(1, MODP_COMB_TEETH * MODP_COMB_COLUMNS + 1):  # every column boundary
+        exponents |= {2**(span * n) - 1, 2**(span * n) + 1}
+    for base in (params.g, params.h):
+        for k in sorted(exponents):
+            # the base's order divides m, so the unreduced exponent is the oracle
+            assert params.power(base, k) == pow(base, k, p), (base, k)
+
+
+def test_modp_comb_table_follows_the_base_not_the_group(modp2048, rng):
+    # same group, another h: a table cached per group would give h's powers
+    other = replace(modp2048, h=derive_second_generator(modp2048, b"another label"),
+                    h_label=b"another label")
+    assert other.h != modp2048.h
+    for _ in range(4):
+        k = rng.randrange(modp2048.exponent_modulus)
+        assert other.power(other.h, k) == pow(other.h, k, other.modulus)
+        assert modp2048.power(modp2048.h, k) == pow(modp2048.h, k, modp2048.modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from comhash import (EcParams, ErrorCode, ModpParams, MsgType, ParticipantKeys, Phase,
                      decode_frame, reference_digest)
-from comhash import pke
+from comhash import groups, pke
 from comhash.encoding import element_byte_length
 from comhash.frames import HEADER_LENGTH
 from comhash.net import (
@@ -292,3 +292,38 @@ def test_session_power_budget(secp, monkeypatch):
     assert calls == {"fixed": 3 * n, "key": n, "var": n}
     monkeypatch.undo()
     assert out.digest == reference_digest(secp, m, keys)
+
+
+def test_modp_session_power_budget(modp2048, monkeypatch):
+    # as test_session_power_budget, and g and h come from their comb tables:
+    # built-in pow runs only for pk^e and the server's ephemeral^sk
+    rng = random.Random(13)
+    n = 4
+    keys = [ParticipantKeys.random(modp2048, rng) for _ in range(n)]
+    server = pke.generate_keypair(modp2048, rng)
+    m = rng.randrange(modp2048.exponent_modulus)
+    for base in (modp2048.g, modp2048.h):
+        modp2048.power(base, 1)  # build the tables outside the count
+    calls = {"fixed": 0, "key": 0, "var": 0}
+    pow_bases = []
+    power = ModpParams.power
+
+    def counted(self, base, exponent):
+        kind = ("fixed" if base in (self.g, self.h)
+                else "key" if base == server.public else "var")
+        calls[kind] += 1
+        return power(self, base, exponent)
+
+    def counted_pow(base, *args):
+        pow_bases.append(base)
+        return pow(base, *args)
+
+    monkeypatch.setattr(ModpParams, "power", counted)
+    monkeypatch.setattr(groups, "pow", counted_pow, raising=False)
+    out = run_basic_session(modp2048, keys, m, owner_index=2, seed=5, server_keypair=server)
+    assert out.phase is Phase.DONE
+    assert calls == {"fixed": 3 * n, "key": n, "var": n}
+    assert len(pow_bases) == 2 * n
+    assert modp2048.g not in pow_bases and modp2048.h not in pow_bases
+    monkeypatch.undo()
+    assert out.digest == reference_digest(modp2048, m, keys)
