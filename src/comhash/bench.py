@@ -141,10 +141,19 @@ def read_csv(path: str) -> list[BenchPoint]:
 
 def read_reference_csv(path: str) -> list[tuple[int, float, float]]:
     """Read a reference table CSV: participants,ec_seconds,modp_seconds."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = [(int(row["participants"]), float(row["ec_seconds"]),
-                 float(row["modp_seconds"])) for row in reader]
+    columns = ("participants", "ec_seconds", "modp_seconds")
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise BenchError(f"{path}: missing column(s) {', '.join(missing)}")
+            rows = [(int(row["participants"]), float(row["ec_seconds"]),
+                     float(row["modp_seconds"])) for row in reader]
+    except OSError as exc:
+        raise BenchError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise BenchError(f"{path}: {exc}") from None
     if not rows:
         raise BenchError(f"no rows in {path}")
     return rows

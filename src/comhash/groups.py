@@ -11,8 +11,12 @@ codec ``element_width``, ``encode`` (trusting) and ``decode`` (strict); and
 
 Both backends' ``power`` send a base equal to ``g`` or ``h`` to a fixed-base
 table, built once per process and shared by value: a comb of precomputed
-multiples on a curve, a Lim-Lee comb (CRYPTO '94) mod p. Every other base
-goes to width-5 w-NAF on a curve and to built-in ``pow`` mod p.
+multiples on a curve, a Lim-Lee comb (CRYPTO '94) mod p. Mod p every other
+base goes to built-in ``pow``. On a curve with the GLV endomorphism
+(Gallant-Lambert-Vanstone, CRYPTO 2001: a == 0, field prime and order both
+1 mod 3, as on secp256k1) every other base goes to one interleaved width-5
+w-NAF loop over two half-length scalars; on any other curve, to width-5
+w-NAF over the full scalar.
 """
 
 from __future__ import annotations
@@ -95,14 +99,6 @@ def scalar_inv(u: int, modulus: int) -> int:
         raise ZeroDivisionError(f"{u} is not invertible mod {modulus}") from None
 
 
-def random_scalar(params: "GroupParams", rng: random.Random, nonzero: bool = False) -> int:
-    m = params.exponent_modulus
-    s = rng.randrange(m)
-    while nonzero and s == 0:
-        s = rng.randrange(m)
-    return s
-
-
 # ---------------------------------------------------------------------------
 # primality
 # ---------------------------------------------------------------------------
@@ -158,10 +154,12 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
     a %= p
     if a == 0:
         return 0
+    if p % 4 == 3:
+        # r squares to a times a's Euler criterion, so one pow does both jobs
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks for p = 1 mod 4
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -381,8 +379,13 @@ class EcParams:
     def power(self, base: Point, exponent: int) -> Point:
         self._check(base)
         k = exponent % self.order
-        if base is not None and (base == self.g or base == self.h):
+        if base is None or k == 0:
+            return None
+        if base == self.g or base == self.h:
             return _comb_mul(self, base, k)
+        glv = _glv_constants(self.field_prime, self.curve_a, self.order, self.g)
+        if glv is not None:
+            return _glv_mul(self, base, k, glv)
         return _ec_mul(self, base, k)
 
     def combine(self, p1: Point, p2: Point) -> Point:
@@ -520,15 +523,19 @@ def _ec_double(params: EcParams, pt: Point) -> Point:
 def _ec_mul(params: EcParams, pt: Point, k: int) -> Point:
     """k * pt for any point and any k >= 0, by width-WNAF_WIDTH w-NAF.
 
-    The odd multiples pt, 3pt, ..., (2^(WNAF_WIDTH-1) - 1)pt are built once
-    per call and made affine with one batch inversion. The loop then costs
-    one Jacobian doubling per bit of k and one mixed addition per nonzero
-    digit (about one in WNAF_WIDTH + 1). ``power`` sends every base except
-    g and h here; ``validate_group`` calls it with the unreduced order.
+    ``power`` sends a base here when it is not g or h and the curve has no
+    GLV endomorphism; ``validate_group`` calls it with the unreduced order,
+    because the endomorphism acts as lambda only on the order-n group.
     """
     if pt is None or k == 0:
         return None
     p, a = params.field_prime, params.curve_a
+    return _wnaf_sum(p, a, [(_odd_multiples(p, a, pt), k)])
+
+
+def _odd_multiples(p: int, a: int, pt: Tuple[int, int]) -> list:
+    """pt, 3pt, ..., (2^(WNAF_WIDTH-1) - 1)pt, made affine with one batch
+    inversion."""
     x, y = pt[0] % p, pt[1] % p
     two = _normalize([_jac_double(x, y, 1, p, a)], p)[0]
     jac = [(x, y, 1)]
@@ -536,35 +543,112 @@ def _ec_mul(params: EcParams, pt: Point, k: int) -> Point:
         # 2pt is the identity only for a base of order 2: its odd multiples are all pt
         X, Y, Z = jac[-1]
         jac.append(_jac_add_affine(X, Y, Z, two[0], two[1], p, a) if two else (X, Y, Z))
-    odd = _normalize(jac, p)
-    neg = [q and (q[0], -q[1] % p) for q in odd]
+    return _normalize(jac, p)
+
+
+def _wnaf_sum(p: int, a: int, terms: list) -> Point:
+    """The sum of k * P over terms (odd multiples of P, k), k of either sign.
+
+    One loop interleaves every term's w-NAF: one Jacobian doubling per digit
+    of the longest scalar, one mixed addition per nonzero digit of any term
+    (about one in WNAF_WIDTH + 1).
+    """
+    rows = [(_wnaf(abs(k)), odd, k < 0) for odd, k in terms]
+    top = max((digits[-1][0] for digits, _, _ in rows if digits), default=-1)
+    steps: list[list] = [[] for _ in range(top + 1)]
+    for digits, odd, negative in rows:
+        neg = [q and (q[0], -q[1] % p) for q in odd]
+        if negative:
+            odd, neg = neg, odd
+        for i, d in digits:
+            steps[i].append(odd[d >> 1] if d > 0 else neg[-d >> 1])
     X, Y, Z = 0, 1, 0
-    for d in reversed(_wnaf(k)):
+    for step in reversed(steps):
         X, Y, Z = _jac_double(X, Y, Z, p, a)
-        if d:
-            q = odd[d >> 1] if d > 0 else neg[-d >> 1]
+        for q in step:
             if q is not None:  # the identity, for a base of small order
                 X, Y, Z = _jac_add_affine(X, Y, Z, q[0], q[1], p, a)
     return _normalize([(X, Y, Z)], p)[0]
 
 
-def _wnaf(k: int) -> list[int]:
-    """Width-WNAF_WIDTH NAF digits of k >= 0, least significant first.
+def _glv_mul(params: EcParams, pt: Tuple[int, int], k: int, glv: tuple) -> Point:
+    """k * pt for 0 <= k < order as k1 * pt + k2 * phi(pt), where
+    phi(x, y) = (beta * x, y) = lambda * pt; phi's odd multiples cost one
+    field multiplication each."""
+    p, a = params.field_prime, params.curve_a
+    beta, _, v1, v2 = glv
+    k1, k2 = _glv_split(k, params.order, v1, v2)
+    odd = _odd_multiples(p, a, pt)
+    phi = [q and (beta * q[0] % p, q[1]) for q in odd]
+    return _wnaf_sum(p, a, [(odd, k1), (phi, k2)])
 
-    Every nonzero digit is odd with |d| < 2^(WNAF_WIDTH-1), and any
-    WNAF_WIDTH consecutive digits hold at most one nonzero one.
+
+def _glv_split(k: int, n: int, v1: tuple, v2: tuple) -> Tuple[int, int]:
+    """(k1, k2) with k1 + k2 * lambda = k mod n and |k1|, |k2| near sqrt(n),
+    by rounding (k, 0) to the lattice that v1 and v2 span (Guide to ECC,
+    Alg. 3.74). Either half may be negative."""
+    (a1, b1), (a2, b2) = v1, v2
+    c1 = (2 * b2 * k + n) // (2 * n)  # round(b2 * k / n)
+    c2 = (-2 * b1 * k + n) // (2 * n)  # round(-b1 * k / n)
+    return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
+
+
+@functools.lru_cache(maxsize=16)
+def _glv_constants(p: int, a: int, n: int, g: Tuple[int, int]) -> Optional[tuple]:
+    """(beta, lambda, v1, v2) for the GLV endomorphism, or None if the curve
+    has none.
+
+    beta and lambda are cube roots of unity mod the primes p and n,
+    (-1 + s) / 2 for s a square root of -3. Each modulus has two; beta is
+    the smaller, as in the published secp256k1 constants, and g pairs lambda
+    with it by lambda * g == (beta * g_x, g_y), which fails only when n is
+    not g's order. v1 and v2 are short vectors (a, b) with
+    a + b * lambda = 0 mod n, from the extended Euclidean algorithm on n and
+    lambda (Guide to ECC, Alg. 3.74). Cached by value like ``_comb_table``.
+    """
+    if a != 0 or p % 3 != 1 or n % 3 != 1:
+        return None
+    if not (is_probable_prime(p) and is_probable_prime(n)):
+        return None  # sqrt_mod below needs prime moduli
+    beta, lam = ((sqrt_mod(-3, m) - 1) * pow(2, -1, m) % m for m in (p, n))
+    beta = min(beta, p - 1 - beta)  # the other root is beta^2 = -1 - beta
+    lam_g = _wnaf_sum(p, a, [(_odd_multiples(p, a, g), lam)])
+    if lam_g != (beta * g[0] % p, g[1]):
+        lam = n - 1 - lam
+        if lam_g != ((p - 1 - beta) * g[0] % p, g[1]):
+            return None
+    r0, r1, t0, t1 = n, lam, 0, 1  # invariant: r = t * lambda mod n
+    while r1 * r1 >= n:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    # r0 is the last remainder at least sqrt(n); one more step gives r2
+    q = r0 // r1
+    r2, t2 = r0 - q * r1, t0 - q * t1
+    v2 = (r0, -t0) if r0 * r0 + t0 * t0 <= r2 * r2 + t2 * t2 else (r2, -t2)
+    return beta, lam, (r1, -t1), v2
+
+
+def _wnaf(k: int) -> list[Tuple[int, int]]:
+    """(position, digit) for each nonzero width-WNAF_WIDTH NAF digit of
+    k >= 0, least significant first.
+
+    Every digit is odd with |d| < 2^(WNAF_WIDTH-1), and any two positions
+    are at least WNAF_WIDTH apart. Runs of zero digits are skipped in one
+    shift each.
     """
     full = 1 << WNAF_WIDTH
     digits = []
+    i = 0
     while k:
-        d = 0
-        if k & 1:
-            d = k & (full - 1)
-            if d >= full >> 1:
-                d -= full
-            k -= d
-        digits.append(d)
-        k >>= 1
+        z = (k & -k).bit_length() - 1
+        k >>= z
+        i += z
+        d = k & (full - 1)
+        if d >= full >> 1:
+            d -= full
+        digits.append((i, d))
+        k = (k - d) >> WNAF_WIDTH  # k - d is a multiple of 2^WNAF_WIDTH
+        i += WNAF_WIDTH
     return digits
 
 

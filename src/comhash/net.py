@@ -282,7 +282,7 @@ class SessionOutcome:
 
 
 def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
-                      m: int, *, owner_index: int = 1, seed: int = 0,
+                      m: int, *, owner_index: int = 1, seed: Optional[int] = None,
                       server_keypair: Optional[pke.KeyPair] = None,
                       blinding: Optional[int] = None,
                       second_message: Optional[int] = None,
@@ -290,10 +290,12 @@ def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
     """Play one complete n-party session over the router.
 
     The trace ends with the RESULT (or ERROR) broadcast. A session with
-    missing shares when the network drains fails with MISSING.
+    missing shares when the network drains fails with MISSING. A seed makes
+    the session reproducible, for simulation; without one, the session id,
+    nonces, keys and receipt ephemerals come from the OS CSPRNG.
     """
     n = len(keys_list)
-    rng = random.Random(seed)
+    rng = random.SystemRandom() if seed is None else random.Random(seed)
     if server_keypair is None:
         server_keypair = pke.generate_keypair(params, rng)
     holder = _ServerHolder(params, n, server_keypair, rng)
@@ -301,8 +303,9 @@ def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
     states = {}
     for index, keys in enumerate(keys_list, start=1):
         owner = OwnerRole(m, blinding, second_message) if index == owner_index else None
+        child = None if seed is None else random.Random(rng.randrange(2**63))
         session = ParticipantSession(params, index, keys, server_keypair.public,
-                                     owner=owner, rng=random.Random(rng.randrange(2**63)))
+                                     owner=owner, rng=child)
         states[index] = _ParticipantState(session)
         endpoints[index] = Endpoint(index, states[index].handle)
 

@@ -6,6 +6,15 @@ the group already in use. SHA-256 drives both the keystream (counter mode)
 and the authentication tag (HMAC, truncated to 16 bytes). The tag can also
 cover associated data that travels outside the ciphertext; a share receipt
 uses it to bind the share element it was sent with.
+
+Key secrets and ephemeral exponents are drawn from
+[1, min(exponent_modulus, 2^RECEIPT_EXPONENT_BITS)). On secp256k1 and the
+toy groups that bound is the modulus itself. In the 2048- and 3072-bit
+safe-prime groups the draws are 320-bit: with p = 2q + 1 the best attack on
+such an exponent is Pollard's lambda, about 2^160 steps (van Oorschot and
+Wiener, EUROCRYPT '96), and RFC 7919 App. A asks for at least 225 bits at
+2048 and 275 at 3072. The protocol's own hash exponents (x, y, m and the
+blinding) do not come from here and stay full width.
 """
 
 from __future__ import annotations
@@ -18,10 +27,11 @@ from dataclasses import dataclass
 
 from .encoding import element_byte_length, element_from_bytes, element_to_bytes
 from .errors import AuthenticationError, EncodingError, GroupError
-from .groups import GroupParams, random_scalar
+from .groups import GroupParams
 
 TAG_LENGTH = 16
 MAX_PLAINTEXT = 0xFFFF  # body length travels as u16
+RECEIPT_EXPONENT_BITS = 320
 
 
 @dataclass(frozen=True)
@@ -45,8 +55,18 @@ def _rng(rng) -> random.Random:
     return random.Random(rng)
 
 
+def _exponent(params: GroupParams, rng: random.Random) -> int:
+    """A key secret or ephemeral exponent, nonzero and below
+    min(exponent_modulus, 2^RECEIPT_EXPONENT_BITS)."""
+    bound = min(params.exponent_modulus, 1 << RECEIPT_EXPONENT_BITS)
+    s = rng.randrange(bound)
+    while s == 0:  # zero would publish the identity
+        s = rng.randrange(bound)
+    return s
+
+
 def generate_keypair(params: GroupParams, rng=None) -> KeyPair:
-    secret = random_scalar(params, _rng(rng), nonzero=True)  # zero would publish the identity
+    secret = _exponent(params, _rng(rng))
     return KeyPair(secret=secret, public=params.power(params.g, secret))
 
 
@@ -87,7 +107,7 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
         raise ValueError("associated data too long")
     if public == params.identity or not params.element_valid(public):
         raise GroupError("public key is not a group element other than the identity")
-    e = random_scalar(params, _rng(rng), nonzero=True)
+    e = _exponent(params, _rng(rng))
     ephemeral = params.power(params.g, e)
     key = _derive_key(params, params.power(public, e))
     body = bytes(a ^ b for a, b in zip(plaintext, _keystream(key, len(plaintext))))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import statistics
 
 import pytest
@@ -172,6 +173,23 @@ def test_cli_verify_explicit_table(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ec"]["slope"] == pytest.approx(1.0)
     assert report["modp"]["slope"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    ("a,b\n1,2\n", "missing column(s) participants, ec_seconds, modp_seconds"),
+    ("participants,ec_seconds\n1,1.0\n", "missing column(s) modp_seconds"),
+    ("participants,ec_seconds,modp_seconds\n1,fast,2.0\n", "fast"),
+])
+def test_cli_verify_reports_a_bad_table(content, message, tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(BenchError, match=re.escape(message)):
+        read_reference_csv(str(path))
+    assert cli.main(["verify", "--table1", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("comhash: error: ") and message in err
 
 
 def test_cli_rejects_bad_sizes():

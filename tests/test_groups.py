@@ -15,11 +15,14 @@ from comhash import (
     modp_group,
     secp256k1,
 )
+from comhash import groups
 from comhash.groups import (
     MODP_COMB_COLUMNS,
     MODP_COMB_TEETH,
     _ec_add,
     _ec_mul,
+    _glv_constants,
+    _glv_split,
     _jacobi,
     is_probable_prime,
     scalar_add,
@@ -312,6 +315,78 @@ def test_fixed_base_table_follows_the_point_not_the_curve(secp, rng):
         assert secp.power(secp.h, k) == combine_oracle(secp, secp.h, k)
 
 
+# y^2 = x^3 + 2 over GF(67) has 73 points, a prime: a == 0 and 67 = 73 = 1
+# mod 3, so it has the GLV endomorphism. Built here, not in the registry.
+TOY67 = dict(field_prime=67, curve_a=0, curve_b=2, order=73)
+
+
+def glv_constants(params):
+    return _glv_constants(params.field_prime, params.curve_a, params.order, params.g)
+
+
+def test_glv_every_point_every_scalar_on_a_small_curve():
+    points = enumerate_curve_points(EcParams(name="toy67", g=None, h=None, **TOY67))
+    assert len(points) == 73
+    # g and h go to their tables, so two parameter sets put every point on GLV
+    first = EcParams(name="toy67", g=points[1], h=points[2], **TOY67)
+    second = EcParams(name="toy67", g=points[3], h=points[4], **TOY67)
+    beta, lam, v1, v2 = glv_constants(first)
+    assert glv_constants(second)[:2] == (beta, lam)
+    for pt in points:
+        params = second if pt in (first.g, first.h) else first
+        multiples = [None]
+        for _ in range(73):
+            multiples.append(params.combine(multiples[-1], pt))
+        if pt is not None:
+            assert multiples[lam] == (beta * pt[0] % 67, pt[1])
+        for k in range(-73, 147):
+            assert params.power(pt, k) == multiples[k % 73], (pt, k)
+
+
+def test_glv_constants_on_secp256k1_are_the_published_ones(secp):
+    beta, lam, v1, v2 = glv_constants(secp)
+    assert beta == 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+    assert lam == 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+    a1 = 0x3086D221A7D46BCDE86C90E49284EB15
+    assert v1 == (a1, -0xE4437ED6010E88286F547FA90ABFE4C3)
+    assert v2 == (0x114CA50F7A8E2F3F657C1108D9D44CFD8, a1)
+
+
+def test_glv_edge_scalars_match_wnaf(secp, rng):
+    n = secp.order
+    beta, lam, v1, v2 = glv_constants(secp)
+    scalars = [0, 1, n - 1, lam, n - lam, 2**128 - 1, 2**128 + 1]
+    signs = {}  # one scalar for each sign pattern of (k1, k2)
+    draws = random.Random(7)
+    for _ in range(200):
+        k = draws.randrange(n)
+        k1, k2 = _glv_split(k, n, v1, v2)
+        assert (k1 + k2 * lam) % n == k
+        assert max(abs(k1), abs(k2)) < 2**129
+        signs.setdefault((k1 < 0, k2 < 0), k)
+    assert len(signs) == 4
+    scalars += signs.values()
+    base = _ec_mul(secp, secp.g, rng.randrange(1, n))
+    for k in scalars:
+        assert secp.power(base, k) == _ec_mul(secp, base, k), k
+
+
+@pytest.mark.parametrize("which, engine", [("secp", "_glv_mul"), ("toy_curve", "_ec_mul")])
+def test_power_sends_other_bases_to_glv_only_with_the_endomorphism(which, engine, request,
+                                                                    monkeypatch):
+    params = request.getfixturevalue(which)
+    base = _ec_mul(params, params.g, 5)
+    calls = []
+    for name in ("_glv_mul", "_ec_mul"):
+        def spy(*args, _name=name, _fn=getattr(groups, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(groups, name, spy)
+    params.power(base, 3)
+    assert calls == [engine]
+    assert (glv_constants(params) is None) == (engine == "_ec_mul")
+
+
 @pytest.mark.parametrize("which", ["toy_subgroup", "toy_primitive"])
 def test_modp_every_element_every_exponent(which, request):
     params = request.getfixturevalue(which)
@@ -393,6 +468,52 @@ def test_secp_second_generator_pinned(secp):
 # ---------------------------------------------------------------------------
 # misc number theory
 # ---------------------------------------------------------------------------
+
+def sqrt_mod_reference(a, p):
+    """sqrt_mod as it was before the p = 3 mod 4 shortcut: Euler's criterion
+    first, then one pow or Tonelli-Shanks."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+SECP_P = 2**256 - 2**32 - 977
+_draws = random.Random(5)
+SECP_SQUARES = [pow(_draws.randrange(1, SECP_P), 2, SECP_P) for _ in range(30)]
+
+
+@pytest.mark.parametrize("p, values", [
+    (17, range(17)),  # toy17's field, p = 1 mod 4
+    (23, range(23)),
+    # -1 is a non-residue mod p = 3 mod 4, so p - a square is none
+    (SECP_P, [0] + SECP_SQUARES + [SECP_P - a for a in SECP_SQUARES]),
+])
+def test_sqrt_mod_matches_the_euler_criterion_version(p, values):
+    answers = [sqrt_mod(a, p) for a in values]
+    assert answers == [sqrt_mod_reference(a, p) for a in values]
+    assert None in answers and any(answers)  # residues and non-residues
+
 
 def test_sqrt_mod_both_residue_classes():
     for p in (17, 23, 2**256 - 2**32 - 977):

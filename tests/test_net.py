@@ -247,6 +247,14 @@ def test_flipped_share_element_never_stores_a_wrong_digest(which, seeds, request
     assert set(codes) == {ErrorCode.DECRYPT_FAIL, ErrorCode.MALFORMED}
 
 
+def test_unseeded_sessions_draw_fresh_session_ids(toy_subgroup):
+    a = run_basic_session(toy_subgroup, TOY_KEYS, m=5)
+    b = run_basic_session(toy_subgroup, TOY_KEYS, m=5)
+    assert a.phase is b.phase is Phase.DONE
+    assert a.digest == b.digest == reference_digest(toy_subgroup, 5, TOY_KEYS)
+    assert a.server.session_id != b.server.session_id
+
+
 def test_modp_session_membership_budget(modp2048, monkeypatch):
     # per share, only untrusted values get a membership check: the share
     # element and the receipt's ephemeral as the server decodes them, and

@@ -146,3 +146,26 @@ def test_no_associated_data_keeps_the_pinned_ciphertext(which, pinned, request):
     ct = pke.encrypt(params, kp.public, b"record bytes", rng=random.Random(22))
     assert pke.ciphertext_to_bytes(params, ct).hex() == pinned
     assert pke.decrypt(params, kp.secret, ct) == b"record bytes"
+
+
+def test_modp2048_receipt_exponents_are_short(modp2048, monkeypatch):
+    # key secrets and ephemerals are drawn below 2^320, not below q; the
+    # powers they feed are recorded at ModpParams.power
+    exponents = []
+    power = type(modp2048).power
+
+    def recorded(self, base, exponent):
+        exponents.append(exponent)
+        return power(self, base, exponent)
+
+    monkeypatch.setattr(type(modp2048), "power", recorded)
+    rng = random.Random(31)
+    for _ in range(8):
+        kp = pke.generate_keypair(modp2048, rng)
+        ct = pke.encrypt(modp2048, kp.public, b"nonce", rng)
+        assert pke.decrypt(modp2048, kp.secret, ct) == b"nonce"
+    # per round: g^secret, g^e, public^e, ephemeral^secret
+    assert len(exponents) == 32
+    assert all(0 < e < 2**320 for e in exponents)
+    assert max(e.bit_length() for e in exponents) > 312
+    assert modp2048.exponent_modulus.bit_length() == 2047
