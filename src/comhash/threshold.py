@@ -122,6 +122,10 @@ class QuotientTable:
             value = int.from_bytes(data[pos + 2:pos + 2 + width], "big")
             if value >= modulus:
                 raise EncodingError("quotient exceeds modulus")
+            if value == 0:
+                raise EncodingError("zero quotient")
+            if i in quotients:
+                raise EncodingError(f"repeated quotient index {i}")
             quotients[i] = value
             pos += 2 + width
         return cls(quotients, modulus)
@@ -145,22 +149,33 @@ def lagrange_from_quotients(table: QuotientTable, subset: Sequence[int],
                             i: int) -> int:
     """l_i for the given subset, computed only from pairwise ratios.
 
-    Each factor x_j/(x_j - x_i) equals (1 - x_i/x_j)^-1, and x_i/x_j comes
-    from chaining stored quotients; no raw x value is touched.
+    Lagrange coefficients at zero are scale-invariant: with lo = min(subset)
+    and r_j = x_j/x_lo, each factor x_j/(x_j - x_i) equals r_j/(r_j - r_i).
+    One walk over the stored quotients from lo to max(subset) gives every
+    r_j, so l_i = prod r_j * (prod (r_j - r_i))^-1 over j != i costs O(n)
+    multiplications and one inversion; no raw x value is touched.
     """
     if i not in subset:
         raise ValueError("index not in subset")
     mod = table.modulus
+    lo, hi = min(subset), max(subset)
+    ratios = {lo: 1}  # r_j = x_j / x_lo
     acc = 1
-    for j in subset:
-        if j == i:
-            continue
-        ratio = ratio_from_quotients(table, j, i)  # x_i / x_j
-        base = (1 - ratio) % mod
-        if base == 0:
-            raise ValueError("duplicate evaluation points (x_i = x_j)")
-        acc = acc * scalar_inv(base, mod) % mod
-    return acc
+    for k in range(lo, hi):
+        if k not in table.quotients:
+            raise KeyError(f"quotient {k + 1}/{k} not in table")
+        acc = acc * table.quotients[k] % mod
+        ratios[k + 1] = acc
+    points = [ratios[j] for j in subset]
+    if len(set(points)) != len(points):
+        raise ValueError("duplicate evaluation points")
+    ri = ratios[i]
+    num, den = 1, 1
+    for r in points:
+        if r != ri:
+            num = num * r % mod
+            den = den * (r - ri) % mod
+    return num * scalar_inv(den, mod) % mod
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +379,8 @@ class ThresholdServer(ServerSession):
     def begin_round(self, subset: Optional[Sequence[int]] = None) -> list[tuple]:
         """Pick (or accept) the k-subset; returns [(participant, frame), ...]
         pairing each chosen participant with its nonce and coefficient."""
+        if self.subset is not None:
+            raise ProtocolStateError("round already begun")
         if subset is None:
             subset = self._rng.sample(range(1, self.n + 1), self.k)
         subset = tuple(sorted(subset))
@@ -371,9 +388,6 @@ class ThresholdServer(ServerSession):
             raise ValueError(f"subset must contain exactly k={self.k} distinct members")
         if not all(1 <= i <= self.n for i in subset):
             raise ValueError("subset member out of range")
-        self.subset = subset
-        # keep only the chosen participants' nonces live for this round
-        self.nonces = {i: self.nonces[i] for i in subset}
         out = []
         width = scalar_byte_length(self.params)
         for i in subset:
@@ -382,6 +396,10 @@ class ThresholdServer(ServerSession):
                                  SERVER_ID, self.nonces[i])))
             out.append((i, Frame(MsgType.THRESH_COEFF, self.session_id,
                                  SERVER_ID, coeff.to_bytes(width, "big"))))
+        # the round begins only once every coefficient exists; from then on
+        # only the chosen participants' nonces stay live
+        self.subset = subset
+        self.nonces = {i: self.nonces[i] for i in subset}
         return out
 
     @property

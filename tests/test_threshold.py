@@ -1,9 +1,12 @@
+import hashlib
 import random
+import struct
 from itertools import combinations
 
 import pytest
 
 from comhash import (
+    EncodingError,
     MultiplyRole,
     MultiplySession,
     Polynomial,
@@ -19,9 +22,10 @@ from comhash import (
     run_multiply,
     run_threshold_session,
 )
-from comhash import pke
+from comhash import pke, threshold
+from comhash.frames import MsgType, encode_frame
 from comhash.groups import scalar_inv
-from comhash.threshold import distinct_nonzero_scalars
+from comhash.threshold import ThresholdServer, distinct_nonzero_scalars
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,72 @@ def test_quotient_table_serialization_round_trip():
 def test_quotient_table_rejects_zero():
     with pytest.raises(ValueError):
         QuotientTable({1: 0}, 11)
+
+
+SECP256K1_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
+
+
+def _table_bytes(entries, width=1):
+    return struct.pack("!I", len(entries)) + b"".join(
+        struct.pack("!H", i) + v.to_bytes(width, "big") for i, v in entries)
+
+
+def test_quotient_table_from_bytes_rejects_repeated_index():
+    # a repeated index would keep only the last value, so to_bytes() would
+    # no longer give back the input
+    with pytest.raises(EncodingError):
+        QuotientTable.from_bytes(_table_bytes([(1, 3), (1, 5)]), 11)
+    with pytest.raises(EncodingError):
+        QuotientTable.from_bytes(_table_bytes([(1, 3), (2, 4), (1, 3)]), 11)
+    data = _table_bytes([(1, 3), (2, 4)])
+    assert QuotientTable.from_bytes(data, 11).to_bytes() == data
+
+
+def test_quotient_table_from_bytes_rejects_zero_quotient():
+    with pytest.raises(EncodingError):
+        QuotientTable.from_bytes(_table_bytes([(1, 3), (2, 0)]), 11)
+
+
+@pytest.mark.parametrize("modulus", [101, SECP256K1_ORDER])
+def test_quotient_path_matches_direct_lagrange_realistic_shapes(modulus):
+    # subsets up to k=64 out of n up to 96, never contiguous, passed unsorted,
+    # and from a table that holds only the quotients inside their span
+    rng = random.Random(modulus % 7919)
+    for n, k in ((96, 64), (96, 2), (90, 47), (70, 64), (65, 64), (40, 17)):
+        xs = distinct_nonzero_scalars(modulus, n, rng)
+        full = make_table(xs, modulus)
+        subset = rng.sample(range(1, n + 1), k)
+        while max(subset) - min(subset) + 1 == k or subset == sorted(subset):
+            subset = rng.sample(range(1, n + 1), k)
+        lo, hi = min(subset), max(subset)
+        table = QuotientTable({j: v for j, v in full.quotients.items()
+                               if lo <= j < hi}, modulus)
+        direct = lagrange_at_zero([xs[i - 1] for i in subset], modulus)
+        assert [lagrange_from_quotients(table, subset, i) for i in subset] == direct
+        assert lagrange_from_quotients(full, tuple(subset), subset[0]) == direct[0]
+
+
+def test_lagrange_from_quotients_missing_quotient_in_span():
+    table = make_table([3, 4, 5, 9, 2], 11)
+    del table.quotients[2]
+    with pytest.raises(KeyError):
+        lagrange_from_quotients(table, (1, 4), 1)
+    with pytest.raises(KeyError):
+        lagrange_from_quotients(table, (4, 2), 4)
+    # quotients outside the span are not needed: x4 = 9, x3 = 5
+    assert [lagrange_from_quotients(table, (4, 3), i) for i in (4, 3)] \
+        == lagrange_at_zero([9, 5], 11)
+
+
+def test_lagrange_from_quotients_non_adjacent_duplicate():
+    a = 5
+    table = QuotientTable({1: a, 2: scalar_inv(a, 11)}, 11)  # x3 = x2/a = x1
+    for subset in ((1, 3), (3, 1), (1, 2, 3), (2, 3, 1)):
+        for i in subset:
+            with pytest.raises(ValueError):
+                lagrange_from_quotients(table, subset, i)
+    with pytest.raises(ValueError):
+        lagrange_from_quotients(table, (1, 2), 3)  # index not in the subset
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +500,74 @@ def test_threshold_server_result_frame_type(toy_subgroup):
     result = server.result_frame()
     assert result.msg_type is MsgType.THRESH_RESULT
     assert result.payload == element_to_bytes(toy_subgroup, digest)
+
+
+def test_threshold_begin_round_twice_same_subset(toy_subgroup):
+    # the nonces were issued once; issuing them again is a state error
+    server, _, _ = _open_round(toy_subgroup, random.Random(43))
+    nonces = dict(server.nonces)
+    with pytest.raises(ProtocolStateError):
+        server.begin_round(subset=(1, 2))
+    with pytest.raises(ProtocolStateError):
+        server.begin_round()
+    assert server.subset == (1, 2) and server.nonces == nonces
+
+
+def test_threshold_begin_round_twice_other_subset(toy_subgroup):
+    # participant 3's nonce was pruned by the first round
+    server, _, _ = _open_round(toy_subgroup, random.Random(44))
+    with pytest.raises(ProtocolStateError):
+        server.begin_round(subset=(2, 3))
+    assert server.subset == (1, 2) and set(server.nonces) == {1, 2}
+
+
+def test_threshold_begin_round_missing_quotient_can_retry(toy_subgroup):
+    # a round that cannot compute its coefficients does not begin
+    rng = random.Random(46)
+    server = ThresholdServer(toy_subgroup, 3, 2, 5, 6,
+                             pke.generate_keypair(toy_subgroup, rng), rng)
+    server.record_quotient(1, 4)
+    with pytest.raises(KeyError):
+        server.begin_round(subset=(1, 3))
+    assert server.subset is None and set(server.nonces) == {1, 2, 3}
+    server.record_quotient(2, 7)
+    issued = server.begin_round(subset=(1, 3))
+    assert server.subset == (1, 3) and len(issued) == 4
+
+
+def test_begin_round_inversion_budget(secp, monkeypatch):
+    # one inversion per chosen member: k = n = 64 costs 64, where chaining
+    # quotients and inverting 1 - x_i/x_j cost 6,048
+    k = n = 64
+    mod = secp.exponent_modulus
+    rng = random.Random(45)
+    server = ThresholdServer(secp, n, k, 5, 6, pke.generate_keypair(secp, rng), rng)
+    xs = distinct_nonzero_scalars(mod, n, rng)
+    for i in range(1, n):
+        server.record_quotient(i, xs[i] * scalar_inv(xs[i - 1], mod) % mod)
+    calls = []
+
+    def counted(u, modulus):
+        calls.append(u)
+        return scalar_inv(u, modulus)
+
+    monkeypatch.setattr(threshold, "scalar_inv", counted)
+    issued = server.begin_round()
+    monkeypatch.undo()
+    assert len(calls) == k
+    coeffs = [int.from_bytes(frame.payload, "big") for _, frame in issued
+              if frame.msg_type is MsgType.THRESH_COEFF]
+    assert coeffs == lagrange_at_zero(xs, mod)
+
+
+def test_threshold_transcript_bytes_pinned(secp):
+    # the coefficient frames, and with them every frame of a seeded session,
+    # are byte-identical to those of the chained-quotient computation
+    run = run_threshold_session(secp, s0=11, t0=22, k=5, n=8, m=33,
+                                rng=random.Random(2024), subset=(7, 2, 5, 8, 3))
+    assert run.server.subset == (2, 3, 5, 7, 8)
+    assert run.digest == cvhp(secp, 33 + 11, 22)
+    blob = b"".join(encode_frame(frame) for frame in run.transcript)
+    assert (len(run.transcript), len(blob)) == (74, 8987)
+    assert hashlib.sha256(blob).hexdigest() == \
+        "c7dd315ee41e6c0c4f1a93a850660522d2ae0b30a46e8cdf3e7255a3fc2c0549"
