@@ -1,11 +1,31 @@
-"""Canonical byte encodings for scalars, group elements, and parameter sets.
+"""Canonical byte encodings, and the one reader for every untrusted payload.
 
 Scalars and mod-p elements are fixed-width big-endian (width of the modulus).
 Curve points use SEC1 compression (0x02/0x03 prefix + x coordinate); the
 identity is the single byte 0x00. The element codec lives on the params
 classes (``element_width``, ``encode``, ``decode``); the functions here are
-its one entry point. Parameter sets are a tag byte, a mode byte, then
-length-prefixed fields: (p, q, g, h) for modp, (curve id, g, h) for ec.
+its one entry point.
+
+Every other format is built from two pieces: ``prefixed`` writes a field
+behind a big-endian length of 2 or 4 bytes, and ``Reader`` takes it apart.
+Every short read and every trailing byte raises ``EncodingError``. The
+formats, all integers big-endian:
+
+- parameter set: tag u8 | mode u8 | fields behind u16 lengths: (p, q, g, h)
+  as minimal integers for modp, (ASCII curve id, g, h) for ec;
+- receipt ciphertext (``pke``): ephemeral element | u16 body length | body |
+  16-byte tag;
+- SHARE and THRESH_SHARE payload (``protocol``): share element | receipt
+  ciphertext;
+- quotient table (``threshold``): u32 count | count x (u16 index | quotient,
+  as wide as the modulus);
+- sealed evaluation (``threshold``): u32 ciphertext length | ciphertext |
+  u16 coefficient count | that many scalars;
+- THRESH_EVAL payload (``threshold``): two sealed evaluations, each behind a
+  u32 length;
+- link record (``transport``): u32 length | receipt ciphertext.
+
+Frame headers are the one fixed layout kept elsewhere, in ``frames``.
 
 Encoding trusts its input, decoding validates it. ``element_to_bytes`` takes
 an element this process computed with ``power``/``combine`` or got from
@@ -20,7 +40,6 @@ parameters go through ``validate_group``: that membership test needs p safe.
 from __future__ import annotations
 
 import hashlib
-import struct
 
 from .errors import EncodingError
 from .groups import (
@@ -71,39 +90,29 @@ def element_from_bytes(params: GroupParams, data: bytes):
     return params.decode(data)
 
 
-def element_span(params: GroupParams, data: bytes) -> int:
-    """Length of the element encoding that data starts with.
-
-    Unambiguous because only the identity's encoding can be shorter than
-    ``element_width`` (the ec identity is the 1-byte 0x00), and no other
-    encoding starts with it.
-    """
-    identity = params.encode(params.identity)
-    return len(identity) if data.startswith(identity) else element_byte_length(params)
-
-
 def split_element(params: GroupParams, data: bytes):
     """Split a concatenation that starts with a canonical element.
 
     Returns (element, rest).
     """
-    width = element_span(params, data)
-    if len(data) < width:
-        raise EncodingError("truncated element")
-    return element_from_bytes(params, data[:width]), data[width:]
+    rd = Reader(data)
+    return rd.element(params), rd.rest()
 
 
-def _field(data: bytes) -> bytes:
-    if len(data) > 0xFFFF:
+def prefixed(data: bytes, size: int = 2) -> bytes:
+    """data behind its length as a size-byte big-endian integer."""
+    if len(data) >> (8 * size):
         raise EncodingError("field too long")
-    return struct.pack("!H", len(data)) + data
+    return len(data).to_bytes(size, "big") + data
 
 
 def _int_field(value: int) -> bytes:
-    return _field(value.to_bytes((value.bit_length() + 7) // 8 or 1, "big"))
+    return prefixed(value.to_bytes((value.bit_length() + 7) // 8 or 1, "big"))
 
 
-class _Reader:
+class Reader:
+    """A cursor over untrusted bytes; every read is bounds-checked."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
@@ -115,9 +124,12 @@ class _Reader:
         self.pos += n
         return out
 
-    def field(self) -> bytes:
-        (n,) = struct.unpack("!H", self.take(2))
-        return self.take(n)
+    def uint(self, size: int) -> int:
+        return int.from_bytes(self.take(size), "big")
+
+    def field(self, size: int = 2) -> bytes:
+        """A field written by ``prefixed`` with the same size."""
+        return self.take(self.uint(size))
 
     def int_field(self) -> int:
         raw = self.field()
@@ -125,7 +137,28 @@ class _Reader:
             raise EncodingError("non-minimal integer field")
         return int.from_bytes(raw, "big")
 
-    def done(self):
+    def element_bytes(self, params: GroupParams) -> bytes:
+        """The undecoded bytes of the element encoding that comes next.
+
+        Unambiguous because only the identity's encoding can be shorter than
+        ``element_width`` (the ec identity is the 1-byte 0x00), and no other
+        encoding starts with it.
+        """
+        identity = params.encode(params.identity)
+        if self.data.startswith(identity, self.pos):
+            return self.take(len(identity))
+        return self.take(params.element_width)
+
+    def element(self, params: GroupParams):
+        return element_from_bytes(params, self.element_bytes(params))
+
+    def scalar(self, params: GroupParams) -> int:
+        return scalar_from_bytes(params, self.take(scalar_byte_length(params)))
+
+    def rest(self) -> bytes:
+        return self.take(len(self.data) - self.pos)
+
+    def done(self) -> None:
         if self.pos != len(self.data):
             raise EncodingError("trailing bytes")
 
@@ -139,17 +172,15 @@ def params_to_bytes(params: GroupParams) -> bytes:
             _int_field(params.h),
         ))
     return bytes([_PARAMS_TAG_EC, 0x00]) + b"".join((
-        _field(params.name.encode("ascii")),
-        _field(element_to_bytes(params, params.g)),
-        _field(element_to_bytes(params, params.h)),
+        prefixed(params.name.encode("ascii")),
+        prefixed(element_to_bytes(params, params.g)),
+        prefixed(element_to_bytes(params, params.h)),
     ))
 
 
 def params_from_bytes(data: bytes) -> GroupParams:
-    if len(data) < 2:
-        raise EncodingError("truncated parameter encoding")
-    tag, mode_byte = data[0], data[1]
-    rd = _Reader(data[2:])
+    rd = Reader(data)
+    tag, mode_byte = rd.uint(1), rd.uint(1)
     if tag == _PARAMS_TAG_MODP:
         if mode_byte not in _MODE_FROM_BYTE:
             raise EncodingError("unknown modp mode byte")
@@ -164,7 +195,10 @@ def params_from_bytes(data: bytes) -> GroupParams:
     if tag == _PARAMS_TAG_EC:
         if mode_byte != 0x00:
             raise EncodingError("bad ec mode byte")
-        name = rd.field().decode("ascii", errors="strict")
+        try:
+            name = rd.field().decode("ascii")
+        except UnicodeDecodeError:
+            raise EncodingError("curve id is not ASCII") from None
         spec = curve_registry().get(name)
         if spec is None:
             raise EncodingError(f"unknown curve id: {name!r}")

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .encoding import element_span
+from .encoding import Reader
 from .errors import FrameError, ProtocolStateError
 from .frames import ErrorCode, Frame, MsgType, SERVER_ID, decode_frame, encode_frame
 from .groups import GroupParams
@@ -102,39 +102,13 @@ def apply_mutation(mutation, data: bytes, params: Optional[GroupParams] = None) 
         elif frame.msg_type in (MsgType.SHARE, MsgType.THRESH_SHARE):
             if params is None:
                 raise ValueError("need group parameters to locate the receipt section")
-            keep = element_span(params, frame.payload)
+            element_bytes = Reader(frame.payload).element_bytes(params)
             replaced = Frame(frame.msg_type, frame.session_id, frame.sender,
-                             frame.payload[:keep] + mutation.replacement)
+                             element_bytes + mutation.replacement)
         else:
             raise ValueError("replace-nonce only applies to NONCE or SHARE frames")
         return encode_frame(replaced)
     raise ValueError(f"not a byte-rewriting mutation: {mutation!r}")
-
-
-def inject(plan: FaultPlan, deliveries: list[Delivery],
-           params: Optional[GroupParams] = None) -> list[Delivery]:
-    """Apply a fault plan positionally to a message list (the offline form;
-    route() applies the same mutations live)."""
-    entries: list[tuple[float, Delivery]] = []
-    for ordinal, item in enumerate(deliveries):
-        mutation = plan.take(ordinal)
-        if mutation is None:
-            entries.append((ordinal, item))
-        elif isinstance(mutation, Drop):
-            continue
-        elif isinstance(mutation, Duplicate):
-            entries.append((ordinal, item))
-            entries.append((ordinal + 0.25, item))
-        elif isinstance(mutation, Reorder):
-            entries.append((ordinal + mutation.delay + 0.5, item))
-        else:
-            entries.append((ordinal, Delivery(item.src, item.dst,
-                                              apply_mutation(mutation, item.data,
-                                                             params))))
-    if plan.pending:
-        raise ValueError(f"fault ordinals out of range: {sorted(plan.pending)}")
-    entries.sort(key=lambda entry: entry[0])
-    return [item for _, item in entries]
 
 
 class Endpoint:

@@ -22,10 +22,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-import struct
 from dataclasses import dataclass
 
-from .encoding import element_byte_length, element_from_bytes, element_to_bytes
+from .encoding import Reader, element_to_bytes, prefixed
 from .errors import AuthenticationError, EncodingError, GroupError
 from .groups import GroupParams
 
@@ -78,7 +77,7 @@ def _keystream(key: bytes, length: int) -> bytes:
     out = b""
     counter = 0
     while len(out) < length:
-        out += hashlib.sha256(key + b"/stream/" + struct.pack("!I", counter)).digest()
+        out += hashlib.sha256(key + b"/stream/" + counter.to_bytes(4, "big")).digest()
         counter += 1
     return out[:length]
 
@@ -89,7 +88,7 @@ def _tag(params: GroupParams, key: bytes, ephemeral, body: bytes,
     if associated:
         # length-prefixed so no bytes can move between it and the body; when
         # empty, nothing is added and the tag is the one without it
-        msg += struct.pack("!H", len(associated)) + associated
+        msg += prefixed(associated)
     return hmac.new(key, msg + body, hashlib.sha256).digest()[:TAG_LENGTH]
 
 
@@ -125,19 +124,15 @@ def decrypt(params: GroupParams, secret: int, ct: Ciphertext,
 
 
 def ciphertext_to_bytes(params: GroupParams, ct: Ciphertext) -> bytes:
-    return (element_to_bytes(params, ct.ephemeral)
-            + struct.pack("!H", len(ct.body)) + ct.body + ct.tag)
+    return element_to_bytes(params, ct.ephemeral) + prefixed(ct.body) + ct.tag
 
 
 def ciphertext_from_bytes(params: GroupParams, data: bytes) -> Ciphertext:
-    width = element_byte_length(params)
-    if len(data) < width + 2 + TAG_LENGTH:
-        raise EncodingError("ciphertext too short")
-    ephemeral = element_from_bytes(params, data[:width])
+    rd = Reader(data)
+    ephemeral = rd.element(params)
     if ephemeral == params.identity:
         raise EncodingError("ephemeral element cannot be the identity")
-    (body_len,) = struct.unpack("!H", data[width:width + 2])
-    if len(data) != width + 2 + body_len + TAG_LENGTH:
-        raise EncodingError("ciphertext length mismatch")
-    body = data[width + 2:width + 2 + body_len]
-    return Ciphertext(ephemeral=ephemeral, body=body, tag=data[width + 2 + body_len:])
+    body = rd.field()
+    tag = rd.take(TAG_LENGTH)
+    rd.done()
+    return Ciphertext(ephemeral=ephemeral, body=body, tag=tag)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .encoding import element_to_bytes, split_element
+from .encoding import Reader, element_from_bytes, element_to_bytes
 from .errors import AuthenticationError, EncodingError, ProtocolStateError
 from .frames import (
     ErrorCode,
@@ -105,13 +105,14 @@ class ServerSession:
             return self.fail(ErrorCode.MALFORMED)
         if index in self.shares:
             return self.fail(ErrorCode.DUPLICATE)
+        rd = Reader(frame.payload)
         try:
-            element, rest = split_element(self.params, frame.payload)
-            ct = pke.ciphertext_from_bytes(self.params, rest)
-        except (EncodingError, IndexError):
+            # the receipt's tag covers the element bytes exactly as received
+            element_bytes = rd.element_bytes(self.params)
+            element = element_from_bytes(self.params, element_bytes)
+            ct = pke.ciphertext_from_bytes(self.params, rd.rest())
+        except EncodingError:
             return self.fail(ErrorCode.MALFORMED)
-        # the receipt's tag covers the element bytes exactly as received
-        element_bytes = frame.payload[:len(frame.payload) - len(rest)]
         try:
             echoed = pke.decrypt(self.params, self.keypair.secret, ct, element_bytes)
         except AuthenticationError:

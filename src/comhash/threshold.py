@@ -15,16 +15,11 @@ multiplication.
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .encoding import (
-    scalar_byte_length,
-    scalar_from_bytes,
-    scalar_to_bytes,
-)
+from .encoding import Reader, prefixed, scalar_from_bytes, scalar_to_bytes
 from .errors import EncodingError, ProtocolStateError
 from .frames import Frame, MsgType, SERVER_ID, SESSION_ID_LENGTH
 from .groups import GroupParams, scalar_inv
@@ -102,24 +97,17 @@ class QuotientTable:
 
     def to_bytes(self) -> bytes:
         width = (self.modulus.bit_length() + 7) // 8
-        out = struct.pack("!I", len(self.quotients))
-        for i in sorted(self.quotients):
-            out += struct.pack("!H", i) + self.quotients[i].to_bytes(width, "big")
-        return out
+        return len(self.quotients).to_bytes(4, "big") + b"".join(
+            i.to_bytes(2, "big") + self.quotients[i].to_bytes(width, "big")
+            for i in sorted(self.quotients))
 
     @classmethod
     def from_bytes(cls, data: bytes, modulus: int) -> "QuotientTable":
         width = (modulus.bit_length() + 7) // 8
-        if len(data) < 4:
-            raise EncodingError("truncated quotient table")
-        (count,) = struct.unpack("!I", data[:4])
-        if len(data) != 4 + count * (2 + width):
-            raise EncodingError("quotient table length mismatch")
+        rd = Reader(data)
         quotients = {}
-        pos = 4
-        for _ in range(count):
-            (i,) = struct.unpack("!H", data[pos:pos + 2])
-            value = int.from_bytes(data[pos + 2:pos + 2 + width], "big")
+        for _ in range(rd.uint(4)):
+            i, value = rd.uint(2), rd.uint(width)
             if value >= modulus:
                 raise EncodingError("quotient exceeds modulus")
             if value == 0:
@@ -127,7 +115,7 @@ class QuotientTable:
             if i in quotients:
                 raise EncodingError(f"repeated quotient index {i}")
             quotients[i] = value
-            pos += 2 + width
+        rd.done()
         return cls(quotients, modulus)
 
 
@@ -294,20 +282,16 @@ class SealedPolynomialEvaluator:
         if poly.degree > self.max_degree:
             raise ValueError(f"degree {poly.degree} exceeds evaluator limit "
                              f"{self.max_degree}")
-        width = scalar_byte_length(self.params)
-        sealed = struct.pack("!H", len(poly.coefficients)) + b"".join(
-            c.to_bytes(width, "big") for c in poly.coefficients)
-        return struct.pack("!I", len(blob)) + blob + sealed
+        sealed = len(poly.coefficients).to_bytes(2, "big") + b"".join(
+            scalar_to_bytes(self.params, c) for c in poly.coefficients)
+        return prefixed(blob, 4) + sealed
 
     def decrypt_output(self, secret: int, blob: bytes) -> int:
-        (ct_len,) = struct.unpack("!I", blob[:4])
-        ct = pke.ciphertext_from_bytes(self.params, blob[4:4 + ct_len])
+        rd = Reader(blob)
+        ct = pke.ciphertext_from_bytes(self.params, rd.field(4))
+        coeffs = tuple(rd.scalar(self.params) for _ in range(rd.uint(2)))
+        rd.done()
         x = scalar_from_bytes(self.params, pke.decrypt(self.params, secret, ct))
-        rest = blob[4 + ct_len:]
-        (count,) = struct.unpack("!H", rest[:2])
-        width = scalar_byte_length(self.params)
-        coeffs = tuple(int.from_bytes(rest[2 + i * width:2 + (i + 1) * width], "big")
-                       for i in range(count))
         return Polynomial(coeffs, self.params.exponent_modulus)(x)
 
 
@@ -368,7 +352,7 @@ class ThresholdServer(ServerSession):
             raise ProtocolStateError("expected a THRESH_INPUT frame")
         blobs = [self.evaluator.apply_poly(input_frame.payload, poly)
                  for poly in (self.share_poly, self.mask_poly)]
-        payload = b"".join(struct.pack("!I", len(b)) + b for b in blobs)
+        payload = b"".join(prefixed(b, 4) for b in blobs)
         return Frame(MsgType.THRESH_EVAL, self.session_id, SERVER_ID, payload)
 
     def record_quotient(self, index: int, value: int) -> None:
@@ -389,13 +373,12 @@ class ThresholdServer(ServerSession):
         if not all(1 <= i <= self.n for i in subset):
             raise ValueError("subset member out of range")
         out = []
-        width = scalar_byte_length(self.params)
         for i in subset:
             coeff = lagrange_from_quotients(self.quotient_table, subset, i)
             out.append((i, Frame(MsgType.THRESH_NONCE, self.session_id,
                                  SERVER_ID, self.nonces[i])))
             out.append((i, Frame(MsgType.THRESH_COEFF, self.session_id,
-                                 SERVER_ID, coeff.to_bytes(width, "big"))))
+                                 SERVER_ID, scalar_to_bytes(self.params, coeff))))
         # the round begins only once every coefficient exists; from then on
         # only the chosen participants' nonces stay live
         self.subset = subset
@@ -435,12 +418,11 @@ class ThresholdParticipant:
     def receive_eval(self, frame: Frame, evaluator: SealedPolynomialEvaluator) -> None:
         if frame.msg_type is not MsgType.THRESH_EVAL:
             raise ProtocolStateError("expected a THRESH_EVAL frame")
-        payload, values = frame.payload, []
-        for _ in range(2):
-            (blen,) = struct.unpack("!I", payload[:4])
-            values.append(evaluator.decrypt_output(self.keypair.secret, payload[4:4 + blen]))
-            payload = payload[4 + blen:]
-        self.share_value, self.mask_value = values
+        rd = Reader(frame.payload)
+        blobs = rd.field(4), rd.field(4)
+        rd.done()
+        self.share_value, self.mask_value = (
+            evaluator.decrypt_output(self.keypair.secret, blob) for blob in blobs)
 
     def respond(self, nonce_frame: Frame, coeff_frame: Frame,
                 m: Optional[int] = None) -> Frame:

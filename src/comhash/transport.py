@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import random
 import socket
-import struct
 from typing import Optional
 
-from .encoding import element_byte_length, element_from_bytes, element_to_bytes, params_digest
+from .encoding import (Reader, element_byte_length, element_from_bytes, element_to_bytes,
+                       params_digest, prefixed)
 from .errors import AuthenticationError, EncodingError, TransportError
 from .groups import GroupParams
 from . import pke
 
 MAX_RECORD = 1 << 20
+_RECORD_PREFIX = 4  # bytes of record length
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
@@ -69,12 +70,12 @@ class SecureChannel:
             raise TransportError("handshake not complete")
         ct = pke.encrypt(self.params, self.peer_public, frame_bytes, self.rng)
         record = pke.ciphertext_to_bytes(self.params, ct)
-        self.sock.sendall(struct.pack("!I", len(record)) + record)
+        self.sock.sendall(prefixed(record, _RECORD_PREFIX))
 
     def recv_frame(self) -> bytes:
         if self.peer_public is None:
             raise TransportError("handshake not complete")
-        (length,) = struct.unpack("!I", _read_exact(self.sock, 4))
+        length = Reader(_read_exact(self.sock, _RECORD_PREFIX)).uint(_RECORD_PREFIX)
         if length > MAX_RECORD:
             raise TransportError("record too large")
         record = _read_exact(self.sock, length)

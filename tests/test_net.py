@@ -17,7 +17,6 @@ from comhash.net import (
     FlipByte,
     Reorder,
     ReplaceNonce,
-    inject,
     route,
     run_basic_session,
 )
@@ -159,21 +158,6 @@ def test_flip_offset_must_be_in_bounds(toy_subgroup):
     with pytest.raises(ValueError, match="outside frame bounds"):
         run_basic_session(toy_subgroup, TOY_KEYS, m=5, seed=12,
                           faults=FaultPlan({target: FlipByte(10_000)}))
-
-
-def test_inject_offline_applies_each_mutation_once():
-    items = [Delivery(1, 0, bytes([i] * 4)) for i in range(5)]
-    plan = FaultPlan({0: Drop(), 1: Duplicate(), 3: FlipByte(0)})
-    out = inject(plan, items)
-    assert plan.pending == {}
-    assert len(out) == 5  # -1 dropped, +1 duplicated
-    assert out[0].data == out[1].data == bytes([1] * 4)
-    assert out[-2].data == bytes([3 ^ 1]) + bytes([3] * 3)
-    plan2 = FaultPlan({2: Reorder(2)})
-    reordered = inject(plan2, items)
-    assert [d.data[0] for d in reordered] == [0, 1, 3, 4, 2]
-    with pytest.raises(ValueError, match="out of range"):
-        inject(FaultPlan({99: Drop()}), items)
 
 
 # ---------------------------------------------------------------------------
