@@ -13,17 +13,18 @@ formats, all integers big-endian:
 
 - parameter set: tag u8 | mode u8 | fields behind u16 lengths: (p, q, g, h)
   as minimal integers for modp, (ASCII curve id, g, h) for ec;
-- receipt ciphertext (``pke``): ephemeral element | u16 body length | body |
-  16-byte tag;
-- SHARE and THRESH_SHARE payload (``protocol``): share element | receipt
-  ciphertext;
+- ciphertext (``pke.encrypt`` returns it, ``pke.decrypt`` takes it):
+  ephemeral element | u16 body length | body | 16-byte tag;
+- SHARE and THRESH_SHARE payload (``protocol``): share element | receipt,
+  a ciphertext whose tag covers the element bytes as associated data;
 - quotient table (``threshold``): u32 count | count x (u16 index | quotient,
   as wide as the modulus);
 - sealed evaluation (``threshold``): u32 ciphertext length | ciphertext |
   u16 coefficient count | that many scalars;
 - THRESH_EVAL payload (``threshold``): two sealed evaluations, each behind a
   u32 length;
-- link record (``transport``): u32 length | receipt ciphertext.
+- link record (``transport``): u32 length | ciphertext of one frame, with
+  no associated data.
 
 Frame headers are the one fixed layout kept elsewhere, in ``frames``.
 
@@ -88,15 +89,6 @@ def element_to_bytes(params: GroupParams, el) -> bytes:
 
 def element_from_bytes(params: GroupParams, data: bytes):
     return params.decode(data)
-
-
-def split_element(params: GroupParams, data: bytes):
-    """Split a concatenation that starts with a canonical element.
-
-    Returns (element, rest).
-    """
-    rd = Reader(data)
-    return rd.element(params), rd.rest()
 
 
 def prefixed(data: bytes, size: int = 2) -> bytes:

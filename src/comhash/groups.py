@@ -73,22 +73,6 @@ class ModpMode(Enum):
 # scalar arithmetic (exponent domain)
 # ---------------------------------------------------------------------------
 
-def scalar_add(u: int, v: int, modulus: int) -> int:
-    return (u + v) % modulus
-
-
-def scalar_sub(u: int, v: int, modulus: int) -> int:
-    return (u - v) % modulus
-
-
-def scalar_mul(u: int, v: int, modulus: int) -> int:
-    return (u * v) % modulus
-
-
-def scalar_neg(u: int, modulus: int) -> int:
-    return (-u) % modulus
-
-
 def scalar_inv(u: int, modulus: int) -> int:
     if u % modulus == 0:
         raise ZeroDivisionError("inverse of zero scalar")

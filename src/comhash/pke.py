@@ -7,6 +7,11 @@ and the authentication tag (HMAC, truncated to 16 bytes). The tag can also
 cover associated data that travels outside the ciphertext; a share receipt
 uses it to bind the share element it was sent with.
 
+A ciphertext exists only as its wire bytes, as in HPKE's Seal and Open (RFC
+9180 §6.1): ``encrypt`` returns ephemeral element | u16 body length | body |
+16-byte tag, and ``decrypt`` reads them, so the tag is computed over the
+ephemeral's bytes as they were sent and as they arrived, never re-encoded.
+
 Key secrets and ephemeral exponents are drawn from
 [1, min(exponent_modulus, 2^RECEIPT_EXPONENT_BITS)). On secp256k1 and the
 toy groups that bound is the modulus itself. In the 2048- and 3072-bit
@@ -24,7 +29,7 @@ import hmac
 import random
 from dataclasses import dataclass
 
-from .encoding import Reader, element_to_bytes, prefixed
+from .encoding import Reader, element_from_bytes, element_to_bytes, prefixed
 from .errors import AuthenticationError, EncodingError, GroupError
 from .groups import GroupParams
 
@@ -37,13 +42,6 @@ RECEIPT_EXPONENT_BITS = 320
 class KeyPair:
     secret: int
     public: object  # group element
-
-
-@dataclass(frozen=True)
-class Ciphertext:
-    ephemeral: object  # group element, never the identity
-    body: bytes
-    tag: bytes
 
 
 def _rng(rng) -> random.Random:
@@ -82,9 +80,8 @@ def _keystream(key: bytes, length: int) -> bytes:
     return out[:length]
 
 
-def _tag(params: GroupParams, key: bytes, ephemeral, body: bytes,
-         associated: bytes) -> bytes:
-    msg = element_to_bytes(params, ephemeral)
+def _tag(key: bytes, ephemeral_bytes: bytes, body: bytes, associated: bytes) -> bytes:
+    msg = ephemeral_bytes
     if associated:
         # length-prefixed so no bytes can move between it and the body; when
         # empty, nothing is added and the tag is the one without it
@@ -92,10 +89,14 @@ def _tag(params: GroupParams, key: bytes, ephemeral, body: bytes,
     return hmac.new(key, msg + body, hashlib.sha256).digest()[:TAG_LENGTH]
 
 
+def _xor(data: bytes, key: bytes) -> bytes:
+    return bytes(a ^ b for a, b in zip(data, _keystream(key, len(data))))
+
+
 def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
-            associated: bytes = b"") -> Ciphertext:
-    """Encrypt to ``public``; the tag also covers ``associated``, which
-    ``decrypt`` must be given unchanged.
+            associated: bytes = b"") -> bytes:
+    """Encrypt to ``public`` and return the ciphertext's wire bytes; the tag
+    also covers ``associated``, which ``decrypt`` must be given unchanged.
 
     ``public`` is checked here, one membership test per call, because it may
     come from outside and the KEM point ``public^e`` is encoded as trusted.
@@ -107,32 +108,27 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
     if public == params.identity or not params.element_valid(public):
         raise GroupError("public key is not a group element other than the identity")
     e = _exponent(params, _rng(rng))
-    ephemeral = params.power(params.g, e)
+    ephemeral_bytes = element_to_bytes(params, params.power(params.g, e))
     key = _derive_key(params, params.power(public, e))
-    body = bytes(a ^ b for a, b in zip(plaintext, _keystream(key, len(plaintext))))
-    return Ciphertext(ephemeral=ephemeral, body=body,
-                      tag=_tag(params, key, ephemeral, body, associated))
+    body = _xor(plaintext, key)
+    return ephemeral_bytes + prefixed(body) + _tag(key, ephemeral_bytes, body, associated)
 
 
-def decrypt(params: GroupParams, secret: int, ct: Ciphertext,
+def decrypt(params: GroupParams, secret: int, data: bytes,
             associated: bytes = b"") -> bytes:
-    key = _derive_key(params, params.power(ct.ephemeral, secret))
-    expected = _tag(params, key, ct.ephemeral, ct.body, associated)
-    if not hmac.compare_digest(expected, ct.tag):
-        raise AuthenticationError("ciphertext tag mismatch")
-    return bytes(a ^ b for a, b in zip(ct.body, _keystream(key, len(ct.body))))
-
-
-def ciphertext_to_bytes(params: GroupParams, ct: Ciphertext) -> bytes:
-    return element_to_bytes(params, ct.ephemeral) + prefixed(ct.body) + ct.tag
-
-
-def ciphertext_from_bytes(params: GroupParams, data: bytes) -> Ciphertext:
+    """Open the wire bytes ``encrypt`` returned. Malformed bytes raise
+    ``EncodingError``, a tag that does not match ``AuthenticationError``."""
     rd = Reader(data)
-    ephemeral = rd.element(params)
+    # the tag covers the ephemeral's bytes as received; the strict decode
+    # makes them the one canonical encoding of the point
+    ephemeral_bytes = rd.element_bytes(params)
+    ephemeral = element_from_bytes(params, ephemeral_bytes)
     if ephemeral == params.identity:
         raise EncodingError("ephemeral element cannot be the identity")
     body = rd.field()
     tag = rd.take(TAG_LENGTH)
     rd.done()
-    return Ciphertext(ephemeral=ephemeral, body=body, tag=tag)
+    key = _derive_key(params, params.power(ephemeral, secret))
+    if not hmac.compare_digest(_tag(key, ephemeral_bytes, body, associated), tag):
+        raise AuthenticationError("ciphertext tag mismatch")
+    return _xor(body, key)

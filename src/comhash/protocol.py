@@ -53,8 +53,7 @@ def share_payload(params: GroupParams, element, server_public, nonce: bytes,
     encrypted to the server with those bytes as associated data, so the
     receipt checks out only next to the element it was made for."""
     element_bytes = element_to_bytes(params, element)
-    receipt = pke.encrypt(params, server_public, nonce, rng, element_bytes)
-    return element_bytes + pke.ciphertext_to_bytes(params, receipt)
+    return element_bytes + pke.encrypt(params, server_public, nonce, rng, element_bytes)
 
 
 class ServerSession:
@@ -110,19 +109,18 @@ class ServerSession:
             # the receipt's tag covers the element bytes exactly as received
             element_bytes = rd.element_bytes(self.params)
             element = element_from_bytes(self.params, element_bytes)
-            ct = pke.ciphertext_from_bytes(self.params, rd.rest())
+            receipt = rd.rest()
+            echoed = pke.decrypt(self.params, self.keypair.secret, receipt, element_bytes)
         except EncodingError:
             return self.fail(ErrorCode.MALFORMED)
-        try:
-            echoed = pke.decrypt(self.params, self.keypair.secret, ct, element_bytes)
         except AuthenticationError:
-            return self.fail(self._rejected_receipt_code(ct, index))
+            return self.fail(self._rejected_receipt_code(receipt, index))
         if not hmac.compare_digest(echoed, self.nonces[index]):
             return self.fail(ErrorCode.NONCE_MISMATCH)
         self.shares[index] = element
         self.phase = Phase.COLLECTING
 
-    def _rejected_receipt_code(self, ct: pke.Ciphertext, index: int) -> ErrorCode:
+    def _rejected_receipt_code(self, receipt: bytes, index: int) -> ErrorCode:
         """The code for a receipt whose tag fails with the element bound in.
 
         A receipt made for no element still opens without one. It is refused
@@ -130,7 +128,7 @@ class ServerSession:
         failure means the receipt or its element was altered.
         """
         try:
-            echoed = pke.decrypt(self.params, self.keypair.secret, ct)
+            echoed = pke.decrypt(self.params, self.keypair.secret, receipt)
         except AuthenticationError:
             return ErrorCode.DECRYPT_FAIL
         if hmac.compare_digest(echoed, self.nonces[index]):

@@ -6,7 +6,7 @@ l_i is its recombination coefficient, so the combined digest collapses to
 ``g^(m + s0) * h^(t0)`` for every k-subset.
 
 The server never learns the secret evaluation points x_i: polynomial values
-reach participants through a pluggable evaluator that works on opaque
+reach participants through a sealed evaluator that works on opaque
 encrypted blobs, and the recombination coefficients are computed from
 pairwise quotients x_{i+1}/x_i obtained with a blinded two-party
 multiplication.
@@ -267,28 +267,32 @@ class SealedPolynomialEvaluator:
     blob and the participant finishes the evaluation after decrypting.
 
     Every data flow matches a real homomorphic evaluator: the server role
-    only ever handles ciphertext-shaped bytes.
+    only ever handles ciphertext-shaped bytes. A server applies the same two
+    polynomials for every participant, so each is encoded once.
     """
 
     def __init__(self, params: GroupParams, max_degree: int = 64):
         self.params = params
         self.max_degree = max_degree
+        self._encoded: dict[Polynomial, bytes] = {}
 
     def encrypt_input(self, public, x: int, rng=None) -> bytes:
-        ct = pke.encrypt(self.params, public, scalar_to_bytes(self.params, x), rng)
-        return pke.ciphertext_to_bytes(self.params, ct)
+        return pke.encrypt(self.params, public, scalar_to_bytes(self.params, x), rng)
 
     def apply_poly(self, blob: bytes, poly: Polynomial) -> bytes:
         if poly.degree > self.max_degree:
             raise ValueError(f"degree {poly.degree} exceeds evaluator limit "
                              f"{self.max_degree}")
-        sealed = len(poly.coefficients).to_bytes(2, "big") + b"".join(
-            scalar_to_bytes(self.params, c) for c in poly.coefficients)
-        return prefixed(blob, 4) + sealed
+        coefficients = self._encoded.get(poly)
+        if coefficients is None:
+            coefficients = len(poly.coefficients).to_bytes(2, "big") + b"".join(
+                scalar_to_bytes(self.params, c) for c in poly.coefficients)
+            self._encoded[poly] = coefficients
+        return prefixed(blob, 4) + coefficients
 
     def decrypt_output(self, secret: int, blob: bytes) -> int:
         rd = Reader(blob)
-        ct = pke.ciphertext_from_bytes(self.params, rd.field(4))
+        ct = rd.field(4)
         coeffs = tuple(rd.scalar(self.params) for _ in range(rd.uint(2)))
         rd.done()
         x = scalar_from_bytes(self.params, pke.decrypt(self.params, secret, ct))
@@ -330,8 +334,7 @@ class ThresholdServer(ServerSession):
     result_type = MsgType.THRESH_RESULT
 
     def __init__(self, params: GroupParams, n: int, k: int, s0: int, t0: int,
-                 keypair: pke.KeyPair, rng: random.Random,
-                 evaluator: Optional[SealedPolynomialEvaluator] = None):
+                 keypair: pke.KeyPair, rng: random.Random):
         _require_prime_order(params)
         if not 1 < k <= n:
             raise ValueError("threshold k must satisfy 1 < k <= n")
@@ -341,8 +344,7 @@ class ThresholdServer(ServerSession):
         self.mask_poly = Polynomial.random(t0, k - 1, mod, rng)
         self.quotient_table = QuotientTable({}, mod)
         self.subset: Optional[tuple] = None
-        self.evaluator = evaluator if evaluator is not None \
-            else SealedPolynomialEvaluator(params, max_degree=max(64, k))
+        self.evaluator = SealedPolynomialEvaluator(params, max_degree=max(64, k))
         self._rng = rng
         super().__init__(params, n, keypair, rng)
 
@@ -454,9 +456,7 @@ class ThresholdRun:
 def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
                           m: int, rng: random.Random,
                           subset: Optional[Sequence[int]] = None,
-                          owner: Optional[int] = None,
-                          evaluator: Optional[SealedPolynomialEvaluator] = None
-                          ) -> ThresholdRun:
+                          owner: Optional[int] = None) -> ThresholdRun:
     """Drive a full k-of-n round in process and return the stored digest.
 
     The digest equals g^(m + s0) * h^(t0) no matter which k-subset serves the
@@ -466,7 +466,7 @@ def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
     _require_prime_order(params)
     mod = params.exponent_modulus
     server_keypair = pke.generate_keypair(params, rng)
-    server = ThresholdServer(params, n, k, s0, t0, server_keypair, rng, evaluator)
+    server = ThresholdServer(params, n, k, s0, t0, server_keypair, rng)
     transcript: list[Frame] = []
 
     # participants draw distinct nonzero evaluation points

@@ -68,8 +68,7 @@ class SecureChannel:
     def send_frame(self, frame_bytes: bytes) -> None:
         if self.peer_public is None:
             raise TransportError("handshake not complete")
-        ct = pke.encrypt(self.params, self.peer_public, frame_bytes, self.rng)
-        record = pke.ciphertext_to_bytes(self.params, ct)
+        record = pke.encrypt(self.params, self.peer_public, frame_bytes, self.rng)
         self.sock.sendall(prefixed(record, _RECORD_PREFIX))
 
     def recv_frame(self) -> bytes:
@@ -80,8 +79,7 @@ class SecureChannel:
             raise TransportError("record too large")
         record = _read_exact(self.sock, length)
         try:
-            ct = pke.ciphertext_from_bytes(self.params, record)
-            return pke.decrypt(self.params, self.keypair.secret, ct)
+            return pke.decrypt(self.params, self.keypair.secret, record)
         except (EncodingError, AuthenticationError) as exc:
             raise TransportError(f"record rejected: {exc}") from exc
 

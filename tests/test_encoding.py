@@ -10,7 +10,7 @@ from comhash import (
     scalar_from_bytes,
     scalar_to_bytes,
 )
-from comhash.encoding import element_byte_length, scalar_byte_length, split_element
+from comhash.encoding import Reader, element_byte_length, scalar_byte_length
 
 
 def test_modp_element_is_fixed_width(toy_subgroup):
@@ -99,13 +99,14 @@ def test_round_trip_1000_random_values(which, request, rng):
 
 def test_split_element_handles_identity(toy_curve, toy_subgroup):
     tail = b"rest-of-payload"
-    el, rest = split_element(toy_curve, element_to_bytes(toy_curve, None) + tail)
-    assert el is None and rest == tail
     point = toy_curve.power(toy_curve.g, 5)
-    el, rest = split_element(toy_curve, element_to_bytes(toy_curve, point) + tail)
-    assert el == point and rest == tail
-    el, rest = split_element(toy_subgroup, b"\x10" + tail)
-    assert el == 16 and rest == tail
+    for params, data, expected in (
+            (toy_curve, element_to_bytes(toy_curve, None), None),
+            (toy_curve, element_to_bytes(toy_curve, point), point),
+            (toy_subgroup, b"\x10", 16)):
+        rd = Reader(data + tail)
+        assert rd.element(params) == expected
+        assert rd.rest() == tail
 
 
 def test_params_round_trip(toy_subgroup, toy_primitive, toy_curve, secp, modp2048):

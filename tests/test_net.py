@@ -116,8 +116,7 @@ def test_replace_receipt_on_share_fails_mismatch(toy_subgroup, rng):
     server_session = clean.server
     kp = pke.KeyPair(server_session.keypair.secret, server_session.keypair.public)
     # a validly encrypted but wrong receipt
-    wrong = pke.encrypt(toy_subgroup, kp.public, b"\x11" * 32, rng)
-    replacement = pke.ciphertext_to_bytes(toy_subgroup, wrong)
+    replacement = pke.encrypt(toy_subgroup, kp.public, b"\x11" * 32, rng)
     target = ordinal_of(clean.trace, MsgType.SHARE)
     out = run_basic_session(toy_subgroup, TOY_KEYS, m=5, seed=8,
                             faults=FaultPlan({target: ReplaceNonce(replacement)}),
@@ -239,26 +238,36 @@ def test_unseeded_sessions_draw_fresh_session_ids(toy_subgroup):
     assert a.server.session_id != b.server.session_id
 
 
-def test_modp_session_membership_budget(modp2048, monkeypatch):
+@pytest.mark.parametrize("which, per_share, per_session", [
+    ("modp2048", 3, 0),
+    ("secp", 5, 1),
+], ids=["modp2048", "secp"])
+def test_modp_session_membership_budget(which, per_share, per_session, request,
+                                        monkeypatch):
     # per share, only untrusted values get a membership check: the share
     # element and the receipt's ephemeral as the server decodes them, and
-    # the server key in pke.encrypt; computed elements are encoded unchecked
+    # the server key in pke.encrypt; computed elements are encoded unchecked.
+    # A curve point's encoding is checked on the curve instead, and decoding
+    # one needs no check: per share the key check, the share element, the
+    # ephemeral and both KEM points as encoded, and once the digest.
+    params = request.getfixturevalue(which)
+    cls = type(params)
     rng = random.Random(12)
     n = 4
-    keys = [ParticipantKeys.random(modp2048, rng) for _ in range(n)]
-    server = pke.generate_keypair(modp2048, rng)
-    m = rng.randrange(modp2048.exponent_modulus)
+    keys = [ParticipantKeys.random(params, rng) for _ in range(n)]
+    server = pke.generate_keypair(params, rng)
+    m = rng.randrange(params.exponent_modulus)
     calls = Counter()
     for name in ("power", "element_valid"):
-        def counted(self, *args, _name=name, _method=getattr(ModpParams, name)):
+        def counted(self, *args, _name=name, _method=getattr(cls, name)):
             calls[_name] += 1
             return _method(self, *args)
-        monkeypatch.setattr(ModpParams, name, counted)
-    out = run_basic_session(modp2048, keys, m, owner_index=2, seed=5, server_keypair=server)
+        monkeypatch.setattr(cls, name, counted)
+    out = run_basic_session(params, keys, m, owner_index=2, seed=5, server_keypair=server)
     assert out.phase is Phase.DONE
-    assert calls == {"element_valid": 3 * n, "power": 5 * n}
+    assert calls == {"element_valid": per_share * n + per_session, "power": 5 * n}
     monkeypatch.undo()
-    assert out.digest == reference_digest(modp2048, m, keys)
+    assert out.digest == reference_digest(params, m, keys)
 
 
 def test_session_power_budget(secp, monkeypatch):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comhash import AuthenticationError, EncodingError, GroupError
-from comhash import pke
+from comhash import element_to_bytes, pke
+from comhash.encoding import Reader, element_byte_length, prefixed
 
 
 def test_keypair_public_is_g_to_secret(toy_subgroup):
@@ -41,7 +42,9 @@ def test_round_trip_nonce(which, request):
 def test_flipped_body_bit_fails_tag(toy_subgroup):
     kp = pke.generate_keypair(toy_subgroup, rng=random.Random(1))
     ct = pke.encrypt(toy_subgroup, kp.public, b"\x00" * 32, rng=random.Random(2))
-    bad = pke.Ciphertext(ct.ephemeral, bytes([ct.body[0] ^ 0x80]) + ct.body[1:], ct.tag)
+    # the body starts after the ephemeral and its u16 length
+    body = element_byte_length(toy_subgroup) + 2
+    bad = ct[:body] + bytes([ct[body] ^ 0x80]) + ct[body + 1:]
     with pytest.raises(AuthenticationError):
         pke.decrypt(toy_subgroup, kp.secret, bad)
 
@@ -56,16 +59,14 @@ def test_encryption_is_randomized(toy_subgroup):
 def test_every_single_byte_corruption_rejected(secp):
     kp = pke.generate_keypair(secp, rng=random.Random(3))
     ct = pke.encrypt(secp, kp.public, b"short and sweet", rng=random.Random(4))
-    encoded = pke.ciphertext_to_bytes(secp, ct)
-    for i in range(len(encoded)):
-        corrupted = bytearray(encoded)
+    header = element_byte_length(secp) + 2  # the ephemeral and the body length
+    for i in range(len(ct)):
+        corrupted = bytearray(ct)
         corrupted[i] ^= 0x01
-        try:
-            parsed = pke.ciphertext_from_bytes(secp, bytes(corrupted))
-        except EncodingError:
-            continue  # ephemeral no longer decodes: also a rejection
-        with pytest.raises(AuthenticationError):
-            pke.decrypt(secp, kp.secret, parsed)
+        # a flipped ephemeral or length may no longer decode: also a rejection
+        expected = (EncodingError, AuthenticationError) if i < header else AuthenticationError
+        with pytest.raises(expected):
+            pke.decrypt(secp, kp.secret, bytes(corrupted))
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,14 +88,19 @@ def test_round_trip_1000_random(toy_subgroup, rng):
 def test_ciphertext_encoding_round_trip(toy_curve):
     kp = pke.generate_keypair(toy_curve, rng=random.Random(8))
     ct = pke.encrypt(toy_curve, kp.public, b"x" * 32, rng=random.Random(9))
-    encoded = pke.ciphertext_to_bytes(toy_curve, ct)
-    assert pke.ciphertext_from_bytes(toy_curve, encoded) == ct
+    rd = Reader(ct)
+    ephemeral = rd.element(toy_curve)
+    assert ephemeral is not None and toy_curve.element_valid(ephemeral)
+    assert len(rd.field()) == 32 and len(rd.take(pke.TAG_LENGTH)) == pke.TAG_LENGTH
+    rd.done()
+    assert pke.decrypt(toy_curve, kp.secret, ct) == b"x" * 32
+    for bad in (ct[:-1], ct + b"\x00", b""):
+        with pytest.raises(EncodingError):
+            pke.decrypt(toy_curve, kp.secret, bad)
+    # a well-formed ciphertext whose ephemeral is the identity
+    identity = element_to_bytes(toy_curve, toy_curve.identity)
     with pytest.raises(EncodingError):
-        pke.ciphertext_from_bytes(toy_curve, encoded[:-1])
-    with pytest.raises(EncodingError):
-        pke.ciphertext_from_bytes(toy_curve, encoded + b"\x00")
-    with pytest.raises(EncodingError):
-        pke.ciphertext_from_bytes(toy_curve, b"")
+        pke.decrypt(toy_curve, kp.secret, identity + ct[element_byte_length(toy_curve):])
 
 
 def test_plaintext_length_cap(toy_subgroup):
@@ -121,14 +127,16 @@ def test_associated_data_is_bound_by_the_tag(secp):
     ad = b"share element bytes"
     ct = pke.encrypt(secp, kp.public, b"nonce", rng=random.Random(6), associated=ad)
     plain = pke.encrypt(secp, kp.public, b"nonce", rng=random.Random(6))
-    assert (ct.ephemeral, ct.body) == (plain.ephemeral, plain.body)
-    assert ct.tag != plain.tag  # the data travels outside, only the tag changes
+    assert ct[:-16] == plain[:-16]
+    assert ct[-16:] != plain[-16:]  # the data travels outside, only the tag changes
     assert pke.decrypt(secp, kp.secret, ct, ad) == b"nonce"
     for wrong in (b"", ad[:-1], ad + b"\x00", b"share element byteS"):
         with pytest.raises(AuthenticationError):
             pke.decrypt(secp, kp.secret, ct, wrong)
     # the length prefix keeps bytes from moving between the data and the body
-    moved = pke.Ciphertext(ct.ephemeral, ad[-1:] + ct.body, ct.tag)
+    rd = Reader(ct)
+    ephemeral, body = rd.element_bytes(secp), rd.field()
+    moved = ephemeral + prefixed(ad[-1:] + body) + rd.take(pke.TAG_LENGTH)
     with pytest.raises(AuthenticationError):
         pke.decrypt(secp, kp.secret, moved, ad[:-1])
 
@@ -144,7 +152,7 @@ def test_no_associated_data_keeps_the_pinned_ciphertext(which, pinned, request):
     params = request.getfixturevalue(which)
     kp = pke.generate_keypair(params, rng=random.Random(21))
     ct = pke.encrypt(params, kp.public, b"record bytes", rng=random.Random(22))
-    assert pke.ciphertext_to_bytes(params, ct).hex() == pinned
+    assert ct.hex() == pinned
     assert pke.decrypt(params, kp.secret, ct) == b"record bytes"
 
 

@@ -19,7 +19,7 @@ from comhash import (
     server_finalize,
 )
 from comhash import pke
-from comhash.encoding import element_from_bytes, split_element
+from comhash.encoding import Reader, element_from_bytes
 
 
 @pytest.fixture
@@ -71,8 +71,8 @@ def test_participant_responses_carry_expected_shares(toy_subgroup, server_kp):
                                       server.session_id, keys, m=5)
     share1 = participant_respond(owner, nonces[0])
     share2 = participant_respond(member, nonces[1])
-    el1, _ = split_element(toy_subgroup, share1.payload)
-    el2, _ = split_element(toy_subgroup, share2.payload)
+    el1 = Reader(share1.payload).element(toy_subgroup)
+    el2 = Reader(share2.payload).element(toy_subgroup)
     assert el1 == 6   # owner share with m = 5
     assert el2 == 3   # member share
     assert (share1.sender, share2.sender) == (1, 2)

@@ -79,8 +79,7 @@ def test_wire_tampering_detected(secp):
     # capture a record, flip one ciphertext byte, splice it back
     raw_sock = client.sock
     frame = encode_frame(Frame(MsgType.NONCE, bytes(16), 0, bytes(32)))
-    ct = pke.encrypt(secp, client.peer_public, frame, client.rng)
-    record = pke.ciphertext_to_bytes(secp, ct)
+    record = pke.encrypt(secp, client.peer_public, frame, client.rng)
     corrupted = bytearray(record)
     corrupted[-1] ^= 0x01
     raw_sock.sendall(struct.pack("!I", len(corrupted)) + bytes(corrupted))
@@ -143,8 +142,7 @@ def test_any_wire_byte_flip_is_rejected(toy_curve):
     rejected = 0
     rng = random.Random(55)
     for _ in range(60):
-        ct = pke.encrypt(toy_curve, client.peer_public, frame, client.rng)
-        record = bytearray(pke.ciphertext_to_bytes(toy_curve, ct))
+        record = bytearray(pke.encrypt(toy_curve, client.peer_public, frame, client.rng))
         record[rng.randrange(len(record))] ^= 1 << rng.randrange(8)
         client.sock.sendall(struct.pack("!I", len(record)) + bytes(record))
         try:
