@@ -95,7 +95,10 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "bench" and args.fit and len(set(args.sizes)) < 2:
+        parser.error("--fit needs at least two distinct sizes")
     try:
         if args.command == "bench":
             return _cmd_bench(args)

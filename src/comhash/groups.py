@@ -9,10 +9,11 @@ codec ``element_width``, ``encode`` (trusting) and ``decode`` (strict); and
 ``generator_candidate`` and ``structure_problems``, the backend's steps of
 ``derive_second_generator`` and ``validate_group``.
 
-Both backends' ``power`` send a base equal to ``g`` or ``h`` to a fixed-base
-table, built once per process and shared by value: a comb of precomputed
-multiples on a curve, a Lim-Lee comb (CRYPTO '94) mod p. Mod p every other
-base goes to built-in ``pow``. On a curve with the GLV endomorphism
+Both backends' ``power`` send a base equal to ``g`` or ``h`` to one Lim-Lee
+comb (CRYPTO '94): the same table builder and evaluation loop, given each
+backend's identity, squaring and multiplication, with tables built once per
+process and shared by value. Mod p every other base goes to built-in
+``pow``. On a curve with the GLV endomorphism
 (Gallant-Lambert-Vanstone, CRYPTO 2001: a == 0, field prime and order both
 1 mod 3, as on secp256k1) every other base goes to one interleaved width-5
 w-NAF loop over two half-length scalars; on any other curve, to width-5
@@ -35,24 +36,23 @@ Point = Optional[Tuple[int, int]]  # affine coordinates; None is the identity
 
 DEFAULT_H_LABEL = b"comhash/second-generator/v1"
 
-# On a curve, g and h get fixed-base tables: row i holds d * 2^(COMB_WINDOW*i)
-# times the base for every nonzero digit d, so 64 rows of 15 affine points
-# (about 0.2 MB) on a 256-bit curve. Every other base uses width-WNAF_WIDTH
-# w-NAF.
-COMB_WINDOW = 4
+# g and h get Lim-Lee comb tables in both backends. The exponent's bits are
+# laid out as COMB_TEETH rows (teeth) split into COMB_COLUMNS columns of
+# span = ceil(bits / (teeth * columns)) bits each. The table holds, per
+# column, the product of every subset of the teeth's base powers: columns *
+# 2^teeth = 1024 entries per generator, about 0.2 MB on secp256k1 (1,020
+# affine points), 0.31 MB at 2048 bits and 0.42 MB at 3072. A power costs
+# span squarings and at most columns * span multiplications: 8 doublings and
+# 32 mixed additions on secp256k1 (0.35-0.42 ms; a table builds in 16-18 ms),
+# 64 and 256 at 2048 bits (5-6 ms against 31 ms for built-in pow; 40-45 ms to
+# build), with Python 3.11 on a 2-vCPU Xeon VM. The shape is set by memory:
+# mod p, 8 x 6 and 9 x 3 (0.47 MB at 2048 bits) measured no faster and 8 x 8
+# (0.63 MB) under 10% faster; on the curve 8 x 4 beat a 4-bit fixed window of
+# 960 points (up to 64 additions, 0.52-0.57 ms). Every other curve base uses
+# width-WNAF_WIDTH w-NAF.
+COMB_TEETH = 8
+COMB_COLUMNS = 4
 WNAF_WIDTH = 5
-
-# Mod p, g and h get Lim-Lee comb tables. The exponent's bits are laid out
-# as MODP_COMB_TEETH rows (teeth) split into MODP_COMB_COLUMNS columns of
-# ceil(bits / (teeth * columns)) bits each (64 at 2048 bits). The table holds,
-# per column, the product of every subset of the teeth's base powers:
-# columns * 2^teeth = 1024 elements, about 0.31 MB at 2048 bits and 0.42 MB
-# at 3072. A power then costs 64 squarings and at most 256 multiplications,
-# against about 2,400 for built-in pow. The shape is set by memory: 8 x 6 and
-# 9 x 3 (0.47 MB at 2048 bits) measured no faster, 8 x 8 (0.63 MB) under 10%
-# faster.
-MODP_COMB_TEETH = 8
-MODP_COMB_COLUMNS = 4
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -244,7 +244,8 @@ class ModpParams:
         base = self._check(base)
         k = exponent % self.exponent_modulus
         if base == self.g or base == self.h:
-            return _modp_comb_pow(self.modulus, self.exponent_modulus, base, k)
+            table = _modp_comb_table(self.modulus, self.exponent_modulus, base)
+            return _comb_pow(table, self.exponent_modulus, k, *_modp_ops(self.modulus))
         return pow(base, k, self.modulus)
 
     def combine(self, e1: int, e2: int) -> int:
@@ -365,9 +366,11 @@ class EcParams:
         k = exponent % self.order
         if base is None or k == 0:
             return None
+        p, a = self.field_prime, self.curve_a
         if base == self.g or base == self.h:
-            return _comb_mul(self, base, k)
-        glv = _glv_constants(self.field_prime, self.curve_a, self.order, self.g)
+            table = _ec_comb_table(p, a, self.order, base)
+            return _normalize([_comb_pow(table, self.order, k, *_ec_ops(p, a))], p)[0]
+        glv = _glv_constants(p, a, self.order, self.g)
         if glv is not None:
             return _glv_mul(self, base, k, glv)
         return _ec_mul(self, base, k)
@@ -409,66 +412,95 @@ GroupParams = Union[ModpParams, EcParams]
 
 
 # ---------------------------------------------------------------------------
-# modp fixed-base arithmetic
+# fixed-base comb, shared by both backends
 # ---------------------------------------------------------------------------
 
-def _modp_comb_span(order: int) -> int:
+def _comb_span(order: int) -> int:
     """Bits per column: teeth * columns * span covers every exponent below order."""
-    return -(-order.bit_length() // (MODP_COMB_TEETH * MODP_COMB_COLUMNS))
+    return -(-order.bit_length() // (COMB_TEETH * COMB_COLUMNS))
 
 
-def _modp_comb_pow(p: int, order: int, base: int, k: int) -> int:
-    """base^k mod p for 0 <= k < order from base's comb table.
+def _comb_pow(table: tuple, order: int, k: int, one, square, mul):
+    """base^k for 0 <= k < order from base's comb table, in the backend's
+    group operations: ``mul(r, entry)`` multiplies by a table entry.
 
     Tooth i holds bits [i*a, (i+1)*a) of k, a = span * columns, and column j
     of a tooth its bits [j*span, (j+1)*span). The digit at (j, s) gathers bit
-    j*span + s of every tooth, tooth i as bit i, and selects one product from
+    j*span + s of every tooth, tooth i as bit i, and selects one entry from
     column j's row. One squaring per bit of a column, one multiplication per
     nonzero digit.
     """
-    span = _modp_comb_span(order)
-    a = span * MODP_COMB_COLUMNS
+    span = _comb_span(order)
+    a = span * COMB_COLUMNS
     mask = (1 << a) - 1
     # zip reads the teeth's binary strings column by column; the last tooth
     # comes first so that it lands on the digit's top bit
-    teeth = [f"{(k >> (i * a)) & mask:0{a}b}" for i in reversed(range(MODP_COMB_TEETH))]
+    teeth = [f"{(k >> (i * a)) & mask:0{a}b}" for i in reversed(range(COMB_TEETH))]
     digits = [int("".join(bits), 2) for bits in zip(*teeth)][::-1]
-    table = _modp_comb_table(p, order, base)
-    r = 1
+    r = one
     for s in range(span - 1, -1, -1):
-        r = r * r % p
+        r = square(r)
         for j, row in enumerate(table):
             d = digits[j * span + s]
             if d:
-                r = r * row[d] % p
+                r = mul(r, row[d])
     return r
+
+
+def _comb_rows(base, order: int, one, square, mul, normalize) -> tuple:
+    """Row j, entry u: the product over the set bits i of u of
+    base^(2^(i*a + j*span)), with entry 0 the identity; ``normalize`` puts a
+    list of results into the form ``mul`` takes as its second operand.
+
+    The base powers cost one squaring per exponent bit and each entry one
+    multiplication.
+    """
+    span = _comb_span(order)
+    powers = [mul(one, base)]  # base^(2^(n*span)); tooth i, column j is n = i*columns + j
+    for _ in range(COMB_TEETH * COMB_COLUMNS - 1):
+        x = powers[-1]
+        for _ in range(span):
+            x = square(x)
+        powers.append(x)
+    powers = normalize(powers)
+    rows = []
+    for j in range(COMB_COLUMNS):
+        teeth = powers[j::COMB_COLUMNS]
+        row = [one]
+        for u in range(1, 1 << COMB_TEETH):
+            low = u & -u
+            row.append(mul(row[u ^ low], teeth[low.bit_length() - 1]))
+        rows.append(tuple(normalize(row)))
+    return tuple(rows)
+
+
+def _modp_ops(p: int) -> tuple:
+    """The comb's identity, squaring and multiplication mod p."""
+    return 1, lambda x: x * x % p, lambda x, y: x * y % p
+
+
+def _ec_ops(p: int, a: int) -> tuple:
+    """The comb's identity, doubling and addition on a curve: a Jacobian
+    accumulator plus an affine point, None the identity."""
+    def add(acc, q):
+        return acc if q is None else _jac_add_affine(*acc, q[0], q[1], p, a)
+    return (0, 1, 0), lambda acc: _jac_double(*acc, p, a), add
 
 
 @functools.lru_cache(maxsize=16)
 def _modp_comb_table(p: int, order: int, base: int) -> tuple:
-    """Row j, entry u: the product over the set bits i of u of
-    base^(2^(i*a + j*span)), with entry 0 the identity.
+    """base's comb table mod p. Keyed by value, not by params instance, so
+    every ``modp_group(2048)`` in a process shares one table per generator.
+    The bound caps the memory a process that builds many parameter sets
+    spends on tables."""
+    return _comb_rows(base, order, *_modp_ops(p), list)
 
-    Keyed by value like ``_comb_table``, so every ``modp_group(2048)`` in a
-    process shares one table per generator. The base powers cost one
-    squaring per exponent bit and each entry one multiplication.
-    """
-    span = _modp_comb_span(order)
-    powers = [base]  # base^(2^(n*span)); tooth i, column j is n = i*columns + j
-    for _ in range(MODP_COMB_TEETH * MODP_COMB_COLUMNS - 1):
-        x = powers[-1]
-        for _ in range(span):
-            x = x * x % p
-        powers.append(x)
-    rows = []
-    for j in range(MODP_COMB_COLUMNS):
-        teeth = powers[j::MODP_COMB_COLUMNS]
-        row = [1]
-        for u in range(1, 1 << MODP_COMB_TEETH):
-            low = u & -u
-            row.append(row[u ^ low] * teeth[low.bit_length() - 1] % p)
-        rows.append(tuple(row))
-    return tuple(rows)
+
+@functools.lru_cache(maxsize=16)
+def _ec_comb_table(p: int, a: int, order: int, base: Tuple[int, int]) -> tuple:
+    """base's comb table on a curve, entries affine and batch-normalised;
+    keyed by value like ``_modp_comb_table``."""
+    return _comb_rows(base, order, *_ec_ops(p, a), lambda pts: _normalize(pts, p))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +620,7 @@ def _glv_constants(p: int, a: int, n: int, g: Tuple[int, int]) -> Optional[tuple
     with it by lambda * g == (beta * g_x, g_y), which fails only when n is
     not g's order. v1 and v2 are short vectors (a, b) with
     a + b * lambda = 0 mod n, from the extended Euclidean algorithm on n and
-    lambda (Guide to ECC, Alg. 3.74). Cached by value like ``_comb_table``.
+    lambda (Guide to ECC, Alg. 3.74). Cached by value like ``_ec_comb_table``.
     """
     if a != 0 or p % 3 != 1 or n % 3 != 1:
         return None
@@ -634,48 +666,6 @@ def _wnaf(k: int) -> list[Tuple[int, int]]:
         k = (k - d) >> WNAF_WIDTH  # k - d is a multiple of 2^WNAF_WIDTH
         i += WNAF_WIDTH
     return digits
-
-
-def _comb_mul(params: EcParams, pt: Tuple[int, int], k: int) -> Point:
-    """k * pt for 0 <= k < order from pt's fixed-base table: one mixed
-    addition per nonzero base-2^COMB_WINDOW digit of k, no doublings."""
-    p, a = params.field_prime, params.curve_a
-    mask = (1 << COMB_WINDOW) - 1
-    X, Y, Z = 0, 1, 0
-    for row in _comb_table(p, a, params.order, pt):
-        if not k:
-            break
-        d = k & mask
-        k >>= COMB_WINDOW
-        q = row[d - 1] if d else None
-        if q is not None:
-            X, Y, Z = _jac_add_affine(X, Y, Z, q[0], q[1], p, a)
-    return _normalize([(X, Y, Z)], p)[0]
-
-
-@functools.lru_cache(maxsize=16)
-def _comb_table(p: int, a: int, order: int, base: Tuple[int, int]) -> tuple:
-    """Row i holds d * 2^(COMB_WINDOW*i) * base for d = 1..2^COMB_WINDOW - 1,
-    affine, with enough rows for every scalar below ``order``.
-
-    Keyed by value, not by params instance, so every ``secp256k1()`` built
-    in a process shares one table per generator. The bound caps the memory a
-    process that builds many parameter sets spends on tables.
-    """
-    width = (1 << COMB_WINDOW) - 1
-    rows = -(-order.bit_length() // COMB_WINDOW)
-    jac = []
-    row_base: Point = (base[0] % p, base[1] % p)
-    for _ in range(rows):
-        X, Y, Z = 0, 1, 0
-        for _ in range(width + 1):
-            if row_base is not None:
-                X, Y, Z = _jac_add_affine(X, Y, Z, row_base[0], row_base[1], p, a)
-            jac.append((X, Y, Z))
-        # the last sum is 2^COMB_WINDOW * row_base, the next row's base
-        row_base = _normalize([jac.pop()], p)[0]
-    flat = _normalize(jac, p)
-    return tuple(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
 
 
 def _normalize(points: list, p: int) -> list:

@@ -45,11 +45,7 @@ class KeyPair:
 
 
 def _rng(rng) -> random.Random:
-    if rng is None:
-        return random.SystemRandom()
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
+    return random.SystemRandom() if rng is None else rng
 
 
 def _exponent(params: GroupParams, rng: random.Random) -> int:

@@ -430,8 +430,11 @@ class ThresholdParticipant:
                 m: Optional[int] = None) -> Frame:
         if self.share_value is None:
             raise ProtocolStateError("polynomial values not received yet")
-        if nonce_frame.session_id != self.session_id:
-            raise ProtocolStateError("nonce belongs to a different session")
+        if (nonce_frame.msg_type is not MsgType.THRESH_NONCE
+                or coeff_frame.msg_type is not MsgType.THRESH_COEFF):
+            raise ProtocolStateError("expected a THRESH_NONCE and a THRESH_COEFF frame")
+        if {nonce_frame.session_id, coeff_frame.session_id} != {self.session_id}:
+            raise ProtocolStateError("frame belongs to a different session")
         mod = self.params.exponent_modulus
         coeff = scalar_from_bytes(self.params, coeff_frame.payload)
         keys = ParticipantKeys(self.share_value * coeff % mod,

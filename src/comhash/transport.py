@@ -23,7 +23,6 @@ from .errors import AuthenticationError, EncodingError, TransportError
 from .groups import GroupParams
 from . import pke
 
-MAX_RECORD = 1 << 20
 _RECORD_PREFIX = 4  # bytes of record length
 
 
@@ -68,6 +67,8 @@ class SecureChannel:
     def send_frame(self, frame_bytes: bytes) -> None:
         if self.peer_public is None:
             raise TransportError("handshake not complete")
+        if len(frame_bytes) > pke.MAX_PLAINTEXT:
+            raise TransportError("frame too long for one record")
         record = pke.encrypt(self.params, self.peer_public, frame_bytes, self.rng)
         self.sock.sendall(prefixed(record, _RECORD_PREFIX))
 
@@ -75,7 +76,8 @@ class SecureChannel:
         if self.peer_public is None:
             raise TransportError("handshake not complete")
         length = Reader(_read_exact(self.sock, _RECORD_PREFIX)).uint(_RECORD_PREFIX)
-        if length > MAX_RECORD:
+        # the longest record pke.encrypt writes: ephemeral, u16 body length, body, tag
+        if length > element_byte_length(self.params) + 2 + pke.MAX_PLAINTEXT + pke.TAG_LENGTH:
             raise TransportError("record too large")
         record = _read_exact(self.sock, length)
         try:

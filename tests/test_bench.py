@@ -206,6 +206,19 @@ def test_cli_rejects_bad_trials(trials, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes", ["64", "8,8"])
+def test_cli_fit_needs_two_distinct_sizes(sizes, capsys, monkeypatch):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session ran before the arguments were checked")
+
+    monkeypatch.setattr(cli.bench, "run_bench", no_session)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--backend", "ec", "--bits", "5", "--sizes", sizes,
+                  "--trials", "1", "--fit"])
+    assert exc.value.code == 2
+    assert "--fit" in capsys.readouterr().err
+
+
 def test_cli_reports_library_errors_without_traceback(capsys):
     rc = cli.main(["bench", "--backend", "modp", "--bits", "7000", "--sizes", "2",
                    "--trials", "1"])

@@ -17,8 +17,8 @@ from comhash import (
 )
 from comhash import groups
 from comhash.groups import (
-    MODP_COMB_COLUMNS,
-    MODP_COMB_TEETH,
+    COMB_COLUMNS,
+    COMB_TEETH,
     _ec_add,
     _ec_mul,
     _glv_constants,
@@ -284,8 +284,11 @@ def test_secp256k1_edge_scalars(secp, rng):
     n = secp.order
     other = secp.power(secp.g, rng.randrange(1, n))
     scalars = [0, 1, n, n - 1, n + 1, -1, 2**256 - 1]
-    for j in range(1, 65):  # every comb row boundary
+    for j in range(1, 65):  # every 4-bit digit boundary
         scalars += [2**(4 * j) - 1, 2**(4 * j) + 1]
+    span = -(-n.bit_length() // (COMB_TEETH * COMB_COLUMNS))
+    for j in range(1, COMB_TEETH * COMB_COLUMNS + 1):  # every comb column and tooth boundary
+        scalars += [2**(span * j) - 1, 2**(span * j) + 1]
     for base in (secp.g, secp.h, other):
         for k in scalars:
             expected = combine_oracle(secp, base, k)
@@ -397,8 +400,8 @@ def test_modp_comb_edge_exponents(bits, mode):
     params = modp_group(bits, mode)
     p, q, m = params.modulus, params.subgroup_order, params.exponent_modulus
     exponents = {0, 1, -1, q - 1, q, q + 1, m - 1, m, m + 1, 2**bits - 1}
-    span = -(-m.bit_length() // (MODP_COMB_TEETH * MODP_COMB_COLUMNS))
-    for n in range(1, MODP_COMB_TEETH * MODP_COMB_COLUMNS + 1):  # every column boundary
+    span = -(-m.bit_length() // (COMB_TEETH * COMB_COLUMNS))
+    for n in range(1, COMB_TEETH * COMB_COLUMNS + 1):  # every column boundary
         exponents |= {2**(span * n) - 1, 2**(span * n) + 1}
     for base in (params.g, params.h):
         for k in sorted(exponents):

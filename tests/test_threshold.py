@@ -571,3 +571,20 @@ def test_threshold_transcript_bytes_pinned(secp):
     assert (len(run.transcript), len(blob)) == (74, 8987)
     assert hashlib.sha256(blob).hexdigest() == \
         "c7dd315ee41e6c0c4f1a93a850660522d2ae0b30a46e8cdf3e7255a3fc2c0549"
+
+
+@pytest.mark.parametrize("case", ["swapped", "share_as_nonce", "coeff_other_session"])
+def test_threshold_respond_checks_frame_types_and_session(case, secp):
+    from comhash import Frame
+
+    _, parts, issued = _open_round(secp, random.Random(47))
+    nonce, coeff = issued[1]
+    if case == "swapped":
+        frames = (coeff, nonce)
+    elif case == "share_as_nonce":
+        frames = (Frame(MsgType.SHARE, nonce.session_id, 0, nonce.payload), coeff)
+    else:
+        frames = (nonce, Frame(MsgType.THRESH_COEFF, bytes(15) + b"\x01", 0, coeff.payload))
+    with pytest.raises(ProtocolStateError):
+        parts[0].respond(*frames, m=4)
+    assert parts[0].respond(nonce, coeff, m=4).msg_type is MsgType.THRESH_SHARE

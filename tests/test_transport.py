@@ -184,3 +184,42 @@ def test_handshake_rejects_identity_link_key(mode, toy_subgroup, toy_primitive):
         channel.send_frame(b"data")
     a.close()
     b.close()
+
+
+def socketpair_channels(params):
+    """Both ends of a handshaken link over a socketpair."""
+    a, b = socket.socketpair()
+    ends = [SecureChannel(a, params, rng=random.Random(5)),
+            SecureChannel(b, params, rng=random.Random(6))]
+    thread = threading.Thread(target=ends[1].handshake)
+    thread.start()
+    ends[0].handshake()
+    thread.join()
+    return ends
+
+
+def test_send_frame_rejects_an_oversize_frame(secp):
+    client, server = socketpair_channels(secp)
+    with pytest.raises(TransportError, match="too long"):
+        client.send_frame(bytes(pke.MAX_PLAINTEXT + 1))
+    # the longest frame a record can carry still goes through
+    longest = bytes(range(256)) * 255 + bytes(255)
+    assert len(longest) == pke.MAX_PLAINTEXT
+    sender = threading.Thread(target=client.send_frame, args=(longest,))
+    sender.start()
+    assert server.recv_frame() == longest
+    sender.join()
+    client.close()
+    server.close()
+
+
+def test_recv_frame_rejects_an_oversize_length_before_the_body(secp):
+    client, server = socketpair_channels(secp)
+    longest = secp.element_width + 2 + pke.MAX_PLAINTEXT + pke.TAG_LENGTH
+    # only the length prefix is sent: reading a body would time out
+    server.sock.settimeout(5)
+    client.sock.sendall(struct.pack("!I", longest + 1))
+    with pytest.raises(TransportError, match="too large"):
+        server.recv_frame()
+    client.close()
+    server.close()
