@@ -98,9 +98,9 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
     come from outside and the KEM point ``public^e`` is encoded as trusted.
     """
     if len(plaintext) > MAX_PLAINTEXT:
-        raise ValueError("plaintext too long")
+        raise EncodingError("plaintext too long")
     if len(associated) > MAX_PLAINTEXT:
-        raise ValueError("associated data too long")
+        raise EncodingError("associated data too long")
     if public == params.identity or not params.element_valid(public):
         raise GroupError("public key is not a group element other than the identity")
     e = _exponent(params, _rng(rng))

@@ -109,35 +109,21 @@ class ServerSession:
             # the receipt's tag covers the element bytes exactly as received
             element_bytes = rd.element_bytes(self.params)
             element = element_from_bytes(self.params, element_bytes)
-            receipt = rd.rest()
-            echoed = pke.decrypt(self.params, self.keypair.secret, receipt, element_bytes)
+            echoed = pke.decrypt(self.params, self.keypair.secret, rd.rest(), element_bytes)
         except EncodingError:
             return self.fail(ErrorCode.MALFORMED)
         except AuthenticationError:
-            return self.fail(self._rejected_receipt_code(receipt, index))
+            # altered, or made for another element or for none
+            return self.fail(ErrorCode.DECRYPT_FAIL)
         if not hmac.compare_digest(echoed, self.nonces[index]):
             return self.fail(ErrorCode.NONCE_MISMATCH)
         self.shares[index] = element
         self.phase = Phase.COLLECTING
 
-    def _rejected_receipt_code(self, receipt: bytes, index: int) -> ErrorCode:
-        """The code for a receipt whose tag fails with the element bound in.
-
-        A receipt made for no element still opens without one. It is refused
-        all the same, but a wrong nonce in it is reported as such; any other
-        failure means the receipt or its element was altered.
-        """
-        try:
-            echoed = pke.decrypt(self.params, self.keypair.secret, receipt)
-        except AuthenticationError:
-            return ErrorCode.DECRYPT_FAIL
-        if hmac.compare_digest(echoed, self.nonces[index]):
-            return ErrorCode.DECRYPT_FAIL
-        return ErrorCode.NONCE_MISMATCH
-
     @property
     def complete(self) -> bool:
-        return len(self.shares) == self.n
+        # absorb admits only indices with a live nonce
+        return len(self.shares) == len(self.nonces)
 
     def finalize(self):
         if self.phase is Phase.FAILED:

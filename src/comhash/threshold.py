@@ -119,18 +119,21 @@ class QuotientTable:
         return cls(quotients, modulus)
 
 
-def ratio_from_quotients(table: QuotientTable, i: int, j: int) -> int:
-    """x_j / x_i from the stored consecutive quotients."""
-    if i == j:
-        return 1
-    if i > j:
-        return scalar_inv(ratio_from_quotients(table, j, i), table.modulus)
-    acc = 1
-    for k in range(i, j):
+def _ratios(table: QuotientTable, lo: int, hi: int) -> list[int]:
+    """x_j / x_lo for j = lo..hi, one walk over the stored quotients."""
+    ratios = [1]
+    for k in range(lo, hi):
         if k not in table.quotients:
             raise KeyError(f"quotient {k + 1}/{k} not in table")
-        acc = acc * table.quotients[k] % table.modulus
-    return acc
+        ratios.append(ratios[-1] * table.quotients[k] % table.modulus)
+    return ratios
+
+
+def ratio_from_quotients(table: QuotientTable, i: int, j: int) -> int:
+    """x_j / x_i from the stored consecutive quotients."""
+    if i > j:
+        return scalar_inv(ratio_from_quotients(table, j, i), table.modulus)
+    return _ratios(table, i, j)[-1]
 
 
 def lagrange_from_quotients(table: QuotientTable, subset: Sequence[int],
@@ -146,18 +149,12 @@ def lagrange_from_quotients(table: QuotientTable, subset: Sequence[int],
     if i not in subset:
         raise ValueError("index not in subset")
     mod = table.modulus
-    lo, hi = min(subset), max(subset)
-    ratios = {lo: 1}  # r_j = x_j / x_lo
-    acc = 1
-    for k in range(lo, hi):
-        if k not in table.quotients:
-            raise KeyError(f"quotient {k + 1}/{k} not in table")
-        acc = acc * table.quotients[k] % mod
-        ratios[k + 1] = acc
-    points = [ratios[j] for j in subset]
+    lo = min(subset)
+    ratios = _ratios(table, lo, max(subset))
+    points = [ratios[j - lo] for j in subset]
     if len(set(points)) != len(points):
         raise ValueError("duplicate evaluation points")
-    ri = ratios[i]
+    ri = ratios[i - lo]
     num, den = 1, 1
     for r in points:
         if r != ri:
@@ -350,8 +347,9 @@ class ThresholdServer(ServerSession):
 
     def eval_frame(self, input_frame: Frame) -> Frame:
         """Answer a THRESH_INPUT with both sealed polynomial evaluations."""
-        if input_frame.msg_type is not MsgType.THRESH_INPUT:
-            raise ProtocolStateError("expected a THRESH_INPUT frame")
+        if (input_frame.msg_type is not MsgType.THRESH_INPUT
+                or input_frame.session_id != self.session_id):
+            raise ProtocolStateError("expected a THRESH_INPUT frame of this session")
         blobs = [self.evaluator.apply_poly(input_frame.payload, poly)
                  for poly in (self.share_poly, self.mask_poly)]
         payload = b"".join(prefixed(b, 4) for b in blobs)
@@ -387,10 +385,6 @@ class ThresholdServer(ServerSession):
         self.nonces = {i: self.nonces[i] for i in subset}
         return out
 
-    @property
-    def complete(self) -> bool:
-        return self.subset is not None and set(self.shares) == set(self.subset)
-
 
 class ThresholdParticipant:
     """Holds the secret evaluation point x and, once served, the two
@@ -418,8 +412,8 @@ class ThresholdParticipant:
         return Frame(MsgType.THRESH_INPUT, session_id, self.index, blob)
 
     def receive_eval(self, frame: Frame, evaluator: SealedPolynomialEvaluator) -> None:
-        if frame.msg_type is not MsgType.THRESH_EVAL:
-            raise ProtocolStateError("expected a THRESH_EVAL frame")
+        if frame.msg_type is not MsgType.THRESH_EVAL or frame.session_id != self.session_id:
+            raise ProtocolStateError("expected a THRESH_EVAL frame of this session")
         rd = Reader(frame.payload)
         blobs = rd.field(4), rd.field(4)
         rd.done()

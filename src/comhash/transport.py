@@ -93,17 +93,22 @@ class SecureChannel:
         self.sock.close()
 
 
+def _handshaken(sock: socket.socket, params: GroupParams,
+                rng: Optional[random.Random]) -> SecureChannel:
+    channel = SecureChannel(sock, params, rng)
+    try:
+        channel.handshake()
+    except BaseException:
+        channel.close()  # a failed link keeps no socket open
+        raise
+    return channel
+
+
 def connect(host: str, port: int, params: GroupParams,
             rng: Optional[random.Random] = None) -> SecureChannel:
-    sock = socket.create_connection((host, port))
-    channel = SecureChannel(sock, params, rng)
-    channel.handshake()
-    return channel
+    return _handshaken(socket.create_connection((host, port)), params, rng)
 
 
 def accept_one(listener: socket.socket, params: GroupParams,
                rng: Optional[random.Random] = None) -> SecureChannel:
-    sock, _ = listener.accept()
-    channel = SecureChannel(sock, params, rng)
-    channel.handshake()
-    return channel
+    return _handshaken(listener.accept()[0], params, rng)

@@ -51,8 +51,8 @@ def _eval_round(params, seed=1):
     return server, part, frame
 
 
-def _eval_frame(payload: bytes) -> Frame:
-    return Frame(MsgType.THRESH_EVAL, bytes(16), 0, payload)
+def _eval_frame(server, payload: bytes) -> Frame:
+    return Frame(MsgType.THRESH_EVAL, server.session_id, 0, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_receive_eval_rejects_malformed_payloads(toy_subgroup):
     ]
     for payload in bad:
         with pytest.raises(EncodingError):
-            part.receive_eval(_eval_frame(payload), server.evaluator)
+            part.receive_eval(_eval_frame(server, payload), server.evaluator)
         assert part.share_value is None and part.mask_value is None
 
 
@@ -155,7 +155,7 @@ def test_thresh_eval_truncation_and_extension(params):
     server, part, frame = _eval_round(params)
     for variant in _prefixes_and_extension(frame.payload):
         with pytest.raises(EncodingError):
-            part.receive_eval(_eval_frame(variant), server.evaluator)
+            part.receive_eval(_eval_frame(server, variant), server.evaluator)
     part.receive_eval(frame, server.evaluator)
     assert part.share_value == server.share_poly(3)
 

@@ -105,8 +105,11 @@ def test_ciphertext_encoding_round_trip(toy_curve):
 
 def test_plaintext_length_cap(toy_subgroup):
     kp = pke.generate_keypair(toy_subgroup, rng=random.Random(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(EncodingError):
         pke.encrypt(toy_subgroup, kp.public, b"\x00" * 65536, rng=random.Random(2))
+    with pytest.raises(EncodingError):
+        pke.encrypt(toy_subgroup, kp.public, b"", rng=random.Random(2),
+                    associated=b"\x00" * 65536)
 
 
 def test_encrypt_rejects_a_public_key_outside_the_group(toy_subgroup, secp):

@@ -19,7 +19,7 @@ from comhash import (
     server_finalize,
 )
 from comhash import pke
-from comhash.encoding import Reader, element_from_bytes
+from comhash.encoding import Reader, element_from_bytes, element_to_bytes
 
 
 @pytest.fixture
@@ -168,6 +168,32 @@ def test_corrupt_ciphertext_fails_with_decrypt_code(toy_subgroup, server_kp):
     server_absorb(server, Frame(share.msg_type, share.session_id,
                                 share.sender, corrupted))
     assert server.error_code is ErrorCode.DECRYPT_FAIL
+
+
+@pytest.mark.parametrize("right_nonce", [False, True], ids=["wrong_nonce", "right_nonce"])
+def test_unbound_receipt_fails_decrypt_after_one_decrypt(right_nonce, toy_subgroup,
+                                                        server_kp, monkeypatch):
+    # a receipt encrypted to the server without the element as associated
+    # data does not cover the element beside it: one decryption refuses it,
+    # whatever nonce it holds
+    server, nonces = server_begin(toy_subgroup, 1, server_kp, random.Random(16))
+    nonce = nonces[0].payload if right_nonce else b"\x11" * 32
+    assert (nonce == server.nonces[1]) is right_nonce
+    element = member_share(toy_subgroup, ParticipantKeys(2, 3))
+    receipt = pke.encrypt(toy_subgroup, server_kp.public, nonce, random.Random(17))
+    calls = []
+    decrypt = pke.decrypt
+
+    def counted(*args):
+        calls.append(args)
+        return decrypt(*args)
+
+    monkeypatch.setattr(pke, "decrypt", counted)
+    server_absorb(server, Frame(MsgType.SHARE, server.session_id, 1,
+                                element_to_bytes(toy_subgroup, element) + receipt))
+    assert server.phase is Phase.FAILED
+    assert server.error_code is ErrorCode.DECRYPT_FAIL
+    assert len(calls) == 1
 
 
 def test_garbage_payload_fails_malformed(toy_subgroup, server_kp):

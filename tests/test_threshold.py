@@ -23,9 +23,9 @@ from comhash import (
     run_threshold_session,
 )
 from comhash import pke, threshold
-from comhash.frames import MsgType, encode_frame
+from comhash.frames import Frame, MsgType, SERVER_ID, encode_frame
 from comhash.groups import scalar_inv
-from comhash.threshold import ThresholdServer, distinct_nonzero_scalars
+from comhash.threshold import ThresholdParticipant, ThresholdServer, distinct_nonzero_scalars
 
 
 # ---------------------------------------------------------------------------
@@ -588,3 +588,32 @@ def test_threshold_respond_checks_frame_types_and_session(case, secp):
     with pytest.raises(ProtocolStateError):
         parts[0].respond(*frames, m=4)
     assert parts[0].respond(nonce, coeff, m=4).msg_type is MsgType.THRESH_SHARE
+
+
+def _eval_pair(params, seed):
+    rng = random.Random(seed)
+    server_kp = pke.generate_keypair(params, rng)
+    server = ThresholdServer(params, 2, 2, 5, 6, server_kp, rng)
+    return server, ThresholdParticipant(params, 1, 3, server_kp.public, rng)
+
+
+def test_eval_frame_rejects_another_sessions_input(toy_subgroup):
+    server, part = _eval_pair(toy_subgroup, 48)
+    other = bytes(16)
+    assert other != server.session_id
+    with pytest.raises(ProtocolStateError):
+        server.eval_frame(part.input_frame(server.evaluator, other))
+    reply = server.eval_frame(part.input_frame(server.evaluator, server.session_id))
+    assert reply.session_id == server.session_id
+
+
+def test_receive_eval_rejects_another_sessions_eval(toy_subgroup):
+    server, part = _eval_pair(toy_subgroup, 49)
+    reply = server.eval_frame(part.input_frame(server.evaluator, server.session_id))
+    stray = Frame(MsgType.THRESH_EVAL, bytes(16), SERVER_ID, reply.payload)
+    assert stray.session_id != server.session_id
+    with pytest.raises(ProtocolStateError):
+        part.receive_eval(stray, server.evaluator)
+    assert part.share_value is None and part.mask_value is None
+    part.receive_eval(reply, server.evaluator)
+    assert part.share_value == server.share_poly(3)

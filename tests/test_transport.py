@@ -73,6 +73,41 @@ def test_handshake_rejects_mismatched_parameters(toy_subgroup, toy_primitive):
     assert errors and "parameter set" in str(errors[0])
 
 
+@pytest.mark.parametrize("side", ["connect", "accept_one"])
+def test_failed_handshake_closes_the_socket(side, toy_subgroup, monkeypatch):
+    # the peer answers with a parameter digest of zeros
+    socks = []
+    handshake = SecureChannel.handshake
+
+    def recorded(self):
+        socks.append(self.sock)
+        return handshake(self)
+
+    monkeypatch.setattr(SecureChannel, "handshake", recorded)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        address = listener.getsockname()
+        if side == "connect":
+            def peer():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(10)
+                    conn.sendall(bytes(32))
+                    conn.recv(32, socket.MSG_WAITALL)  # the client's digest
+
+            thread = threading.Thread(target=peer)
+            thread.start()
+            with pytest.raises(TransportError, match="parameter set"):
+                connect(*address, toy_subgroup)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        else:
+            with socket.create_connection(address) as conn:
+                conn.sendall(bytes(32))
+                with pytest.raises(TransportError, match="parameter set"):
+                    accept_one(listener, toy_subgroup)
+    assert len(socks) == 1 and socks[0].fileno() == -1
+
+
 def test_wire_tampering_detected(secp):
     client, server, errors = linked_channels(secp)
     assert not errors
