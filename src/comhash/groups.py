@@ -832,11 +832,14 @@ def _expand(seed_bytes: bytes, width: int) -> bytes:
     return out[:width]
 
 
+@functools.lru_cache(maxsize=16)
 def derive_second_generator(params: GroupParams, label: bytes) -> Union[int, Tuple[int, int]]:
     """Deterministically hash a public label to a second generator.
 
     Counter-based rejection sampling; nobody learns the discrete log of the
-    result with respect to ``g``.
+    result with respect to ``g``. Memoised by value, like the comb tables:
+    each ``secp256k1()`` builds its parameters afresh, and the derivation
+    takes about 2 ms there (9 candidate square roots).
     """
     if not label:
         raise GroupError("label must be non-empty")

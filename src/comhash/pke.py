@@ -5,7 +5,9 @@ stream/MAC key, so the only hardness assumption stays the discrete log in
 the group already in use. SHA-256 drives both the keystream (counter mode)
 and the authentication tag (HMAC, truncated to 16 bytes). The tag can also
 cover associated data that travels outside the ciphertext; a share receipt
-uses it to bind the share element it was sent with.
+uses it to bind the share element it was sent with. The keystream and
+``hkdf`` (RFC 5869) are also the symmetric half of the socket link
+(``transport``), which keys its records once per handshake.
 
 A ciphertext exists only as its wire bytes, as in HPKE's Seal and Open (RFC
 9180 §6.1): ``encrypt`` returns ephemeral element | u16 body length | body |
@@ -85,8 +87,20 @@ def _tag(key: bytes, ephemeral_bytes: bytes, body: bytes, associated: bytes) -> 
     return hmac.new(key, msg + body, hashlib.sha256).digest()[:TAG_LENGTH]
 
 
-def _xor(data: bytes, key: bytes) -> bytes:
+def keystream_xor(data: bytes, key: bytes) -> bytes:
+    """data XORed with the SHA-256 counter-mode keystream under key."""
     return bytes(a ^ b for a, b in zip(data, _keystream(key, len(data))))
+
+
+def hkdf(salt: bytes, ikm: bytes, info: bytes, length: int) -> bytes:
+    """HKDF-SHA256 (RFC 5869): extract a pseudorandom key from ikm under
+    salt, then expand it under info to length bytes (at most 255 blocks)."""
+    prk = hmac.new(salt, ikm, hashlib.sha256).digest()
+    block = out = b""
+    for counter in range(1, -(-length // 32) + 1):
+        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        out += block
+    return out[:length]
 
 
 def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
@@ -106,7 +120,7 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
     e = _exponent(params, _rng(rng))
     ephemeral_bytes = element_to_bytes(params, params.power(params.g, e))
     key = _derive_key(params, params.power(public, e))
-    body = _xor(plaintext, key)
+    body = keystream_xor(plaintext, key)
     return ephemeral_bytes + prefixed(body) + _tag(key, ephemeral_bytes, body, associated)
 
 
@@ -127,4 +141,4 @@ def decrypt(params: GroupParams, secret: int, data: bytes,
     key = _derive_key(params, params.power(ephemeral, secret))
     if not hmac.compare_digest(_tag(key, ephemeral_bytes, body, associated), tag):
         raise AuthenticationError("ciphertext tag mismatch")
-    return _xor(body, key)
+    return keystream_xor(body, key)

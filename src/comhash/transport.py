@@ -1,29 +1,46 @@
-"""Authenticated socket links carrying protocol frames.
+"""Authenticated, encrypted socket links carrying protocol frames.
 
 A link opens with a handshake: both sides send the 32-byte digest of their
 group parameters (mismatched parameter sets are rejected immediately), then
-exchange fresh link public keys. Every frame afterwards travels as one
-length-delimited record holding a ciphertext encrypted to the receiver's link
-public key. Its tag shows only that the record was not altered after it was
-made: altered records surface as a transport error, but replayed records, and
-records forged by anyone who holds the link public key, are accepted. Treat
-the link as untrusted until records are authenticated with keys derived from
-the handshake.
+exchange fresh link public keys. A peer key equal to the identity or to our
+own is rejected. Each side then computes the shared element peer^secret
+once and derives one key per direction with HKDF-SHA256 (RFC 5869): the
+parameter digest is the salt, the encoded shared element the input keying
+material, and ``info`` a version label followed by the sender's and then the
+receiver's encoded link key.
+
+Every frame afterwards travels as one record: u32 length | body | 16-byte
+tag. The body is the frame XORed with a SHA-256 keystream under the
+direction's key and the record's sequence number, and the tag is
+HMAC-SHA256 over u64 sequence number | body. Each direction numbers its
+records from zero and the number never travels, as in TLS 1.3 (RFC 8446
+§5.3), so a record that is replayed, reordered, reflected, truncated,
+forged without the keys or taken from another link fails its tag. A record
+costs no exponentiation.
+
+The first rejected record ends the link: a stream whose sequence numbers
+are implicit cannot resynchronise, so every later ``send_frame`` or
+``recv_frame`` raises ``TransportError``. The handshake itself is not
+authenticated: an active man in the middle can still run one link with each
+side.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import random
 import socket
 from typing import Optional
 
 from .encoding import (Reader, element_byte_length, element_from_bytes, element_to_bytes,
                        params_digest, prefixed)
-from .errors import AuthenticationError, EncodingError, TransportError
+from .errors import EncodingError, TransportError
 from .groups import GroupParams
 from . import pke
 
 _RECORD_PREFIX = 4  # bytes of record length
+_KEY_LABEL = b"comhash/link/v1"
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
@@ -36,6 +53,34 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return buf
 
 
+class _Direction:
+    """One direction's stream and MAC keys and its next sequence number."""
+
+    def __init__(self, key_material: bytes):
+        self.stream_key, self.mac_key = key_material[:32], key_material[32:]
+        self.seq = 0
+
+    def _next_seq(self) -> bytes:
+        seq = self.seq.to_bytes(8, "big")  # OverflowError after 2^64 records
+        self.seq += 1
+        return seq
+
+    def _tag(self, seq: bytes, body: bytes) -> bytes:
+        return hmac.new(self.mac_key, seq + body, hashlib.sha256).digest()[:pke.TAG_LENGTH]
+
+    def seal(self, frame: bytes) -> bytes:
+        seq = self._next_seq()
+        body = pke.keystream_xor(frame, self.stream_key + seq)
+        return body + self._tag(seq, body)
+
+    def open(self, record: bytes) -> bytes:
+        seq = self._next_seq()
+        body, tag = record[:-pke.TAG_LENGTH], record[-pke.TAG_LENGTH:]
+        if not hmac.compare_digest(self._tag(seq, body), tag):
+            raise TransportError("record rejected: tag mismatch")
+        return pke.keystream_xor(body, self.stream_key + seq)
+
+
 class SecureChannel:
     """One end of an encrypted frame link over a connected stream socket."""
 
@@ -46,6 +91,9 @@ class SecureChannel:
         self.rng = rng if rng is not None else random.SystemRandom()
         self.keypair = pke.generate_keypair(params, self.rng)
         self.peer_public = None
+        self._send: Optional[_Direction] = None  # both set by the handshake
+        self._recv: Optional[_Direction] = None
+        self._failed = False
 
     def handshake(self) -> None:
         digest = params_digest(self.params)
@@ -62,28 +110,42 @@ class SecureChannel:
             raise TransportError(f"bad link key from peer: {exc}") from exc
         if peer_public == self.params.identity:
             raise TransportError("bad link key from peer: the identity")
+        if peer_public == self.keypair.public:
+            raise TransportError("bad link key from peer: our own")
+        shared = element_to_bytes(self.params,
+                                  self.params.power(peer_public, self.keypair.secret))
+        self._send = _Direction(pke.hkdf(digest, shared, _KEY_LABEL + mine + raw, 64))
+        self._recv = _Direction(pke.hkdf(digest, shared, _KEY_LABEL + raw + mine, 64))
         self.peer_public = peer_public
 
-    def send_frame(self, frame_bytes: bytes) -> None:
+    def _check_usable(self) -> None:
+        if self._failed:
+            raise TransportError("link failed earlier; it cannot resynchronise")
         if self.peer_public is None:
             raise TransportError("handshake not complete")
+
+    def send_frame(self, frame_bytes: bytes) -> None:
+        self._check_usable()
         if len(frame_bytes) > pke.MAX_PLAINTEXT:
             raise TransportError("frame too long for one record")
-        record = pke.encrypt(self.params, self.peer_public, frame_bytes, self.rng)
-        self.sock.sendall(prefixed(record, _RECORD_PREFIX))
+        try:
+            self.sock.sendall(prefixed(self._send.seal(frame_bytes), _RECORD_PREFIX))
+        except BaseException:
+            self._failed = True  # the peer may hold part of a record
+            raise
 
     def recv_frame(self) -> bytes:
-        if self.peer_public is None:
-            raise TransportError("handshake not complete")
-        length = Reader(_read_exact(self.sock, _RECORD_PREFIX)).uint(_RECORD_PREFIX)
-        # the longest record pke.encrypt writes: ephemeral, u16 body length, body, tag
-        if length > element_byte_length(self.params) + 2 + pke.MAX_PLAINTEXT + pke.TAG_LENGTH:
-            raise TransportError("record too large")
-        record = _read_exact(self.sock, length)
+        self._check_usable()
         try:
-            return pke.decrypt(self.params, self.keypair.secret, record)
-        except (EncodingError, AuthenticationError) as exc:
-            raise TransportError(f"record rejected: {exc}") from exc
+            length = Reader(_read_exact(self.sock, _RECORD_PREFIX)).uint(_RECORD_PREFIX)
+            if length < pke.TAG_LENGTH:
+                raise TransportError("record too short")
+            if length > pke.MAX_PLAINTEXT + pke.TAG_LENGTH:
+                raise TransportError("record too large")
+            return self._recv.open(_read_exact(self.sock, length))
+        except BaseException:
+            self._failed = True
+            raise
 
     def close(self) -> None:
         try:

@@ -14,6 +14,7 @@ from comhash import (
     generate_group,
     modp_group,
     secp256k1,
+    validate_group,
 )
 from comhash import groups
 from comhash.groups import (
@@ -455,6 +456,30 @@ def test_secp_second_generator_pinned(secp):
         0x97810643078071AFE4802307389C141913E57E761EE24BEA3263D93BB9503D27,
         0xB241CAD016B6F876F884ABE5D46FEF17721CEABEAD0E22F783E221FC76321962,
     )
+
+
+def test_second_generator_derived_once_per_value(monkeypatch):
+    candidates = []
+    candidate = EcParams.generator_candidate
+
+    def counted(self, seed):
+        candidates.append(seed)
+        return candidate(self, seed)
+
+    monkeypatch.setattr(EcParams, "generator_candidate", counted)
+    derive_second_generator.cache_clear()
+    first = secp256k1()
+    assert len(candidates) == 9
+    second = secp256k1()
+    assert len(candidates) == 9
+    assert second.h == first.h
+
+
+def test_validate_group_rejects_a_substituted_h(secp):
+    # the memoised derivation is keyed by the whole parameter set, h included
+    substituted = replace(secp, h=derive_second_generator(secp, b"another label"))
+    assert validate_group(secp) == []
+    assert validate_group(substituted) == ["h does not match its derivation label"]
 
 
 # ---------------------------------------------------------------------------

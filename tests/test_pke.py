@@ -150,8 +150,8 @@ def test_associated_data_is_bound_by_the_tag(secp):
              "000cc6f124a70c651eff2ffc06614612ff9d1659876ae6212bad83fc788f"),
 ])
 def test_no_associated_data_keeps_the_pinned_ciphertext(which, pinned, request):
-    # transport records carry no associated data; their bytes, tag included,
-    # are the ones made before the tag could cover any
+    # without associated data the bytes, tag included, are the ones made
+    # before the tag could cover any
     params = request.getfixturevalue(which)
     kp = pke.generate_keypair(params, rng=random.Random(21))
     ct = pke.encrypt(params, kp.public, b"record bytes", rng=random.Random(22))
@@ -180,3 +180,16 @@ def test_modp2048_receipt_exponents_are_short(modp2048, monkeypatch):
     assert all(0 < e < 2**320 for e in exponents)
     assert max(e.bit_length() for e in exponents) > 312
     assert modp2048.exponent_modulus.bit_length() == 2047
+
+
+@pytest.mark.parametrize("salt, ikm, info, okm", [
+    # RFC 5869 A.1 and A.3
+    (bytes(range(13)), b"\x0b" * 22, bytes(range(0xF0, 0xFA)),
+     "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+     "34007208d5b887185865"),
+    (b"", b"\x0b" * 22, b"",
+     "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+     "9d201395faa4b61a96c8"),
+])
+def test_hkdf_matches_the_rfc_vectors(salt, ikm, info, okm):
+    assert pke.hkdf(salt, ikm, info, 42).hex() == okm

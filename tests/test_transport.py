@@ -19,7 +19,7 @@ from comhash import (
     reference_digest,
     server_begin,
 )
-from comhash import pke
+from comhash import EcParams, element_to_bytes, params_digest, pke
 from comhash.transport import SecureChannel, accept_one, connect
 
 
@@ -108,18 +108,36 @@ def test_failed_handshake_closes_the_socket(side, toy_subgroup, monkeypatch):
     assert len(socks) == 1 and socks[0].fileno() == -1
 
 
+def captured(sender, receiver, frame):
+    """The bytes sender.send_frame wrote for frame, length prefix included,
+    taken off the wire before the receiving channel reads them."""
+    sender.send_frame(frame)
+    prefix = receiver.sock.recv(4, socket.MSG_WAITALL)
+    return prefix + receiver.sock.recv(int.from_bytes(prefix, "big"), socket.MSG_WAITALL)
+
+
+def assert_link_dead(channel, peer):
+    # after a rejected record nothing reaches the caller, not even a genuine
+    # record the peer sends next
+    peer.send_frame(b"genuine")
+    with pytest.raises(TransportError):
+        channel.recv_frame()
+    with pytest.raises(TransportError):
+        channel.send_frame(b"reply")
+
+
 def test_wire_tampering_detected(secp):
     client, server, errors = linked_channels(secp)
     assert not errors
-    # capture a record, flip one ciphertext byte, splice it back
-    raw_sock = client.sock
+    # capture a genuine record, flip one tag bit, put it back on the wire
     frame = encode_frame(Frame(MsgType.NONCE, bytes(16), 0, bytes(32)))
-    record = pke.encrypt(secp, client.peer_public, frame, client.rng)
-    corrupted = bytearray(record)
-    corrupted[-1] ^= 0x01
-    raw_sock.sendall(struct.pack("!I", len(corrupted)) + bytes(corrupted))
+    record = bytearray(captured(client, server, frame))
+    assert len(record) == 4 + len(frame) + pke.TAG_LENGTH
+    record[-1] ^= 0x01
+    client.sock.sendall(bytes(record))
     with pytest.raises(TransportError):
         server.recv_frame()
+    assert_link_dead(server, client)
     client.close()
     server.close()
 
@@ -170,25 +188,20 @@ def test_session_over_tcp_matches_oracle(toy_curve):
 
 def test_any_wire_byte_flip_is_rejected(toy_curve):
     """Per-link authenticated encryption turns arbitrary record tampering
-    into a transport failure; no altered frame ever reaches the protocol."""
-    client, server, errors = linked_channels(toy_curve)
-    assert not errors
+    into a transport failure; no altered frame ever reaches the protocol.
+    Each case gets a fresh link, so no rejection rides on an earlier one."""
     frame = encode_frame(Frame(MsgType.SHARE, bytes(16), 1, b"payload" * 3))
-    rejected = 0
     rng = random.Random(55)
     for _ in range(60):
-        record = bytearray(pke.encrypt(toy_curve, client.peer_public, frame, client.rng))
+        client, server = socketpair_channels(toy_curve)
+        record = bytearray(captured(client, server, frame))
         record[rng.randrange(len(record))] ^= 1 << rng.randrange(8)
-        client.sock.sendall(struct.pack("!I", len(record)) + bytes(record))
-        try:
-            out = server.recv_frame()
-        except TransportError:
-            rejected += 1
-            continue
-        assert out != frame, "tampered record decrypted to the original"
-    assert rejected == 60
-    client.close()
-    server.close()
+        client.sock.sendall(bytes(record))
+        client.sock.shutdown(socket.SHUT_WR)  # a longer length meets the end
+        with pytest.raises(TransportError):
+            server.recv_frame()
+        client.close()
+        server.close()
 
 
 def test_frames_unusable_before_handshake(toy_subgroup):
@@ -204,10 +217,8 @@ def test_frames_unusable_before_handshake(toy_subgroup):
 
 @pytest.mark.parametrize("mode", ["subgroup", "primitive"])
 def test_handshake_rejects_identity_link_key(mode, toy_subgroup, toy_primitive):
-    # the peer's link key is a valid encoding of the identity, 1; every
-    # record encrypted to it would have a KEM key anyone can compute
-    from comhash import params_digest
-
+    # the peer's link key is a valid encoding of the identity, 1; the
+    # shared element would be the identity too, known to anyone
     params = toy_subgroup if mode == "subgroup" else toy_primitive
     a, b = socket.socketpair()
     b.sendall(params_digest(params) + b"\x01")
@@ -221,15 +232,16 @@ def test_handshake_rejects_identity_link_key(mode, toy_subgroup, toy_primitive):
     b.close()
 
 
-def socketpair_channels(params):
+def socketpair_channels(params, seeds=(5, 6)):
     """Both ends of a handshaken link over a socketpair."""
     a, b = socket.socketpair()
-    ends = [SecureChannel(a, params, rng=random.Random(5)),
-            SecureChannel(b, params, rng=random.Random(6))]
+    ends = [SecureChannel(a, params, rng=random.Random(seeds[0])),
+            SecureChannel(b, params, rng=random.Random(seeds[1]))]
     thread = threading.Thread(target=ends[1].handshake)
     thread.start()
     ends[0].handshake()
-    thread.join()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
     return ends
 
 
@@ -250,11 +262,147 @@ def test_send_frame_rejects_an_oversize_frame(secp):
 
 def test_recv_frame_rejects_an_oversize_length_before_the_body(secp):
     client, server = socketpair_channels(secp)
-    longest = secp.element_width + 2 + pke.MAX_PLAINTEXT + pke.TAG_LENGTH
+    longest = pke.MAX_PLAINTEXT + pke.TAG_LENGTH
     # only the length prefix is sent: reading a body would time out
     server.sock.settimeout(5)
     client.sock.sendall(struct.pack("!I", longest + 1))
     with pytest.raises(TransportError, match="too large"):
         server.recv_frame()
+    client.close()
+    server.close()
+
+
+def test_recv_frame_rejects_a_length_shorter_than_the_tag(secp):
+    client, server = socketpair_channels(secp)
+    server.sock.settimeout(5)
+    client.sock.sendall(struct.pack("!I", pke.TAG_LENGTH - 1))
+    with pytest.raises(TransportError, match="too short"):
+        server.recv_frame()
+    client.close()
+    server.close()
+
+
+def test_empty_frame_round_trips(secp):
+    # the shortest record is a bare tag, and the length bound admits it
+    client, server = socketpair_channels(secp)
+    wire = captured(client, server, b"")
+    assert len(wire) == 4 + pke.TAG_LENGTH
+    client.sock.sendall(wire)
+    assert server.recv_frame() == b""
+    client.close()
+    server.close()
+
+
+FRAME_A = encode_frame(Frame(MsgType.NONCE, bytes(16), 1, bytes(32)))
+FRAME_B = encode_frame(Frame(MsgType.NONCE, bytes(16), 2, bytes(range(32))))
+
+
+# Each attack gets a fresh link (client, server) and a second, independent
+# link; it puts records on the wire and returns the channel that must reject
+# the next record, with that channel's peer.
+
+def replayed(link, other):
+    client, server = link
+    wire = captured(client, server, FRAME_A)
+    client.sock.sendall(wire)
+    assert server.recv_frame() == FRAME_A
+    client.sock.sendall(wire)
+    return server, client
+
+
+def swapped(link, other):
+    client, server = link
+    first = captured(client, server, FRAME_A)
+    second = captured(client, server, FRAME_B)
+    client.sock.sendall(second + first)
+    return server, client
+
+
+def reflected(link, other):
+    client, server = link
+    server.sock.sendall(captured(client, server, FRAME_A))  # back to its sender
+    return client, server
+
+
+def forged(link, other):
+    # the old link's record: an encryption to the receiver's link key, which
+    # anyone who saw the handshake can make
+    client, server = link
+    record = pke.encrypt(server.params, server.keypair.public, FRAME_A, random.Random(9))
+    client.sock.sendall(struct.pack("!I", len(record)) + record)
+    return server, client
+
+
+def spliced(link, other):
+    client, server = link
+    client.sock.sendall(captured(*other, FRAME_A))
+    return server, client
+
+
+def truncated(link, other):
+    client, server = link
+    wire = captured(client, server, FRAME_A)
+    client.sock.sendall(struct.pack("!I", len(wire) - 5) + wire[4:-1])
+    return server, client
+
+
+@pytest.mark.parametrize("attack", [replayed, swapped, reflected, forged, spliced, truncated],
+                         ids=lambda attack: attack.__name__)
+def test_link_rejects_attack_and_stays_closed(attack, secp):
+    link = socketpair_channels(secp)
+    other = socketpair_channels(secp, seeds=(7, 8))
+    channel, peer = attack(link, other)
+    channel.sock.settimeout(5)
+    with pytest.raises(TransportError):
+        channel.recv_frame()
+    assert_link_dead(channel, peer)
+    for end in (*link, *other):
+        end.close()
+
+
+def test_handshake_rejects_our_own_link_key_echoed(secp):
+    # a peer that echoes our key would have every record we send accepted
+    # as its own, reflected back
+    a, b = socket.socketpair()
+    channel = SecureChannel(a, secp, rng=random.Random(3))
+    b.sendall(params_digest(secp) + element_to_bytes(secp, channel.keypair.public))
+    with pytest.raises(TransportError, match="our own"):
+        channel.handshake()
+    assert channel.peer_public is None
+    with pytest.raises(TransportError):
+        channel.send_frame(b"data")
+    with pytest.raises(TransportError):
+        channel.recv_frame()
+    a.close()
+    b.close()
+
+
+def test_link_power_budget(secp, monkeypatch):
+    # the handshake makes one variable-base power per side, peer^secret;
+    # records after it make none
+    a, b = socket.socketpair()
+    client = SecureChannel(a, secp, rng=random.Random(5))
+    server = SecureChannel(b, secp, rng=random.Random(6))
+    bases = []
+    power = EcParams.power
+
+    def counted(self, base, exponent):
+        bases.append(base)
+        return power(self, base, exponent)
+
+    monkeypatch.setattr(EcParams, "power", counted)
+    thread = threading.Thread(target=server.handshake)
+    thread.start()
+    client.handshake()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert sorted(bases) == sorted([client.keypair.public, server.keypair.public])
+    bases.clear()
+    for i in range(20):
+        client.send_frame(FRAME_A)
+        assert server.recv_frame() == FRAME_A
+        server.send_frame(FRAME_B)
+        assert client.recv_frame() == FRAME_B
+    assert bases == []
     client.close()
     server.close()
