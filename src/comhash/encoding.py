@@ -23,9 +23,9 @@ formats, all integers big-endian:
   u16 coefficient count | that many scalars;
 - THRESH_EVAL payload (``threshold``): two sealed evaluations, each behind a
   u32 length;
-- link record (``transport``): u32 length | body | 16-byte tag, the body
-  one frame XORed with a keystream; the sequence number under the tag
-  never travels.
+- link record (``transport``): u32 length | body | 16-byte tag, the
+  ``pke.seal`` of one frame; its header, the u64 sequence number, never
+  travels.
 
 Frame headers are the one fixed layout kept elsewhere, in ``frames``.
 

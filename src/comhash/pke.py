@@ -1,13 +1,16 @@
-"""Hashed-ElGamal public-key encryption over the protocol's own group.
+"""Hashed-ElGamal public-key encryption over the protocol's own group, and
+the one symmetric seal that it and the socket link share.
 
-Used for the encrypted nonce receipts: the KEM shared point is hashed into a
-stream/MAC key, so the only hardness assumption stays the discrete log in
-the group already in use. SHA-256 drives both the keystream (counter mode)
-and the authentication tag (HMAC, truncated to 16 bytes). The tag can also
-cover associated data that travels outside the ciphertext; a share receipt
-uses it to bind the share element it was sent with. The keystream and
-``hkdf`` (RFC 5869) are also the symmetric half of the socket link
-(``transport``), which keys its records once per handshake.
+``seal`` XORs the data with a SHA-256 counter-mode keystream and appends an
+HMAC-SHA256 tag, truncated to 16 bytes, over header | body; the header is
+authenticated but not sent. Key agreement sits in front of it, as in HPKE
+(RFC 9180 §5-6) and the TLS 1.3 record layer (RFC 8446 §5.2). A nonce
+receipt hashes the KEM shared point into one stream and MAC key, so the only
+hardness assumption stays the discrete log in the group already in use; its
+header is the ephemeral's bytes and any associated data, which a share
+receipt uses to bind the share element it was sent with. A link record
+(``transport``) uses per-direction keys from ``hkdf`` (RFC 5869) and its
+sequence number as the header.
 
 A ciphertext exists only as its wire bytes, as in HPKE's Seal and Open (RFC
 9180 §6.1): ``encrypt`` returns ephemeral element | u16 body length | body |
@@ -69,27 +72,32 @@ def _derive_key(params: GroupParams, shared) -> bytes:
     return hashlib.sha256(b"comhash/kem/v1" + element_to_bytes(params, shared)).digest()
 
 
-def _keystream(key: bytes, length: int) -> bytes:
-    out = b""
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(key + b"/stream/" + counter.to_bytes(4, "big")).digest()
-        counter += 1
-    return out[:length]
-
-
-def _tag(key: bytes, ephemeral_bytes: bytes, body: bytes, associated: bytes) -> bytes:
-    msg = ephemeral_bytes
-    if associated:
-        # length-prefixed so no bytes can move between it and the body; when
-        # empty, nothing is added and the tag is the one without it
-        msg += prefixed(associated)
-    return hmac.new(key, msg + body, hashlib.sha256).digest()[:TAG_LENGTH]
-
-
 def keystream_xor(data: bytes, key: bytes) -> bytes:
     """data XORed with the SHA-256 counter-mode keystream under key."""
-    return bytes(a ^ b for a, b in zip(data, _keystream(key, len(data))))
+    stream = b"".join(hashlib.sha256(key + b"/stream/" + counter.to_bytes(4, "big")).digest()
+                      for counter in range(-(-len(data) // 32)))
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+def _mac(mac_key: bytes, header: bytes, body: bytes) -> bytes:
+    return hmac.new(mac_key, header + body, hashlib.sha256).digest()[:TAG_LENGTH]
+
+
+def seal(stream_key: bytes, mac_key: bytes, header: bytes, data: bytes) -> bytes:
+    """body | tag: data XORed with the keystream under stream_key, then a
+    TAG_LENGTH-byte HMAC-SHA256 under mac_key over header | body. The header
+    is authenticated but not sealed in; ``unseal`` must be given it unchanged."""
+    body = keystream_xor(data, stream_key)
+    return body + _mac(mac_key, header, body)
+
+
+def unseal(stream_key: bytes, mac_key: bytes, header: bytes, sealed: bytes) -> bytes:
+    """The data ``seal`` was given. A tag that does not match, including
+    bytes too short to hold one, raises ``AuthenticationError``."""
+    body, tag = sealed[:-TAG_LENGTH], sealed[-TAG_LENGTH:]
+    if not hmac.compare_digest(_mac(mac_key, header, body), tag):
+        raise AuthenticationError("tag mismatch")
+    return keystream_xor(body, stream_key)
 
 
 def hkdf(salt: bytes, ikm: bytes, info: bytes, length: int) -> bytes:
@@ -101,6 +109,12 @@ def hkdf(salt: bytes, ikm: bytes, info: bytes, length: int) -> bytes:
         block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
         out += block
     return out[:length]
+
+
+def _receipt_header(ephemeral_bytes: bytes, associated: bytes) -> bytes:
+    # associated data is length-prefixed so no bytes can move between it and
+    # the body; when empty, nothing is added and the tag is the one without it
+    return ephemeral_bytes + (prefixed(associated) if associated else b"")
 
 
 def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
@@ -120,8 +134,9 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
     e = _exponent(params, _rng(rng))
     ephemeral_bytes = element_to_bytes(params, params.power(params.g, e))
     key = _derive_key(params, params.power(public, e))
-    body = keystream_xor(plaintext, key)
-    return ephemeral_bytes + prefixed(body) + _tag(key, ephemeral_bytes, body, associated)
+    sealed = seal(key, key, _receipt_header(ephemeral_bytes, associated), plaintext)
+    # the u16 body length: the body is exactly as long as the plaintext
+    return ephemeral_bytes + len(plaintext).to_bytes(2, "big") + sealed
 
 
 def decrypt(params: GroupParams, secret: int, data: bytes,
@@ -135,10 +150,7 @@ def decrypt(params: GroupParams, secret: int, data: bytes,
     ephemeral = element_from_bytes(params, ephemeral_bytes)
     if ephemeral == params.identity:
         raise EncodingError("ephemeral element cannot be the identity")
-    body = rd.field()
-    tag = rd.take(TAG_LENGTH)
+    sealed = rd.field() + rd.take(TAG_LENGTH)
     rd.done()
     key = _derive_key(params, params.power(ephemeral, secret))
-    if not hmac.compare_digest(_tag(key, ephemeral_bytes, body, associated), tag):
-        raise AuthenticationError("ciphertext tag mismatch")
-    return keystream_xor(body, key)
+    return unseal(key, key, _receipt_header(ephemeral_bytes, associated), sealed)

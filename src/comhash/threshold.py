@@ -446,7 +446,6 @@ class ThresholdParticipant:
 class ThresholdRun:
     digest: object
     server: ThresholdServer
-    participants: list
     transcript: list = field(default_factory=list)
 
 
@@ -460,7 +459,6 @@ def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
     request. The message owner must sit in the subset; by default the lowest
     chosen index plays that role.
     """
-    _require_prime_order(params)
     mod = params.exponent_modulus
     server_keypair = pke.generate_keypair(params, rng)
     server = ThresholdServer(params, n, k, s0, t0, server_keypair, rng)
@@ -496,15 +494,10 @@ def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
     owner_index = min(chosen) if owner is None else owner
     if owner_index not in chosen:
         raise ValueError("message owner must belong to the chosen subset")
-    by_index = {part.index: part for part in participants}
-    frames_for = {}
-    for index, frame in issued:
-        frames_for.setdefault(index, []).append(frame)
-    for index in chosen:
-        nonce_frame, coeff_frame = frames_for[index]
-        part = by_index[index]
-        share = part.respond(nonce_frame, coeff_frame,
-                             m if index == owner_index else None)
+    # begin_round issues each chosen index's NONCE frame, then its COEFF frame
+    for (index, nonce_frame), (_, coeff_frame) in zip(issued[::2], issued[1::2]):
+        share = participants[index - 1].respond(nonce_frame, coeff_frame,
+                                                m if index == owner_index else None)
         transcript.append(share)
         server.absorb(share)
         if server.phase is Phase.FAILED:
@@ -512,5 +505,4 @@ def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
                 f"threshold session failed: {server.error_code.name}")
     digest = server.finalize()
     transcript.append(server.result_frame())
-    return ThresholdRun(digest=digest, server=server,
-                        participants=participants, transcript=transcript)
+    return ThresholdRun(digest=digest, server=server, transcript=transcript)

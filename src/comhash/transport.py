@@ -2,21 +2,22 @@
 
 A link opens with a handshake: both sides send the 32-byte digest of their
 group parameters (mismatched parameter sets are rejected immediately), then
-exchange fresh link public keys. A peer key equal to the identity or to our
-own is rejected. Each side then computes the shared element peer^secret
-once and derives one key per direction with HKDF-SHA256 (RFC 5869): the
+exchange fresh link public keys. A peer key of order at most 2 (the
+identity, or p - 1 in primitive-mode modp) or equal to our own is rejected.
+Each side then computes the shared element peer^secret once and derives a
+stream key and a MAC key per direction with HKDF-SHA256 (RFC 5869): the
 parameter digest is the salt, the encoded shared element the input keying
 material, and ``info`` a version label followed by the sender's and then the
 receiver's encoded link key.
 
-Every frame afterwards travels as one record: u32 length | body | 16-byte
-tag. The body is the frame XORed with a SHA-256 keystream under the
-direction's key and the record's sequence number, and the tag is
-HMAC-SHA256 over u64 sequence number | body. Each direction numbers its
-records from zero and the number never travels, as in TLS 1.3 (RFC 8446
-§5.3), so a record that is replayed, reordered, reflected, truncated,
-forged without the keys or taken from another link fails its tag. A record
-costs no exponentiation.
+Every frame afterwards travels as one record: u32 length | ``pke.seal``
+(stream key | seq, MAC key, seq, frame), with seq the record's u64
+sequence number. This module keeps only the sockets and the numbering; the
+record's bytes are ``pke``'s. Each direction numbers its records from zero
+and the number never travels, as in TLS 1.3 (RFC 8446 §5.3), so a record
+that is replayed, reordered, reflected, truncated, forged without the keys
+or taken from another link fails its tag. A record costs no
+exponentiation.
 
 The first rejected record ends the link: a stream whose sequence numbers
 are implicit cannot resynchronise, so every later ``send_frame`` or
@@ -27,15 +28,14 @@ side.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
+import itertools
 import random
 import socket
 from typing import Optional
 
 from .encoding import (Reader, element_byte_length, element_from_bytes, element_to_bytes,
                        params_digest, prefixed)
-from .errors import EncodingError, TransportError
+from .errors import AuthenticationError, EncodingError, TransportError
 from .groups import GroupParams
 from . import pke
 
@@ -53,34 +53,6 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return buf
 
 
-class _Direction:
-    """One direction's stream and MAC keys and its next sequence number."""
-
-    def __init__(self, key_material: bytes):
-        self.stream_key, self.mac_key = key_material[:32], key_material[32:]
-        self.seq = 0
-
-    def _next_seq(self) -> bytes:
-        seq = self.seq.to_bytes(8, "big")  # OverflowError after 2^64 records
-        self.seq += 1
-        return seq
-
-    def _tag(self, seq: bytes, body: bytes) -> bytes:
-        return hmac.new(self.mac_key, seq + body, hashlib.sha256).digest()[:pke.TAG_LENGTH]
-
-    def seal(self, frame: bytes) -> bytes:
-        seq = self._next_seq()
-        body = pke.keystream_xor(frame, self.stream_key + seq)
-        return body + self._tag(seq, body)
-
-    def open(self, record: bytes) -> bytes:
-        seq = self._next_seq()
-        body, tag = record[:-pke.TAG_LENGTH], record[-pke.TAG_LENGTH:]
-        if not hmac.compare_digest(self._tag(seq, body), tag):
-            raise TransportError("record rejected: tag mismatch")
-        return pke.keystream_xor(body, self.stream_key + seq)
-
-
 class SecureChannel:
     """One end of an encrypted frame link over a connected stream socket."""
 
@@ -91,8 +63,8 @@ class SecureChannel:
         self.rng = rng if rng is not None else random.SystemRandom()
         self.keypair = pke.generate_keypair(params, self.rng)
         self.peer_public = None
-        self._send: Optional[_Direction] = None  # both set by the handshake
-        self._recv: Optional[_Direction] = None
+        # "send"/"recv": stream key, MAC key, sequence numbers; set by the handshake
+        self._keys = {}
         self._failed = False
 
     def handshake(self) -> None:
@@ -108,15 +80,24 @@ class SecureChannel:
             peer_public = element_from_bytes(self.params, raw)
         except EncodingError as exc:
             raise TransportError(f"bad link key from peer: {exc}") from exc
-        if peer_public == self.params.identity:
-            raise TransportError("bad link key from peer: the identity")
+        # peer^secret of such a key takes one of at most two public values
+        if self.params.combine(peer_public, peer_public) == self.params.identity:
+            raise TransportError("bad link key from peer: order 2 or the identity")
         if peer_public == self.keypair.public:
             raise TransportError("bad link key from peer: our own")
         shared = element_to_bytes(self.params,
                                   self.params.power(peer_public, self.keypair.secret))
-        self._send = _Direction(pke.hkdf(digest, shared, _KEY_LABEL + mine + raw, 64))
-        self._recv = _Direction(pke.hkdf(digest, shared, _KEY_LABEL + raw + mine, 64))
+        for direction, info in (("send", mine + raw), ("recv", raw + mine)):
+            key = pke.hkdf(digest, shared, _KEY_LABEL + info, 64)
+            self._keys[direction] = key[:32], key[32:], itertools.count()
         self.peer_public = peer_public
+
+    def _record_keys(self, direction: str) -> tuple:
+        """pke.seal's keys and header for the direction's next record: its
+        stream key under the sequence number, its MAC key and that number."""
+        stream_key, mac_key, numbers = self._keys[direction]
+        seq = next(numbers).to_bytes(8, "big")  # OverflowError after 2^64 records
+        return stream_key + seq, mac_key, seq
 
     def _check_usable(self) -> None:
         if self._failed:
@@ -129,7 +110,8 @@ class SecureChannel:
         if len(frame_bytes) > pke.MAX_PLAINTEXT:
             raise TransportError("frame too long for one record")
         try:
-            self.sock.sendall(prefixed(self._send.seal(frame_bytes), _RECORD_PREFIX))
+            record = pke.seal(*self._record_keys("send"), frame_bytes)
+            self.sock.sendall(prefixed(record, _RECORD_PREFIX))
         except BaseException:
             self._failed = True  # the peer may hold part of a record
             raise
@@ -142,7 +124,11 @@ class SecureChannel:
                 raise TransportError("record too short")
             if length > pke.MAX_PLAINTEXT + pke.TAG_LENGTH:
                 raise TransportError("record too large")
-            return self._recv.open(_read_exact(self.sock, length))
+            record = _read_exact(self.sock, length)
+            try:
+                return pke.unseal(*self._record_keys("recv"), record)
+            except AuthenticationError as exc:
+                raise TransportError("record rejected: tag mismatch") from exc
         except BaseException:
             self._failed = True
             raise

@@ -193,3 +193,34 @@ def test_modp2048_receipt_exponents_are_short(modp2048, monkeypatch):
 ])
 def test_hkdf_matches_the_rfc_vectors(salt, ikm, info, okm):
     assert pke.hkdf(salt, ikm, info, 42).hex() == okm
+
+
+SEAL_KEYS = bytes(range(32)), bytes(range(32, 64))  # stream key, MAC key
+
+
+@pytest.mark.parametrize("data", [b"", b"x", bytes(range(100))])
+def test_seal_round_trips(data):
+    sealed = pke.seal(*SEAL_KEYS, b"header", data)
+    assert len(sealed) == len(data) + pke.TAG_LENGTH
+    assert pke.unseal(*SEAL_KEYS, b"header", sealed) == data
+
+
+def test_unseal_rejects_any_flipped_byte_and_another_mac_key():
+    header, data = bytes(8), b"one frame"
+    sealed = pke.seal(*SEAL_KEYS, header, data)
+
+    def flipped(value, i):
+        return value[:i] + bytes([value[i] ^ 0x01]) + value[i + 1:]
+
+    for i in range(len(header)):
+        with pytest.raises(AuthenticationError):
+            pke.unseal(*SEAL_KEYS, flipped(header, i), sealed)
+    for i in range(len(sealed)):  # the body, then the tag
+        with pytest.raises(AuthenticationError):
+            pke.unseal(*SEAL_KEYS, header, flipped(sealed, i))
+    stream_key, mac_key = SEAL_KEYS
+    with pytest.raises(AuthenticationError):
+        pke.unseal(stream_key, stream_key, header, sealed)
+    # bytes too short to hold a tag fail the same way
+    with pytest.raises(AuthenticationError):
+        pke.unseal(*SEAL_KEYS, header, sealed[:pke.TAG_LENGTH - 1])

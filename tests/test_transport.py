@@ -1,3 +1,4 @@
+import hashlib
 import random
 import socket
 import struct
@@ -404,5 +405,37 @@ def test_link_power_budget(secp, monkeypatch):
         server.send_frame(FRAME_B)
         assert client.recv_frame() == FRAME_B
     assert bases == []
+    client.close()
+    server.close()
+
+
+def test_handshake_rejects_an_order_2_link_key(toy_primitive):
+    # in primitive mode p - 1 = 22 is a valid element of order 2: 22^secret
+    # is 1 or 22, so both record keys would come from one of two public values
+    a, b = socket.socketpair()
+    b.sendall(params_digest(toy_primitive) + bytes([22]))
+    channel = SecureChannel(a, toy_primitive, rng=random.Random(3))
+    with pytest.raises(TransportError, match="order 2"):
+        channel.handshake()
+    assert channel.peer_public is None
+    with pytest.raises(TransportError):
+        channel.send_frame(b"data")
+    a.close()
+    b.close()
+
+
+def test_link_record_bytes_pinned(secp):
+    # the SHA-256 of every record two seeded channels send each way, length
+    # prefixes included; each record still opens at its receiver
+    client, server = socketpair_channels(secp)
+    wire = hashlib.sha256()
+    for frame in (FRAME_A, FRAME_B, b"", bytes(range(256)) * 3):
+        for sender, receiver in ((client, server), (server, client)):
+            record = captured(sender, receiver, frame)
+            wire.update(record)
+            sender.sock.sendall(record)
+            assert receiver.recv_frame() == frame
+    pinned = "d4acf1d7b8b707c6807c0514ad2e1c59e024bab460efc19b59e32bc1a87e8783"
+    assert wire.hexdigest() == pinned
     client.close()
     server.close()
