@@ -9,13 +9,19 @@ codec ``element_width``, ``encode`` (trusting) and ``decode`` (strict); and
 ``generator_candidate`` and ``structure_problems``, the backend's steps of
 ``derive_second_generator`` and ``validate_group``.
 
-Both backends' ``power`` send a base equal to ``g`` or ``h`` to one Lim-Lee
-comb (CRYPTO '94): the same table builder and evaluation loop, given each
-backend's identity, squaring and multiplication, with tables built once per
-process and shared by value. Mod p every other base goes to built-in
-``pow``. On a curve with the GLV endomorphism
-(Gallant-Lambert-Vanstone, CRYPTO 2001: a == 0, field prime and order both
-1 mod 3, as on secp256k1) every other base goes to one interleaved width-5
+``power`` routes by what the caller says, never by the exponent's value.
+Both backends send two kinds of base to one Lim-Lee comb (CRYPTO '94): the
+same table builder and evaluation loop, given each backend's identity,
+squaring and multiplication, with tables built once per process and shared
+by value, per (base, bits). ``power(base, e)`` sends ``g`` and ``h`` there,
+on tables as wide as the exponent modulus, and reduces e by it.
+``power(base, e, bits=b)`` marks base as long-lived and e as below 2^b,
+which it checks instead of reducing: base, whatever it is, gets a b-bit
+table, and a base other than ``g`` and ``h`` is checked to be a group
+element other than the identity once, when that table is built. Without
+``bits``, every other base goes mod p to built-in ``pow``; on a curve with
+the GLV endomorphism (Gallant-Lambert-Vanstone, CRYPTO 2001: a == 0, field
+prime and order both 1 mod 3, as on secp256k1) to one interleaved width-5
 w-NAF loop over two half-length scalars; on any other curve, to width-5
 w-NAF over the full scalar.
 """
@@ -36,20 +42,26 @@ Point = Optional[Tuple[int, int]]  # affine coordinates; None is the identity
 
 DEFAULT_H_LABEL = b"comhash/second-generator/v1"
 
-# g and h get Lim-Lee comb tables in both backends. The exponent's bits are
-# laid out as COMB_TEETH rows (teeth) split into COMB_COLUMNS columns of
-# span = ceil(bits / (teeth * columns)) bits each. The table holds, per
-# column, the product of every subset of the teeth's base powers: columns *
-# 2^teeth = 1024 entries per generator, about 0.2 MB on secp256k1 (1,020
-# affine points), 0.31 MB at 2048 bits and 0.42 MB at 3072. A power costs
-# span squarings and at most columns * span multiplications: 8 doublings and
-# 32 mixed additions on secp256k1 (0.35-0.42 ms; a table builds in 16-18 ms),
-# 64 and 256 at 2048 bits (5-6 ms against 31 ms for built-in pow; 40-45 ms to
-# build), with Python 3.11 on a 2-vCPU Xeon VM. The shape is set by memory:
-# mod p, 8 x 6 and 9 x 3 (0.47 MB at 2048 bits) measured no faster and 8 x 8
-# (0.63 MB) under 10% faster; on the curve 8 x 4 beat a 4-bit fixed window of
-# 960 points (up to 64 additions, 0.52-0.57 ms). Every other curve base uses
-# width-WNAF_WIDTH w-NAF.
+# Every comb table has one shape, whatever its width. An exponent's bits
+# below 2^bits are laid out as COMB_TEETH rows (teeth) split into
+# COMB_COLUMNS columns of span = ceil(bits / (teeth * columns)) bits each.
+# The table holds, per column, the product of every subset of the teeth's
+# base powers: columns * 2^teeth = 1024 entries, whose size is set by the
+# element width, not by bits: about 0.19 MB on secp256k1 (1,020 affine
+# points), 0.31 MB at 2048 bits and 0.42 MB at 3072. A power costs span
+# squarings and at most columns * span multiplications. With Python 3.11 on
+# a 2-vCPU Xeon VM:
+# - secp256k1, 256 bits (g, h, a long-lived key): 8 doublings and 32 mixed
+#   additions, 0.28-0.42 ms against 1.0-1.3 ms for GLV; 14-18 ms to build.
+# - 2048 bits, full width (g, h): 64 and 256, 5-6 ms against 31 ms for
+#   built-in pow; 40-45 ms to build.
+# - 2048 bits, 320 bits (g and a long-lived key under pke's receipt
+#   exponents): 10 and 40, 0.8-1.0 ms against 4.6-5.8 ms for built-in pow;
+#   about 20 ms to build.
+# The shape is set by memory: mod p, 8 x 6 and 9 x 3 (0.47 MB at 2048 bits)
+# measured no faster and 8 x 8 (0.63 MB) under 10% faster; on the curve
+# 8 x 4 beat a 4-bit fixed window of 960 points (up to 64 additions,
+# 0.52-0.57 ms). Every other curve base uses width-WNAF_WIDTH w-NAF.
 COMB_TEETH = 8
 COMB_COLUMNS = 4
 WNAF_WIDTH = 5
@@ -240,13 +252,20 @@ class ModpParams:
             raise EncodingError("value is not a group element")
         return el
 
-    def power(self, base: int, exponent: int) -> int:
+    def power(self, base: int, exponent: int, bits: Optional[int] = None) -> int:
+        """base^exponent. With ``bits``, base is long-lived and
+        0 <= exponent < 2^bits: base gets a comb table of that width, and
+        any other exponent raises ``GroupError``."""
         base = self._check(base)
-        k = exponent % self.exponent_modulus
-        if base == self.g or base == self.h:
-            table = _modp_comb_table(self.modulus, self.exponent_modulus, base)
-            return _comb_pow(table, self.exponent_modulus, k, *_modp_ops(self.modulus))
-        return pow(base, k, self.modulus)
+        if bits is None:
+            k = exponent % self.exponent_modulus
+            if base != self.g and base != self.h:
+                return pow(base, k, self.modulus)
+            bits = self.exponent_modulus.bit_length()
+        else:
+            k = _bounded(exponent, bits)
+        return _comb_pow(_modp_comb_table(self, base, bits), bits, k,
+                         *_modp_ops(self.modulus))
 
     def combine(self, e1: int, e2: int) -> int:
         return self._check(e1) * self._check(e2) % self.modulus
@@ -361,19 +380,24 @@ class EcParams:
             y = p - y
         return (x, y)
 
-    def power(self, base: Point, exponent: int) -> Point:
+    def power(self, base: Point, exponent: int, bits: Optional[int] = None) -> Point:
+        """exponent * base; ``bits`` as in ``ModpParams.power``."""
         self._check(base)
-        k = exponent % self.order
-        if base is None or k == 0:
-            return None
         p, a = self.field_prime, self.curve_a
-        if base == self.g or base == self.h:
-            table = _ec_comb_table(p, a, self.order, base)
-            return _normalize([_comb_pow(table, self.order, k, *_ec_ops(p, a))], p)[0]
-        glv = _glv_constants(p, a, self.order, self.g)
-        if glv is not None:
-            return _glv_mul(self, base, k, glv)
-        return _ec_mul(self, base, k)
+        if bits is None:
+            k = exponent % self.order
+            if base is None or k == 0:
+                return None
+            if base != self.g and base != self.h:
+                glv = _glv_constants(p, a, self.order, self.g)
+                if glv is not None:
+                    return _glv_mul(self, base, k, glv)
+                return _ec_mul(self, base, k)
+            bits = self.order.bit_length()
+        else:
+            k = _bounded(exponent, bits)
+        table = _ec_comb_table(self, base, bits)
+        return _normalize([_comb_pow(table, bits, k, *_ec_ops(p, a))], p)[0]
 
     def combine(self, p1: Point, p2: Point) -> Point:
         return _ec_add(self, self._check(p1), self._check(p2))
@@ -415,14 +439,23 @@ GroupParams = Union[ModpParams, EcParams]
 # fixed-base comb, shared by both backends
 # ---------------------------------------------------------------------------
 
-def _comb_span(order: int) -> int:
-    """Bits per column: teeth * columns * span covers every exponent below order."""
-    return -(-order.bit_length() // (COMB_TEETH * COMB_COLUMNS))
+def _comb_span(bits: int) -> int:
+    """Bits per column: teeth * columns * span covers every exponent below 2^bits."""
+    return -(-bits // (COMB_TEETH * COMB_COLUMNS))
 
 
-def _comb_pow(table: tuple, order: int, k: int, one, square, mul):
-    """base^k for 0 <= k < order from base's comb table, in the backend's
-    group operations: ``mul(r, entry)`` multiplies by a table entry.
+def _bounded(exponent: int, bits: int) -> int:
+    # a long-lived base's exponent is never reduced: one out of its bound
+    # is a caller's mistake
+    if not 0 <= exponent < 1 << bits:
+        raise GroupError(f"exponent outside [0, 2^{bits})")
+    return exponent
+
+
+def _comb_pow(table: tuple, bits: int, k: int, one, square, mul):
+    """base^k for 0 <= k < 2^bits from base's comb table of that width, in
+    the backend's group operations: ``mul(r, entry)`` multiplies by a table
+    entry.
 
     Tooth i holds bits [i*a, (i+1)*a) of k, a = span * columns, and column j
     of a tooth its bits [j*span, (j+1)*span). The digit at (j, s) gathers bit
@@ -430,13 +463,13 @@ def _comb_pow(table: tuple, order: int, k: int, one, square, mul):
     column j's row. One squaring per bit of a column, one multiplication per
     nonzero digit.
     """
-    span = _comb_span(order)
+    span = _comb_span(bits)
     a = span * COMB_COLUMNS
     mask = (1 << a) - 1
     # zip reads the teeth's binary strings column by column; the last tooth
     # comes first so that it lands on the digit's top bit
     teeth = [f"{(k >> (i * a)) & mask:0{a}b}" for i in reversed(range(COMB_TEETH))]
-    digits = [int("".join(bits), 2) for bits in zip(*teeth)][::-1]
+    digits = [int("".join(column), 2) for column in zip(*teeth)][::-1]
     r = one
     for s in range(span - 1, -1, -1):
         r = square(r)
@@ -447,15 +480,20 @@ def _comb_pow(table: tuple, order: int, k: int, one, square, mul):
     return r
 
 
-def _comb_rows(base, order: int, one, square, mul, normalize) -> tuple:
-    """Row j, entry u: the product over the set bits i of u of
-    base^(2^(i*a + j*span)), with entry 0 the identity; ``normalize`` puts a
-    list of results into the form ``mul`` takes as its second operand.
+def _comb_rows(params: GroupParams, base, bits: int, one, square, mul, normalize) -> tuple:
+    """base's comb table for exponents below 2^bits. Row j, entry u: the
+    product over the set bits i of u of base^(2^(i*a + j*span)), with entry
+    0 the identity; ``normalize`` puts a list of results into the form
+    ``mul`` takes as its second operand.
 
-    The base powers cost one squaring per exponent bit and each entry one
-    multiplication.
+    A base other than g and h is checked here, once per table, to be a group
+    element other than the identity. The base powers cost one squaring per
+    exponent bit and each entry one multiplication.
     """
-    span = _comb_span(order)
+    if base != params.g and base != params.h and (
+            base == params.identity or not params.element_valid(base)):
+        raise GroupError("a comb table's base must be a group element other than the identity")
+    span = _comb_span(bits)
     powers = [mul(one, base)]  # base^(2^(n*span)); tooth i, column j is n = i*columns + j
     for _ in range(COMB_TEETH * COMB_COLUMNS - 1):
         x = powers[-1]
@@ -488,19 +526,21 @@ def _ec_ops(p: int, a: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _modp_comb_table(p: int, order: int, base: int) -> tuple:
-    """base's comb table mod p. Keyed by value, not by params instance, so
-    every ``modp_group(2048)`` in a process shares one table per generator.
-    The bound caps the memory a process that builds many parameter sets
-    spends on tables."""
-    return _comb_rows(base, order, *_modp_ops(p), list)
+def _modp_comb_table(params: ModpParams, base: int, bits: int) -> tuple:
+    """base's comb table of width bits mod p. Keyed by value, not by params
+    instance, so every ``modp_group(2048)`` in a process shares one table
+    per (base, bits). The bound caps the memory a process that builds many
+    parameter sets or long-lived keys spends on tables."""
+    return _comb_rows(params, base, bits, *_modp_ops(params.modulus), list)
 
 
 @functools.lru_cache(maxsize=16)
-def _ec_comb_table(p: int, a: int, order: int, base: Tuple[int, int]) -> tuple:
-    """base's comb table on a curve, entries affine and batch-normalised;
-    keyed by value like ``_modp_comb_table``."""
-    return _comb_rows(base, order, *_ec_ops(p, a), lambda pts: _normalize(pts, p))
+def _ec_comb_table(params: EcParams, base: Tuple[int, int], bits: int) -> tuple:
+    """base's comb table of width bits on a curve, entries affine and
+    batch-normalised; keyed by value like ``_modp_comb_table``."""
+    p = params.field_prime
+    return _comb_rows(params, base, bits, *_ec_ops(p, params.curve_a),
+                      lambda pts: _normalize(pts, p))
 
 
 # ---------------------------------------------------------------------------

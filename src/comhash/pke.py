@@ -25,6 +25,14 @@ such an exponent is Pollard's lambda, about 2^160 steps (van Oorschot and
 Wiener, EUROCRYPT '96), and RFC 7919 App. A asks for at least 225 bits at
 2048 and 275 at 3072. The protocol's own hash exponents (x, y, m and the
 blinding) do not come from here and stay full width.
+
+Every such exponent is below 2^bits, bits the bound's width, and is raised
+on comb tables of that width (``groups``' ``power(..., bits=bits)``):
+``g`` always, for key pairs and ephemerals, and the recipient's key when
+``encrypt`` is told it is long-lived, as a share receipt's server key is.
+That key is then checked once, when its table is built, where any other
+key is checked on every call. The ephemeral^secret of ``decrypt`` takes
+the general route: an ephemeral is used once.
 """
 
 from __future__ import annotations
@@ -53,10 +61,20 @@ def _rng(rng) -> random.Random:
     return random.SystemRandom() if rng is None else rng
 
 
+def _bound(params: GroupParams) -> int:
+    return min(params.exponent_modulus, 1 << RECEIPT_EXPONENT_BITS)
+
+
+def _exponent_bits(params: GroupParams) -> int:
+    """The ``bits`` of every key secret's and ephemeral's comb table: each
+    exponent is below 2^bits."""
+    return (_bound(params) - 1).bit_length()
+
+
 def _exponent(params: GroupParams, rng: random.Random) -> int:
     """A key secret or ephemeral exponent, nonzero and below
     min(exponent_modulus, 2^RECEIPT_EXPONENT_BITS)."""
-    bound = min(params.exponent_modulus, 1 << RECEIPT_EXPONENT_BITS)
+    bound = _bound(params)
     s = rng.randrange(bound)
     while s == 0:  # zero would publish the identity
         s = rng.randrange(bound)
@@ -65,7 +83,8 @@ def _exponent(params: GroupParams, rng: random.Random) -> int:
 
 def generate_keypair(params: GroupParams, rng=None) -> KeyPair:
     secret = _exponent(params, _rng(rng))
-    return KeyPair(secret=secret, public=params.power(params.g, secret))
+    return KeyPair(secret=secret,
+                   public=params.power(params.g, secret, bits=_exponent_bits(params)))
 
 
 def _derive_key(params: GroupParams, shared) -> bytes:
@@ -118,22 +137,26 @@ def _receipt_header(ephemeral_bytes: bytes, associated: bytes) -> bytes:
 
 
 def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
-            associated: bytes = b"") -> bytes:
+            associated: bytes = b"", *, long_lived: bool = False) -> bytes:
     """Encrypt to ``public`` and return the ciphertext's wire bytes; the tag
     also covers ``associated``, which ``decrypt`` must be given unchanged.
 
-    ``public`` is checked here, one membership test per call, because it may
-    come from outside and the KEM point ``public^e`` is encoded as trusted.
+    ``public`` is checked, because it may come from outside and the KEM
+    point ``public^e`` is encoded as trusted. A ``long_lived`` key gets a
+    comb table, and is checked once, when its table is built; any other key
+    is checked on every call and raised to e by the backend's general route.
+    Both raise ``GroupError``.
     """
     if len(plaintext) > MAX_PLAINTEXT:
         raise EncodingError("plaintext too long")
     if len(associated) > MAX_PLAINTEXT:
         raise EncodingError("associated data too long")
-    if public == params.identity or not params.element_valid(public):
+    if not long_lived and (public == params.identity or not params.element_valid(public)):
         raise GroupError("public key is not a group element other than the identity")
+    bits = _exponent_bits(params)
     e = _exponent(params, _rng(rng))
-    ephemeral_bytes = element_to_bytes(params, params.power(params.g, e))
-    key = _derive_key(params, params.power(public, e))
+    ephemeral_bytes = element_to_bytes(params, params.power(params.g, e, bits=bits))
+    key = _derive_key(params, params.power(public, e, bits=bits if long_lived else None))
     sealed = seal(key, key, _receipt_header(ephemeral_bytes, associated), plaintext)
     # the u16 body length: the body is exactly as long as the plaintext
     return ephemeral_bytes + len(plaintext).to_bytes(2, "big") + sealed

@@ -20,7 +20,8 @@ from comhash.bench import (
     run_bench,
     write_csv,
 )
-from comhash import cli
+from comhash import bench, cli, groups
+from comhash.net import run_basic_session
 
 
 def test_exact_line_recovered():
@@ -92,6 +93,25 @@ def test_run_bench_full_size_sweep_shape(toy_subgroup):
     assert len(points) == 13
     # time grows with the participant count at the large end
     assert points[-1].mean_s > points[0].mean_s
+
+
+@pytest.mark.parametrize("backend", ["ec", "modp"])
+def test_run_bench_builds_every_comb_table_in_setup(backend, monkeypatch):
+    # a table built inside a timed trial would time its construction too
+    tables = (groups._ec_comb_table, groups._modp_comb_table, groups._glv_constants)
+    for table in tables:
+        table.cache_clear()
+    built = []
+
+    def timed(*args, **kwargs):
+        before = [table.cache_info().misses for table in tables]
+        outcome = run_basic_session(*args, **kwargs)
+        built.append([table.cache_info().misses - b for table, b in zip(tables, before)])
+        return outcome
+
+    monkeypatch.setattr(bench, "run_basic_session", timed)
+    run_bench(backend, [1, 2], trials=2, seed=8)
+    assert built == [[0, 0, 0]] * 4
 
 
 def test_run_bench_rejects_bad_args(toy_subgroup):

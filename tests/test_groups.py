@@ -16,13 +16,14 @@ from comhash import (
     secp256k1,
     validate_group,
 )
-from comhash import groups
+from comhash import groups, pke
 from comhash.groups import (
     COMB_COLUMNS,
     COMB_TEETH,
     _ec_add,
     _ec_mul,
     _glv_constants,
+    _glv_mul,
     _glv_split,
     _jacobi,
     is_probable_prime,
@@ -419,6 +420,99 @@ def test_modp_comb_table_follows_the_base_not_the_group(modp2048, rng):
         k = rng.randrange(modp2048.exponent_modulus)
         assert other.power(other.h, k) == pow(other.h, k, other.modulus)
         assert modp2048.power(modp2048.h, k) == pow(modp2048.h, k, modp2048.modulus)
+
+
+# ---------------------------------------------------------------------------
+# bounded comb: power(base, exponent, bits=...)
+# ---------------------------------------------------------------------------
+
+def _bounded_exponents(bits: int) -> list:
+    """0, 1, 2^bits - 1 and 2^(span*j) +- 1 at every column and tooth
+    boundary below 2^bits."""
+    span = -(-bits // (COMB_TEETH * COMB_COLUMNS))
+    ks = {0, 1, 2**bits - 1}
+    for j in range(1, COMB_TEETH * COMB_COLUMNS + 1):
+        ks |= {2**(span * j) - 1, 2**(span * j) + 1}
+    return sorted(k for k in ks if k < 2**bits)
+
+
+def test_modp_bounded_comb_matches_builtin_pow(modp2048, rng):
+    bits = pke._exponent_bits(modp2048)
+    assert bits == 320
+    p = modp2048.modulus
+    key = pow(modp2048.g, rng.randrange(2**320), p)
+    for base in (modp2048.g, modp2048.h, key):
+        for k in _bounded_exponents(bits):
+            assert modp2048.power(base, k, bits=bits) == pow(base, k, p), (base, k)
+
+
+def test_secp_bounded_comb_matches_glv(secp, rng):
+    bits = pke._exponent_bits(secp)
+    assert bits == 256  # the order bounds a curve's receipt exponents
+    n = secp.order
+    glv = _glv_constants(secp.field_prime, secp.curve_a, n, secp.g)
+    key = secp.power(secp.g, rng.randrange(1, n))
+    for base in (secp.g, secp.h, key):
+        for k in _bounded_exponents(bits):
+            expected = _glv_mul(secp, base, k % n, glv) if k % n else None
+            assert secp.power(base, k, bits=bits) == expected, (base, k)
+
+
+@pytest.mark.parametrize("which", ["modp2048", "secp", "toy_subgroup", "toy_curve"])
+def test_bounded_comb_rejects_an_exponent_out_of_its_bound(which, request):
+    params = request.getfixturevalue(which)
+    bits = pke._exponent_bits(params)
+    for k in (2**bits, 2**bits + 1, 2**(bits + 8), -1):
+        with pytest.raises(GroupError):
+            params.power(params.g, k, bits=bits)
+
+
+@pytest.mark.parametrize("which", ["toy_subgroup", "toy_primitive", "toy_curve"])
+def test_bounded_comb_on_the_toy_groups(which, request):
+    params = request.getfixturevalue(which)
+    members = [el for el in (enumerate_curve_points(params) if params.backend == "ec"
+                             else range(1, params.modulus))
+               if el != params.identity and params.element_valid(el)]
+    for bits in (pke._exponent_bits(params), 7):
+        for base in members:
+            expected = params.identity
+            for k in range(2**bits):  # base combined with itself k times
+                assert params.power(base, k, bits=bits) == expected, (base, k, bits)
+                expected = params.combine(expected, base)
+
+
+@pytest.mark.parametrize("which, bad", [
+    ("toy_subgroup", 5),  # not a square mod 23
+    ("toy_subgroup", 1),
+    ("toy_curve", None),
+    ("secp", None),
+    ("secp", (1, 1)),  # off the curve
+])
+def test_bounded_comb_rejects_a_base_outside_the_group(which, bad, request):
+    params = request.getfixturevalue(which)
+    with pytest.raises(GroupError):
+        params.power(bad, 1, bits=pke._exponent_bits(params))
+
+
+def test_bounded_comb_checks_a_base_once_per_table(modp2048, rng, monkeypatch):
+    checked = []
+    element_valid = ModpParams.element_valid
+
+    def counted(self, el):
+        checked.append(el)
+        return element_valid(self, el)
+
+    monkeypatch.setattr(ModpParams, "element_valid", counted)
+    groups._modp_comb_table.cache_clear()
+    key = pow(modp2048.g, rng.randrange(2**320), modp2048.modulus)
+    for _ in range(3):
+        modp2048.power(key, rng.randrange(2**320), bits=320)
+    modp2048.power(key, rng.randrange(2**64), bits=64)  # another width, another table
+    assert checked == [key, key]
+    # g and h are checked with the group, never per table
+    modp2048.power(modp2048.g, 5, bits=48)
+    modp2048.power(modp2048.h, 5, bits=48)
+    assert checked == [key, key]
 
 
 # ---------------------------------------------------------------------------

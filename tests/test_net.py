@@ -270,17 +270,18 @@ def test_unseeded_sessions_draw_fresh_session_ids(toy_subgroup):
 
 
 @pytest.mark.parametrize("which, per_share, per_session", [
-    ("modp2048", 3, 0),
-    ("secp", 5, 1),
+    ("modp2048", 2, 0),
+    ("secp", 4, 1),
 ], ids=["modp2048", "secp"])
 def test_modp_session_membership_budget(which, per_share, per_session, request,
                                         monkeypatch):
     # per share, only untrusted values get a membership check: the share
-    # element and the receipt's ephemeral as the server decodes them, and
-    # the server key in pke.encrypt; computed elements are encoded unchecked.
-    # A curve point's encoding is checked on the curve instead, and decoding
-    # one needs no check: per share the key check, the share element, the
-    # ephemeral and both KEM points as encoded, and once the digest.
+    # element and the receipt's ephemeral as the server decodes them;
+    # computed elements are encoded unchecked. A curve point's encoding is
+    # checked on the curve instead, and decoding one needs no check: per
+    # share the share element, the ephemeral and both KEM points as encoded,
+    # and once the digest. The server key is checked once per value, when
+    # its comb table is built: in the first of two sessions, not the second.
     params = request.getfixturevalue(which)
     cls = type(params)
     rng = random.Random(12)
@@ -288,17 +289,39 @@ def test_modp_session_membership_budget(which, per_share, per_session, request,
     keys = [ParticipantKeys.random(params, rng) for _ in range(n)]
     server = pke.generate_keypair(params, rng)
     m = rng.randrange(params.exponent_modulus)
+    groups._modp_comb_table.cache_clear()
+    groups._ec_comb_table.cache_clear()
     calls = Counter()
     for name in ("power", "element_valid"):
-        def counted(self, *args, _name=name, _method=getattr(cls, name)):
+        def counted(self, *args, _name=name, _method=getattr(cls, name), **kwargs):
             calls[_name] += 1
-            return _method(self, *args)
+            return _method(self, *args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
-    out = run_basic_session(params, keys, m, owner_index=2, seed=5, server_keypair=server)
-    assert out.phase is Phase.DONE
-    assert calls == {"element_valid": per_share * n + per_session, "power": 5 * n}
+    outs = [run_basic_session(params, keys, m, owner_index=2, seed=seed,
+                              server_keypair=server) for seed in (5, 6)]
+    assert [out.phase for out in outs] == [Phase.DONE, Phase.DONE]
+    assert calls == {"element_valid": 2 * (per_share * n + per_session) + 1,
+                     "power": 2 * 5 * n}
     monkeypatch.undo()
-    assert out.digest == reference_digest(params, m, keys)
+    for out in outs:
+        assert out.digest == reference_digest(params, m, keys)
+
+
+def test_only_a_given_server_key_gets_a_comb_table(secp):
+    # a given server key is long-lived: its table is built in the first
+    # session and read in the next; a key the session makes is used once
+    rng = random.Random(14)
+    keys = [ParticipantKeys.random(secp, rng) for _ in range(3)]
+    server = pke.generate_keypair(secp, rng)
+    groups._ec_comb_table.cache_clear()
+    run_basic_session(secp, keys, 5, seed=1)  # g's and h's tables
+    built = []
+    for server_keypair in (None, None, server, server):
+        before = groups._ec_comb_table.cache_info().misses
+        out = run_basic_session(secp, keys, 5, seed=2, server_keypair=server_keypair)
+        assert out.digest == reference_digest(secp, 5, keys)
+        built.append(groups._ec_comb_table.cache_info().misses - before)
+    assert built == [0, 0, 1, 0]
 
 
 def test_session_power_budget(secp, monkeypatch):
@@ -312,11 +335,11 @@ def test_session_power_budget(secp, monkeypatch):
     calls = {"fixed": 0, "key": 0, "var": 0}
     power = EcParams.power
 
-    def counted(self, base, exponent):
+    def counted(self, base, exponent, **kwargs):
         kind = ("fixed" if base in (self.g, self.h)
                 else "key" if base == server.public else "var")
         calls[kind] += 1
-        return power(self, base, exponent)
+        return power(self, base, exponent, **kwargs)
 
     monkeypatch.setattr(EcParams, "power", counted)
     out = run_basic_session(secp, keys, m, owner_index=2, seed=5, server_keypair=server)
@@ -327,8 +350,8 @@ def test_session_power_budget(secp, monkeypatch):
 
 
 def test_modp_session_power_budget(modp2048, monkeypatch):
-    # as test_session_power_budget, and g and h come from their comb tables:
-    # built-in pow runs only for pk^e and the server's ephemeral^sk
+    # as test_session_power_budget, and g, h and the server key come from
+    # their comb tables: built-in pow runs only for the server's ephemeral^sk
     rng = random.Random(13)
     n = 4
     keys = [ParticipantKeys.random(modp2048, rng) for _ in range(n)]
@@ -340,11 +363,11 @@ def test_modp_session_power_budget(modp2048, monkeypatch):
     pow_bases = []
     power = ModpParams.power
 
-    def counted(self, base, exponent):
+    def counted(self, base, exponent, **kwargs):
         kind = ("fixed" if base in (self.g, self.h)
                 else "key" if base == server.public else "var")
         calls[kind] += 1
-        return power(self, base, exponent)
+        return power(self, base, exponent, **kwargs)
 
     def counted_pow(base, *args):
         pow_bases.append(base)
@@ -355,7 +378,7 @@ def test_modp_session_power_budget(modp2048, monkeypatch):
     out = run_basic_session(modp2048, keys, m, owner_index=2, seed=5, server_keypair=server)
     assert out.phase is Phase.DONE
     assert calls == {"fixed": 3 * n, "key": n, "var": n}
-    assert len(pow_bases) == 2 * n
-    assert modp2048.g not in pow_bases and modp2048.h not in pow_bases
+    assert len(pow_bases) == n
+    assert not {modp2048.g, modp2048.h, server.public} & set(pow_bases)
     monkeypatch.undo()
     assert out.digest == reference_digest(modp2048, m, keys)

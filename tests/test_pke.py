@@ -125,6 +125,31 @@ def test_encrypt_rejects_a_public_key_outside_the_group(toy_subgroup, secp):
             pke.encrypt(secp, bad, b"nonce", rng=random.Random(1))
 
 
+def test_encrypt_rejects_a_long_lived_key_outside_the_group(toy_subgroup, secp):
+    # a long-lived key is checked when its comb table is built; a bad key
+    # never gets one, so every call checks it again
+    for seed in range(40):
+        for bad in (5, toy_subgroup.identity):
+            with pytest.raises(GroupError):
+                pke.encrypt(toy_subgroup, bad, b"nonce", rng=random.Random(seed),
+                            long_lived=True)
+    for bad in (secp.identity, (1, 1)):
+        with pytest.raises(GroupError):
+            pke.encrypt(secp, bad, b"nonce", rng=random.Random(1), long_lived=True)
+
+
+@pytest.mark.parametrize("which", ["toy_subgroup", "toy_curve", "secp", "modp2048"])
+def test_long_lived_key_gives_the_same_ciphertext(which, request):
+    # the comb route changes how pk^e is computed, never a wire byte
+    params = request.getfixturevalue(which)
+    kp = pke.generate_keypair(params, rng=random.Random(3))
+    for seed in range(3):
+        ct = pke.encrypt(params, kp.public, b"nonce", random.Random(seed), b"ad")
+        assert pke.encrypt(params, kp.public, b"nonce", random.Random(seed), b"ad",
+                           long_lived=True) == ct
+        assert pke.decrypt(params, kp.secret, ct, b"ad") == b"nonce"
+
+
 def test_associated_data_is_bound_by_the_tag(secp):
     kp = pke.generate_keypair(secp, rng=random.Random(5))
     ad = b"share element bytes"
@@ -165,9 +190,9 @@ def test_modp2048_receipt_exponents_are_short(modp2048, monkeypatch):
     exponents = []
     power = type(modp2048).power
 
-    def recorded(self, base, exponent):
+    def recorded(self, base, exponent, **kwargs):
         exponents.append(exponent)
-        return power(self, base, exponent)
+        return power(self, base, exponent, **kwargs)
 
     monkeypatch.setattr(type(modp2048), "power", recorded)
     rng = random.Random(31)

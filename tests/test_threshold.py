@@ -22,7 +22,7 @@ from comhash import (
     run_multiply,
     run_threshold_session,
 )
-from comhash import pke, threshold
+from comhash import groups, pke, threshold
 from comhash.frames import Frame, MsgType, SERVER_ID, encode_frame
 from comhash.groups import scalar_inv
 from comhash.threshold import ThresholdParticipant, ThresholdServer, distinct_nonzero_scalars
@@ -558,6 +558,36 @@ def test_begin_round_inversion_budget(secp, monkeypatch):
     coeffs = [int.from_bytes(frame.payload, "big") for _, frame in issued
               if frame.msg_type is MsgType.THRESH_COEFF]
     assert coeffs == lagrange_at_zero(xs, mod)
+
+
+def test_threshold_round_builds_no_key_table(secp, monkeypatch):
+    # every key in a threshold round is made per session, so no key gets a
+    # comb table: only g takes a bounded power (key pairs and ephemerals),
+    # and after a first round has built g's and h's tables, a second builds
+    # none. The kinds are those of a round where each key takes the general
+    # route: per member, g^sk and the input's g^e and pk^e, its two output
+    # decryptions, and per chosen member a share's g^x and h^y and the
+    # receipt's g^e, pk^e and the server's decryption
+    k, n = 2, 3
+    digest = cvhp(secp, 5 + 7, 6)
+    calls = {"fixed": 0, "var": 0, "bounded": []}
+    power = type(secp).power
+
+    def counted(self, base, exponent, bits=None):
+        calls["fixed" if base in (self.g, self.h) else "var"] += 1
+        if bits is not None:
+            calls["bounded"].append(base)
+        return power(self, base, exponent, bits)
+
+    monkeypatch.setattr(type(secp), "power", counted)
+    for seed in (71, 72):
+        misses = groups._ec_comb_table.cache_info().misses
+        calls.update(fixed=0, var=0, bounded=[])
+        run = run_threshold_session(secp, 5, 6, k, n, 7, random.Random(seed))
+        assert run.digest == digest
+        assert calls == {"fixed": 2 * n + 3 * k + 1, "var": 3 * n + 2 * k,
+                         "bounded": [secp.g] * (2 * n + k + 1)}
+    assert groups._ec_comb_table.cache_info().misses == misses
 
 
 def test_threshold_transcript_bytes_pinned(secp):
