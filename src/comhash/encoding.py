@@ -63,11 +63,6 @@ def scalar_byte_length(params: GroupParams) -> int:
     return (params.exponent_modulus.bit_length() + 7) // 8
 
 
-def element_byte_length(params: GroupParams) -> int:
-    """Width of a non-identity element encoding."""
-    return params.element_width
-
-
 def scalar_to_bytes(params: GroupParams, value: int) -> bytes:
     m = params.exponent_modulus
     if not 0 <= value < m:

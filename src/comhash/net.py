@@ -206,16 +206,12 @@ def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
     The trace ends with the RESULT (or ERROR) broadcast. A session with
     missing shares when the network drains fails with MISSING. A seed makes
     the session reproducible, for simulation; without one, the session id,
-    nonces, keys and receipt ephemerals come from the OS CSPRNG. A given
-    server_keypair is taken to be long-lived, and the receipts give its
-    public key a comb table; without one, the session makes a key that it
-    uses once and builds no table for.
+    nonces, keys and receipt ephemerals come from the OS CSPRNG.
     """
     n = len(keys_list)
     if not 1 <= owner_index <= n:
         raise ValueError("owner_index must name a participant")
     rng = random.SystemRandom() if seed is None else random.Random(seed)
-    long_lived = server_keypair is not None
     if server_keypair is None:
         server_keypair = pke.generate_keypair(params, rng)
     session: Optional[ServerSession] = None  # created when the upload lands
@@ -236,8 +232,7 @@ def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
         owner = OwnerRole(m, blinding, second_message) if index == owner_index else None
         child = None if seed is None else random.Random(rng.randrange(2**63))
         participants[index] = ParticipantSession(params, index, keys, server_keypair.public,
-                                                 owner=owner, rng=child,
-                                                 server_key_long_lived=long_lived)
+                                                 owner=owner, rng=child)
         handlers[index] = _participant_handler(participants[index])
 
     upload = encode_frame(participants[owner_index].upload_request())

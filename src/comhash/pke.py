@@ -29,10 +29,13 @@ blinding) do not come from here and stay full width.
 Every such exponent is below 2^bits, bits the bound's width, and is raised
 on comb tables of that width (``groups``' ``power(..., bits=bits)``):
 ``g`` always, for key pairs and ephemerals, and the recipient's key when
-``encrypt`` is told it is long-lived, as a share receipt's server key is.
-That key is then checked once, when its table is built, where any other
-key is checked on every call. The ephemeral^secret of ``decrypt`` takes
-the general route: an ephemeral is used once.
+``encrypt`` is told it is long-lived. Every share receipt says so, since
+all participants of a session encrypt to the one server key; the sealed
+evaluator's one-shot encryptions to each participant's own key do not, as
+a table per key would cost more than it saves. A long-lived key is checked
+once, when its table is built, where any other key is checked on every
+call. The ephemeral^secret of ``decrypt`` takes the general route: an
+ephemeral is used once.
 """
 
 from __future__ import annotations
@@ -142,10 +145,11 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
     also covers ``associated``, which ``decrypt`` must be given unchanged.
 
     ``public`` is checked, because it may come from outside and the KEM
-    point ``public^e`` is encoded as trusted. A ``long_lived`` key gets a
-    comb table, and is checked once, when its table is built; any other key
-    is checked on every call and raised to e by the backend's general route.
-    Both raise ``GroupError``.
+    point ``public^e`` is encoded as trusted. A ``long_lived`` key, one that
+    several encryptions share, as a server key is, gets a comb table and is
+    checked once, when its table is built; any other key is checked on every
+    call and raised to e by the backend's general route. Both raise
+    ``GroupError``.
     """
     if len(plaintext) > MAX_PLAINTEXT:
         raise EncodingError("plaintext too long")

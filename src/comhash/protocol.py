@@ -48,15 +48,15 @@ class OwnerRole:
 
 
 def share_payload(params: GroupParams, element, server_public, nonce: bytes,
-                  rng: random.Random, long_lived: bool = False) -> bytes:
+                  rng: random.Random) -> bytes:
     """A SHARE payload: the share element's bytes, then the nonce receipt
     encrypted to the server with those bytes as associated data, so the
-    receipt checks out only next to the element it was made for.
-    ``long_lived`` is ``pke.encrypt``'s: whether server_public gets a comb
-    table."""
+    receipt checks out only next to the element it was made for. Every
+    participant of a session encrypts to the one server key, so that key
+    gets a comb table."""
     element_bytes = element_to_bytes(params, element)
     return element_bytes + pke.encrypt(params, server_public, nonce, rng, element_bytes,
-                                       long_lived=long_lived)
+                                       long_lived=True)
 
 
 class ServerSession:
@@ -162,24 +162,18 @@ class ServerSession:
 
 
 class ParticipantSession:
-    """One participant's view of a run: respond to the nonce with a share.
-
-    ``server_key_long_lived`` says that server_public outlives the session,
-    as a server's key does, so the share receipt gives it a comb table; a
-    key made for one session is left without one."""
+    """One participant's view of a run: respond to the nonce with a share."""
 
     def __init__(self, params: GroupParams, index: int, keys: ParticipantKeys,
                  server_public, owner: Optional[OwnerRole] = None,
                  rng: Optional[random.Random] = None,
-                 session_id: Optional[bytes] = None,
-                 server_key_long_lived: bool = True):
+                 session_id: Optional[bytes] = None):
         if index < 1:
             raise ValueError("participant indices are 1-based")
         self.params = params
         self.index = index
         self.keys = keys
         self.server_public = server_public
-        self.server_key_long_lived = server_key_long_lived
         self.owner = owner
         self.rng = rng if rng is not None else random.SystemRandom()
         self.session_id = session_id  # adopted from the first nonce if unset
@@ -198,7 +192,7 @@ class ParticipantSession:
         else:
             element = member_share(self.params, self.keys)
         payload = share_payload(self.params, element, self.server_public,
-                                frame.payload, self.rng, self.server_key_long_lived)
+                                frame.payload, self.rng)
         return Frame(MsgType.SHARE, self.session_id, self.index, payload)
 
     def upload_request(self) -> Frame:

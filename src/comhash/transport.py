@@ -33,8 +33,7 @@ import random
 import socket
 from typing import Optional
 
-from .encoding import (Reader, element_byte_length, element_from_bytes, element_to_bytes,
-                       params_digest, prefixed)
+from .encoding import Reader, element_from_bytes, element_to_bytes, params_digest, prefixed
 from .errors import AuthenticationError, EncodingError, TransportError
 from .groups import GroupParams
 from . import pke
@@ -75,7 +74,7 @@ class SecureChannel:
             raise TransportError("peer uses a different parameter set")
         mine = element_to_bytes(self.params, self.keypair.public)
         self.sock.sendall(mine)
-        raw = _read_exact(self.sock, element_byte_length(self.params))
+        raw = _read_exact(self.sock, self.params.element_width)
         try:
             peer_public = element_from_bytes(self.params, raw)
         except EncodingError as exc:

@@ -10,14 +10,14 @@ from comhash import (
     scalar_from_bytes,
     scalar_to_bytes,
 )
-from comhash.encoding import Reader, element_byte_length, scalar_byte_length
+from comhash.encoding import Reader, scalar_byte_length
 
 
 def test_modp_element_is_fixed_width(toy_subgroup):
     # p = 23 fits one byte, so element 16 encodes as that single byte
     assert element_to_bytes(toy_subgroup, 16) == b"\x10"
     assert element_from_bytes(toy_subgroup, b"\x10") == 16
-    assert element_byte_length(toy_subgroup) == 1
+    assert toy_subgroup.element_width == 1
 
 
 def test_modp_2048_element_width(modp2048):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from comhash import AuthenticationError, EncodingError, GroupError
 from comhash import element_to_bytes, pke
-from comhash.encoding import Reader, element_byte_length, prefixed
+from comhash.encoding import Reader, prefixed
 
 
 def test_keypair_public_is_g_to_secret(toy_subgroup):
@@ -43,7 +43,7 @@ def test_flipped_body_bit_fails_tag(toy_subgroup):
     kp = pke.generate_keypair(toy_subgroup, rng=random.Random(1))
     ct = pke.encrypt(toy_subgroup, kp.public, b"\x00" * 32, rng=random.Random(2))
     # the body starts after the ephemeral and its u16 length
-    body = element_byte_length(toy_subgroup) + 2
+    body = toy_subgroup.element_width + 2
     bad = ct[:body] + bytes([ct[body] ^ 0x80]) + ct[body + 1:]
     with pytest.raises(AuthenticationError):
         pke.decrypt(toy_subgroup, kp.secret, bad)
@@ -59,7 +59,7 @@ def test_encryption_is_randomized(toy_subgroup):
 def test_every_single_byte_corruption_rejected(secp):
     kp = pke.generate_keypair(secp, rng=random.Random(3))
     ct = pke.encrypt(secp, kp.public, b"short and sweet", rng=random.Random(4))
-    header = element_byte_length(secp) + 2  # the ephemeral and the body length
+    header = secp.element_width + 2  # the ephemeral and the body length
     for i in range(len(ct)):
         corrupted = bytearray(ct)
         corrupted[i] ^= 0x01
@@ -100,7 +100,7 @@ def test_ciphertext_encoding_round_trip(toy_curve):
     # a well-formed ciphertext whose ephemeral is the identity
     identity = element_to_bytes(toy_curve, toy_curve.identity)
     with pytest.raises(EncodingError):
-        pke.decrypt(toy_curve, kp.secret, identity + ct[element_byte_length(toy_curve):])
+        pke.decrypt(toy_curve, kp.secret, identity + ct[toy_curve.element_width:])
 
 
 def test_plaintext_length_cap(toy_subgroup):
