@@ -16,13 +16,14 @@ formats, all integers big-endian:
 - ciphertext (``pke.encrypt`` returns it, ``pke.decrypt`` takes it):
   ephemeral element | u16 body length | body | 16-byte tag;
 - SHARE and THRESH_SHARE payload (``protocol``): share element | receipt,
-  a ciphertext whose tag covers the element bytes as associated data;
+  a ciphertext whose tag covers the element bytes as associated data, and
+  after them, for THRESH_SHARE, the THRESH_COEFF payload it was scaled by;
+- THRESH_DEAL payload (``threshold``): a ciphertext of two scalars,
+  f(i) | t(i), with session id | u16 index as associated data;
 - quotient table (``threshold``): u32 count | count x (u16 index | quotient,
   as wide as the modulus);
 - sealed evaluation (``threshold``): u32 ciphertext length | ciphertext |
   u16 coefficient count | that many scalars;
-- THRESH_EVAL payload (``threshold``): two sealed evaluations, each behind a
-  u32 length;
 - link record (``transport``): u32 length | body | 16-byte tag, the
   ``pke.seal`` of one frame; its header, the u64 sequence number, never
   travels.

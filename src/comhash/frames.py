@@ -29,10 +29,10 @@ class MsgType(IntEnum):
     RESULT = 0x04
     ERROR = 0x05
     # threshold round (0x10-0x1F)
-    THRESH_INPUT = 0x10   # participant -> server: encrypted secret evaluation point
-    THRESH_EVAL = 0x11    # server -> participant: sealed polynomial evaluations
+    # 0x10 is retired and not reused, so a frame from an older peer fails to decode
+    THRESH_DEAL = 0x11    # server -> participant i: f(i) | t(i) sealed to its key
     THRESH_NONCE = 0x12   # server -> chosen participant: receipt nonce
-    THRESH_COEFF = 0x13   # server -> chosen participant: recombination coefficient
+    THRESH_COEFF = 0x13   # server -> chosen participant: its Lagrange coefficient
     THRESH_SHARE = 0x14   # participant -> server: share + encrypted receipt
     THRESH_RESULT = 0x15
     # two-party multiplication (0x20-0x25), payload is one canonical scalar

@@ -7,8 +7,9 @@ authenticated but not sent. Key agreement sits in front of it, as in HPKE
 (RFC 9180 §5-6) and the TLS 1.3 record layer (RFC 8446 §5.2). A nonce
 receipt hashes the KEM shared point into one stream and MAC key, so the only
 hardness assumption stays the discrete log in the group already in use; its
-header is the ephemeral's bytes and any associated data, which a share
-receipt uses to bind the share element it was sent with. A link record
+header is the ephemeral's bytes and any associated data: a share receipt
+binds the share element it was sent with (and, in the threshold round, the
+coefficient), a threshold deal its session id and index. A link record
 (``transport``) uses per-direction keys from ``hkdf`` (RFC 5869) and its
 sequence number as the header.
 
@@ -30,9 +31,9 @@ Every such exponent is below 2^bits, bits the bound's width, and is raised
 on comb tables of that width (``groups``' ``power(..., bits=bits)``):
 ``g`` always, for key pairs and ephemerals, and the recipient's key when
 ``encrypt`` is told it is long-lived. Every share receipt says so, since
-all participants of a session encrypt to the one server key; the sealed
-evaluator's one-shot encryptions to each participant's own key do not, as
-a table per key would cost more than it saves. A long-lived key is checked
+all participants of a session encrypt to the one server key; the threshold
+dealer's one-shot encryption to each participant's own key does not, as a
+table per key would cost more than it saves. A long-lived key is checked
 once, when its table is built, where any other key is checked on every
 call. The ephemeral^secret of ``decrypt`` takes the general route: an
 ephemeral is used once.

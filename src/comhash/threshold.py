@@ -1,15 +1,20 @@
 """k-of-n threshold variant of the hashing session.
 
-Two secrets (s0, t0) are dealt with Shamir sharing over the exponent field.
-Each chosen participant contributes ``g^(f(x_i)*l_i) * h^(g(x_i)*l_i)`` where
-l_i is its recombination coefficient, so the combined digest collapses to
+Two secrets (s0, t0) are dealt with Shamir sharing over the exponent field
+at the public points x_i = i. Each chosen participant contributes
+``g^(f(i)*l_i) * h^(t(i)*l_i)`` where l_i is its recombination coefficient
+for the chosen subset, so the combined digest collapses to
 ``g^(m + s0) * h^(t0)`` for every k-subset.
 
-The server never learns the secret evaluation points x_i: polynomial values
-reach participants through a sealed evaluator that works on opaque
-encrypted blobs, and the recombination coefficients are computed from
-pairwise quotients x_{i+1}/x_i obtained with a blinded two-party
-multiplication.
+Trust model: the server is the dealer. It knows s0 and t0, so it can compute
+any digest by itself, and hiding the points from it would protect nothing.
+Participant i learns only f(i) and t(i), sealed to its own key; no frame of
+a round carries s0 or t0. Each receipt covers the coefficient the server
+sent with its nonce, so a coefficient altered in transit fails the receipt.
+
+The quotient table, blinded multiplication and sealed evaluator below hide
+evaluation points from the server; they are kept as tested primitives and
+the round does not use them.
 """
 
 from __future__ import annotations
@@ -263,15 +268,14 @@ class SealedPolynomialEvaluator:
     ``apply_poly`` cannot read them; it attaches the polynomial to the sealed
     blob and the participant finishes the evaluation after decrypting.
 
-    Every data flow matches a real homomorphic evaluator: the server role
-    only ever handles ciphertext-shaped bytes. A server applies the same two
-    polynomials for every participant, so each is encoded once.
+    Only the input is sealed: ``apply_poly``'s output carries every
+    coefficient of the polynomial in the clear, the secret c0 included, so
+    anyone who reads it learns the polynomial.
     """
 
     def __init__(self, params: GroupParams, max_degree: int = 64):
         self.params = params
         self.max_degree = max_degree
-        self._encoded: dict[Polynomial, bytes] = {}
 
     def encrypt_input(self, public, x: int, rng=None) -> bytes:
         return pke.encrypt(self.params, public, scalar_to_bytes(self.params, x), rng)
@@ -280,12 +284,8 @@ class SealedPolynomialEvaluator:
         if poly.degree > self.max_degree:
             raise ValueError(f"degree {poly.degree} exceeds evaluator limit "
                              f"{self.max_degree}")
-        coefficients = self._encoded.get(poly)
-        if coefficients is None:
-            coefficients = len(poly.coefficients).to_bytes(2, "big") + b"".join(
-                scalar_to_bytes(self.params, c) for c in poly.coefficients)
-            self._encoded[poly] = coefficients
-        return prefixed(blob, 4) + coefficients
+        return prefixed(blob, 4) + len(poly.coefficients).to_bytes(2, "big") + b"".join(
+            scalar_to_bytes(self.params, c) for c in poly.coefficients)
 
     def decrypt_output(self, secret: int, blob: bytes) -> int:
         rd = Reader(blob)
@@ -322,10 +322,15 @@ def distinct_nonzero_scalars(modulus: int, count: int, rng: random.Random) -> li
     return out
 
 
+def _deal_context(session_id: bytes, index: int) -> bytes:
+    # a deal opens only for the session and the index it was sealed for
+    return session_id + index.to_bytes(2, "big")
+
+
 class ThresholdServer(ServerSession):
-    """Dealer plus collector: holds the two polynomials and the quotient
-    table, issues nonces and coefficients to a chosen subset, and verifies
-    receipts exactly like the basic server."""
+    """Dealer plus collector: holds the two polynomials, deals each
+    participant its values, issues nonces and coefficients to a chosen
+    subset, and verifies receipts exactly like the basic server."""
 
     share_type = MsgType.THRESH_SHARE
     result_type = MsgType.THRESH_RESULT
@@ -336,29 +341,25 @@ class ThresholdServer(ServerSession):
         if not 1 < k <= n:
             raise ValueError("threshold k must satisfy 1 < k <= n")
         mod = params.exponent_modulus
+        if n >= mod:
+            raise ValueError("the points 1..n must be distinct nonzero scalars")
         self.k = k
         self.share_poly = Polynomial.random(s0, k - 1, mod, rng)
         self.mask_poly = Polynomial.random(t0, k - 1, mod, rng)
-        self.quotient_table = QuotientTable({}, mod)
         self.subset: Optional[tuple] = None
-        self.evaluator = SealedPolynomialEvaluator(params, max_degree=max(64, k))
+        self.coefficients: dict[int, bytes] = {}  # as sent, per chosen index
         self._rng = rng
         super().__init__(params, n, keypair, rng)
 
-    def eval_frame(self, input_frame: Frame) -> Frame:
-        """Answer a THRESH_INPUT with both sealed polynomial evaluations."""
-        if (input_frame.msg_type is not MsgType.THRESH_INPUT
-                or input_frame.session_id != self.session_id):
-            raise ProtocolStateError("expected a THRESH_INPUT frame of this session")
-        blobs = [self.evaluator.apply_poly(input_frame.payload, poly)
-                 for poly in (self.share_poly, self.mask_poly)]
-        payload = b"".join(prefixed(b, 4) for b in blobs)
-        return Frame(MsgType.THRESH_EVAL, self.session_id, SERVER_ID, payload)
-
-    def record_quotient(self, index: int, value: int) -> None:
-        if value % self.params.exponent_modulus == 0:
-            raise ValueError("zero quotient")
-        self.quotient_table.quotients[index] = value
+    def deal_frame(self, index: int, public) -> Frame:
+        """f(index) | t(index), sealed to participant ``index``'s key."""
+        if not 1 <= index <= self.n:
+            raise ValueError("participant index out of range")
+        values = b"".join(scalar_to_bytes(self.params, poly(index))
+                          for poly in (self.share_poly, self.mask_poly))
+        sealed = pke.encrypt(self.params, public, values, self._rng,
+                             _deal_context(self.session_id, index))
+        return Frame(MsgType.THRESH_DEAL, self.session_id, SERVER_ID, sealed)
 
     def begin_round(self, subset: Optional[Sequence[int]] = None) -> list[tuple]:
         """Pick (or accept) the k-subset; returns [(participant, frame), ...]
@@ -372,32 +373,37 @@ class ThresholdServer(ServerSession):
             raise ValueError(f"subset must contain exactly k={self.k} distinct members")
         if not all(1 <= i <= self.n for i in subset):
             raise ValueError("subset member out of range")
+        coeffs = lagrange_at_zero(subset, self.params.exponent_modulus)
+        self.coefficients = {i: scalar_to_bytes(self.params, c)
+                             for i, c in zip(subset, coeffs)}
         out = []
         for i in subset:
-            coeff = lagrange_from_quotients(self.quotient_table, subset, i)
             out.append((i, Frame(MsgType.THRESH_NONCE, self.session_id,
                                  SERVER_ID, self.nonces[i])))
             out.append((i, Frame(MsgType.THRESH_COEFF, self.session_id,
-                                 SERVER_ID, scalar_to_bytes(self.params, coeff))))
-        # the round begins only once every coefficient exists; from then on
+                                 SERVER_ID, self.coefficients[i])))
         # only the chosen participants' nonces stay live
         self.subset = subset
         self.nonces = {i: self.nonces[i] for i in subset}
         return out
 
+    def receipt_context(self, index: int) -> bytes:
+        if self.subset is None:
+            raise ProtocolStateError("round not begun")
+        return self.coefficients[index]
+
 
 class ThresholdParticipant:
-    """Holds the secret evaluation point x and, once served, the two
-    polynomial values; contributes coefficient-scaled shares on demand."""
+    """Participant ``index``: opens its dealt values f(index) and t(index),
+    then contributes coefficient-scaled shares on demand."""
 
-    def __init__(self, params: GroupParams, index: int, x: int,
-                 server_public, rng: Optional[random.Random] = None):
+    def __init__(self, params: GroupParams, index: int, server_public,
+                 rng: Optional[random.Random] = None):
         _require_prime_order(params)
-        if x % params.exponent_modulus == 0:
-            raise ValueError("evaluation point must be nonzero")
+        if index < 1:
+            raise ValueError("participant indices are 1-based")
         self.params = params
         self.index = index
-        self.x = x
         self.server_public = server_public
         self.rng = rng if rng is not None else random.SystemRandom()
         self.keypair = pke.generate_keypair(params, self.rng)
@@ -405,20 +411,17 @@ class ThresholdParticipant:
         self.mask_value: Optional[int] = None
         self.session_id: Optional[bytes] = None
 
-    def input_frame(self, evaluator: SealedPolynomialEvaluator,
-                    session_id: bytes) -> Frame:
-        self.session_id = session_id
-        blob = evaluator.encrypt_input(self.keypair.public, self.x, self.rng)
-        return Frame(MsgType.THRESH_INPUT, session_id, self.index, blob)
-
-    def receive_eval(self, frame: Frame, evaluator: SealedPolynomialEvaluator) -> None:
-        if frame.msg_type is not MsgType.THRESH_EVAL or frame.session_id != self.session_id:
-            raise ProtocolStateError("expected a THRESH_EVAL frame of this session")
-        rd = Reader(frame.payload)
-        blobs = rd.field(4), rd.field(4)
+    def receive_deal(self, frame: Frame) -> None:
+        """Open a THRESH_DEAL; a deal sealed for another session or index
+        fails its tag, and its plaintext must be exactly two scalars."""
+        if frame.msg_type is not MsgType.THRESH_DEAL:
+            raise ProtocolStateError("expected a THRESH_DEAL frame")
+        rd = Reader(pke.decrypt(self.params, self.keypair.secret, frame.payload,
+                                _deal_context(frame.session_id, self.index)))
+        values = rd.scalar(self.params), rd.scalar(self.params)
         rd.done()
-        self.share_value, self.mask_value = (
-            evaluator.decrypt_output(self.keypair.secret, blob) for blob in blobs)
+        self.session_id = frame.session_id
+        self.share_value, self.mask_value = values
 
     def respond(self, nonce_frame: Frame, coeff_frame: Frame,
                 m: Optional[int] = None) -> Frame:
@@ -437,8 +440,10 @@ class ThresholdParticipant:
             element = member_share(self.params, keys)
         else:
             element = owner_share(self.params, keys, m)
+        # the receipt covers the coefficient as received, so the server's
+        # check fails if it differs from the one sent
         payload = share_payload(self.params, element, self.server_public,
-                                nonce_frame.payload, self.rng)
+                                nonce_frame.payload, self.rng, coeff_frame.payload)
         return Frame(MsgType.THRESH_SHARE, self.session_id, self.index, payload)
 
 
@@ -459,33 +464,15 @@ def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
     request. The message owner must sit in the subset; by default the lowest
     chosen index plays that role.
     """
-    mod = params.exponent_modulus
     server_keypair = pke.generate_keypair(params, rng)
     server = ThresholdServer(params, n, k, s0, t0, server_keypair, rng)
     transcript: list[Frame] = []
-
-    # participants draw distinct nonzero evaluation points
-    xs = distinct_nonzero_scalars(mod, n, rng)
-    participants = [ThresholdParticipant(params, i + 1, xs[i],
-                                         server_keypair.public, rng)
-                    for i in range(n)]
-
-    # sealed polynomial delivery
+    participants = [ThresholdParticipant(params, i, server_keypair.public, rng)
+                    for i in range(1, n + 1)]
     for part in participants:
-        inp = part.input_frame(server.evaluator, server.session_id)
-        transcript.append(inp)
-        reply = server.eval_frame(inp)
-        transcript.append(reply)
-        part.receive_eval(reply, server.evaluator)
-
-    # consecutive pairs hand the server their quotient via blinded multiplication
-    for i in range(n - 1):
-        left, right = participants[i], participants[i + 1]
-        product, frames = run_multiply(scalar_inv(left.x, mod), right.x, mod,
-                                       rng, session_id=server.session_id,
-                                       party_ids=(left.index, right.index))
-        transcript.extend(frames)
-        server.record_quotient(left.index, product)
+        deal = server.deal_frame(part.index, part.keypair.public)
+        transcript.append(deal)
+        part.receive_deal(deal)
 
     # request round for the chosen subset
     issued = server.begin_round(subset)

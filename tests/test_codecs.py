@@ -20,7 +20,9 @@ from comhash import (
     ParticipantKeys,
     ParticipantSession,
     Phase,
+    Polynomial,
     QuotientTable,
+    SealedPolynomialEvaluator,
     ServerSession,
     ThresholdParticipant,
     ThresholdServer,
@@ -28,7 +30,7 @@ from comhash import (
     params_to_bytes,
     pke,
 )
-from comhash.encoding import Reader, prefixed, scalar_byte_length
+from comhash.encoding import scalar_byte_length
 
 
 def _prefixes_and_extension(data: bytes) -> list[bytes]:
@@ -40,51 +42,57 @@ def params(request):
     return getattr(comhash, request.param)()
 
 
-def _eval_round(params, seed=1):
-    """A threshold server, one participant with x = 3, and the THRESH_EVAL
-    frame the server sends it."""
+def _deal_round(params, seed=1):
+    """A threshold server, participant 1, and the THRESH_DEAL frame the
+    server sends it."""
     rng = random.Random(seed)
     server_kp = pke.generate_keypair(params, rng)
     server = ThresholdServer(params, 2, 2, 5, 6, server_kp, rng)
-    part = ThresholdParticipant(params, 1, 3, server_kp.public, rng)
-    frame = server.eval_frame(part.input_frame(server.evaluator, server.session_id))
-    return server, part, frame
+    part = ThresholdParticipant(params, 1, server_kp.public, rng)
+    return server, part, server.deal_frame(1, part.keypair.public)
 
 
-def _eval_frame(server, payload: bytes) -> Frame:
-    return Frame(MsgType.THRESH_EVAL, server.session_id, 0, payload)
+def _deal_frame(server, payload: bytes) -> Frame:
+    return Frame(MsgType.THRESH_DEAL, server.session_id, 0, payload)
 
 
 # ---------------------------------------------------------------------------
-# THRESH_EVAL payloads that used to escape as struct.error or parse silently
+# THRESH_DEAL payloads: the ciphertext and the two scalars it seals
 # ---------------------------------------------------------------------------
 
-def test_receive_eval_accepts_the_server_payload(toy_subgroup):
-    server, part, frame = _eval_round(toy_subgroup)
-    part.receive_eval(frame, server.evaluator)
-    assert part.share_value == server.share_poly(3)
-    assert part.mask_value == server.mask_poly(3)
+def test_receive_deal_accepts_the_server_payload(toy_subgroup):
+    server, part, frame = _deal_round(toy_subgroup)
+    part.receive_deal(frame)
+    assert part.share_value == server.share_poly(1)
+    assert part.mask_value == server.mask_poly(1)
 
 
-def test_receive_eval_rejects_malformed_payloads(toy_subgroup):
-    server, part, frame = _eval_round(toy_subgroup)
-    rd = Reader(frame.payload)
-    share_blob, mask_blob = rd.field(4), rd.field(4)
+def test_receive_deal_rejects_malformed_payloads(toy_subgroup):
+    server, part, frame = _deal_round(toy_subgroup)
     width = scalar_byte_length(toy_subgroup)
     q = toy_subgroup.exponent_modulus
+    values = pke.decrypt(toy_subgroup, part.keypair.secret, frame.payload,
+                         server.session_id + b"\x00\x01")
+
+    def sealed(plaintext):
+        return pke.encrypt(toy_subgroup, part.keypair.public, plaintext,
+                           random.Random(7), server.session_id + b"\x00\x01")
+
     bad = [
         b"",
         b"\x00\x00",
-        (5).to_bytes(4, "big") + b"abc",
-        # the last coefficient cut short
-        prefixed(share_blob, 4) + prefixed(mask_blob[:-1], 4),
-        # the last coefficient equal to q
-        prefixed(share_blob, 4) + prefixed(mask_blob[:-width] + q.to_bytes(width, "big"), 4),
+        frame.payload[:-1],
         frame.payload + b"\x00",
+        # the second value cut short
+        sealed(values[:-1]),
+        # the second value equal to q
+        sealed(values[:width] + q.to_bytes(width, "big")),
+        # a trailing byte after both values
+        sealed(values + b"\x00"),
     ]
     for payload in bad:
         with pytest.raises(EncodingError):
-            part.receive_eval(_eval_frame(server, payload), server.evaluator)
+            part.receive_deal(_deal_frame(server, payload))
         assert part.share_value is None and part.mask_value is None
 
 
@@ -142,22 +150,23 @@ def test_quotient_table_truncation_and_extension(params):
 
 
 def test_sealed_blob_truncation_and_extension(params):
-    server, part, frame = _eval_round(params)
-    evaluator = server.evaluator
-    blob = Reader(frame.payload).field(4)
-    assert evaluator.decrypt_output(part.keypair.secret, blob) == server.share_poly(3)
+    evaluator = SealedPolynomialEvaluator(params)
+    kp = pke.generate_keypair(params, random.Random(8))
+    poly = Polynomial((5, 6), params.exponent_modulus)
+    blob = evaluator.apply_poly(evaluator.encrypt_input(kp.public, 3, random.Random(9)), poly)
+    assert evaluator.decrypt_output(kp.secret, blob) == poly(3)
     for variant in _prefixes_and_extension(blob):
         with pytest.raises(EncodingError):
-            evaluator.decrypt_output(part.keypair.secret, variant)
+            evaluator.decrypt_output(kp.secret, variant)
 
 
-def test_thresh_eval_truncation_and_extension(params):
-    server, part, frame = _eval_round(params)
+def test_thresh_deal_truncation_and_extension(params):
+    server, part, frame = _deal_round(params)
     for variant in _prefixes_and_extension(frame.payload):
         with pytest.raises(EncodingError):
-            part.receive_eval(_eval_frame(server, variant), server.evaluator)
-    part.receive_eval(frame, server.evaluator)
-    assert part.share_value == server.share_poly(3)
+            part.receive_deal(_deal_frame(server, variant))
+    part.receive_deal(frame)
+    assert part.share_value == server.share_poly(1)
 
 
 def test_params_truncation_and_extension(params):

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from comhash import (
+    AuthenticationError,
     EncodingError,
     MultiplyRole,
     MultiplySession,
@@ -22,6 +23,7 @@ from comhash import (
     ratio_from_quotients,
     run_multiply,
     run_threshold_session,
+    scalar_to_bytes,
 )
 from comhash import groups, pke, threshold
 from comhash.frames import Frame, MsgType, SERVER_ID, encode_frame
@@ -426,26 +428,10 @@ def test_threshold_rejects_primitive_mode(toy_primitive):
 
 def test_threshold_nonce_mismatch_fails(toy_subgroup):
     from comhash import ErrorCode, Frame, MsgType, Phase
-    from comhash.threshold import ThresholdParticipant, ThresholdServer
 
-    rng = random.Random(40)
-    server_kp = pke.generate_keypair(toy_subgroup, rng)
-    server = ThresholdServer(toy_subgroup, 3, 2, 5, 6, server_kp, rng)
-    parts = [ThresholdParticipant(toy_subgroup, i, x, server_kp.public, rng)
-             for i, x in zip(range(1, 4), (3, 5, 7))]
-    for part in parts:
-        reply = server.eval_frame(part.input_frame(server.evaluator,
-                                                   server.session_id))
-        part.receive_eval(reply, server.evaluator)
-    for i in range(2):
-        q = parts[i + 1].x * scalar_inv(parts[i].x, 11) % 11
-        server.record_quotient(i + 1, q)
-    issued = server.begin_round(subset=(1, 2))
-    frames = {}
-    for index, frame in issued:
-        frames.setdefault(index, []).append(frame)
-    nonce1, coeff1 = frames[1]
-    nonce2, coeff2 = frames[2]
+    server, parts, issued = _open_round(toy_subgroup, random.Random(40))
+    nonce1, _ = issued[1]
+    _, coeff2 = issued[2]
     # participant 2 echoes participant 1's nonce
     wrong = Frame(MsgType.THRESH_NONCE, server.session_id, 0, nonce1.payload)
     server.absorb(parts[1].respond(wrong, coeff2))
@@ -461,14 +447,10 @@ def _open_round(params, rng):
 
     server_kp = pke.generate_keypair(params, rng)
     server = ThresholdServer(params, 3, 2, 5, 6, server_kp, rng)
-    parts = [ThresholdParticipant(params, i, x, server_kp.public, rng)
-             for i, x in zip(range(1, 4), (3, 5, 7))]
+    parts = [ThresholdParticipant(params, i, server_kp.public, rng)
+             for i in range(1, 4)]
     for part in parts:
-        reply = server.eval_frame(part.input_frame(server.evaluator, server.session_id))
-        part.receive_eval(reply, server.evaluator)
-    mod = params.exponent_modulus
-    for i in range(2):
-        server.record_quotient(i + 1, parts[i + 1].x * scalar_inv(parts[i].x, mod) % mod)
+        part.receive_deal(server.deal_frame(part.index, part.keypair.public))
     issued = {}
     for index, frame in server.begin_round(subset=(1, 2)):
         issued.setdefault(index, []).append(frame)
@@ -522,30 +504,12 @@ def test_threshold_begin_round_twice_other_subset(toy_subgroup):
     assert server.subset == (1, 2) and set(server.nonces) == {1, 2}
 
 
-def test_threshold_begin_round_missing_quotient_can_retry(toy_subgroup):
-    # a round that cannot compute its coefficients does not begin
-    rng = random.Random(46)
-    server = ThresholdServer(toy_subgroup, 3, 2, 5, 6,
-                             pke.generate_keypair(toy_subgroup, rng), rng)
-    server.record_quotient(1, 4)
-    with pytest.raises(KeyError):
-        server.begin_round(subset=(1, 3))
-    assert server.subset is None and set(server.nonces) == {1, 2, 3}
-    server.record_quotient(2, 7)
-    issued = server.begin_round(subset=(1, 3))
-    assert server.subset == (1, 3) and len(issued) == 4
-
-
 def test_begin_round_inversion_budget(secp, monkeypatch):
-    # one inversion per chosen member: k = n = 64 costs 64, where chaining
-    # quotients and inverting 1 - x_i/x_j cost 6,048
+    # one inversion per chosen member: k = n = 64 costs 64
     k = n = 64
     mod = secp.exponent_modulus
     rng = random.Random(45)
     server = ThresholdServer(secp, n, k, 5, 6, pke.generate_keypair(secp, rng), rng)
-    xs = distinct_nonzero_scalars(mod, n, rng)
-    for i in range(1, n):
-        server.record_quotient(i, xs[i] * scalar_inv(xs[i - 1], mod) % mod)
     calls = []
 
     def counted(u, modulus):
@@ -558,16 +522,15 @@ def test_begin_round_inversion_budget(secp, monkeypatch):
     assert len(calls) == k
     coeffs = [int.from_bytes(frame.payload, "big") for _, frame in issued
               if frame.msg_type is MsgType.THRESH_COEFF]
-    assert coeffs == lagrange_at_zero(xs, mod)
+    assert coeffs == lagrange_at_zero(range(1, n + 1), mod)
 
 
 def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatch):
     # every receipt of a round goes to its one server key, so that key takes
-    # a bounded power on a table built once per round; a member's evaluator
-    # key is encrypted to once and gets none. The kinds: per member, g^sk
-    # and the input's g^e and pk^e, its two output decryptions, and per
-    # chosen member a share's g^x and h^y and the receipt's g^e, pk^e and
-    # the server's decryption
+    # a bounded power on a table built once per round; a member's key is
+    # dealt to once and gets none. The kinds: per member, g^sk, the deal's
+    # g^e and pk^e and its decryption, and per chosen member a share's g^x
+    # and h^y and the receipt's g^e, pk^e and the server's decryption
     k, n = 2, 3
     digest = cvhp(secp, 5 + 7, 6)
     calls = {"fixed": 0, "var": 0, "bounded": []}
@@ -585,23 +548,26 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
         calls.update(fixed=0, var=0, bounded=[])
         run = run_threshold_session(secp, 5, 6, k, n, 7, random.Random(seed))
         assert run.digest == digest
-        assert (calls["fixed"], calls["var"]) == (2 * n + 3 * k + 1, 3 * n + 2 * k)
+        assert (calls["fixed"], calls["var"]) == (2 * n + 3 * k + 1, 2 * n + 2 * k)
         assert Counter(calls["bounded"]) == {secp.g: 2 * n + k + 1,
                                              run.server.keypair.public: k}
         assert groups._ec_comb_table.cache_info().misses == misses + 1
 
 
 def test_threshold_transcript_bytes_pinned(secp):
-    # the coefficient frames, and with them every frame of a seeded session,
-    # are byte-identical to those of the chained-quotient computation
+    # n deals, a nonce and a coefficient per chosen member, k shares and
+    # the result; every byte of a seeded session is pinned
     run = run_threshold_session(secp, s0=11, t0=22, k=5, n=8, m=33,
                                 rng=random.Random(2024), subset=(7, 2, 5, 8, 3))
     assert run.server.subset == (2, 3, 5, 7, 8)
     assert run.digest == cvhp(secp, 33 + 11, 22)
     blob = b"".join(encode_frame(frame) for frame in run.transcript)
-    assert (len(run.transcript), len(blob)) == (74, 8987)
+    assert (len(run.transcript), len(blob)) == (24, 2501)
+    assert [f.msg_type for f in run.transcript] == (
+        [MsgType.THRESH_DEAL] * 8 + [MsgType.THRESH_NONCE, MsgType.THRESH_COEFF] * 5
+        + [MsgType.THRESH_SHARE] * 5 + [MsgType.THRESH_RESULT])
     assert hashlib.sha256(blob).hexdigest() == \
-        "c7dd315ee41e6c0c4f1a93a850660522d2ae0b30a46e8cdf3e7255a3fc2c0549"
+        "4ec05cff8df6734c238a81b4165988355255881c0b17ad939beca836519e308a"
 
 
 @pytest.mark.parametrize("case", ["swapped", "share_as_nonce", "coeff_other_session"])
@@ -621,30 +587,141 @@ def test_threshold_respond_checks_frame_types_and_session(case, secp):
     assert parts[0].respond(nonce, coeff, m=4).msg_type is MsgType.THRESH_SHARE
 
 
-def _eval_pair(params, seed):
+def _deal_pair(params, seed):
     rng = random.Random(seed)
     server_kp = pke.generate_keypair(params, rng)
     server = ThresholdServer(params, 2, 2, 5, 6, server_kp, rng)
-    return server, ThresholdParticipant(params, 1, 3, server_kp.public, rng)
+    parts = [ThresholdParticipant(params, i, server_kp.public, rng) for i in (1, 2)]
+    return server, parts
 
 
-def test_eval_frame_rejects_another_sessions_input(toy_subgroup):
-    server, part = _eval_pair(toy_subgroup, 48)
-    other = bytes(16)
-    assert other != server.session_id
-    with pytest.raises(ProtocolStateError):
-        server.eval_frame(part.input_frame(server.evaluator, other))
-    reply = server.eval_frame(part.input_frame(server.evaluator, server.session_id))
-    assert reply.session_id == server.session_id
-
-
-def test_receive_eval_rejects_another_sessions_eval(toy_subgroup):
-    server, part = _eval_pair(toy_subgroup, 49)
-    reply = server.eval_frame(part.input_frame(server.evaluator, server.session_id))
-    stray = Frame(MsgType.THRESH_EVAL, bytes(16), SERVER_ID, reply.payload)
+def test_receive_deal_rejects_another_sessions_deal(toy_subgroup):
+    server, (part, _) = _deal_pair(toy_subgroup, 49)
+    deal = server.deal_frame(1, part.keypair.public)
+    assert deal.session_id == server.session_id
+    stray = Frame(MsgType.THRESH_DEAL, bytes(16), SERVER_ID, deal.payload)
     assert stray.session_id != server.session_id
-    with pytest.raises(ProtocolStateError):
-        part.receive_eval(stray, server.evaluator)
+    with pytest.raises(AuthenticationError):
+        part.receive_deal(stray)
     assert part.share_value is None and part.mask_value is None
-    part.receive_eval(reply, server.evaluator)
-    assert part.share_value == server.share_poly(3)
+    assert part.session_id is None
+    part.receive_deal(deal)
+    assert part.session_id == server.session_id
+    assert (part.share_value, part.mask_value) == (server.share_poly(1), server.mask_poly(1))
+
+
+def test_deal_sealed_for_another_session_fails_under_this_header(toy_subgroup):
+    # a second server session deals to the same participant key; its sealed
+    # values are bound to that session, so this session's header cannot carry them
+    server, (part, _) = _deal_pair(toy_subgroup, 55)
+    other, _ = _deal_pair(toy_subgroup, 56)
+    assert other.session_id != server.session_id
+    foreign = other.deal_frame(1, part.keypair.public)
+    moved = Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID, foreign.payload)
+    with pytest.raises(AuthenticationError):
+        part.receive_deal(moved)
+    assert part.share_value is None and part.session_id is None
+    # taken under its own header, the foreign deal leaves the participant in
+    # the other session, and this session's round frames are refused
+    part.receive_deal(foreign)
+    assert part.session_id == other.session_id
+    (_, nonce), (_, coeff) = server.begin_round((1, 2))[:2]
+    with pytest.raises(ProtocolStateError):
+        part.respond(nonce, coeff)
+
+
+def test_receive_deal_rejects_a_deal_for_another_index(toy_subgroup):
+    server, (part1, part2) = _deal_pair(toy_subgroup, 50)
+    # participant 2's values sealed to participant 1's key, and participant
+    # 2's own deal handed to participant 1
+    for deal in (server.deal_frame(2, part1.keypair.public),
+                 server.deal_frame(2, part2.keypair.public)):
+        with pytest.raises(AuthenticationError):
+            part1.receive_deal(deal)
+        assert part1.share_value is None and part1.session_id is None
+    # index 0 would deal f(0) = s0 itself
+    for index in (0, 3):
+        with pytest.raises(ValueError):
+            server.deal_frame(index, part1.keypair.public)
+
+
+def test_receive_deal_reads_exactly_two_scalars(toy_subgroup):
+    server, (part, _) = _deal_pair(toy_subgroup, 51)
+    one = scalar_to_bytes(toy_subgroup, 4)
+    context = server.session_id + (1).to_bytes(2, "big")
+    for plaintext in (one, one * 3):
+        sealed = pke.encrypt(toy_subgroup, part.keypair.public, plaintext,
+                             random.Random(52), context)
+        with pytest.raises(EncodingError):
+            part.receive_deal(Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID, sealed))
+        assert part.share_value is None and part.session_id is None
+    sealed = pke.encrypt(toy_subgroup, part.keypair.public, one * 2, random.Random(53), context)
+    part.receive_deal(Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID, sealed))
+    assert (part.share_value, part.mask_value) == (4, 4)
+
+
+def test_receive_deal_checks_the_frame_type(toy_subgroup):
+    server, (part, _) = _deal_pair(toy_subgroup, 54)
+    deal = server.deal_frame(1, part.keypair.public)
+    with pytest.raises(ProtocolStateError):
+        part.receive_deal(Frame(MsgType.THRESH_COEFF, deal.session_id, SERVER_ID, deal.payload))
+
+
+def test_no_round_frame_carries_the_dealer_secrets(secp):
+    # a seeded k=5, n=8 round: neither secret's scalar bytes appear in any
+    # frame, sealed or not
+    rng = random.Random(2025)
+    s0, t0 = rng.randrange(secp.exponent_modulus), rng.randrange(secp.exponent_modulus)
+    run = run_threshold_session(secp, s0, t0, 5, 8, 33, rng)
+    assert run.digest == cvhp(secp, (33 + s0) % secp.exponent_modulus, t0)
+    secrets = [scalar_to_bytes(secp, v) for v in (s0, t0)]
+    for frame in run.transcript:
+        data = encode_frame(frame)
+        assert not any(secret in data for secret in secrets), frame.msg_type
+
+
+def test_coefficient_tamper_fails_the_receipt(secp):
+    # a chosen member scaling its share by a wrong coefficient would shift
+    # the digest; the receipt covers the coefficient, so the round fails
+    from comhash import ErrorCode, Phase
+
+    server, parts, issued = _open_round(secp, random.Random(55))
+    nonce, coeff = issued[1]
+    bumped = (int.from_bytes(coeff.payload, "big") + 1) % secp.exponent_modulus
+    tampered = Frame(MsgType.THRESH_COEFF, coeff.session_id, SERVER_ID,
+                     scalar_to_bytes(secp, bumped))
+    server.absorb(parts[0].respond(nonce, tampered, m=4))
+    assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.DECRYPT_FAIL)
+    assert server.digest is None
+    with pytest.raises(ProtocolStateError):
+        server.finalize()
+
+
+def test_absorb_before_the_round_is_a_state_error(toy_subgroup):
+    server, _ = _deal_pair(toy_subgroup, 56)
+    share = Frame(MsgType.THRESH_SHARE, server.session_id, 1, b"")
+    with pytest.raises(ProtocolStateError):
+        server.absorb(share)
+
+
+def test_threshold_rejects_more_participants_than_points(toy_subgroup):
+    # the points 1..n are distinct and nonzero mod q = 11 only for n < 11
+    rng = random.Random(57)
+    with pytest.raises(ValueError):
+        ThresholdServer(toy_subgroup, 11, 3, 5, 6, pke.generate_keypair(toy_subgroup, rng), rng)
+    assert ThresholdServer(toy_subgroup, 10, 3, 5, 6,
+                           pke.generate_keypair(toy_subgroup, rng), rng).n == 10
+
+
+def test_round_reaches_none_of_the_point_hiding_primitives(toy_curve, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the round reached a point-hiding primitive")
+
+    monkeypatch.setattr(threshold, "run_multiply", unreachable)
+    monkeypatch.setattr(threshold, "lagrange_from_quotients", unreachable)
+    for method in ("encrypt_input", "apply_poly", "decrypt_output"):
+        monkeypatch.setattr(SealedPolynomialEvaluator, method, unreachable)
+    expected = cvhp(toy_curve, (12 + 5) % 19, 7)
+    for subset in combinations(range(1, 6), 3):
+        run = run_threshold_session(toy_curve, 5, 7, 3, 5, 12, random.Random(58), subset)
+        assert run.digest == expected
