@@ -18,8 +18,9 @@ formats, all integers big-endian:
 - SHARE and THRESH_SHARE payload (``protocol``): share element | receipt,
   a ciphertext whose tag covers the element bytes as associated data, and
   after them, for THRESH_SHARE, the THRESH_COEFF payload it was scaled by;
-- THRESH_DEAL payload (``threshold``): a ciphertext of two scalars,
-  f(i) | t(i), with session id | u16 index as associated data;
+- THRESH_DEAL payload (``threshold``): body | 16-byte tag, the ``pke.seal``
+  of two scalars, f(i) | t(i), under ``pke.deal_keys``; its header, session
+  id | u16 index, never travels;
 - quotient table (``threshold``): u32 count | count x (u16 index | quotient,
   as wide as the modulus);
 - sealed evaluation (``threshold``): u32 ciphertext length | ciphertext |

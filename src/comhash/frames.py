@@ -30,7 +30,7 @@ class MsgType(IntEnum):
     ERROR = 0x05
     # threshold round (0x10-0x1F)
     # 0x10 is retired and not reused, so a frame from an older peer fails to decode
-    THRESH_DEAL = 0x11    # server -> participant i: f(i) | t(i) sealed to its key
+    THRESH_DEAL = 0x11    # server -> participant i: f(i) | t(i) under pke.deal_keys
     THRESH_NONCE = 0x12   # server -> chosen participant: receipt nonce
     THRESH_COEFF = 0x13   # server -> chosen participant: its Lagrange coefficient
     THRESH_SHARE = 0x14   # participant -> server: share + encrypted receipt

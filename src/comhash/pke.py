@@ -9,9 +9,11 @@ receipt hashes the KEM shared point into one stream and MAC key, so the only
 hardness assumption stays the discrete log in the group already in use; its
 header is the ephemeral's bytes and any associated data: a share receipt
 binds the share element it was sent with (and, in the threshold round, the
-coefficient), a threshold deal its session id and index. A link record
-(``transport``) uses per-direction keys from ``hkdf`` (RFC 5869) and its
-sequence number as the header.
+coefficient). A threshold deal needs no ephemeral: ``deal_keys`` derives
+its keys with ``hkdf`` (RFC 5869) from one Diffie-Hellman between the
+server's key and the participant's, and its header is its session id and
+index. A link record (``transport``) uses per-direction keys from ``hkdf``
+and its sequence number as the header.
 
 A ciphertext exists only as its wire bytes, as in HPKE's Seal and Open (RFC
 9180 §6.1): ``encrypt`` returns ephemeral element | u16 body length | body |
@@ -29,14 +31,14 @@ blinding) do not come from here and stay full width.
 
 Every such exponent is below 2^bits, bits the bound's width, and is raised
 on comb tables of that width (``groups``' ``power(..., bits=bits)``):
-``g`` always, for key pairs and ephemerals, and the recipient's key when
-``encrypt`` is told it is long-lived. Every share receipt says so, since
-all participants of a session encrypt to the one server key; the threshold
-dealer's one-shot encryption to each participant's own key does not, as a
-table per key would cost more than it saves. A long-lived key is checked
-once, when its table is built, where any other key is checked on every
-call. The ephemeral^secret of ``decrypt`` takes the general route: an
-ephemeral is used once.
+``g`` always, for key pairs and ephemerals, and the server's key: every
+share receipt tells ``encrypt`` that its recipient key is long-lived, since
+all participants of a session encrypt to the one server key, and every
+participant raises that key to open its threshold deal. A long-lived key
+is checked once, when its table is built, where any other key is checked
+on every call. A participant's own key is used once, by the dealer, and
+the ephemeral^secret of ``decrypt`` once too; both take the general route,
+as a table per key would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -91,6 +93,11 @@ def generate_keypair(params: GroupParams, rng=None) -> KeyPair:
                    public=params.power(params.g, secret, bits=_exponent_bits(params)))
 
 
+def _check_public(params: GroupParams, public) -> None:
+    if public == params.identity or not params.element_valid(public):
+        raise GroupError("public key is not a group element other than the identity")
+
+
 def _derive_key(params: GroupParams, shared) -> bytes:
     return hashlib.sha256(b"comhash/kem/v1" + element_to_bytes(params, shared)).digest()
 
@@ -134,6 +141,35 @@ def hkdf(salt: bytes, ikm: bytes, info: bytes, length: int) -> bytes:
     return out[:length]
 
 
+def deal_keys(params: GroupParams, secret: int, server_public, participant_public,
+              session_id: bytes, index: int, *, dealer: bool) -> tuple[bytes, bytes]:
+    """The stream and MAC key that seal participant ``index``'s threshold
+    deal in session ``session_id``: the ``e, es`` step of Noise's NK pattern,
+    with the participant's key as e, so only the holder of the server's
+    secret can seal a deal the participant opens.
+
+    The dealer (``dealer=True``, ``secret`` the server's) raises the
+    participant's key, which comes from outside: it is checked, and a key
+    that is not a group element other than the identity raises
+    ``GroupError`` before any power; the key is used once and takes the
+    general route. The participant (``secret`` its own) raises the server's
+    key on its comb table, which the receipts build anyway. HKDF-SHA256
+    (RFC 9180 §4.1) with the session id as salt and the shared element's
+    bytes as input expands under the label, u16 index and both keys' bytes
+    to a 32-byte stream key and a 32-byte MAC key.
+    """
+    if dealer:
+        _check_public(params, participant_public)
+        shared = params.power(participant_public, secret)
+    else:
+        shared = params.power(server_public, secret, bits=_exponent_bits(params))
+    info = (b"comhash/deal/v1" + index.to_bytes(2, "big")
+            + element_to_bytes(params, server_public)
+            + element_to_bytes(params, participant_public))
+    okm = hkdf(session_id, element_to_bytes(params, shared), info, 64)
+    return okm[:32], okm[32:]
+
+
 def _receipt_header(ephemeral_bytes: bytes, associated: bytes) -> bytes:
     # associated data is length-prefixed so no bytes can move between it and
     # the body; when empty, nothing is added and the tag is the one without it
@@ -156,8 +192,8 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
         raise EncodingError("plaintext too long")
     if len(associated) > MAX_PLAINTEXT:
         raise EncodingError("associated data too long")
-    if not long_lived and (public == params.identity or not params.element_valid(public)):
-        raise GroupError("public key is not a group element other than the identity")
+    if not long_lived:
+        _check_public(params, public)
     bits = _exponent_bits(params)
     e = _exponent(params, _rng(rng))
     ephemeral_bytes = element_to_bytes(params, params.power(params.g, e, bits=bits))

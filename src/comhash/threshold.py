@@ -8,9 +8,12 @@ for the chosen subset, so the combined digest collapses to
 
 Trust model: the server is the dealer. It knows s0 and t0, so it can compute
 any digest by itself, and hiding the points from it would protect nothing.
-Participant i learns only f(i) and t(i), sealed to its own key; no frame of
-a round carries s0 or t0. Each receipt covers the coefficient the server
-sent with its nonce, so a coefficient altered in transit fails the receipt.
+Participant i learns only f(i) and t(i), sealed under keys that only the
+holder of the server's secret and participant i can derive
+(``pke.deal_keys``), so only the server can deal: a deal sealed by anyone
+else, or under another server key, fails its tag. No frame of a round
+carries s0 or t0. Each receipt covers the coefficient the server sent with
+its nonce, so a coefficient altered in transit fails the receipt.
 
 The quotient table, blinded multiplication and sealed evaluator below hide
 evaluation points from the server; they are kept as tested primitives and
@@ -352,13 +355,17 @@ class ThresholdServer(ServerSession):
         super().__init__(params, n, keypair, rng)
 
     def deal_frame(self, index: int, public) -> Frame:
-        """f(index) | t(index), sealed to participant ``index``'s key."""
+        """f(index) | t(index), sealed under the keys the server's key and
+        participant ``index``'s key ``public`` derive for this session; a
+        ``public`` that is not a group element other than the identity
+        raises ``GroupError``."""
         if not 1 <= index <= self.n:
             raise ValueError("participant index out of range")
+        keys = pke.deal_keys(self.params, self.keypair.secret, self.keypair.public, public,
+                             self.session_id, index, dealer=True)
         values = b"".join(scalar_to_bytes(self.params, poly(index))
                           for poly in (self.share_poly, self.mask_poly))
-        sealed = pke.encrypt(self.params, public, values, self._rng,
-                             _deal_context(self.session_id, index))
+        sealed = pke.seal(*keys, _deal_context(self.session_id, index), values)
         return Frame(MsgType.THRESH_DEAL, self.session_id, SERVER_ID, sealed)
 
     def begin_round(self, subset: Optional[Sequence[int]] = None) -> list[tuple]:
@@ -412,12 +419,16 @@ class ThresholdParticipant:
         self.session_id: Optional[bytes] = None
 
     def receive_deal(self, frame: Frame) -> None:
-        """Open a THRESH_DEAL; a deal sealed for another session or index
-        fails its tag, and its plaintext must be exactly two scalars."""
+        """Open a THRESH_DEAL. A deal sealed for another session or index,
+        by anyone without the server's secret, or altered in any byte fails
+        its tag with ``AuthenticationError``; its plaintext must be exactly
+        two scalars."""
         if frame.msg_type is not MsgType.THRESH_DEAL:
             raise ProtocolStateError("expected a THRESH_DEAL frame")
-        rd = Reader(pke.decrypt(self.params, self.keypair.secret, frame.payload,
-                                _deal_context(frame.session_id, self.index)))
+        keys = pke.deal_keys(self.params, self.keypair.secret, self.server_public,
+                             self.keypair.public, frame.session_id, self.index, dealer=False)
+        rd = Reader(pke.unseal(*keys, _deal_context(frame.session_id, self.index),
+                               frame.payload))
         values = rd.scalar(self.params), rd.scalar(self.params)
         rd.done()
         self.session_id = frame.session_id

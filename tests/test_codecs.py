@@ -2,7 +2,9 @@
 
 Each wire format is read through ``encoding.Reader``; these tests feed every
 decoder the strict prefixes of a valid encoding and the encoding plus one
-byte, on a toy curve, the toy safe-prime subgroup and secp256k1.
+byte, on a toy curve, the toy safe-prime subgroup and secp256k1. The one
+payload without a length field, a sealed THRESH_DEAL, is rejected by its tag
+(AuthenticationError) before it is read.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 
 import comhash
 from comhash import (
+    AuthenticationError,
     EncodingError,
     ErrorCode,
     Frame,
@@ -71,18 +74,21 @@ def test_receive_deal_rejects_malformed_payloads(toy_subgroup):
     server, part, frame = _deal_round(toy_subgroup)
     width = scalar_byte_length(toy_subgroup)
     q = toy_subgroup.exponent_modulus
-    values = pke.decrypt(toy_subgroup, part.keypair.secret, frame.payload,
-                         server.session_id + b"\x00\x01")
+    keys = pke.deal_keys(toy_subgroup, server.keypair.secret, server.keypair.public,
+                         part.keypair.public, server.session_id, 1, dealer=True)
+    header = server.session_id + b"\x00\x01"
+    values = pke.unseal(*keys, header, frame.payload)
 
     def sealed(plaintext):
-        return pke.encrypt(toy_subgroup, part.keypair.public, plaintext,
-                           random.Random(7), server.session_id + b"\x00\x01")
+        return pke.seal(*keys, header, plaintext)
 
+    # the payload has no length field: its tag covers every byte, so a
+    # payload cut short or extended fails the tag before anything is read
+    for payload in (b"", b"\x00\x00", frame.payload[:-1], frame.payload + b"\x00"):
+        with pytest.raises(AuthenticationError):
+            part.receive_deal(_deal_frame(server, payload))
+        assert part.share_value is None and part.mask_value is None
     bad = [
-        b"",
-        b"\x00\x00",
-        frame.payload[:-1],
-        frame.payload + b"\x00",
         # the second value cut short
         sealed(values[:-1]),
         # the second value equal to q
@@ -161,9 +167,10 @@ def test_sealed_blob_truncation_and_extension(params):
 
 
 def test_thresh_deal_truncation_and_extension(params):
+    # a sealed deal carries no length field, so its tag is what rejects it
     server, part, frame = _deal_round(params)
     for variant in _prefixes_and_extension(frame.payload):
-        with pytest.raises(EncodingError):
+        with pytest.raises(AuthenticationError):
             part.receive_deal(_deal_frame(server, variant))
     part.receive_deal(frame)
     assert part.share_value == server.share_poly(1)

@@ -9,9 +9,11 @@ import pytest
 from comhash import (
     AuthenticationError,
     EncodingError,
+    GroupError,
     MultiplyRole,
     MultiplySession,
     Polynomial,
+    Phase,
     ProtocolStateError,
     QuotientTable,
     SealedPolynomialEvaluator,
@@ -526,11 +528,12 @@ def test_begin_round_inversion_budget(secp, monkeypatch):
 
 
 def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatch):
-    # every receipt of a round goes to its one server key, so that key takes
-    # a bounded power on a table built once per round; a member's key is
-    # dealt to once and gets none. The kinds: per member, g^sk, the deal's
-    # g^e and pk^e and its decryption, and per chosen member a share's g^x
-    # and h^y and the receipt's g^e, pk^e and the server's decryption
+    # every deal and receipt of a round raises its one server key, so that
+    # key takes a bounded power on a table built once per round; a member's
+    # key is dealt to once and gets none. The kinds: per member, g^sk, the
+    # dealer's pk_i^sk and the member's server_key^a, and per chosen member a
+    # share's g^x and h^y and the receipt's g^e, pk^e and the server's
+    # decryption
     k, n = 2, 3
     digest = cvhp(secp, 5 + 7, 6)
     calls = {"fixed": 0, "var": 0, "bounded": []}
@@ -548,9 +551,9 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
         calls.update(fixed=0, var=0, bounded=[])
         run = run_threshold_session(secp, 5, 6, k, n, 7, random.Random(seed))
         assert run.digest == digest
-        assert (calls["fixed"], calls["var"]) == (2 * n + 3 * k + 1, 2 * n + 2 * k)
-        assert Counter(calls["bounded"]) == {secp.g: 2 * n + k + 1,
-                                             run.server.keypair.public: k}
+        assert (calls["fixed"], calls["var"]) == (n + 3 * k + 1, 2 * n + 2 * k)
+        assert Counter(calls["bounded"]) == {secp.g: n + k + 1,
+                                             run.server.keypair.public: n + k}
         assert groups._ec_comb_table.cache_info().misses == misses + 1
 
 
@@ -562,12 +565,12 @@ def test_threshold_transcript_bytes_pinned(secp):
     assert run.server.subset == (2, 3, 5, 7, 8)
     assert run.digest == cvhp(secp, 33 + 11, 22)
     blob = b"".join(encode_frame(frame) for frame in run.transcript)
-    assert (len(run.transcript), len(blob)) == (24, 2501)
+    assert (len(run.transcript), len(blob)) == (24, 2221)
     assert [f.msg_type for f in run.transcript] == (
         [MsgType.THRESH_DEAL] * 8 + [MsgType.THRESH_NONCE, MsgType.THRESH_COEFF] * 5
         + [MsgType.THRESH_SHARE] * 5 + [MsgType.THRESH_RESULT])
     assert hashlib.sha256(blob).hexdigest() == \
-        "4ec05cff8df6734c238a81b4165988355255881c0b17ad939beca836519e308a"
+        "0264a2a04d43b71cfa34f68df67ddffc63077017b9bfb204c9a13f7318f0b2cd"
 
 
 @pytest.mark.parametrize("case", ["swapped", "share_as_nonce", "coeff_other_session"])
@@ -611,10 +614,11 @@ def test_receive_deal_rejects_another_sessions_deal(toy_subgroup):
 
 
 def test_deal_sealed_for_another_session_fails_under_this_header(toy_subgroup):
-    # a second server session deals to the same participant key; its sealed
-    # values are bound to that session, so this session's header cannot carry them
+    # a second session of the same server deals to the same participant key;
+    # its sealed values are bound to that session, so this session's header
+    # cannot carry them
     server, (part, _) = _deal_pair(toy_subgroup, 55)
-    other, _ = _deal_pair(toy_subgroup, 56)
+    other = ThresholdServer(toy_subgroup, 2, 2, 5, 6, server.keypair, random.Random(56))
     assert other.session_id != server.session_id
     foreign = other.deal_frame(1, part.keypair.public)
     moved = Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID, foreign.payload)
@@ -645,19 +649,87 @@ def test_receive_deal_rejects_a_deal_for_another_index(toy_subgroup):
             server.deal_frame(index, part1.keypair.public)
 
 
+def _seal_deal(params, server, public, plaintext, keypair=None):
+    """plaintext sealed as participant 1's deal in ``server``'s session,
+    under the keys that ``keypair`` (by default the server's) and the
+    participant's key ``public`` derive."""
+    keypair = server.keypair if keypair is None else keypair
+    keys = pke.deal_keys(params, keypair.secret, keypair.public, public,
+                         server.session_id, 1, dealer=True)
+    return Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID,
+                 pke.seal(*keys, server.session_id + b"\x00\x01", plaintext))
+
+
 def test_receive_deal_reads_exactly_two_scalars(toy_subgroup):
     server, (part, _) = _deal_pair(toy_subgroup, 51)
     one = scalar_to_bytes(toy_subgroup, 4)
-    context = server.session_id + (1).to_bytes(2, "big")
     for plaintext in (one, one * 3):
-        sealed = pke.encrypt(toy_subgroup, part.keypair.public, plaintext,
-                             random.Random(52), context)
         with pytest.raises(EncodingError):
-            part.receive_deal(Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID, sealed))
+            part.receive_deal(_seal_deal(toy_subgroup, server, part.keypair.public, plaintext))
         assert part.share_value is None and part.session_id is None
-    sealed = pke.encrypt(toy_subgroup, part.keypair.public, one * 2, random.Random(53), context)
-    part.receive_deal(Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID, sealed))
+    part.receive_deal(_seal_deal(toy_subgroup, server, part.keypair.public, one * 2))
     assert (part.share_value, part.mask_value) == (4, 4)
+
+
+def _forged_deals(params, server, public):
+    """Participant 1's deal with values 7 | 8, sealed by parties that do not
+    hold ``server``'s secret: hashed ElGamal to the participant's key
+    ``public``, as anyone who sees that key can, and the deal key of another
+    server key pair, under its own public key and under ``server``'s."""
+    values = scalar_to_bytes(params, 7) + scalar_to_bytes(params, 8)
+    other = pke.generate_keypair(params, random.Random(58))
+    impostor = pke.KeyPair(other.secret, server.keypair.public)
+    return [Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID,
+                  pke.encrypt(params, public, values, random.Random(59),
+                              server.session_id + b"\x00\x01")),
+            _seal_deal(params, server, public, values, other),
+            _seal_deal(params, server, public, values, impostor)]
+
+
+def test_receive_deal_rejects_a_deal_not_keyed_by_the_server(secp):
+    server, (part, _) = _deal_pair(secp, 60)
+    for forged in _forged_deals(secp, server, part.keypair.public):
+        with pytest.raises(AuthenticationError):
+            part.receive_deal(forged)
+        assert part.share_value is None and part.mask_value is None
+        assert part.session_id is None
+    part.receive_deal(server.deal_frame(1, part.keypair.public))
+    assert (part.share_value, part.mask_value) == (server.share_poly(1), server.mask_poly(1))
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_forged_deal_never_ends_a_round_done(which, secp, monkeypatch):
+    # secp256k1, k = 3, n = 4, participant 1's deal replaced by a forgery:
+    # the round stops at that deal and stores no digest
+    deal_frame = ThresholdServer.deal_frame
+    servers = []
+
+    def forging(self, index, public):
+        servers.append(self)
+        if index == 1:
+            return _forged_deals(secp, self, public)[which]
+        return deal_frame(self, index, public)
+
+    monkeypatch.setattr(ThresholdServer, "deal_frame", forging)
+    with pytest.raises(AuthenticationError):
+        run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(61))
+    assert servers[0].phase is not Phase.DONE and servers[0].digest is None
+
+
+def test_deal_frame_rejects_a_participant_key_outside_the_group(toy_curve, toy_subgroup,
+                                                                 monkeypatch):
+    # the identity, an off-curve point and a non-square mod 23, each refused
+    # before any power is raised
+    for params, bad in ((toy_curve, toy_curve.identity), (toy_curve, (1, 1)),
+                        (toy_subgroup, toy_subgroup.identity), (toy_subgroup, 5)):
+        server, _ = _deal_pair(params, 62)
+        powers = []
+        monkeypatch.setattr(type(params), "power",
+                            lambda self, *args, **kwargs: powers.append(args))
+        with pytest.raises(GroupError):
+            server.deal_frame(1, bad)
+        monkeypatch.undo()
+        assert powers == []
 
 
 def test_receive_deal_checks_the_frame_type(toy_subgroup):
