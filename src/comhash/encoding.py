@@ -17,7 +17,9 @@ formats, all integers big-endian:
   ephemeral element | u16 body length | body | 16-byte tag;
 - SHARE and THRESH_SHARE payload (``protocol``): share element | receipt,
   a ciphertext whose tag covers the element bytes as associated data, and
-  after them, for THRESH_SHARE, the THRESH_COEFF payload it was scaled by;
+  after them, for THRESH_SHARE, the coefficient bytes it was scaled by;
+- THRESH_NONCE payload (``threshold``): 32-byte nonce | one scalar, the
+  chosen participant's Lagrange coefficient;
 - THRESH_DEAL payload (``threshold``): body | 16-byte tag, the ``pke.seal``
   of two scalars, f(i) | t(i), under ``pke.deal_keys``; its header, session
   id | u16 index, never travels;

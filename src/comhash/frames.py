@@ -31,8 +31,8 @@ class MsgType(IntEnum):
     # threshold round (0x10-0x1F)
     # 0x10 is retired and not reused, so a frame from an older peer fails to decode
     THRESH_DEAL = 0x11    # server -> participant i: f(i) | t(i) under pke.deal_keys
-    THRESH_NONCE = 0x12   # server -> chosen participant: receipt nonce
-    THRESH_COEFF = 0x13   # server -> chosen participant: its Lagrange coefficient
+    THRESH_NONCE = 0x12   # server -> chosen participant: receipt nonce | its Lagrange coefficient
+    # 0x13 is retired and not reused, so a frame from an older peer fails to decode
     THRESH_SHARE = 0x14   # participant -> server: share + encrypted receipt
     THRESH_RESULT = 0x15
     # two-party multiplication (0x20-0x25), payload is one canonical scalar
@@ -56,7 +56,6 @@ class ErrorCode(IntEnum):
 _FIXED_PAYLOAD = {
     MsgType.UPLOAD_REQUEST: 0,
     MsgType.NONCE: NONCE_LENGTH,
-    MsgType.THRESH_NONCE: NONCE_LENGTH,
     MsgType.ERROR: 1,
 }
 

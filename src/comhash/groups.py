@@ -400,7 +400,14 @@ class EcParams:
         return _normalize([_comb_pow(table, bits, k, *_ec_ops(p, a))], p)[0]
 
     def combine(self, p1: Point, p2: Point) -> Point:
-        return _ec_add(self, self._check(p1), self._check(p2))
+        """p1 + p2 by the comb's mixed addition: p1 as a Jacobian point
+        with Z = 1, p2 affine."""
+        p = self.field_prime
+        p1, p2 = self._check(p1), self._check(p2)
+        if p2 is None:
+            return p1
+        acc = (0, 1, 0) if p1 is None else (p1[0], p1[1], 1)
+        return _normalize([_jac_add_affine(*acc, p2[0], p2[1], p, self.curve_a)], p)[0]
 
     def generator_candidate(self, seed: bytes) -> Point:
         """The point with x hashed from seed and even y; None if x is off the curve."""
@@ -546,35 +553,6 @@ def _ec_comb_table(params: EcParams, base: Tuple[int, int], bits: int) -> tuple:
 # ---------------------------------------------------------------------------
 # elliptic curve arithmetic
 # ---------------------------------------------------------------------------
-
-def _ec_add(params: EcParams, p1: Point, p2: Point) -> Point:
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    p = params.field_prime
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        return _ec_double(params, p1)
-    lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
-
-
-def _ec_double(params: EcParams, pt: Point) -> Point:
-    if pt is None:
-        return None
-    p = params.field_prime
-    x, y = pt
-    if y == 0:
-        return None
-    lam = (3 * x * x + params.curve_a) * pow(2 * y, -1, p) % p
-    x3 = (lam * lam - 2 * x) % p
-    return (x3, (lam * (x - x3) - y) % p)
-
 
 def _ec_mul(params: EcParams, pt: Point, k: int) -> Point:
     """k * pt for any point and any k >= 0, by width-WNAF_WIDTH w-NAF.

@@ -45,8 +45,8 @@ class FlipByte:
 
 @dataclass(frozen=True)
 class ReplaceNonce:
-    """Swap the payload of a NONCE or THRESH_NONCE frame for ``replacement``,
-    so the participant signs a receipt for a nonce the server never issued."""
+    """Swap the payload of a NONCE frame for ``replacement``, so the
+    participant signs a receipt for a nonce the server never issued."""
 
     replacement: bytes
 
@@ -94,8 +94,8 @@ def apply_mutation(mutation, data: bytes) -> bytes:
                 + data[mutation.offset + 1:])
     if isinstance(mutation, ReplaceNonce):
         frame = decode_frame(data)
-        if frame.msg_type not in (MsgType.NONCE, MsgType.THRESH_NONCE):
-            raise ValueError("replace-nonce only applies to NONCE or THRESH_NONCE frames")
+        if frame.msg_type is not MsgType.NONCE:
+            raise ValueError("replace-nonce only applies to NONCE frames")
         return encode_frame(replace(frame, payload=mutation.replacement))
     raise ValueError(f"not a byte-rewriting mutation: {mutation!r}")
 

@@ -30,15 +30,13 @@ Wiener, EUROCRYPT '96), and RFC 7919 App. A asks for at least 225 bits at
 blinding) do not come from here and stay full width.
 
 Every such exponent is below 2^bits, bits the bound's width, and is raised
-on comb tables of that width (``groups``' ``power(..., bits=bits)``):
-``g`` always, for key pairs and ephemerals, and the server's key: every
-share receipt tells ``encrypt`` that its recipient key is long-lived, since
-all participants of a session encrypt to the one server key, and every
-participant raises that key to open its threshold deal. A long-lived key
-is checked once, when its table is built, where any other key is checked
-on every call. A participant's own key is used once, by the dealer, and
-the ephemeral^secret of ``decrypt`` once too; both take the general route,
-as a table per key would cost more than it saves.
+on comb tables of that width (``groups``' ``power(..., bits=bits)``): ``g``,
+for key pairs and ephemerals, and every recipient key of ``encrypt``. In the
+protocol that is the one server key all of a session's receipts go to, and
+every participant raises the same key to open its threshold deal. A table
+checks its key once, when it is built. A participant's own key is used once,
+by the dealer, and the ephemeral^secret of ``decrypt`` once too; both take
+the general route.
 """
 
 from __future__ import annotations
@@ -177,27 +175,23 @@ def _receipt_header(ephemeral_bytes: bytes, associated: bytes) -> bytes:
 
 
 def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
-            associated: bytes = b"", *, long_lived: bool = False) -> bytes:
+            associated: bytes = b"") -> bytes:
     """Encrypt to ``public`` and return the ciphertext's wire bytes; the tag
     also covers ``associated``, which ``decrypt`` must be given unchanged.
 
-    ``public`` is checked, because it may come from outside and the KEM
-    point ``public^e`` is encoded as trusted. A ``long_lived`` key, one that
-    several encryptions share, as a server key is, gets a comb table and is
-    checked once, when its table is built; any other key is checked on every
-    call and raised to e by the backend's general route. Both raise
+    ``public`` may come from outside, and the KEM point ``public^e`` is
+    encoded as trusted, so ``public`` is checked when its comb table is
+    built: a key that is not a group element other than the identity raises
     ``GroupError``.
     """
     if len(plaintext) > MAX_PLAINTEXT:
         raise EncodingError("plaintext too long")
     if len(associated) > MAX_PLAINTEXT:
         raise EncodingError("associated data too long")
-    if not long_lived:
-        _check_public(params, public)
     bits = _exponent_bits(params)
     e = _exponent(params, _rng(rng))
+    key = _derive_key(params, params.power(public, e, bits=bits))
     ephemeral_bytes = element_to_bytes(params, params.power(params.g, e, bits=bits))
-    key = _derive_key(params, params.power(public, e, bits=bits if long_lived else None))
     sealed = seal(key, key, _receipt_header(ephemeral_bytes, associated), plaintext)
     # the u16 body length: the body is exactly as long as the plaintext
     return ephemeral_bytes + len(plaintext).to_bytes(2, "big") + sealed

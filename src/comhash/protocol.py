@@ -52,12 +52,10 @@ def share_payload(params: GroupParams, element, server_public, nonce: bytes,
     """A SHARE payload: the share element's bytes, then the nonce receipt
     encrypted to the server with those bytes and then ``context`` as
     associated data, so the receipt checks out only next to the element it
-    was made for and with the context the server sent. Every participant of
-    a session encrypts to the one server key, so that key gets a comb
-    table."""
+    was made for and with the context the server sent."""
     element_bytes = element_to_bytes(params, element)
     return element_bytes + pke.encrypt(params, server_public, nonce, rng,
-                                       element_bytes + context, long_lived=True)
+                                       element_bytes + context)
 
 
 class ServerSession:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .encoding import Reader, prefixed, scalar_from_bytes, scalar_to_bytes
 from .errors import EncodingError, ProtocolStateError
-from .frames import Frame, MsgType, SERVER_ID, SESSION_ID_LENGTH
+from .frames import Frame, MsgType, NONCE_LENGTH, SERVER_ID, SESSION_ID_LENGTH
 from .groups import GroupParams, scalar_inv
 from .hashing import ParticipantKeys, member_share, owner_share
 from .protocol import Phase, ServerSession, share_payload
@@ -332,8 +332,8 @@ def _deal_context(session_id: bytes, index: int) -> bytes:
 
 class ThresholdServer(ServerSession):
     """Dealer plus collector: holds the two polynomials, deals each
-    participant its values, issues nonces and coefficients to a chosen
-    subset, and verifies receipts exactly like the basic server."""
+    participant its values, issues each member of a chosen subset its nonce
+    and coefficient, and verifies receipts exactly like the basic server."""
 
     share_type = MsgType.THRESH_SHARE
     result_type = MsgType.THRESH_RESULT
@@ -369,8 +369,8 @@ class ThresholdServer(ServerSession):
         return Frame(MsgType.THRESH_DEAL, self.session_id, SERVER_ID, sealed)
 
     def begin_round(self, subset: Optional[Sequence[int]] = None) -> list[tuple]:
-        """Pick (or accept) the k-subset; returns [(participant, frame), ...]
-        pairing each chosen participant with its nonce and coefficient."""
+        """Pick (or accept) the k-subset; returns [(participant, frame), ...],
+        one THRESH_NONCE per chosen participant: nonce | coefficient."""
         if self.subset is not None:
             raise ProtocolStateError("round already begun")
         if subset is None:
@@ -383,12 +383,9 @@ class ThresholdServer(ServerSession):
         coeffs = lagrange_at_zero(subset, self.params.exponent_modulus)
         self.coefficients = {i: scalar_to_bytes(self.params, c)
                              for i, c in zip(subset, coeffs)}
-        out = []
-        for i in subset:
-            out.append((i, Frame(MsgType.THRESH_NONCE, self.session_id,
-                                 SERVER_ID, self.nonces[i])))
-            out.append((i, Frame(MsgType.THRESH_COEFF, self.session_id,
-                                 SERVER_ID, self.coefficients[i])))
+        out = [(i, Frame(MsgType.THRESH_NONCE, self.session_id, SERVER_ID,
+                         self.nonces[i] + self.coefficients[i]))
+               for i in subset]
         # only the chosen participants' nonces stay live
         self.subset = subset
         self.nonces = {i: self.nonces[i] for i in subset}
@@ -434,17 +431,20 @@ class ThresholdParticipant:
         self.session_id = frame.session_id
         self.share_value, self.mask_value = values
 
-    def respond(self, nonce_frame: Frame, coeff_frame: Frame,
-                m: Optional[int] = None) -> Frame:
+    def respond(self, frame: Frame, m: Optional[int] = None) -> Frame:
+        """Answer a THRESH_NONCE, nonce | one canonical scalar; any other
+        payload raises ``EncodingError`` before any power."""
         if self.share_value is None:
             raise ProtocolStateError("polynomial values not received yet")
-        if (nonce_frame.msg_type is not MsgType.THRESH_NONCE
-                or coeff_frame.msg_type is not MsgType.THRESH_COEFF):
-            raise ProtocolStateError("expected a THRESH_NONCE and a THRESH_COEFF frame")
-        if {nonce_frame.session_id, coeff_frame.session_id} != {self.session_id}:
+        if frame.msg_type is not MsgType.THRESH_NONCE:
+            raise ProtocolStateError("expected a THRESH_NONCE frame")
+        if frame.session_id != self.session_id:
             raise ProtocolStateError("frame belongs to a different session")
+        rd = Reader(frame.payload)
+        nonce = rd.take(NONCE_LENGTH)
+        coeff = rd.scalar(self.params)
+        rd.done()
         mod = self.params.exponent_modulus
-        coeff = scalar_from_bytes(self.params, coeff_frame.payload)
         keys = ParticipantKeys(self.share_value * coeff % mod,
                                self.mask_value * coeff % mod)
         if m is None:
@@ -453,8 +453,8 @@ class ThresholdParticipant:
             element = owner_share(self.params, keys, m)
         # the receipt covers the coefficient as received, so the server's
         # check fails if it differs from the one sent
-        payload = share_payload(self.params, element, self.server_public,
-                                nonce_frame.payload, self.rng, coeff_frame.payload)
+        payload = share_payload(self.params, element, self.server_public, nonce,
+                                self.rng, frame.payload[NONCE_LENGTH:])
         return Frame(MsgType.THRESH_SHARE, self.session_id, self.index, payload)
 
 
@@ -492,10 +492,8 @@ def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
     owner_index = min(chosen) if owner is None else owner
     if owner_index not in chosen:
         raise ValueError("message owner must belong to the chosen subset")
-    # begin_round issues each chosen index's NONCE frame, then its COEFF frame
-    for (index, nonce_frame), (_, coeff_frame) in zip(issued[::2], issued[1::2]):
-        share = participants[index - 1].respond(nonce_frame, coeff_frame,
-                                                m if index == owner_index else None)
+    for index, frame in issued:
+        share = participants[index - 1].respond(frame, m if index == owner_index else None)
         transcript.append(share)
         server.absorb(share)
         if server.phase is Phase.FAILED:

@@ -4,7 +4,8 @@ Each wire format is read through ``encoding.Reader``; these tests feed every
 decoder the strict prefixes of a valid encoding and the encoding plus one
 byte, on a toy curve, the toy safe-prime subgroup and secp256k1. The one
 payload without a length field, a sealed THRESH_DEAL, is rejected by its tag
-(AuthenticationError) before it is read.
+(AuthenticationError) before it is read. A THRESH_NONCE payload has no length
+field either; its fixed widths reject it.
 """
 
 import ast
@@ -174,6 +175,30 @@ def test_thresh_deal_truncation_and_extension(params):
             part.receive_deal(_deal_frame(server, variant))
     part.receive_deal(frame)
     assert part.share_value == server.share_poly(1)
+
+
+def test_thresh_nonce_truncation_and_extension(params, monkeypatch):
+    # nonce | coefficient: every strict prefix, a one-byte extension and a
+    # coefficient equal to q are refused before any power, and the
+    # participant still answers the real frame
+    server, part, deal = _deal_round(params)
+    part.receive_deal(deal)
+    (_, frame), _ = server.begin_round((1, 2))
+    q = params.exponent_modulus.to_bytes(scalar_byte_length(params), "big")
+    powers = []
+    power = type(params).power
+
+    def counted(self, *args, **kwargs):
+        powers.append(args)
+        return power(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(params), "power", counted)
+    for variant in _prefixes_and_extension(frame.payload) + [frame.payload[:32] + q]:
+        with pytest.raises(EncodingError):
+            part.respond(Frame(MsgType.THRESH_NONCE, frame.session_id, 0, variant))
+    assert powers == []
+    server.absorb(part.respond(frame, m=4))
+    assert server.phase is Phase.COLLECTING
 
 
 def test_params_truncation_and_extension(params):

@@ -12,7 +12,6 @@ def test_round_trip_every_type():
         MsgType.UPLOAD_REQUEST: b"",
         MsgType.NONCE: bytes(32),
         MsgType.ERROR: b"\x01",
-        MsgType.THRESH_NONCE: bytes(32),
     }
     for msg_type in MsgType:
         payload = payloads.get(msg_type, b"some-payload")
@@ -39,10 +38,12 @@ def test_bad_magic_rejected():
 
 
 def test_unknown_type_rejected():
+    # 0x10 and 0x13 are retired threshold types, never reused
     data = bytearray(encode_frame(Frame(MsgType.SHARE, SID, 1, b"x")))
-    data[4] = 0x99
-    with pytest.raises(FrameError, match="unknown message type"):
-        decode_frame(bytes(data))
+    for raw_type in (0x99, 0x10, 0x13):
+        data[4] = raw_type
+        with pytest.raises(FrameError, match="unknown message type"):
+            decode_frame(bytes(data))
 
 
 def test_length_mismatch_rejected():

@@ -20,7 +20,6 @@ from comhash import groups, pke
 from comhash.groups import (
     COMB_COLUMNS,
     COMB_TEETH,
-    _ec_add,
     _ec_mul,
     _glv_constants,
     _glv_mul,
@@ -202,7 +201,7 @@ def test_ec_ladder_matches_repeated_addition(toy_curve):
     for k in range(40):
         naive = None
         for _ in range(k % 19):
-            naive = _ec_add(toy_curve, naive, toy_curve.g)
+            naive = toy_curve.combine(naive, toy_curve.g)
         assert toy_curve.power(toy_curve.g, k) == naive
 
 
@@ -228,6 +227,38 @@ def test_combine_is_commutative_and_associative(toy_subgroup, toy_curve, rng):
             assert params.combine(a, b) == params.combine(b, a)
             assert params.combine(params.combine(a, b), c) == \
                 params.combine(a, params.combine(b, c))
+
+
+def chord_and_tangent(params, p1, p2):
+    """p1 + p2 by the affine chord-and-tangent rule: the reference that
+    ``EcParams.combine``'s Jacobian formulas are checked against."""
+    if p1 is None or p2 is None:
+        return p2 if p1 is None else p1
+    p = params.field_prime
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if x1 == x2:
+        lam = (3 * x1 * x1 + params.curve_a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return (x3, (lam * (x1 - x3) - y1) % p)
+
+
+def test_combine_matches_the_chord_and_tangent_rule(toy_curve, secp, rng):
+    # every pair of toy17 points, then P + Q, P + P and P + (-P) on secp256k1
+    points = enumerate_curve_points(toy_curve)
+    for a in points:
+        for b in points:
+            assert toy_curve.combine(a, b) == chord_and_tangent(toy_curve, a, b), (a, b)
+    for _ in range(20):
+        a = secp.power(secp.g, rng.randrange(secp.order))
+        b = secp.power(secp.h, rng.randrange(secp.order))
+        minus_a = (a[0], secp.field_prime - a[1])
+        for other in (b, a, minus_a, None):
+            assert secp.combine(a, other) == chord_and_tangent(secp, a, other)
+    assert secp.combine(a, minus_a) is None
 
 
 def test_backend_mismatch_rejected(toy_subgroup, toy_curve):

@@ -15,7 +15,6 @@ from comhash import (
     owner_share,
     reference_digest,
 )
-from comhash.groups import _ec_add
 
 
 def test_cvhp_worked_values(toy_subgroup, toy_primitive):
@@ -35,7 +34,7 @@ def test_member_share_values(toy_subgroup, toy_curve):
     assert member_share(toy_subgroup, ParticipantKeys(4, 6)) == 3
     assert member_share(toy_subgroup, ParticipantKeys(0, 0)) == 1
     assert member_share(toy_curve, ParticipantKeys(1, 1)) == \
-        _ec_add(toy_curve, toy_curve.g, toy_curve.h)
+        toy_curve.combine(toy_curve.g, toy_curve.h)
 
 
 def test_owner_share_values(toy_subgroup):

@@ -126,27 +126,31 @@ def test_encrypt_rejects_a_public_key_outside_the_group(toy_subgroup, secp):
 
 
 def test_encrypt_rejects_a_long_lived_key_outside_the_group(toy_subgroup, secp):
-    # a long-lived key is checked when its comb table is built; a bad key
-    # never gets one, so every call checks it again
+    # every recipient key is checked when its comb table is built; a bad
+    # key never gets one, so every call checks it again
     for seed in range(40):
         for bad in (5, toy_subgroup.identity):
             with pytest.raises(GroupError):
-                pke.encrypt(toy_subgroup, bad, b"nonce", rng=random.Random(seed),
-                            long_lived=True)
+                pke.encrypt(toy_subgroup, bad, b"nonce", rng=random.Random(seed))
     for bad in (secp.identity, (1, 1)):
-        with pytest.raises(GroupError):
-            pke.encrypt(secp, bad, b"nonce", rng=random.Random(1), long_lived=True)
+        for seed in range(2):
+            with pytest.raises(GroupError):
+                pke.encrypt(secp, bad, b"nonce", rng=random.Random(seed))
 
 
 @pytest.mark.parametrize("which", ["toy_subgroup", "toy_curve", "secp", "modp2048"])
 def test_long_lived_key_gives_the_same_ciphertext(which, request):
-    # the comb route changes how pk^e is computed, never a wire byte
+    # the recipient key's comb table changes how pk^e is computed, never a
+    # wire byte: on exponents drawn as encrypt draws them, the comb and the
+    # general route agree
     params = request.getfixturevalue(which)
+    bound = min(params.exponent_modulus, 2**pke.RECEIPT_EXPONENT_BITS)
+    bits = (bound - 1).bit_length()
     kp = pke.generate_keypair(params, rng=random.Random(3))
     for seed in range(3):
+        e = random.Random(seed).randrange(1, bound)
+        assert params.power(kp.public, e, bits=bits) == params.power(kp.public, e)
         ct = pke.encrypt(params, kp.public, b"nonce", random.Random(seed), b"ad")
-        assert pke.encrypt(params, kp.public, b"nonce", random.Random(seed), b"ad",
-                           long_lived=True) == ct
         assert pke.decrypt(params, kp.secret, ct, b"ad") == b"nonce"
 
 

@@ -432,11 +432,10 @@ def test_threshold_nonce_mismatch_fails(toy_subgroup):
     from comhash import ErrorCode, Frame, MsgType, Phase
 
     server, parts, issued = _open_round(toy_subgroup, random.Random(40))
-    nonce1, _ = issued[1]
-    _, coeff2 = issued[2]
-    # participant 2 echoes participant 1's nonce
-    wrong = Frame(MsgType.THRESH_NONCE, server.session_id, 0, nonce1.payload)
-    server.absorb(parts[1].respond(wrong, coeff2))
+    # participant 2 echoes participant 1's nonce next to its own coefficient
+    wrong = Frame(MsgType.THRESH_NONCE, server.session_id, 0,
+                  issued[1].payload[:32] + issued[2].payload[32:])
+    server.absorb(parts[1].respond(wrong))
     assert server.phase is Phase.FAILED
     assert server.error_code is ErrorCode.NONCE_MISMATCH
     assert server.digest is None
@@ -444,7 +443,7 @@ def test_threshold_nonce_mismatch_fails(toy_subgroup):
 
 def _open_round(params, rng):
     """A 2-of-3 ThresholdServer with participants 1 and 2 chosen; returns
-    the server, the participants, and each chosen one's (nonce, coeff)."""
+    the server, the participants, and each chosen one's THRESH_NONCE."""
     from comhash.threshold import ThresholdParticipant, ThresholdServer
 
     server_kp = pke.generate_keypair(params, rng)
@@ -453,10 +452,7 @@ def _open_round(params, rng):
              for i in range(1, 4)]
     for part in parts:
         part.receive_deal(server.deal_frame(part.index, part.keypair.public))
-    issued = {}
-    for index, frame in server.begin_round(subset=(1, 2)):
-        issued.setdefault(index, []).append(frame)
-    return server, parts, issued
+    return server, parts, dict(server.begin_round(subset=(1, 2)))
 
 
 def test_threshold_server_rejects_plain_share_frame(toy_subgroup):
@@ -465,7 +461,7 @@ def test_threshold_server_rejects_plain_share_frame(toy_subgroup):
     from comhash import ErrorCode, Frame, MsgType, Phase
 
     server, parts, issued = _open_round(toy_subgroup, random.Random(41))
-    share = parts[0].respond(*issued[1], m=4)
+    share = parts[0].respond(issued[1], m=4)
     assert share.msg_type is MsgType.THRESH_SHARE
     server.absorb(Frame(MsgType.SHARE, share.session_id, share.sender, share.payload))
     assert server.phase is Phase.FAILED
@@ -477,8 +473,8 @@ def test_threshold_server_result_frame_type(toy_subgroup):
     from comhash import MsgType, Phase, element_to_bytes
 
     server, parts, issued = _open_round(toy_subgroup, random.Random(42))
-    server.absorb(parts[0].respond(*issued[1], m=4))
-    server.absorb(parts[1].respond(*issued[2]))
+    server.absorb(parts[0].respond(issued[1], m=4))
+    server.absorb(parts[1].respond(issued[2]))
     assert server.phase is Phase.COLLECTING
     digest = server.finalize()
     assert digest == cvhp(toy_subgroup, (4 + 5) % 11, 6)
@@ -522,8 +518,7 @@ def test_begin_round_inversion_budget(secp, monkeypatch):
     issued = server.begin_round()
     monkeypatch.undo()
     assert len(calls) == k
-    coeffs = [int.from_bytes(frame.payload, "big") for _, frame in issued
-              if frame.msg_type is MsgType.THRESH_COEFF]
+    coeffs = [int.from_bytes(frame.payload[32:], "big") for _, frame in issued]
     assert coeffs == lagrange_at_zero(range(1, n + 1), mod)
 
 
@@ -558,36 +553,34 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
 
 
 def test_threshold_transcript_bytes_pinned(secp):
-    # n deals, a nonce and a coefficient per chosen member, k shares and
+    # n deals, a nonce and its coefficient per chosen member, k shares and
     # the result; every byte of a seeded session is pinned
     run = run_threshold_session(secp, s0=11, t0=22, k=5, n=8, m=33,
                                 rng=random.Random(2024), subset=(7, 2, 5, 8, 3))
     assert run.server.subset == (2, 3, 5, 7, 8)
     assert run.digest == cvhp(secp, 33 + 11, 22)
     blob = b"".join(encode_frame(frame) for frame in run.transcript)
-    assert (len(run.transcript), len(blob)) == (24, 2221)
+    assert (len(run.transcript), len(blob)) == (19, 2086)
     assert [f.msg_type for f in run.transcript] == (
-        [MsgType.THRESH_DEAL] * 8 + [MsgType.THRESH_NONCE, MsgType.THRESH_COEFF] * 5
+        [MsgType.THRESH_DEAL] * 8 + [MsgType.THRESH_NONCE] * 5
         + [MsgType.THRESH_SHARE] * 5 + [MsgType.THRESH_RESULT])
     assert hashlib.sha256(blob).hexdigest() == \
-        "0264a2a04d43b71cfa34f68df67ddffc63077017b9bfb204c9a13f7318f0b2cd"
+        "121bdb66a42ee2abf71827a189ec5881b4617e659033dcd94687b485a7d5c46f"
 
 
-@pytest.mark.parametrize("case", ["swapped", "share_as_nonce", "coeff_other_session"])
+@pytest.mark.parametrize("case", ["share_as_nonce", "other_session"])
 def test_threshold_respond_checks_frame_types_and_session(case, secp):
     from comhash import Frame
 
     _, parts, issued = _open_round(secp, random.Random(47))
-    nonce, coeff = issued[1]
-    if case == "swapped":
-        frames = (coeff, nonce)
-    elif case == "share_as_nonce":
-        frames = (Frame(MsgType.SHARE, nonce.session_id, 0, nonce.payload), coeff)
+    nonce = issued[1]
+    if case == "share_as_nonce":
+        frame = Frame(MsgType.SHARE, nonce.session_id, 0, nonce.payload)
     else:
-        frames = (nonce, Frame(MsgType.THRESH_COEFF, bytes(15) + b"\x01", 0, coeff.payload))
+        frame = Frame(MsgType.THRESH_NONCE, bytes(15) + b"\x01", 0, nonce.payload)
     with pytest.raises(ProtocolStateError):
-        parts[0].respond(*frames, m=4)
-    assert parts[0].respond(nonce, coeff, m=4).msg_type is MsgType.THRESH_SHARE
+        parts[0].respond(frame, m=4)
+    assert parts[0].respond(nonce, m=4).msg_type is MsgType.THRESH_SHARE
 
 
 def _deal_pair(params, seed):
@@ -629,9 +622,9 @@ def test_deal_sealed_for_another_session_fails_under_this_header(toy_subgroup):
     # the other session, and this session's round frames are refused
     part.receive_deal(foreign)
     assert part.session_id == other.session_id
-    (_, nonce), (_, coeff) = server.begin_round((1, 2))[:2]
+    (_, nonce), _ = server.begin_round((1, 2))
     with pytest.raises(ProtocolStateError):
-        part.respond(nonce, coeff)
+        part.respond(nonce)
 
 
 def test_receive_deal_rejects_a_deal_for_another_index(toy_subgroup):
@@ -736,7 +729,7 @@ def test_receive_deal_checks_the_frame_type(toy_subgroup):
     server, (part, _) = _deal_pair(toy_subgroup, 54)
     deal = server.deal_frame(1, part.keypair.public)
     with pytest.raises(ProtocolStateError):
-        part.receive_deal(Frame(MsgType.THRESH_COEFF, deal.session_id, SERVER_ID, deal.payload))
+        part.receive_deal(Frame(MsgType.THRESH_NONCE, deal.session_id, SERVER_ID, deal.payload))
 
 
 def test_no_round_frame_carries_the_dealer_secrets(secp):
@@ -758,15 +751,41 @@ def test_coefficient_tamper_fails_the_receipt(secp):
     from comhash import ErrorCode, Phase
 
     server, parts, issued = _open_round(secp, random.Random(55))
-    nonce, coeff = issued[1]
-    bumped = (int.from_bytes(coeff.payload, "big") + 1) % secp.exponent_modulus
-    tampered = Frame(MsgType.THRESH_COEFF, coeff.session_id, SERVER_ID,
-                     scalar_to_bytes(secp, bumped))
-    server.absorb(parts[0].respond(nonce, tampered, m=4))
+    frame = issued[1]
+    bumped = (int.from_bytes(frame.payload[32:], "big") + 1) % secp.exponent_modulus
+    tampered = Frame(MsgType.THRESH_NONCE, frame.session_id, SERVER_ID,
+                     frame.payload[:32] + scalar_to_bytes(secp, bumped))
+    server.absorb(parts[0].respond(tampered, m=4))
     assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.DECRYPT_FAIL)
     assert server.digest is None
     with pytest.raises(ProtocolStateError):
         server.finalize()
+
+
+def test_a_coefficient_tamper_stops_the_driver(secp, monkeypatch):
+    # run_threshold_session with one chosen member answering with its
+    # coefficient + 1: the driver stops at that share, naming DECRYPT_FAIL,
+    # and the server stores no digest
+    begin_round, respond = ThresholdServer.begin_round, ThresholdParticipant.respond
+    servers = []
+
+    def recording(self, subset=None):
+        servers.append(self)
+        return begin_round(self, subset)
+
+    def bumped(self, frame, m=None):
+        if self.index == 2:
+            coeff = (int.from_bytes(frame.payload[32:], "big") + 1) % secp.exponent_modulus
+            frame = Frame(frame.msg_type, frame.session_id, frame.sender,
+                          frame.payload[:32] + scalar_to_bytes(secp, coeff))
+        return respond(self, frame, m)
+
+    monkeypatch.setattr(ThresholdServer, "begin_round", recording)
+    monkeypatch.setattr(ThresholdParticipant, "respond", bumped)
+    with pytest.raises(ProtocolStateError, match="DECRYPT_FAIL"):
+        run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(63), subset=(1, 2, 4))
+    (server,) = servers
+    assert server.phase is Phase.FAILED and server.digest is None
 
 
 def test_absorb_before_the_round_is_a_state_error(toy_subgroup):
