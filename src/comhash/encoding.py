@@ -15,9 +15,9 @@ formats, all integers big-endian:
   as minimal integers for modp, (ASCII curve id, g, h) for ec;
 - ciphertext (``pke.encrypt`` returns it, ``pke.decrypt`` takes it):
   ephemeral element | u16 body length | body | 16-byte tag;
-- SHARE and THRESH_SHARE payload (``protocol``): share element | receipt,
-  a ciphertext whose tag covers the element bytes as associated data, and
-  after them, for THRESH_SHARE, the coefficient bytes it was scaled by;
+- SHARE payload (``protocol``), in both rounds: share element | receipt, a
+  ciphertext whose tag covers as associated data the element bytes and, in
+  the threshold round, the coefficient bytes the share was scaled by;
 - THRESH_NONCE payload (``threshold``): 32-byte nonce | one scalar, the
   chosen participant's Lagrange coefficient;
 - THRESH_DEAL payload (``threshold``): body | 16-byte tag, the ``pke.seal``

@@ -28,13 +28,10 @@ class MsgType(IntEnum):
     SHARE = 0x03
     RESULT = 0x04
     ERROR = 0x05
-    # threshold round (0x10-0x1F)
-    # 0x10 is retired and not reused, so a frame from an older peer fails to decode
+    # threshold round (0x10-0x1F); its shares and result travel as SHARE and RESULT
+    # 0x10 and 0x13-0x15 are retired and not reused, so a frame from an older peer fails to decode
     THRESH_DEAL = 0x11    # server -> participant i: f(i) | t(i) under pke.deal_keys
     THRESH_NONCE = 0x12   # server -> chosen participant: receipt nonce | its Lagrange coefficient
-    # 0x13 is retired and not reused, so a frame from an older peer fails to decode
-    THRESH_SHARE = 0x14   # participant -> server: share + encrypted receipt
-    THRESH_RESULT = 0x15
     # two-party multiplication (0x20-0x25), payload is one canonical scalar
     MUL_BLINDED_X = 0x20      # P1 -> P2: r1*x
     MUL_BLINDED_XY = 0x21     # P2 -> S:  r1*x*r2*y

@@ -198,8 +198,6 @@ class SessionOutcome:
 def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
                       m: int, *, owner_index: int = 1, seed: Optional[int] = None,
                       server_keypair: Optional[pke.KeyPair] = None,
-                      blinding: Optional[int] = None,
-                      second_message: Optional[int] = None,
                       faults: Optional[FaultPlan] = None) -> SessionOutcome:
     """Play one complete n-party session over the router.
 
@@ -229,7 +227,7 @@ def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
     handlers = {SERVER_ID: _frame_handler(serve)}
     participants = {}
     for index, keys in enumerate(keys_list, start=1):
-        owner = OwnerRole(m, blinding, second_message) if index == owner_index else None
+        owner = OwnerRole(m) if index == owner_index else None
         child = None if seed is None else random.Random(rng.randrange(2**63))
         participants[index] = ParticipantSession(params, index, keys, server_keypair.public,
                                                  owner=owner, rng=child)

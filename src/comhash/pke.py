@@ -20,6 +20,11 @@ A ciphertext exists only as its wire bytes, as in HPKE's Seal and Open (RFC
 16-byte tag, and ``decrypt`` reads them, so the tag is computed over the
 ephemeral's bytes as they were sent and as they arrived, never re-encoded.
 
+A Diffie-Hellman key from outside that is ``low_order`` (the identity, or
+p - 1 in primitive-mode modp) is refused wherever one arrives: any secret
+raises it to one of two public values, so an outcome that depended on which
+would tell the secret's parity. No key or ephemeral made here is one.
+
 Key secrets and ephemeral exponents are drawn from
 [1, min(exponent_modulus, 2^RECEIPT_EXPONENT_BITS)). On secp256k1 and the
 toy groups that bound is the modulus itself. In the 2048- and 3072-bit
@@ -80,7 +85,7 @@ def _exponent(params: GroupParams, rng: random.Random) -> int:
     min(exponent_modulus, 2^RECEIPT_EXPONENT_BITS)."""
     bound = _bound(params)
     s = rng.randrange(bound)
-    while s == 0:  # zero would publish the identity
+    while s == 0 or 2 * s == params.exponent_modulus:  # g^s would be low_order
         s = rng.randrange(bound)
     return s
 
@@ -91,9 +96,11 @@ def generate_keypair(params: GroupParams, rng=None) -> KeyPair:
                    public=params.power(params.g, secret, bits=_exponent_bits(params)))
 
 
-def _check_public(params: GroupParams, public) -> None:
-    if public == params.identity or not params.element_valid(public):
-        raise GroupError("public key is not a group element other than the identity")
+def low_order(params: GroupParams, element) -> bool:
+    """Whether ``element`` is the identity, or of order 2 in a group without
+    prime order; in a prime-order group this is one comparison."""
+    return element == params.identity or (
+        not params.prime_order and params.combine(element, element) == params.identity)
 
 
 def _derive_key(params: GroupParams, shared) -> bytes:
@@ -148,16 +155,18 @@ def deal_keys(params: GroupParams, secret: int, server_public, participant_publi
 
     The dealer (``dealer=True``, ``secret`` the server's) raises the
     participant's key, which comes from outside: it is checked, and a key
-    that is not a group element other than the identity raises
-    ``GroupError`` before any power; the key is used once and takes the
-    general route. The participant (``secret`` its own) raises the server's
-    key on its comb table, which the receipts build anyway. HKDF-SHA256
-    (RFC 9180 §4.1) with the session id as salt and the shared element's
-    bytes as input expands under the label, u16 index and both keys' bytes
-    to a 32-byte stream key and a 32-byte MAC key.
+    that is not a group element, or is ``low_order``, raises ``GroupError``
+    before any power; the key is used once and takes the general route. The
+    participant (``secret`` its own) raises the server's key on its comb
+    table, which the receipts build anyway. HKDF-SHA256 (RFC 9180 §4.1)
+    with the session id as salt and the shared element's bytes as input
+    expands under the label, u16 index and both keys' bytes to a 32-byte
+    stream key and a 32-byte MAC key.
     """
     if dealer:
-        _check_public(params, participant_public)
+        if (not params.element_valid(participant_public)
+                or low_order(params, participant_public)):
+            raise GroupError("participant key is not a group element of order above 2")
         shared = params.power(participant_public, secret)
     else:
         shared = params.power(server_public, secret, bits=_exponent_bits(params))
@@ -179,15 +188,16 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
     """Encrypt to ``public`` and return the ciphertext's wire bytes; the tag
     also covers ``associated``, which ``decrypt`` must be given unchanged.
 
-    ``public`` may come from outside, and the KEM point ``public^e`` is
-    encoded as trusted, so ``public`` is checked when its comb table is
-    built: a key that is not a group element other than the identity raises
-    ``GroupError``.
+    ``public`` may come from outside and ``public^e`` is encoded as trusted,
+    so a ``low_order`` key raises ``GroupError``, as does any other key that
+    is not a group element, when its comb table is built.
     """
     if len(plaintext) > MAX_PLAINTEXT:
         raise EncodingError("plaintext too long")
     if len(associated) > MAX_PLAINTEXT:
         raise EncodingError("associated data too long")
+    if low_order(params, public):
+        raise GroupError("public key has order at most 2")
     bits = _exponent_bits(params)
     e = _exponent(params, _rng(rng))
     key = _derive_key(params, params.power(public, e, bits=bits))
@@ -199,15 +209,15 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
 
 def decrypt(params: GroupParams, secret: int, data: bytes,
             associated: bytes = b"") -> bytes:
-    """Open the wire bytes ``encrypt`` returned. Malformed bytes raise
-    ``EncodingError``, a tag that does not match ``AuthenticationError``."""
+    """Open the wire bytes ``encrypt`` returned. Malformed bytes or a
+    ``low_order`` ephemeral raise ``EncodingError``, a bad tag ``AuthenticationError``."""
     rd = Reader(data)
     # the tag covers the ephemeral's bytes as received; the strict decode
     # makes them the one canonical encoding of the point
     ephemeral_bytes = rd.element_bytes(params)
     ephemeral = element_from_bytes(params, ephemeral_bytes)
-    if ephemeral == params.identity:
-        raise EncodingError("ephemeral element cannot be the identity")
+    if low_order(params, ephemeral):
+        raise EncodingError("ephemeral element has order at most 2")
     sealed = rd.field() + rd.take(TAG_LENGTH)
     rd.done()
     key = _derive_key(params, params.power(ephemeral, secret))

@@ -43,8 +43,6 @@ class OwnerRole:
     """Marks a session as the data owner's, carrying the message to mix in."""
 
     m: int
-    blinding: Optional[int] = None
-    second_message: Optional[int] = None
 
 
 def share_payload(params: GroupParams, element, server_public, nonce: bytes,
@@ -60,9 +58,6 @@ def share_payload(params: GroupParams, element, server_public, nonce: bytes,
 
 class ServerSession:
     """Server side of one run; mutated by a single logical thread."""
-
-    share_type = MsgType.SHARE    # the frame type absorb accepts
-    result_type = MsgType.RESULT  # the frame type result_frame sends
 
     def __init__(self, params: GroupParams, n: int, keypair: pke.KeyPair,
                  rng: random.Random):
@@ -99,7 +94,7 @@ class ServerSession:
         code identifying the defect."""
         if self.phase not in (Phase.ISSUED, Phase.COLLECTING):
             raise ProtocolStateError(f"cannot absorb in phase {self.phase.value}")
-        if frame.msg_type is not self.share_type or frame.session_id != self.session_id:
+        if frame.msg_type is not MsgType.SHARE or frame.session_id != self.session_id:
             return self.fail(ErrorCode.MALFORMED)
         index = frame.sender
         if index not in self.nonces:
@@ -158,7 +153,7 @@ class ServerSession:
     def result_frame(self) -> Frame:
         if self.phase is not Phase.DONE:
             raise ProtocolStateError("no digest to publish")
-        return Frame(self.result_type, self.session_id, SERVER_ID,
+        return Frame(MsgType.RESULT, self.session_id, SERVER_ID,
                      element_to_bytes(self.params, self.digest))
 
     def error_frame(self) -> Frame:
@@ -193,9 +188,7 @@ class ParticipantSession:
         elif frame.session_id != self.session_id:
             raise ProtocolStateError("nonce belongs to a different session")
         if self.owner is not None:
-            element = owner_share(self.params, self.keys, self.owner.m,
-                                  blinding=self.owner.blinding,
-                                  m2=self.owner.second_message)
+            element = owner_share(self.params, self.keys, self.owner.m)
         else:
             element = member_share(self.params, self.keys)
         payload = share_payload(self.params, element, self.server_public,

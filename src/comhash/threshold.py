@@ -69,23 +69,28 @@ def poly_eval(poly: Polynomial, x: int) -> int:
     return poly(x)
 
 
+def _lagrange(points: Sequence[int], modulus: int, at: Sequence[int]) -> list[int]:
+    """l_i = prod x_j / (x_j - x_i) over the points x_j != x_i, for each x_i in ``at``."""
+    if len({x % modulus for x in points}) != len(points):
+        raise ValueError("duplicate evaluation points")
+    coeffs = []
+    for xi in at:
+        num, den = 1, 1
+        for xj in points:
+            if xj != xi:  # distinct mod modulus, so only x_i itself is skipped
+                num = num * xj % modulus
+                den = den * (xj - xi) % modulus
+        coeffs.append(num * scalar_inv(den, modulus) % modulus)
+    return coeffs
+
+
 def lagrange_at_zero(points: Sequence[int], modulus: int) -> list[int]:
     """Coefficients l_i with sum(f(x_i) * l_i) = f(0) for deg(f) < len(points)."""
     if not points:
         raise ValueError("need at least one point")
     if any(x % modulus == 0 for x in points):
         raise ValueError("zero evaluation point would reveal the secret")
-    if len({x % modulus for x in points}) != len(points):
-        raise ValueError("duplicate evaluation points")
-    coeffs = []
-    for i, xi in enumerate(points):
-        num, den = 1, 1
-        for j, xj in enumerate(points):
-            if j != i:
-                num = num * xj % modulus
-                den = den * (xj - xi) % modulus
-        coeffs.append(num * scalar_inv(den, modulus) % modulus)
-    return coeffs
+    return _lagrange(points, modulus, points)
 
 
 @dataclass(frozen=True)
@@ -151,24 +156,15 @@ def lagrange_from_quotients(table: QuotientTable, subset: Sequence[int],
     Lagrange coefficients at zero are scale-invariant: with lo = min(subset)
     and r_j = x_j/x_lo, each factor x_j/(x_j - x_i) equals r_j/(r_j - r_i).
     One walk over the stored quotients from lo to max(subset) gives every
-    r_j, so l_i = prod r_j * (prod (r_j - r_i))^-1 over j != i costs O(n)
-    multiplications and one inversion; no raw x value is touched.
+    r_j, and ``lagrange_at_zero``'s arithmetic on the ratios gives l_i in
+    O(n) multiplications and one inversion; no raw x value is touched.
     """
     if i not in subset:
         raise ValueError("index not in subset")
-    mod = table.modulus
     lo = min(subset)
     ratios = _ratios(table, lo, max(subset))
     points = [ratios[j - lo] for j in subset]
-    if len(set(points)) != len(points):
-        raise ValueError("duplicate evaluation points")
-    ri = ratios[i - lo]
-    num, den = 1, 1
-    for r in points:
-        if r != ri:
-            num = num * r % mod
-            den = den * (r - ri) % mod
-    return num * scalar_inv(den, mod) % mod
+    return _lagrange(points, table.modulus, [ratios[i - lo]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +331,6 @@ class ThresholdServer(ServerSession):
     participant its values, issues each member of a chosen subset its nonce
     and coefficient, and verifies receipts exactly like the basic server."""
 
-    share_type = MsgType.THRESH_SHARE
-    result_type = MsgType.THRESH_RESULT
-
     def __init__(self, params: GroupParams, n: int, k: int, s0: int, t0: int,
                  keypair: pke.KeyPair, rng: random.Random):
         _require_prime_order(params)
@@ -432,8 +425,8 @@ class ThresholdParticipant:
         self.share_value, self.mask_value = values
 
     def respond(self, frame: Frame, m: Optional[int] = None) -> Frame:
-        """Answer a THRESH_NONCE, nonce | one canonical scalar; any other
-        payload raises ``EncodingError`` before any power."""
+        """Answer a THRESH_NONCE, nonce | one canonical scalar, with a SHARE;
+        any other payload raises ``EncodingError`` before any power."""
         if self.share_value is None:
             raise ProtocolStateError("polynomial values not received yet")
         if frame.msg_type is not MsgType.THRESH_NONCE:
@@ -455,7 +448,7 @@ class ThresholdParticipant:
         # check fails if it differs from the one sent
         payload = share_payload(self.params, element, self.server_public, nonce,
                                 self.rng, frame.payload[NONCE_LENGTH:])
-        return Frame(MsgType.THRESH_SHARE, self.session_id, self.index, payload)
+        return Frame(MsgType.SHARE, self.session_id, self.index, payload)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 A link opens with a handshake: both sides send the 32-byte digest of their
 group parameters (mismatched parameter sets are rejected immediately), then
-exchange fresh link public keys. A peer key of order at most 2 (the
+exchange fresh link public keys. A peer key that is ``pke.low_order`` (the
 identity, or p - 1 in primitive-mode modp) or equal to our own is rejected.
 Each side then computes the shared element peer^secret once and derives a
 stream key and a MAC key per direction with HKDF-SHA256 (RFC 5869): the
@@ -79,8 +79,7 @@ class SecureChannel:
             peer_public = element_from_bytes(self.params, raw)
         except EncodingError as exc:
             raise TransportError(f"bad link key from peer: {exc}") from exc
-        # peer^secret of such a key takes one of at most two public values
-        if self.params.combine(peer_public, peer_public) == self.params.identity:
+        if pke.low_order(self.params, peer_public):
             raise TransportError("bad link key from peer: order 2 or the identity")
         if peer_public == self.keypair.public:
             raise TransportError("bad link key from peer: our own")

@@ -38,9 +38,9 @@ def test_bad_magic_rejected():
 
 
 def test_unknown_type_rejected():
-    # 0x10 and 0x13 are retired threshold types, never reused
+    # 0x10 and 0x13-0x15 are retired threshold types, never reused
     data = bytearray(encode_frame(Frame(MsgType.SHARE, SID, 1, b"x")))
-    for raw_type in (0x99, 0x10, 0x13):
+    for raw_type in (0x99, 0x10, 0x13, 0x14, 0x15):
         data[4] = raw_type
         with pytest.raises(FrameError, match="unknown message type"):
             decode_frame(bytes(data))

@@ -54,6 +54,23 @@ def test_different_seeds_same_digest(toy_subgroup):
     assert len(digests) == 1
 
 
+@pytest.mark.parametrize("which", ["toy_subgroup", "secp"])
+def test_a_blinded_session_is_the_plain_session_on_m_times_r(which, request):
+    # hashing.owner_share's blinding factor R needs no session option: the
+    # owner sends m * R mod q, and the digest is the blinded variant's
+    from comhash import combine_shares, member_share, owner_share
+
+    params = request.getfixturevalue(which)
+    q = params.exponent_modulus
+    keys = [ParticipantKeys(2, 3), ParticipantKeys(4, 6), ParticipantKeys(7, 1)]
+    m, r = 5, 3
+    out = run_basic_session(params, keys, m * r % q, seed=11)
+    assert out.phase is Phase.DONE
+    assert out.digest == combine_shares(
+        params, [owner_share(params, keys[0], m, blinding=r)]
+        + [member_share(params, k) for k in keys[1:]])
+
+
 @pytest.mark.parametrize("owner_index", [0, 3])
 def test_owner_must_be_a_participant(owner_index, toy_subgroup):
     # an owner outside 1..n would leave m out of the stored digest

@@ -253,3 +253,75 @@ def test_unseal_rejects_any_flipped_byte_and_another_mac_key():
     # bytes too short to hold a tag fail the same way
     with pytest.raises(AuthenticationError):
         pke.unseal(*SEAL_KEYS, header, sealed[:pke.TAG_LENGTH - 1])
+
+
+# -- keys of order 2 in primitive-mode modp ------------------------------------
+# With p = 23, p - 1 = 22 has order 2: 22^secret is 1 for an even secret and
+# 22 for an odd one, so any outcome that depends on it tells the parity.
+
+def order_2_receipt(params, plaintext, associated=b""):
+    """The wire bytes of a receipt whose ephemeral is p - 1, sealed under the
+    key of shared element 1: it opens under every even secret."""
+    ephemeral = element_to_bytes(params, params.modulus - 1)
+    key = pke._derive_key(params, params.identity)
+    header = ephemeral + (prefixed(associated) if associated else b"")
+    return ephemeral + len(plaintext).to_bytes(2, "big") + pke.seal(key, key, header, plaintext)
+
+
+def test_encrypt_refuses_a_key_of_order_2(toy_primitive):
+    for seed in range(20):
+        with pytest.raises(GroupError, match="order at most 2"):
+            pke.encrypt(toy_primitive, 22, b"nonce", rng=random.Random(seed))
+
+
+@pytest.mark.parametrize("secret", [2, 3])
+def test_decrypt_refuses_an_ephemeral_of_order_2(secret, toy_primitive):
+    # for either parity of the secret: the error tells nothing about it
+    with pytest.raises(EncodingError, match="order at most 2"):
+        pke.decrypt(toy_primitive, secret, order_2_receipt(toy_primitive, b"nonce"))
+
+
+def test_no_key_or_ephemeral_made_here_has_order_2(toy_primitive):
+    # secret 11 = (p - 1)/2 would publish 22, and a uniform draw from [1, 22)
+    # takes it for 15 of these 300 seeds
+    for seed in range(300):
+        kp = pke.generate_keypair(toy_primitive, rng=random.Random(seed))
+        assert kp.secret != 11
+        assert toy_primitive.combine(kp.public, kp.public) != toy_primitive.identity
+    kp = pke.generate_keypair(toy_primitive, rng=random.Random(1))
+    for seed in range(300):
+        ct = pke.encrypt(toy_primitive, kp.public, b"nonce", rng=random.Random(seed))
+        assert pke.decrypt(toy_primitive, kp.secret, ct) == b"nonce"
+
+
+def test_low_order_is_the_identity_or_order_2(toy_primitive, toy_subgroup, secp):
+    assert [x for x in range(1, 23) if pke.low_order(toy_primitive, x)] == [1, 22]
+    assert [x for x in range(1, 23) if pke.low_order(toy_subgroup, x)] == [1]
+    assert pke.low_order(secp, secp.identity)
+    assert not pke.low_order(secp, secp.g)
+
+
+def test_the_dealer_refuses_a_participant_key_of_order_2(toy_primitive):
+    server = pke.generate_keypair(toy_primitive, rng=random.Random(4))
+    for bad in (22, toy_primitive.identity):
+        with pytest.raises(GroupError):
+            pke.deal_keys(toy_primitive, server.secret, server.public, bad,
+                          bytes(16), 1, dealer=True)
+
+
+@pytest.mark.parametrize("secret", [2, 3])
+def test_order_2_share_ephemeral_is_malformed_for_either_parity(secret, toy_primitive):
+    # anyone who saw the NONCE can send this share; an outcome that differed
+    # with the parity of the server's secret would tell that parity
+    from comhash import ErrorCode, Frame, MsgType, ParticipantKeys, Phase, ServerSession
+    from comhash import member_share
+
+    keypair = pke.KeyPair(secret, toy_primitive.power(toy_primitive.g, secret))
+    server = ServerSession(toy_primitive, 1, keypair, random.Random(8))
+    element = element_to_bytes(toy_primitive,
+                               member_share(toy_primitive, ParticipantKeys(3, 4)))
+    payload = element + order_2_receipt(toy_primitive, server.nonces[1], element)
+    server.absorb(Frame(MsgType.SHARE, server.session_id, 1, payload))
+    assert server.phase is Phase.FAILED
+    assert server.error_code is ErrorCode.MALFORMED
+    assert server.digest is None

@@ -210,6 +210,27 @@ def test_lagrange_from_quotients_non_adjacent_duplicate():
         lagrange_from_quotients(table, (1, 2), 3)  # index not in the subset
 
 
+def test_both_lagrange_paths_invert_once_per_coefficient(monkeypatch):
+    # lagrange_at_zero's arithmetic serves both paths: one inversion per
+    # coefficient asked for, k for every point, one from the quotients
+    mod, xs = 101, [3, 7, 12, 40, 41, 77, 90, 99]
+    table = QuotientTable({i + 1: xs[i + 1] * scalar_inv(xs[i], mod) % mod
+                           for i in range(len(xs) - 1)}, mod)
+    direct = lagrange_at_zero(xs, mod)
+    subset_direct = lagrange_at_zero([xs[1], xs[4], xs[7]], mod)
+    calls = []
+
+    def counted(u, modulus):
+        calls.append(u)
+        return scalar_inv(u, modulus)
+
+    monkeypatch.setattr(threshold, "scalar_inv", counted)
+    assert lagrange_at_zero(xs, mod) == direct and len(calls) == len(xs)
+    calls.clear()
+    assert lagrange_from_quotients(table, (2, 5, 8), 5) == subset_direct[1]
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # blinded multiplication
 # ---------------------------------------------------------------------------
@@ -456,16 +477,22 @@ def _open_round(params, rng):
 
 
 def test_threshold_server_rejects_plain_share_frame(toy_subgroup):
-    # the threshold server takes THRESH_SHARE frames only; a SHARE-typed
-    # frame with a valid payload is malformed there
-    from comhash import ErrorCode, Frame, MsgType, Phase
+    # both rounds share the SHARE frame, so a basic participant's share for
+    # the THRESH_NONCE's nonce under this session id reaches the receipt
+    # check; its receipt does not cover the coefficient, so it fails there
+    from comhash import ErrorCode, ParticipantKeys, ParticipantSession
 
-    server, parts, issued = _open_round(toy_subgroup, random.Random(41))
-    share = parts[0].respond(issued[1], m=4)
-    assert share.msg_type is MsgType.THRESH_SHARE
-    server.absorb(Frame(MsgType.SHARE, share.session_id, share.sender, share.payload))
+    server, _, issued = _open_round(toy_subgroup, random.Random(41))
+    nonce = issued[1]
+    plain = ParticipantSession(toy_subgroup, 1, ParticipantKeys(3, 4),
+                               server.keypair.public, rng=random.Random(5),
+                               session_id=server.session_id)
+    share = plain.respond(Frame(MsgType.NONCE, nonce.session_id, SERVER_ID,
+                                nonce.payload[:32]))
+    assert (share.msg_type, share.session_id) == (MsgType.SHARE, server.session_id)
+    server.absorb(share)
     assert server.phase is Phase.FAILED
-    assert server.error_code is ErrorCode.MALFORMED
+    assert server.error_code is ErrorCode.DECRYPT_FAIL
     assert server.digest is None
 
 
@@ -479,7 +506,7 @@ def test_threshold_server_result_frame_type(toy_subgroup):
     digest = server.finalize()
     assert digest == cvhp(toy_subgroup, (4 + 5) % 11, 6)
     result = server.result_frame()
-    assert result.msg_type is MsgType.THRESH_RESULT
+    assert result.msg_type is MsgType.RESULT
     assert result.payload == element_to_bytes(toy_subgroup, digest)
 
 
@@ -553,8 +580,8 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
 
 
 def test_threshold_transcript_bytes_pinned(secp):
-    # n deals, a nonce and its coefficient per chosen member, k shares and
-    # the result; every byte of a seeded session is pinned
+    # n deals, a nonce and its coefficient per chosen member, k basic SHARE
+    # frames and the basic RESULT; every byte of a seeded session is pinned
     run = run_threshold_session(secp, s0=11, t0=22, k=5, n=8, m=33,
                                 rng=random.Random(2024), subset=(7, 2, 5, 8, 3))
     assert run.server.subset == (2, 3, 5, 7, 8)
@@ -563,9 +590,9 @@ def test_threshold_transcript_bytes_pinned(secp):
     assert (len(run.transcript), len(blob)) == (19, 2086)
     assert [f.msg_type for f in run.transcript] == (
         [MsgType.THRESH_DEAL] * 8 + [MsgType.THRESH_NONCE] * 5
-        + [MsgType.THRESH_SHARE] * 5 + [MsgType.THRESH_RESULT])
+        + [MsgType.SHARE] * 5 + [MsgType.RESULT])
     assert hashlib.sha256(blob).hexdigest() == \
-        "121bdb66a42ee2abf71827a189ec5881b4617e659033dcd94687b485a7d5c46f"
+        "caced646c150ed790817fcf744f949a8edf211fb8674e0de9988793b5ad22583"
 
 
 @pytest.mark.parametrize("case", ["share_as_nonce", "other_session"])
@@ -580,7 +607,7 @@ def test_threshold_respond_checks_frame_types_and_session(case, secp):
         frame = Frame(MsgType.THRESH_NONCE, bytes(15) + b"\x01", 0, nonce.payload)
     with pytest.raises(ProtocolStateError):
         parts[0].respond(frame, m=4)
-    assert parts[0].respond(nonce, m=4).msg_type is MsgType.THRESH_SHARE
+    assert parts[0].respond(nonce, m=4).msg_type is MsgType.SHARE
 
 
 def _deal_pair(params, seed):
@@ -790,7 +817,7 @@ def test_a_coefficient_tamper_stops_the_driver(secp, monkeypatch):
 
 def test_absorb_before_the_round_is_a_state_error(toy_subgroup):
     server, _ = _deal_pair(toy_subgroup, 56)
-    share = Frame(MsgType.THRESH_SHARE, server.session_id, 1, b"")
+    share = Frame(MsgType.SHARE, server.session_id, 1, b"")
     with pytest.raises(ProtocolStateError):
         server.absorb(share)
 
