@@ -16,13 +16,11 @@ formats, all integers big-endian:
 - ciphertext (``pke.encrypt`` returns it, ``pke.decrypt`` takes it):
   ephemeral element | u16 body length | body | 16-byte tag;
 - SHARE payload (``protocol``), in both rounds: share element | receipt, a
-  ciphertext whose tag covers as associated data the element bytes and, in
-  the threshold round, the coefficient bytes the share was scaled by;
-- THRESH_NONCE payload (``threshold``): 32-byte nonce | one scalar, the
-  chosen participant's Lagrange coefficient;
+  ciphertext whose tag covers the element bytes as associated data;
 - THRESH_DEAL payload (``threshold``): body | 16-byte tag, the ``pke.seal``
-  of two scalars, f(i) | t(i), under ``pke.deal_keys``; its header, session
-  id | u16 index, never travels;
+  of three scalars and the 32-byte receipt nonce, f(i) | t(i) | l_i |
+  nonce, under ``pke.deal_keys``; its header, session id | u16 index, never
+  travels;
 - quotient table (``threshold``): u32 count | count x (u16 index | quotient,
   as wide as the modulus);
 - sealed evaluation (``threshold``): u32 ciphertext length | ciphertext |

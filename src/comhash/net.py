@@ -71,13 +71,9 @@ class FaultPlan:
 
     def __init__(self, faults=None):
         self._faults = dict(faults or {})
-        self.applied: list[int] = []
 
     def take(self, ordinal: int):
-        mutation = self._faults.pop(ordinal, None)
-        if mutation is not None:
-            self.applied.append(ordinal)
-        return mutation
+        return self._faults.pop(ordinal, None)
 
     @property
     def pending(self) -> dict:

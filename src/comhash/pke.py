@@ -8,11 +8,10 @@ authenticated but not sent. Key agreement sits in front of it, as in HPKE
 receipt hashes the KEM shared point into one stream and MAC key, so the only
 hardness assumption stays the discrete log in the group already in use; its
 header is the ephemeral's bytes and any associated data: a share receipt
-binds the share element it was sent with (and, in the threshold round, the
-coefficient). A threshold deal needs no ephemeral: ``deal_keys`` derives
-its keys with ``hkdf`` (RFC 5869) from one Diffie-Hellman between the
-server's key and the participant's, and its header is its session id and
-index. A link record (``transport``) uses per-direction keys from ``hkdf``
+binds only the share element it was sent with. A threshold request needs no
+ephemeral: ``deal_keys`` derives its keys with ``hkdf`` (RFC 5869) from one
+Diffie-Hellman between the server's key and the participant's, and its
+header is its session id and index. A link record (``transport``) uses per-direction keys from ``hkdf``
 and its sequence number as the header.
 
 A ciphertext exists only as its wire bytes, as in HPKE's Seal and Open (RFC
@@ -38,10 +37,10 @@ Every such exponent is below 2^bits, bits the bound's width, and is raised
 on comb tables of that width (``groups``' ``power(..., bits=bits)``): ``g``,
 for key pairs and ephemerals, and every recipient key of ``encrypt``. In the
 protocol that is the one server key all of a session's receipts go to, and
-every participant raises the same key to open its threshold deal. A table
-checks its key once, when it is built. A participant's own key is used once,
-by the dealer, and the ephemeral^secret of ``decrypt`` once too; both take
-the general route.
+every chosen participant raises the same key to open its threshold request.
+A table checks its key once, when it is built. A participant's own key is
+used once, by the dealer, and the ephemeral^secret of ``decrypt`` once too;
+both take the general route.
 """
 
 from __future__ import annotations

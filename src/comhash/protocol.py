@@ -46,14 +46,12 @@ class OwnerRole:
 
 
 def share_payload(params: GroupParams, element, server_public, nonce: bytes,
-                  rng: random.Random, context: bytes = b"") -> bytes:
+                  rng: random.Random) -> bytes:
     """A SHARE payload: the share element's bytes, then the nonce receipt
-    encrypted to the server with those bytes and then ``context`` as
-    associated data, so the receipt checks out only next to the element it
-    was made for and with the context the server sent."""
+    encrypted to the server with those bytes as associated data, so the
+    receipt checks out only next to the element it was made for."""
     element_bytes = element_to_bytes(params, element)
-    return element_bytes + pke.encrypt(params, server_public, nonce, rng,
-                                       element_bytes + context)
+    return element_bytes + pke.encrypt(params, server_public, nonce, rng, element_bytes)
 
 
 class ServerSession:
@@ -101,29 +99,21 @@ class ServerSession:
             return self.fail(ErrorCode.MALFORMED)
         if index in self.shares:
             return self.fail(ErrorCode.DUPLICATE)
-        context = self.receipt_context(index)
         rd = Reader(frame.payload)
         try:
             # the receipt's tag covers the element bytes exactly as received
             element_bytes = rd.element_bytes(self.params)
             element = element_from_bytes(self.params, element_bytes)
-            echoed = pke.decrypt(self.params, self.keypair.secret, rd.rest(),
-                                 element_bytes + context)
+            echoed = pke.decrypt(self.params, self.keypair.secret, rd.rest(), element_bytes)
         except EncodingError:
             return self.fail(ErrorCode.MALFORMED)
         except AuthenticationError:
-            # altered, or made for another element, another context or none
+            # altered, or made for another element
             return self.fail(ErrorCode.DECRYPT_FAIL)
         if not hmac.compare_digest(echoed, self.nonces[index]):
             return self.fail(ErrorCode.NONCE_MISMATCH)
         self.shares[index] = element
         self.phase = Phase.COLLECTING
-
-    def receipt_context(self, index: int) -> bytes:
-        """What the server sent participant ``index`` besides its nonce,
-        which the receipt must cover after the element bytes; the basic
-        session sends nothing else."""
-        return b""
 
     @property
     def complete(self) -> bool:

@@ -8,12 +8,13 @@ for the chosen subset, so the combined digest collapses to
 
 Trust model: the server is the dealer. It knows s0 and t0, so it can compute
 any digest by itself, and hiding the points from it would protect nothing.
-Participant i learns only f(i) and t(i), sealed under keys that only the
-holder of the server's secret and participant i can derive
-(``pke.deal_keys``), so only the server can deal: a deal sealed by anyone
-else, or under another server key, fails its tag. No frame of a round
-carries s0 or t0. Each receipt covers the coefficient the server sent with
-its nonce, so a coefficient altered in transit fails the receipt.
+Each chosen participant i gets one request, f(i) | t(i) | l_i | its receipt
+nonce, sealed under keys that only the holder of the server's secret and
+participant i can derive (``pke.deal_keys``). So only the server can deal,
+only participant i learns those four values, and only participant i can
+answer its request: a request sealed by anyone else, under another server
+key, or altered in transit fails its tag, and without the nonce a share
+fails the receipt check. No frame of a round carries s0 or t0.
 
 The quotient table, blinded multiplication and sealed evaluator below hide
 evaluation points from the server; they are kept as tested primitives and
@@ -230,9 +231,7 @@ def multiply_step(session: MultiplySession, incoming: Optional[int]) -> int:
     return out
 
 
-def run_multiply(x: int, y: int, modulus: int, rng: random.Random,
-                 session_id: Optional[bytes] = None,
-                 party_ids: tuple = (1, 2)) -> tuple:
+def run_multiply(x: int, y: int, modulus: int, rng: random.Random) -> tuple:
     """Drive a full multiplication; returns (product, transcript frames)."""
     def blind():
         b = 0
@@ -243,12 +242,11 @@ def run_multiply(x: int, y: int, modulus: int, rng: random.Random,
     p1 = MultiplySession(MultiplyRole.P1, modulus, blind(), x)
     p2 = MultiplySession(MultiplyRole.P2, modulus, blind(), y)
     server = MultiplySession(MultiplyRole.SERVER, modulus, blind())
-    sid = session_id if session_id is not None else rng.randbytes(SESSION_ID_LENGTH)
+    sid = rng.randbytes(SESSION_ID_LENGTH)
     width = (modulus.bit_length() + 7) // 8
 
     order = [p1, p2, server, p1, p2, server]
-    senders = [party_ids[0], party_ids[1], SERVER_ID,
-               party_ids[0], party_ids[1], SERVER_ID]
+    senders = [1, 2, SERVER_ID, 1, 2, SERVER_ID]
     value: Optional[int] = None
     frames = []
     for machine, msg_type, sender in zip(order, MULTIPLY_FRAME_SEQUENCE, senders):
@@ -322,14 +320,14 @@ def distinct_nonzero_scalars(modulus: int, count: int, rng: random.Random) -> li
 
 
 def _deal_context(session_id: bytes, index: int) -> bytes:
-    # a deal opens only for the session and the index it was sealed for
+    # a request opens only for the session and the index it was sealed for
     return session_id + index.to_bytes(2, "big")
 
 
 class ThresholdServer(ServerSession):
-    """Dealer plus collector: holds the two polynomials, deals each
-    participant its values, issues each member of a chosen subset its nonce
-    and coefficient, and verifies receipts exactly like the basic server."""
+    """Dealer plus collector: holds the two polynomials, seals each member of
+    a chosen subset its request, and verifies receipts exactly like the
+    basic server."""
 
     def __init__(self, params: GroupParams, n: int, k: int, s0: int, t0: int,
                  keypair: pke.KeyPair, rng: random.Random):
@@ -343,27 +341,17 @@ class ThresholdServer(ServerSession):
         self.share_poly = Polynomial.random(s0, k - 1, mod, rng)
         self.mask_poly = Polynomial.random(t0, k - 1, mod, rng)
         self.subset: Optional[tuple] = None
-        self.coefficients: dict[int, bytes] = {}  # as sent, per chosen index
         self._rng = rng
         super().__init__(params, n, keypair, rng)
 
-    def deal_frame(self, index: int, public) -> Frame:
-        """f(index) | t(index), sealed under the keys the server's key and
-        participant ``index``'s key ``public`` derive for this session; a
-        ``public`` that is not a group element other than the identity
-        raises ``GroupError``."""
-        if not 1 <= index <= self.n:
-            raise ValueError("participant index out of range")
-        keys = pke.deal_keys(self.params, self.keypair.secret, self.keypair.public, public,
-                             self.session_id, index, dealer=True)
-        values = b"".join(scalar_to_bytes(self.params, poly(index))
-                          for poly in (self.share_poly, self.mask_poly))
-        sealed = pke.seal(*keys, _deal_context(self.session_id, index), values)
-        return Frame(MsgType.THRESH_DEAL, self.session_id, SERVER_ID, sealed)
-
-    def begin_round(self, subset: Optional[Sequence[int]] = None) -> list[tuple]:
-        """Pick (or accept) the k-subset; returns [(participant, frame), ...],
-        one THRESH_NONCE per chosen participant: nonce | coefficient."""
+    def begin_round(self, publics: dict,
+                    subset: Optional[Sequence[int]] = None) -> list[tuple]:
+        """Pick (or accept) the k-subset; returns [(i, frame), ...], one
+        THRESH_DEAL per chosen participant i: f(i) | t(i) | l_i | nonce_i,
+        sealed under the keys the server's key and i's key ``publics[i]``
+        derive for this session. A missing key raises ``KeyError``, and one
+        that is not a group element other than the identity ``GroupError``,
+        before that member's power; the round then stays unbegun."""
         if self.subset is not None:
             raise ProtocolStateError("round already begun")
         if subset is None:
@@ -373,26 +361,31 @@ class ThresholdServer(ServerSession):
             raise ValueError(f"subset must contain exactly k={self.k} distinct members")
         if not all(1 <= i <= self.n for i in subset):
             raise ValueError("subset member out of range")
-        coeffs = lagrange_at_zero(subset, self.params.exponent_modulus)
-        self.coefficients = {i: scalar_to_bytes(self.params, c)
-                             for i, c in zip(subset, coeffs)}
-        out = [(i, Frame(MsgType.THRESH_NONCE, self.session_id, SERVER_ID,
-                         self.nonces[i] + self.coefficients[i]))
-               for i in subset]
+        out = []
+        for i, coeff in zip(subset, lagrange_at_zero(subset, self.params.exponent_modulus)):
+            keys = pke.deal_keys(self.params, self.keypair.secret, self.keypair.public,
+                                 publics[i], self.session_id, i, dealer=True)
+            values = b"".join(scalar_to_bytes(self.params, v)
+                              for v in (self.share_poly(i), self.mask_poly(i), coeff))
+            sealed = pke.seal(*keys, _deal_context(self.session_id, i),
+                              values + self.nonces[i])
+            out.append((i, Frame(MsgType.THRESH_DEAL, self.session_id, SERVER_ID, sealed)))
         # only the chosen participants' nonces stay live
         self.subset = subset
         self.nonces = {i: self.nonces[i] for i in subset}
         return out
 
-    def receipt_context(self, index: int) -> bytes:
+    def absorb(self, frame: Frame) -> None:
+        """A share before ``begin_round`` is a state error; after it, the
+        basic server's check."""
         if self.subset is None:
             raise ProtocolStateError("round not begun")
-        return self.coefficients[index]
+        super().absorb(frame)
 
 
 class ThresholdParticipant:
-    """Participant ``index``: opens its dealt values f(index) and t(index),
-    then contributes coefficient-scaled shares on demand."""
+    """Participant ``index``: opens its request and answers it with a
+    coefficient-scaled share."""
 
     def __init__(self, params: GroupParams, index: int, server_public,
                  rng: Optional[random.Random] = None):
@@ -408,46 +401,31 @@ class ThresholdParticipant:
         self.mask_value: Optional[int] = None
         self.session_id: Optional[bytes] = None
 
-    def receive_deal(self, frame: Frame) -> None:
-        """Open a THRESH_DEAL. A deal sealed for another session or index,
-        by anyone without the server's secret, or altered in any byte fails
-        its tag with ``AuthenticationError``; its plaintext must be exactly
-        two scalars."""
+    def respond(self, frame: Frame, m: Optional[int] = None) -> Frame:
+        """Open a THRESH_DEAL and answer it with a SHARE. A request sealed
+        for another session or index, by anyone without the server's secret,
+        or altered in any byte fails its tag with ``AuthenticationError``; a
+        plaintext other than three scalars and a nonce raises
+        ``EncodingError``; both before any power of the share."""
         if frame.msg_type is not MsgType.THRESH_DEAL:
             raise ProtocolStateError("expected a THRESH_DEAL frame")
-        keys = pke.deal_keys(self.params, self.keypair.secret, self.server_public,
-                             self.keypair.public, frame.session_id, self.index, dealer=False)
-        rd = Reader(pke.unseal(*keys, _deal_context(frame.session_id, self.index),
+        deal_keys = pke.deal_keys(self.params, self.keypair.secret, self.server_public,
+                                  self.keypair.public, frame.session_id, self.index,
+                                  dealer=False)
+        rd = Reader(pke.unseal(*deal_keys, _deal_context(frame.session_id, self.index),
                                frame.payload))
-        values = rd.scalar(self.params), rd.scalar(self.params)
+        share, mask, coeff = (rd.scalar(self.params) for _ in range(3))
+        nonce = rd.take(NONCE_LENGTH)
         rd.done()
         self.session_id = frame.session_id
-        self.share_value, self.mask_value = values
-
-    def respond(self, frame: Frame, m: Optional[int] = None) -> Frame:
-        """Answer a THRESH_NONCE, nonce | one canonical scalar, with a SHARE;
-        any other payload raises ``EncodingError`` before any power."""
-        if self.share_value is None:
-            raise ProtocolStateError("polynomial values not received yet")
-        if frame.msg_type is not MsgType.THRESH_NONCE:
-            raise ProtocolStateError("expected a THRESH_NONCE frame")
-        if frame.session_id != self.session_id:
-            raise ProtocolStateError("frame belongs to a different session")
-        rd = Reader(frame.payload)
-        nonce = rd.take(NONCE_LENGTH)
-        coeff = rd.scalar(self.params)
-        rd.done()
+        self.share_value, self.mask_value = share, mask
         mod = self.params.exponent_modulus
-        keys = ParticipantKeys(self.share_value * coeff % mod,
-                               self.mask_value * coeff % mod)
+        keys = ParticipantKeys(share * coeff % mod, mask * coeff % mod)
         if m is None:
             element = member_share(self.params, keys)
         else:
             element = owner_share(self.params, keys, m)
-        # the receipt covers the coefficient as received, so the server's
-        # check fails if it differs from the one sent
-        payload = share_payload(self.params, element, self.server_public, nonce,
-                                self.rng, frame.payload[NONCE_LENGTH:])
+        payload = share_payload(self.params, element, self.server_public, nonce, self.rng)
         return Frame(MsgType.SHARE, self.session_id, self.index, payload)
 
 
@@ -470,17 +448,10 @@ def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
     """
     server_keypair = pke.generate_keypair(params, rng)
     server = ThresholdServer(params, n, k, s0, t0, server_keypair, rng)
-    transcript: list[Frame] = []
     participants = [ThresholdParticipant(params, i, server_keypair.public, rng)
                     for i in range(1, n + 1)]
-    for part in participants:
-        deal = server.deal_frame(part.index, part.keypair.public)
-        transcript.append(deal)
-        part.receive_deal(deal)
-
-    # request round for the chosen subset
-    issued = server.begin_round(subset)
-    transcript.extend(frame for _, frame in issued)
+    issued = server.begin_round({p.index: p.keypair.public for p in participants}, subset)
+    transcript: list[Frame] = [frame for _, frame in issued]
     chosen = server.subset
     owner_index = min(chosen) if owner is None else owner
     if owner_index not in chosen:

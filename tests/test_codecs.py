@@ -4,8 +4,8 @@ Each wire format is read through ``encoding.Reader``; these tests feed every
 decoder the strict prefixes of a valid encoding and the encoding plus one
 byte, on a toy curve, the toy safe-prime subgroup and secp256k1. The one
 payload without a length field, a sealed THRESH_DEAL, is rejected by its tag
-(AuthenticationError) before it is read. A THRESH_NONCE payload has no length
-field either; its fixed widths reject it.
+(AuthenticationError) before it is read; inside the seal, its fixed widths
+reject a plaintext of any other shape.
 """
 
 import ast
@@ -47,60 +47,94 @@ def params(request):
 
 
 def _deal_round(params, seed=1):
-    """A threshold server, participant 1, and the THRESH_DEAL frame the
-    server sends it."""
+    """A 2-of-2 threshold server, participant 1, and the THRESH_DEAL
+    request the server sends it."""
     rng = random.Random(seed)
     server_kp = pke.generate_keypair(params, rng)
     server = ThresholdServer(params, 2, 2, 5, 6, server_kp, rng)
-    part = ThresholdParticipant(params, 1, server_kp.public, rng)
-    return server, part, server.deal_frame(1, part.keypair.public)
+    parts = [ThresholdParticipant(params, i, server_kp.public, rng) for i in (1, 2)]
+    issued = dict(server.begin_round({p.index: p.keypair.public for p in parts}))
+    return server, parts[0], issued[1]
 
 
-def _deal_frame(server, payload: bytes) -> Frame:
+def _request_frame(server, payload: bytes) -> Frame:
     return Frame(MsgType.THRESH_DEAL, server.session_id, 0, payload)
 
 
+def _opened(params, server, part, frame):
+    """The deal keys, unsent header and plaintext of participant 1's request."""
+    keys = pke.deal_keys(params, server.keypair.secret, server.keypair.public,
+                         part.keypair.public, server.session_id, 1, dealer=True)
+    header = server.session_id + b"\x00\x01"
+    return keys, header, pke.unseal(*keys, header, frame.payload)
+
+
+def _count_powers(params, monkeypatch):
+    """Record the base of every power raised from here on."""
+    bases = []
+    power = type(params).power
+
+    def counted(self, base, *args, **kwargs):
+        bases.append(base)
+        return power(self, base, *args, **kwargs)
+
+    monkeypatch.setattr(type(params), "power", counted)
+    return bases
+
+
+def _refused(part, frame, error, bases, server_public):
+    """``frame`` raises ``error`` at ``part`` with no power but opening the
+    seal on the server key, and leaves the participant's values unset."""
+    del bases[:]
+    with pytest.raises(error):
+        part.respond(frame, m=4)
+    assert all(base == server_public for base in bases)
+    assert (part.share_value, part.mask_value, part.session_id) == (None, None, None)
+
+
 # ---------------------------------------------------------------------------
-# THRESH_DEAL payloads: the ciphertext and the two scalars it seals
+# THRESH_DEAL payloads: the ciphertext and the four values it seals
 # ---------------------------------------------------------------------------
 
 def test_receive_deal_accepts_the_server_payload(toy_subgroup):
+    # the participant opens its request and answers it with a SHARE the
+    # server absorbs
     server, part, frame = _deal_round(toy_subgroup)
-    part.receive_deal(frame)
+    share = part.respond(frame, m=4)
     assert part.share_value == server.share_poly(1)
     assert part.mask_value == server.mask_poly(1)
+    assert part.session_id == server.session_id
+    server.absorb(share)
+    assert server.phase is Phase.COLLECTING
 
 
-def test_receive_deal_rejects_malformed_payloads(toy_subgroup):
+def test_receive_deal_rejects_malformed_payloads(toy_subgroup, monkeypatch):
+    # plaintexts of the wrong shape, sealed under the real deal keys, raise
+    # EncodingError before any power of the share
     server, part, frame = _deal_round(toy_subgroup)
     width = scalar_byte_length(toy_subgroup)
-    q = toy_subgroup.exponent_modulus
-    keys = pke.deal_keys(toy_subgroup, server.keypair.secret, server.keypair.public,
-                         part.keypair.public, server.session_id, 1, dealer=True)
-    header = server.session_id + b"\x00\x01"
-    values = pke.unseal(*keys, header, frame.payload)
-
-    def sealed(plaintext):
-        return pke.seal(*keys, header, plaintext)
-
+    q = toy_subgroup.exponent_modulus.to_bytes(width, "big")
+    keys, header, values = _opened(toy_subgroup, server, part, frame)
+    scalars, nonce = values[:3 * width], values[3 * width:]
+    assert len(nonce) == 32
+    bad = [
+        scalars[:2 * width] + nonce,   # two scalars and a nonce
+        scalars,                       # three scalars and no nonce
+        values + b"\x00",              # a trailing byte
+    ] + [
+        # q in each scalar slot: f(i), t(i) and the coefficient
+        scalars[:slot * width] + q + scalars[(slot + 1) * width:] + nonce
+        for slot in range(3)
+    ]
+    bases = _count_powers(toy_subgroup, monkeypatch)
+    for plaintext in bad:
+        _refused(part, _request_frame(server, pke.seal(*keys, header, plaintext)),
+                 EncodingError, bases, server.keypair.public)
     # the payload has no length field: its tag covers every byte, so a
     # payload cut short or extended fails the tag before anything is read
     for payload in (b"", b"\x00\x00", frame.payload[:-1], frame.payload + b"\x00"):
-        with pytest.raises(AuthenticationError):
-            part.receive_deal(_deal_frame(server, payload))
-        assert part.share_value is None and part.mask_value is None
-    bad = [
-        # the second value cut short
-        sealed(values[:-1]),
-        # the second value equal to q
-        sealed(values[:width] + q.to_bytes(width, "big")),
-        # a trailing byte after both values
-        sealed(values + b"\x00"),
-    ]
-    for payload in bad:
-        with pytest.raises(EncodingError):
-            part.receive_deal(_deal_frame(server, payload))
-        assert part.share_value is None and part.mask_value is None
+        _refused(part, _request_frame(server, payload), AuthenticationError, bases,
+                 server.keypair.public)
 
 
 # ---------------------------------------------------------------------------
@@ -167,36 +201,33 @@ def test_sealed_blob_truncation_and_extension(params):
             evaluator.decrypt_output(kp.secret, variant)
 
 
-def test_thresh_deal_truncation_and_extension(params):
-    # a sealed deal carries no length field, so its tag is what rejects it
+def test_thresh_deal_truncation_and_extension(params, monkeypatch):
+    # a sealed request carries no length field, so its tag is what rejects
+    # every strict prefix and a one-byte extension, before any share power
     server, part, frame = _deal_round(params)
+    bases = _count_powers(params, monkeypatch)
     for variant in _prefixes_and_extension(frame.payload):
-        with pytest.raises(AuthenticationError):
-            part.receive_deal(_deal_frame(server, variant))
-    part.receive_deal(frame)
-    assert part.share_value == server.share_poly(1)
+        _refused(part, _request_frame(server, variant), AuthenticationError, bases,
+                 server.keypair.public)
+    monkeypatch.undo()
+    server.absorb(part.respond(frame, m=4))
+    assert server.phase is Phase.COLLECTING
 
 
 def test_thresh_nonce_truncation_and_extension(params, monkeypatch):
-    # nonce | coefficient: every strict prefix, a one-byte extension and a
-    # coefficient equal to q are refused before any power, and the
-    # participant still answers the real frame
-    server, part, deal = _deal_round(params)
-    part.receive_deal(deal)
-    (_, frame), _ = server.begin_round((1, 2))
-    q = params.exponent_modulus.to_bytes(scalar_byte_length(params), "big")
-    powers = []
-    power = type(params).power
-
-    def counted(self, *args, **kwargs):
-        powers.append(args)
-        return power(self, *args, **kwargs)
-
-    monkeypatch.setattr(type(params), "power", counted)
-    for variant in _prefixes_and_extension(frame.payload) + [frame.payload[:32] + q]:
-        with pytest.raises(EncodingError):
-            part.respond(Frame(MsgType.THRESH_NONCE, frame.session_id, 0, variant))
-    assert powers == []
+    # inside the seal: the nonce cut short, extended by one byte, or a
+    # coefficient equal to q is refused before any share power, and the
+    # participant still answers the real request
+    server, part, frame = _deal_round(params)
+    width = scalar_byte_length(params)
+    q = params.exponent_modulus.to_bytes(width, "big")
+    keys, header, values = _opened(params, server, part, frame)
+    bases = _count_powers(params, monkeypatch)
+    for plaintext in (values[:-1], values + b"\x00",
+                      values[:2 * width] + q + values[3 * width:]):
+        _refused(part, _request_frame(server, pke.seal(*keys, header, plaintext)),
+                 EncodingError, bases, server.keypair.public)
+    monkeypatch.undo()
     server.absorb(part.respond(frame, m=4))
     assert server.phase is Phase.COLLECTING
 

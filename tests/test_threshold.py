@@ -9,9 +9,11 @@ import pytest
 from comhash import (
     AuthenticationError,
     EncodingError,
+    ErrorCode,
     GroupError,
     MultiplyRole,
     MultiplySession,
+    ParticipantKeys,
     Polynomial,
     Phase,
     ProtocolStateError,
@@ -20,6 +22,7 @@ from comhash import (
     cvhp,
     lagrange_at_zero,
     lagrange_from_quotients,
+    member_share,
     multiply_step,
     poly_eval,
     ratio_from_quotients,
@@ -30,6 +33,7 @@ from comhash import (
 from comhash import groups, pke, threshold
 from comhash.frames import Frame, MsgType, SERVER_ID, encode_frame
 from comhash.groups import scalar_inv
+from comhash.protocol import share_payload
 from comhash.threshold import ThresholdParticipant, ThresholdServer, distinct_nonzero_scalars
 
 
@@ -449,55 +453,94 @@ def test_threshold_rejects_primitive_mode(toy_primitive):
                               rng=random.Random(1))
 
 
-def test_threshold_nonce_mismatch_fails(toy_subgroup):
-    from comhash import ErrorCode, Frame, MsgType, Phase
+def _publics(parts) -> dict:
+    return {part.index: part.keypair.public for part in parts}
 
+
+def _open_round(params, rng):
+    """A 2-of-3 ThresholdServer with participants 1 and 2 chosen; returns
+    the server, the participants, and each chosen one's THRESH_DEAL."""
+    server_kp = pke.generate_keypair(params, rng)
+    server = ThresholdServer(params, 3, 2, 5, 6, server_kp, rng)
+    parts = [ThresholdParticipant(params, i, server_kp.public, rng)
+             for i in range(1, 4)]
+    return server, parts, dict(server.begin_round(_publics(parts), subset=(1, 2)))
+
+
+def _deal_pair(params, seed):
+    rng = random.Random(seed)
+    server_kp = pke.generate_keypair(params, rng)
+    server = ThresholdServer(params, 2, 2, 5, 6, server_kp, rng)
+    parts = [ThresholdParticipant(params, i, server_kp.public, rng) for i in (1, 2)]
+    return server, parts
+
+
+def _keys_and_header(params, server, public, index, keypair=None):
+    """The deal keys that ``keypair`` (by default the server's) and the
+    participant key ``public`` derive for ``index`` in ``server``'s session,
+    and the request's unsent header."""
+    keypair = server.keypair if keypair is None else keypair
+    keys = pke.deal_keys(params, keypair.secret, keypair.public, public,
+                         server.session_id, index, dealer=True)
+    return keys, server.session_id + index.to_bytes(2, "big")
+
+
+def _opened(params, server, public, index, frame) -> bytes:
+    """The plaintext of participant ``index``'s request: f | t | l | nonce."""
+    keys, header = _keys_and_header(params, server, public, index)
+    return pke.unseal(*keys, header, frame.payload)
+
+
+def _seal_deal(params, server, public, plaintext, keypair=None, index=1):
+    """plaintext sealed as participant ``index``'s request in ``server``'s
+    session, under the keys that ``keypair`` (by default the server's) and
+    the participant's key ``public`` derive."""
+    keys, header = _keys_and_header(params, server, public, index, keypair)
+    return Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID,
+                 pke.seal(*keys, header, plaintext))
+
+
+def _refused(part, frame, error):
+    """``frame`` raises ``error`` at ``part``, which makes no SHARE and keeps
+    its values and session id unset."""
+    with pytest.raises(error):
+        part.respond(frame, m=4)
+    assert (part.share_value, part.mask_value, part.session_id) == (None, None, None)
+
+
+def test_threshold_nonce_mismatch_fails(toy_subgroup):
     server, parts, issued = _open_round(toy_subgroup, random.Random(40))
-    # participant 2 echoes participant 1's nonce next to its own coefficient
-    wrong = Frame(MsgType.THRESH_NONCE, server.session_id, 0,
-                  issued[1].payload[:32] + issued[2].payload[32:])
+    # participant 2's request, sealed under its real keys with participant
+    # 1's nonce in place of its own
+    public = parts[1].keypair.public
+    plaintext = _opened(toy_subgroup, server, public, 2, issued[2])
+    wrong = _seal_deal(toy_subgroup, server, public, plaintext[:-32] + server.nonces[1],
+                       index=2)
     server.absorb(parts[1].respond(wrong))
     assert server.phase is Phase.FAILED
     assert server.error_code is ErrorCode.NONCE_MISMATCH
     assert server.digest is None
 
 
-def _open_round(params, rng):
-    """A 2-of-3 ThresholdServer with participants 1 and 2 chosen; returns
-    the server, the participants, and each chosen one's THRESH_NONCE."""
-    from comhash.threshold import ThresholdParticipant, ThresholdServer
-
-    server_kp = pke.generate_keypair(params, rng)
-    server = ThresholdServer(params, 3, 2, 5, 6, server_kp, rng)
-    parts = [ThresholdParticipant(params, i, server_kp.public, rng)
-             for i in range(1, 4)]
-    for part in parts:
-        part.receive_deal(server.deal_frame(part.index, part.keypair.public))
-    return server, parts, dict(server.begin_round(subset=(1, 2)))
-
-
-def test_threshold_server_rejects_plain_share_frame(toy_subgroup):
-    # both rounds share the SHARE frame, so a basic participant's share for
-    # the THRESH_NONCE's nonce under this session id reaches the receipt
-    # check; its receipt does not cover the coefficient, so it fails there
-    from comhash import ErrorCode, ParticipantKeys, ParticipantSession
-
-    server, _, issued = _open_round(toy_subgroup, random.Random(41))
-    nonce = issued[1]
-    plain = ParticipantSession(toy_subgroup, 1, ParticipantKeys(3, 4),
-                               server.keypair.public, rng=random.Random(5),
-                               session_id=server.session_id)
-    share = plain.respond(Frame(MsgType.NONCE, nonce.session_id, SERVER_ID,
-                                nonce.payload[:32]))
-    assert (share.msg_type, share.session_id) == (MsgType.SHARE, server.session_id)
-    server.absorb(share)
-    assert server.phase is Phase.FAILED
-    assert server.error_code is ErrorCode.DECRYPT_FAIL
+def test_an_eavesdropper_cannot_answer_a_request(toy_subgroup):
+    # an eavesdropper reads every frame of a 2-of-3 round and answers
+    # participant 2's request with a basic share of its own element; the
+    # nonce travels sealed, so the best it can echo is the bytes where the
+    # nonce sits in the request, and the round fails without a digest
+    server, parts, issued = _open_round(toy_subgroup, random.Random(3))
+    server.absorb(parts[0].respond(issued[1], m=4))
+    request = issued[2]
+    guess = request.payload[-pke.TAG_LENGTH - 32:-pke.TAG_LENGTH]
+    element = member_share(toy_subgroup, ParticipantKeys(3, 4))
+    payload = share_payload(toy_subgroup, element, server.keypair.public, guess,
+                            random.Random(5))
+    server.absorb(Frame(MsgType.SHARE, request.session_id, 2, payload))
+    assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.NONCE_MISMATCH)
     assert server.digest is None
 
 
 def test_threshold_server_result_frame_type(toy_subgroup):
-    from comhash import MsgType, Phase, element_to_bytes
+    from comhash import element_to_bytes
 
     server, parts, issued = _open_round(toy_subgroup, random.Random(42))
     server.absorb(parts[0].respond(issued[1], m=4))
@@ -512,21 +555,45 @@ def test_threshold_server_result_frame_type(toy_subgroup):
 
 def test_threshold_begin_round_twice_same_subset(toy_subgroup):
     # the nonces were issued once; issuing them again is a state error
-    server, _, _ = _open_round(toy_subgroup, random.Random(43))
+    server, parts, _ = _open_round(toy_subgroup, random.Random(43))
     nonces = dict(server.nonces)
     with pytest.raises(ProtocolStateError):
-        server.begin_round(subset=(1, 2))
+        server.begin_round(_publics(parts), subset=(1, 2))
     with pytest.raises(ProtocolStateError):
-        server.begin_round()
+        server.begin_round(_publics(parts))
     assert server.subset == (1, 2) and server.nonces == nonces
 
 
 def test_threshold_begin_round_twice_other_subset(toy_subgroup):
     # participant 3's nonce was pruned by the first round
-    server, _, _ = _open_round(toy_subgroup, random.Random(44))
+    server, parts, _ = _open_round(toy_subgroup, random.Random(44))
     with pytest.raises(ProtocolStateError):
-        server.begin_round(subset=(2, 3))
+        server.begin_round(_publics(parts), subset=(2, 3))
     assert server.subset == (1, 2) and set(server.nonces) == {1, 2}
+
+
+def test_begin_round_sends_exactly_k_requests(toy_curve, monkeypatch):
+    # with k < n, only the chosen participants receive a request and answer
+    respond, answered = ThresholdParticipant.respond, []
+
+    def recording(self, frame, m=None):
+        answered.append(self.index)
+        return respond(self, frame, m)
+
+    monkeypatch.setattr(ThresholdParticipant, "respond", recording)
+    run = run_threshold_session(toy_curve, 5, 7, 2, 5, 12, random.Random(64),
+                                subset=(2, 4))
+    assert run.digest == cvhp(toy_curve, (12 + 5) % 19, 7)
+    assert [f.msg_type for f in run.transcript] == (
+        [MsgType.THRESH_DEAL] * 2 + [MsgType.SHARE] * 2 + [MsgType.RESULT])
+    assert answered == [2, 4]
+    # and begin_round itself, with every key given and the subset drawn
+    rng = random.Random(66)
+    server_kp = pke.generate_keypair(toy_curve, rng)
+    server = ThresholdServer(toy_curve, 5, 3, 5, 7, server_kp, rng)
+    parts = [ThresholdParticipant(toy_curve, i, server_kp.public, rng) for i in range(1, 6)]
+    issued = server.begin_round(_publics(parts))
+    assert [i for i, _ in issued] == list(server.subset) and len(issued) == 3
 
 
 def test_begin_round_inversion_budget(secp, monkeypatch):
@@ -534,7 +601,10 @@ def test_begin_round_inversion_budget(secp, monkeypatch):
     k = n = 64
     mod = secp.exponent_modulus
     rng = random.Random(45)
-    server = ThresholdServer(secp, n, k, 5, 6, pke.generate_keypair(secp, rng), rng)
+    server_kp = pke.generate_keypair(secp, rng)
+    server = ThresholdServer(secp, n, k, 5, 6, server_kp, rng)
+    publics = _publics(ThresholdParticipant(secp, i, server_kp.public, rng)
+                       for i in range(1, n + 1))
     calls = []
 
     def counted(u, modulus):
@@ -542,20 +612,22 @@ def test_begin_round_inversion_budget(secp, monkeypatch):
         return scalar_inv(u, modulus)
 
     monkeypatch.setattr(threshold, "scalar_inv", counted)
-    issued = server.begin_round()
+    issued = server.begin_round(publics)
     monkeypatch.undo()
     assert len(calls) == k
-    coeffs = [int.from_bytes(frame.payload[32:], "big") for _, frame in issued]
+    # each coefficient, read from its opened request: f | t | l | nonce
+    coeffs = [int.from_bytes(_opened(secp, server, publics[i], i, frame)[64:96], "big")
+              for i, frame in issued]
     assert coeffs == lagrange_at_zero(range(1, n + 1), mod)
 
 
 def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatch):
-    # every deal and receipt of a round raises its one server key, so that
-    # key takes a bounded power on a table built once per round; a member's
-    # key is dealt to once and gets none. The kinds: per member, g^sk, the
-    # dealer's pk_i^sk and the member's server_key^a, and per chosen member a
-    # share's g^x and h^y and the receipt's g^e, pk^e and the server's
-    # decryption
+    # every request and receipt of a round raises its one server key, so
+    # that key takes a bounded power on a table built once per round; a
+    # member's key is dealt to once and gets none. The kinds: per member,
+    # g^sk, and per chosen member the dealer's pk_i^sk, the member's
+    # server_key^a, a share's g^x and h^y, and the receipt's g^e, pk^e and
+    # the server's decryption
     k, n = 2, 3
     digest = cvhp(secp, 5 + 7, 6)
     calls = {"fixed": 0, "var": 0, "bounded": []}
@@ -573,130 +645,107 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
         calls.update(fixed=0, var=0, bounded=[])
         run = run_threshold_session(secp, 5, 6, k, n, 7, random.Random(seed))
         assert run.digest == digest
-        assert (calls["fixed"], calls["var"]) == (n + 3 * k + 1, 2 * n + 2 * k)
+        assert (calls["fixed"], calls["var"]) == (n + 3 * k + 1, 4 * k)
         assert Counter(calls["bounded"]) == {secp.g: n + k + 1,
-                                             run.server.keypair.public: n + k}
+                                             run.server.keypair.public: 2 * k}
         assert groups._ec_comb_table.cache_info().misses == misses + 1
 
 
 def test_threshold_transcript_bytes_pinned(secp):
-    # n deals, a nonce and its coefficient per chosen member, k basic SHARE
-    # frames and the basic RESULT; every byte of a seeded session is pinned
+    # one request per chosen member, k basic SHARE frames and the basic
+    # RESULT; every byte of a seeded session is pinned
     run = run_threshold_session(secp, s0=11, t0=22, k=5, n=8, m=33,
                                 rng=random.Random(2024), subset=(7, 2, 5, 8, 3))
     assert run.server.subset == (2, 3, 5, 7, 8)
     assert run.digest == cvhp(secp, 33 + 11, 22)
     blob = b"".join(encode_frame(frame) for frame in run.transcript)
-    assert (len(run.transcript), len(blob)) == (19, 2086)
+    assert (len(run.transcript), len(blob)) == (11, 1630)
     assert [f.msg_type for f in run.transcript] == (
-        [MsgType.THRESH_DEAL] * 8 + [MsgType.THRESH_NONCE] * 5
-        + [MsgType.SHARE] * 5 + [MsgType.RESULT])
+        [MsgType.THRESH_DEAL] * 5 + [MsgType.SHARE] * 5 + [MsgType.RESULT])
     assert hashlib.sha256(blob).hexdigest() == \
-        "caced646c150ed790817fcf744f949a8edf211fb8674e0de9988793b5ad22583"
+        "572faa3a5aaa6e0a191a331d1a1431b213d45921337d6d445b71fb737d44a579"
 
 
 @pytest.mark.parametrize("case", ["share_as_nonce", "other_session"])
 def test_threshold_respond_checks_frame_types_and_session(case, secp):
-    from comhash import Frame
-
     _, parts, issued = _open_round(secp, random.Random(47))
-    nonce = issued[1]
+    request = issued[1]
     if case == "share_as_nonce":
-        frame = Frame(MsgType.SHARE, nonce.session_id, 0, nonce.payload)
+        frame = Frame(MsgType.SHARE, request.session_id, 0, request.payload)
+        error = ProtocolStateError
     else:
-        frame = Frame(MsgType.THRESH_NONCE, bytes(15) + b"\x01", 0, nonce.payload)
-    with pytest.raises(ProtocolStateError):
-        parts[0].respond(frame, m=4)
-    assert parts[0].respond(nonce, m=4).msg_type is MsgType.SHARE
-
-
-def _deal_pair(params, seed):
-    rng = random.Random(seed)
-    server_kp = pke.generate_keypair(params, rng)
-    server = ThresholdServer(params, 2, 2, 5, 6, server_kp, rng)
-    parts = [ThresholdParticipant(params, i, server_kp.public, rng) for i in (1, 2)]
-    return server, parts
+        frame = Frame(MsgType.THRESH_DEAL, bytes(15) + b"\x01", 0, request.payload)
+        error = AuthenticationError
+    _refused(parts[0], frame, error)
+    assert parts[0].respond(request, m=4).msg_type is MsgType.SHARE
 
 
 def test_receive_deal_rejects_another_sessions_deal(toy_subgroup):
-    server, (part, _) = _deal_pair(toy_subgroup, 49)
-    deal = server.deal_frame(1, part.keypair.public)
-    assert deal.session_id == server.session_id
-    stray = Frame(MsgType.THRESH_DEAL, bytes(16), SERVER_ID, deal.payload)
+    server, parts = _deal_pair(toy_subgroup, 49)
+    request = dict(server.begin_round(_publics(parts)))[1]
+    assert request.session_id == server.session_id
+    stray = Frame(MsgType.THRESH_DEAL, bytes(16), SERVER_ID, request.payload)
     assert stray.session_id != server.session_id
-    with pytest.raises(AuthenticationError):
-        part.receive_deal(stray)
-    assert part.share_value is None and part.mask_value is None
-    assert part.session_id is None
-    part.receive_deal(deal)
-    assert part.session_id == server.session_id
-    assert (part.share_value, part.mask_value) == (server.share_poly(1), server.mask_poly(1))
+    _refused(parts[0], stray, AuthenticationError)
+    share = parts[0].respond(request, m=4)
+    assert parts[0].session_id == share.session_id == server.session_id
+    assert (parts[0].share_value, parts[0].mask_value) == (server.share_poly(1),
+                                                          server.mask_poly(1))
 
 
 def test_deal_sealed_for_another_session_fails_under_this_header(toy_subgroup):
     # a second session of the same server deals to the same participant key;
     # its sealed values are bound to that session, so this session's header
     # cannot carry them
-    server, (part, _) = _deal_pair(toy_subgroup, 55)
+    server, parts = _deal_pair(toy_subgroup, 55)
     other = ThresholdServer(toy_subgroup, 2, 2, 5, 6, server.keypair, random.Random(56))
     assert other.session_id != server.session_id
-    foreign = other.deal_frame(1, part.keypair.public)
+    server.begin_round(_publics(parts))
+    foreign = dict(other.begin_round(_publics(parts)))[1]
     moved = Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID, foreign.payload)
-    with pytest.raises(AuthenticationError):
-        part.receive_deal(moved)
-    assert part.share_value is None and part.session_id is None
-    # taken under its own header, the foreign deal leaves the participant in
-    # the other session, and this session's round frames are refused
-    part.receive_deal(foreign)
-    assert part.session_id == other.session_id
-    (_, nonce), _ = server.begin_round((1, 2))
-    with pytest.raises(ProtocolStateError):
-        part.respond(nonce)
+    _refused(parts[0], moved, AuthenticationError)
+    # taken under its own header, the foreign request is answered for the
+    # other session, and this session refuses the share
+    share = parts[0].respond(foreign)
+    assert share.session_id == other.session_id
+    server.absorb(share)
+    assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.MALFORMED)
 
 
 def test_receive_deal_rejects_a_deal_for_another_index(toy_subgroup):
     server, (part1, part2) = _deal_pair(toy_subgroup, 50)
-    # participant 2's values sealed to participant 1's key, and participant
-    # 2's own deal handed to participant 1
-    for deal in (server.deal_frame(2, part1.keypair.public),
-                 server.deal_frame(2, part2.keypair.public)):
-        with pytest.raises(AuthenticationError):
-            part1.receive_deal(deal)
-        assert part1.share_value is None and part1.session_id is None
+    # participant 2's request sealed to participant 1's key, and participant
+    # 2's own request handed to participant 1
+    other = ThresholdServer(toy_subgroup, 2, 2, 5, 6, server.keypair, random.Random(57))
+    misdirected = dict(other.begin_round({1: part1.keypair.public, 2: part1.keypair.public}))
+    own = dict(server.begin_round(_publics((part1, part2))))
+    for request in (misdirected[2], own[2]):
+        _refused(part1, request, AuthenticationError)
     # index 0 would deal f(0) = s0 itself
-    for index in (0, 3):
+    fresh, parts = _deal_pair(toy_subgroup, 51)
+    for subset in ((0, 1), (1, 3)):
         with pytest.raises(ValueError):
-            server.deal_frame(index, part1.keypair.public)
+            fresh.begin_round({0: part1.keypair.public, **_publics(parts)}, subset)
+    assert fresh.subset is None
 
 
-def _seal_deal(params, server, public, plaintext, keypair=None):
-    """plaintext sealed as participant 1's deal in ``server``'s session,
-    under the keys that ``keypair`` (by default the server's) and the
-    participant's key ``public`` derive."""
-    keypair = server.keypair if keypair is None else keypair
-    keys = pke.deal_keys(params, keypair.secret, keypair.public, public,
-                         server.session_id, 1, dealer=True)
-    return Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID,
-                 pke.seal(*keys, server.session_id + b"\x00\x01", plaintext))
-
-
-def test_receive_deal_reads_exactly_two_scalars(toy_subgroup):
+def test_request_reads_exactly_three_scalars_and_a_nonce(toy_subgroup):
     server, (part, _) = _deal_pair(toy_subgroup, 51)
-    one = scalar_to_bytes(toy_subgroup, 4)
-    for plaintext in (one, one * 3):
-        with pytest.raises(EncodingError):
-            part.receive_deal(_seal_deal(toy_subgroup, server, part.keypair.public, plaintext))
-        assert part.share_value is None and part.session_id is None
-    part.receive_deal(_seal_deal(toy_subgroup, server, part.keypair.public, one * 2))
+    one, nonce = scalar_to_bytes(toy_subgroup, 4), server.nonces[1]
+    for plaintext in (one * 2 + nonce, one * 4 + nonce, one * 3, one * 3 + nonce + b"\x00"):
+        _refused(part, _seal_deal(toy_subgroup, server, part.keypair.public, plaintext),
+                 EncodingError)
+    part.respond(_seal_deal(toy_subgroup, server, part.keypair.public, one * 3 + nonce))
     assert (part.share_value, part.mask_value) == (4, 4)
 
 
 def _forged_deals(params, server, public):
-    """Participant 1's deal with values 7 | 8, sealed by parties that do not
-    hold ``server``'s secret: hashed ElGamal to the participant's key
-    ``public``, as anyone who sees that key can, and the deal key of another
-    server key pair, under its own public key and under ``server``'s."""
-    values = scalar_to_bytes(params, 7) + scalar_to_bytes(params, 8)
+    """Participant 1's request with values 7 | 8 | 1 and a nonce, sealed by
+    parties that do not hold ``server``'s secret: hashed ElGamal to the
+    participant's key ``public``, as anyone who sees that key can, and the
+    deal key of another server key pair, under its own public key and under
+    ``server``'s."""
+    values = b"".join(scalar_to_bytes(params, v) for v in (7, 8, 1)) + bytes(32)
     other = pke.generate_keypair(params, random.Random(58))
     impostor = pke.KeyPair(other.secret, server.keypair.public)
     return [Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID,
@@ -707,56 +756,78 @@ def _forged_deals(params, server, public):
 
 
 def test_receive_deal_rejects_a_deal_not_keyed_by_the_server(secp):
-    server, (part, _) = _deal_pair(secp, 60)
-    for forged in _forged_deals(secp, server, part.keypair.public):
-        with pytest.raises(AuthenticationError):
-            part.receive_deal(forged)
-        assert part.share_value is None and part.mask_value is None
-        assert part.session_id is None
-    part.receive_deal(server.deal_frame(1, part.keypair.public))
-    assert (part.share_value, part.mask_value) == (server.share_poly(1), server.mask_poly(1))
+    server, parts = _deal_pair(secp, 60)
+    for forged in _forged_deals(secp, server, parts[0].keypair.public):
+        _refused(parts[0], forged, AuthenticationError)
+    parts[0].respond(dict(server.begin_round(_publics(parts)))[1])
+    assert (parts[0].share_value, parts[0].mask_value) == (server.share_poly(1),
+                                                          server.mask_poly(1))
 
 
 @pytest.mark.parametrize("which", range(3))
 def test_forged_deal_never_ends_a_round_done(which, secp, monkeypatch):
-    # secp256k1, k = 3, n = 4, participant 1's deal replaced by a forgery:
-    # the round stops at that deal and stores no digest
-    deal_frame = ThresholdServer.deal_frame
+    # secp256k1, k = 3, n = 4, participant 1's request from begin_round
+    # swapped for a forgery: the round stops at that request and stores no
+    # digest
+    begin_round = ThresholdServer.begin_round
     servers = []
 
-    def forging(self, index, public):
+    def forging(self, publics, subset=None):
         servers.append(self)
-        if index == 1:
-            return _forged_deals(secp, self, public)[which]
-        return deal_frame(self, index, public)
+        return [(i, _forged_deals(secp, self, publics[i])[which] if i == 1 else frame)
+                for i, frame in begin_round(self, publics, subset)]
 
-    monkeypatch.setattr(ThresholdServer, "deal_frame", forging)
+    monkeypatch.setattr(ThresholdServer, "begin_round", forging)
     with pytest.raises(AuthenticationError):
-        run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(61))
+        run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(61), subset=(1, 2, 4))
     assert servers[0].phase is not Phase.DONE and servers[0].digest is None
 
 
 def test_deal_frame_rejects_a_participant_key_outside_the_group(toy_curve, toy_subgroup,
                                                                  monkeypatch):
-    # the identity, an off-curve point and a non-square mod 23, each refused
-    # before any power is raised
+    # the identity, an off-curve point and a non-square mod 23 as the lowest
+    # chosen member's key, each refused before any power is raised; the
+    # round stays unbegun and keeps every nonce
     for params, bad in ((toy_curve, toy_curve.identity), (toy_curve, (1, 1)),
                         (toy_subgroup, toy_subgroup.identity), (toy_subgroup, 5)):
-        server, _ = _deal_pair(params, 62)
+        server, parts = _deal_pair(params, 62)
+        nonces = dict(server.nonces)
         powers = []
         monkeypatch.setattr(type(params), "power",
                             lambda self, *args, **kwargs: powers.append(args))
         with pytest.raises(GroupError):
-            server.deal_frame(1, bad)
+            server.begin_round({**_publics(parts), 1: bad})
         monkeypatch.undo()
         assert powers == []
+        assert server.subset is None and server.nonces == nonces
+
+
+def test_begin_round_without_a_members_key_stays_unbegun(toy_curve, monkeypatch):
+    # member 2's key is missing: the round raises after member 1's power
+    # and before member 2's, stays unbegun, and begins once both keys are given
+    server, parts = _deal_pair(toy_curve, 63)
+    nonces = dict(server.nonces)
+    powers = []
+    power = type(toy_curve).power
+
+    def counted(self, *args, **kwargs):
+        powers.append(args)
+        return power(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(toy_curve), "power", counted)
+    with pytest.raises(KeyError):
+        server.begin_round({1: parts[0].keypair.public})
+    monkeypatch.undo()
+    assert len(powers) == 1
+    assert server.subset is None and server.nonces == nonces
+    assert [i for i, _ in server.begin_round(_publics(parts))] == [1, 2]
 
 
 def test_receive_deal_checks_the_frame_type(toy_subgroup):
-    server, (part, _) = _deal_pair(toy_subgroup, 54)
-    deal = server.deal_frame(1, part.keypair.public)
-    with pytest.raises(ProtocolStateError):
-        part.receive_deal(Frame(MsgType.THRESH_NONCE, deal.session_id, SERVER_ID, deal.payload))
+    server, parts = _deal_pair(toy_subgroup, 54)
+    request = dict(server.begin_round(_publics(parts)))[1]
+    _refused(parts[0], Frame(MsgType.NONCE, request.session_id, SERVER_ID, request.payload),
+             ProtocolStateError)
 
 
 def test_no_round_frame_carries_the_dealer_secrets(secp):
@@ -772,47 +843,59 @@ def test_no_round_frame_carries_the_dealer_secrets(secp):
         assert not any(secret in data for secret in secrets), frame.msg_type
 
 
-def test_coefficient_tamper_fails_the_receipt(secp):
-    # a chosen member scaling its share by a wrong coefficient would shift
-    # the digest; the receipt covers the coefficient, so the round fails
-    from comhash import ErrorCode, Phase
+def test_no_frame_carries_a_nonce_coefficient_or_dealt_value(secp):
+    # a seeded k=5, n=8 round: no server nonce, coefficient, f(i) or t(i)
+    # appears in the bytes of its transcript
+    run = run_threshold_session(secp, 11, 22, 5, 8, 33, random.Random(2026))
+    server = run.server
+    assert run.digest == cvhp(secp, 33 + 11, 22)
+    coeffs = lagrange_at_zero(server.subset, secp.exponent_modulus)
+    hidden = list(server.nonces.values()) + [
+        scalar_to_bytes(secp, v) for i, coeff in zip(server.subset, coeffs)
+        for v in (coeff, server.share_poly(i), server.mask_poly(i))]
+    assert len(hidden) == 4 * 5
+    blob = b"".join(encode_frame(frame) for frame in run.transcript)
+    assert not any(value in blob for value in hidden)
 
+
+def test_coefficient_tamper_fails_the_receipt(secp):
+    # a coefficient altered in transit fails the request's tag at the
+    # participant, which makes no share; the round cannot end
     server, parts, issued = _open_round(secp, random.Random(55))
     frame = issued[1]
-    bumped = (int.from_bytes(frame.payload[32:], "big") + 1) % secp.exponent_modulus
-    tampered = Frame(MsgType.THRESH_NONCE, frame.session_id, SERVER_ID,
-                     frame.payload[:32] + scalar_to_bytes(secp, bumped))
-    server.absorb(parts[0].respond(tampered, m=4))
-    assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.DECRYPT_FAIL)
-    assert server.digest is None
+    payload = bytearray(frame.payload)
+    payload[64] ^= 0x01  # the coefficient's first byte, under the keystream
+    _refused(parts[0], Frame(MsgType.THRESH_DEAL, frame.session_id, SERVER_ID,
+                             bytes(payload)), AuthenticationError)
+    assert server.phase is Phase.ISSUED and server.digest is None
     with pytest.raises(ProtocolStateError):
         server.finalize()
 
 
 def test_a_coefficient_tamper_stops_the_driver(secp, monkeypatch):
-    # run_threshold_session with one chosen member answering with its
-    # coefficient + 1: the driver stops at that share, naming DECRYPT_FAIL,
-    # and the server stores no digest
+    # run_threshold_session with one chosen member's coefficient altered in
+    # transit: the driver stops at that request and the server stores no
+    # digest
     begin_round, respond = ThresholdServer.begin_round, ThresholdParticipant.respond
     servers = []
 
-    def recording(self, subset=None):
+    def recording(self, publics, subset=None):
         servers.append(self)
-        return begin_round(self, subset)
+        return begin_round(self, publics, subset)
 
     def bumped(self, frame, m=None):
         if self.index == 2:
-            coeff = (int.from_bytes(frame.payload[32:], "big") + 1) % secp.exponent_modulus
-            frame = Frame(frame.msg_type, frame.session_id, frame.sender,
-                          frame.payload[:32] + scalar_to_bytes(secp, coeff))
+            payload = bytearray(frame.payload)
+            payload[64] ^= 0x01
+            frame = Frame(frame.msg_type, frame.session_id, frame.sender, bytes(payload))
         return respond(self, frame, m)
 
     monkeypatch.setattr(ThresholdServer, "begin_round", recording)
     monkeypatch.setattr(ThresholdParticipant, "respond", bumped)
-    with pytest.raises(ProtocolStateError, match="DECRYPT_FAIL"):
+    with pytest.raises(AuthenticationError):
         run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(63), subset=(1, 2, 4))
     (server,) = servers
-    assert server.phase is Phase.FAILED and server.digest is None
+    assert server.phase is not Phase.DONE and server.digest is None
 
 
 def test_absorb_before_the_round_is_a_state_error(toy_subgroup):
