@@ -15,12 +15,14 @@ formats, all integers big-endian:
   as minimal integers for modp, (ASCII curve id, g, h) for ec;
 - ciphertext (``pke.encrypt`` returns it, ``pke.decrypt`` takes it):
   ephemeral element | u16 body length | body | 16-byte tag;
-- SHARE payload (``protocol``), in both rounds: share element | receipt, a
-  ciphertext whose tag covers the element bytes as associated data;
+- SHARE payload (``protocol``): share element | receipt, a ciphertext whose
+  tag covers the element bytes as associated data; in the threshold round
+  the receipt is one 16-byte tag, the ``pke.seal`` of nothing under the
+  receipt key of ``pke.deal_keys`` with header session id | u16 index |
+  element bytes;
 - THRESH_DEAL payload (``threshold``): body | 16-byte tag, the ``pke.seal``
-  of three scalars and the 32-byte receipt nonce, f(i) | t(i) | l_i |
-  nonce, under ``pke.deal_keys``; its header, session id | u16 index, never
-  travels;
+  of three scalars, f(i) | t(i) | l_i, under ``pke.deal_keys``; its header,
+  session id | u16 index, never travels;
 - quotient table (``threshold``): u32 count | count x (u16 index | quotient,
   as wide as the modulus);
 - sealed evaluation (``threshold``): u32 ciphertext length | ciphertext |

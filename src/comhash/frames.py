@@ -30,7 +30,7 @@ class MsgType(IntEnum):
     ERROR = 0x05
     # threshold round (0x10-0x1F); its shares and result travel as SHARE and RESULT
     # 0x10 and 0x12-0x15 are retired and not reused, so an older peer's frame fails to decode
-    THRESH_DEAL = 0x11  # server -> chosen i: f(i) | t(i) | l_i | nonce under pke.deal_keys
+    THRESH_DEAL = 0x11  # server -> chosen i: f(i) | t(i) | l_i sealed under pke.deal_keys
     # two-party multiplication (0x20-0x25), payload is one canonical scalar
     MUL_BLINDED_X = 0x20      # P1 -> P2: r1*x
     MUL_BLINDED_XY = 0x21     # P2 -> S:  r1*x*r2*y
@@ -46,6 +46,7 @@ class ErrorCode(IntEnum):
     DECRYPT_FAIL = 3
     MISSING = 4
     MALFORMED = 5
+    SHARE_MISMATCH = 6  # a threshold member's share is not the one it was dealt
 
 
 # payload sizes that do not depend on group parameters

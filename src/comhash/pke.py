@@ -8,11 +8,12 @@ authenticated but not sent. Key agreement sits in front of it, as in HPKE
 receipt hashes the KEM shared point into one stream and MAC key, so the only
 hardness assumption stays the discrete log in the group already in use; its
 header is the ephemeral's bytes and any associated data: a share receipt
-binds only the share element it was sent with. A threshold request needs no
+binds only the share element it was sent with. A threshold round needs no
 ephemeral: ``deal_keys`` derives its keys with ``hkdf`` (RFC 5869) from one
-Diffie-Hellman between the server's key and the participant's, and its
-header is its session id and index. A link record (``transport``) uses per-direction keys from ``hkdf``
-and its sequence number as the header.
+Diffie-Hellman between the server's key and the participant's; a request's
+header is its session id and index, and a receipt is a bare tag under its
+own MAC key over that header and the element's bytes. A link record
+(``transport``) uses per-direction keys and its sequence number as header.
 
 A ciphertext exists only as its wire bytes, as in HPKE's Seal and Open (RFC
 9180 §6.1): ``encrypt`` returns ephemeral element | u16 body length | body |
@@ -36,8 +37,8 @@ blinding) do not come from here and stay full width.
 Every such exponent is below 2^bits, bits the bound's width, and is raised
 on comb tables of that width (``groups``' ``power(..., bits=bits)``): ``g``,
 for key pairs and ephemerals, and every recipient key of ``encrypt``. In the
-protocol that is the one server key all of a session's receipts go to, and
-every chosen participant raises the same key to open its threshold request.
+protocol that is the one server key all of a basic session's receipts go
+to, and every chosen participant raises the same key to derive its deal keys.
 A table checks its key once, when it is built. A participant's own key is
 used once, by the dealer, and the ephemeral^secret of ``decrypt`` once too;
 both take the general route.
@@ -146,21 +147,21 @@ def hkdf(salt: bytes, ikm: bytes, info: bytes, length: int) -> bytes:
 
 
 def deal_keys(params: GroupParams, secret: int, server_public, participant_public,
-              session_id: bytes, index: int, *, dealer: bool) -> tuple[bytes, bytes]:
-    """The stream and MAC key that seal participant ``index``'s threshold
-    deal in session ``session_id``: the ``e, es`` step of Noise's NK pattern,
-    with the participant's key as e, so only the holder of the server's
-    secret can seal a deal the participant opens.
+              session_id: bytes, index: int, *, dealer: bool) -> tuple[bytes, bytes, bytes]:
+    """The stream, request MAC and receipt MAC keys of participant ``index``
+    in threshold session ``session_id``: the ``e, es`` step of Noise's NK
+    pattern, with the participant's key as e, so only the server can seal a
+    request the participant opens and only the participant can tag a receipt
+    the server opens; the two MAC keys differ, so no tag crosses directions.
 
     The dealer (``dealer=True``, ``secret`` the server's) raises the
     participant's key, which comes from outside: it is checked, and a key
     that is not a group element, or is ``low_order``, raises ``GroupError``
     before any power; the key is used once and takes the general route. The
     participant (``secret`` its own) raises the server's key on its comb
-    table, which the receipts build anyway. HKDF-SHA256 (RFC 9180 §4.1)
-    with the session id as salt and the shared element's bytes as input
-    expands under the label, u16 index and both keys' bytes to a 32-byte
-    stream key and a 32-byte MAC key.
+    table. HKDF-SHA256 (RFC 9180 §4.1) with the session id as salt and the
+    shared element's bytes as input expands under the label, u16 index and
+    both keys' bytes to three 32-byte keys.
     """
     if dealer:
         if (not params.element_valid(participant_public)
@@ -172,8 +173,8 @@ def deal_keys(params: GroupParams, secret: int, server_public, participant_publi
     info = (b"comhash/deal/v1" + index.to_bytes(2, "big")
             + element_to_bytes(params, server_public)
             + element_to_bytes(params, participant_public))
-    okm = hkdf(session_id, element_to_bytes(params, shared), info, 64)
-    return okm[:32], okm[32:]
+    okm = hkdf(session_id, element_to_bytes(params, shared), info, 96)
+    return okm[:32], okm[32:64], okm[64:]
 
 
 def _receipt_header(ephemeral_bytes: bytes, associated: bytes) -> bytes:

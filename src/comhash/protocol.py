@@ -45,15 +45,6 @@ class OwnerRole:
     m: int
 
 
-def share_payload(params: GroupParams, element, server_public, nonce: bytes,
-                  rng: random.Random) -> bytes:
-    """A SHARE payload: the share element's bytes, then the nonce receipt
-    encrypted to the server with those bytes as associated data, so the
-    receipt checks out only next to the element it was made for."""
-    element_bytes = element_to_bytes(params, element)
-    return element_bytes + pke.encrypt(params, server_public, nonce, rng, element_bytes)
-
-
 class ServerSession:
     """Server side of one run; mutated by a single logical thread."""
 
@@ -65,18 +56,40 @@ class ServerSession:
         self.n = n
         self.keypair = keypair
         self.session_id = rng.randbytes(SESSION_ID_LENGTH)
-        self.nonces: dict[int, bytes] = {}
-        seen = set()
-        for index in range(1, n + 1):
-            nonce = rng.randbytes(NONCE_LENGTH)
-            while nonce in seen:  # distinct per participant
-                nonce = rng.randbytes(NONCE_LENGTH)
-            seen.add(nonce)
-            self.nonces[index] = nonce
+        self.nonces = self._draw_nonces(rng)
         self.shares: dict[int, object] = {}
         self.phase = Phase.ISSUED
         self.error_code: Optional[ErrorCode] = None
         self.digest = None
+
+    def _draw_nonces(self, rng: random.Random) -> dict[int, bytes]:
+        """One NONCE per participant, for its receipt to echo."""
+        nonces: dict[int, bytes] = {}
+        seen = set()
+        for index in range(1, self.n + 1):
+            nonce = rng.randbytes(NONCE_LENGTH)
+            while nonce in seen:  # distinct per participant
+                nonce = rng.randbytes(NONCE_LENGTH)
+            seen.add(nonce)
+            nonces[index] = nonce
+        return nonces
+
+    @property
+    def live(self):
+        return self.nonces.keys()  # the indices whose shares the session takes
+
+    def _open_receipt(self, index: int, element_bytes: bytes,
+                      receipt: bytes) -> Optional[ErrorCode]:
+        """Check ``index``'s receipt next to the element's bytes as received:
+        malformed bytes raise ``EncodingError``, a bad tag ``AuthenticationError``."""
+        echoed = pke.decrypt(self.params, self.keypair.secret, receipt, element_bytes)
+        if not hmac.compare_digest(echoed, self.nonces[index]):
+            return ErrorCode.NONCE_MISMATCH
+        return None
+
+    def _check_digest(self, digest) -> None:
+        """Fail the session and raise ``ProtocolStateError`` if ``digest`` is
+        not the one expected; the basic server expects nothing."""
 
     # -- state transitions ---------------------------------------------
 
@@ -95,7 +108,7 @@ class ServerSession:
         if frame.msg_type is not MsgType.SHARE or frame.session_id != self.session_id:
             return self.fail(ErrorCode.MALFORMED)
         index = frame.sender
-        if index not in self.nonces:
+        if index not in self.live:
             return self.fail(ErrorCode.MALFORMED)
         if index in self.shares:
             return self.fail(ErrorCode.DUPLICATE)
@@ -104,21 +117,21 @@ class ServerSession:
             # the receipt's tag covers the element bytes exactly as received
             element_bytes = rd.element_bytes(self.params)
             element = element_from_bytes(self.params, element_bytes)
-            echoed = pke.decrypt(self.params, self.keypair.secret, rd.rest(), element_bytes)
+            code = self._open_receipt(index, element_bytes, rd.rest())
         except EncodingError:
             return self.fail(ErrorCode.MALFORMED)
         except AuthenticationError:
             # altered, or made for another element
             return self.fail(ErrorCode.DECRYPT_FAIL)
-        if not hmac.compare_digest(echoed, self.nonces[index]):
-            return self.fail(ErrorCode.NONCE_MISMATCH)
+        if code is not None:
+            return self.fail(code)
         self.shares[index] = element
         self.phase = Phase.COLLECTING
 
     @property
     def complete(self) -> bool:
-        # absorb admits only indices with a live nonce
-        return len(self.shares) == len(self.nonces)
+        # absorb admits only live indices
+        return len(self.shares) == len(self.live)
 
     def finalize(self):
         if self.phase is Phase.FAILED:
@@ -128,6 +141,7 @@ class ServerSession:
         if not self.complete:
             raise ProtocolStateError("shares missing")
         digest = combine_shares(self.params, [self.shares[i] for i in sorted(self.shares)])
+        self._check_digest(digest)
         self.digest = digest
         self.shares.clear()  # only the digest is retained
         self.phase = Phase.DONE
@@ -181,9 +195,12 @@ class ParticipantSession:
             element = owner_share(self.params, self.keys, self.owner.m)
         else:
             element = member_share(self.params, self.keys)
-        payload = share_payload(self.params, element, self.server_public,
-                                frame.payload, self.rng)
-        return Frame(MsgType.SHARE, self.session_id, self.index, payload)
+        # the element's bytes, then the nonce encrypted to the server with
+        # them as associated data: the receipt checks out only next to them
+        element_bytes = element_to_bytes(self.params, element)
+        receipt = pke.encrypt(self.params, self.server_public, frame.payload, self.rng,
+                              element_bytes)
+        return Frame(MsgType.SHARE, self.session_id, self.index, element_bytes + receipt)
 
     def upload_request(self) -> Frame:
         """The opening frame; the real session id is assigned by the server."""

@@ -8,13 +8,18 @@ for the chosen subset, so the combined digest collapses to
 
 Trust model: the server is the dealer. It knows s0 and t0, so it can compute
 any digest by itself, and hiding the points from it would protect nothing.
-Each chosen participant i gets one request, f(i) | t(i) | l_i | its receipt
-nonce, sealed under keys that only the holder of the server's secret and
-participant i can derive (``pke.deal_keys``). So only the server can deal,
-only participant i learns those four values, and only participant i can
-answer its request: a request sealed by anyone else, under another server
-key, or altered in transit fails its tag, and without the nonce a share
-fails the receipt check. No frame of a round carries s0 or t0.
+Each chosen participant i gets one request, f(i) | t(i) | l_i, sealed under
+keys that only the server and i derive, fresh for this session and bound to
+i (``pke.deal_keys``), and its share's receipt is a tag under i's own key
+from them, over the element's bytes. So only the server can deal, only i
+learns its three values, and only i can answer: a request or receipt made
+by anyone else, for another session or index, or altered fails its tag, and
+no nonce is needed. No frame of a round carries s0 or t0.
+
+The dealer checks the members, the converse of Feldman's verifiable secret
+sharing: the shares of the chosen participants other than the message owner
+must combine to g^(sum f(i)*l_i) * h^(sum t(i)*l_i). The owner's share is
+not checked, since any element is g^m' times its expected part for some m'.
 
 The quotient table, blinded multiplication and sealed evaluator below hide
 evaluation points from the server; they are kept as tested primitives and
@@ -28,12 +33,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .encoding import Reader, prefixed, scalar_from_bytes, scalar_to_bytes
+from .encoding import (
+    Reader, element_to_bytes, prefixed, scalar_from_bytes, scalar_to_bytes)
 from .errors import EncodingError, ProtocolStateError
-from .frames import Frame, MsgType, NONCE_LENGTH, SERVER_ID, SESSION_ID_LENGTH
+from .frames import ErrorCode, Frame, MsgType, SERVER_ID, SESSION_ID_LENGTH
 from .groups import GroupParams, scalar_inv
-from .hashing import ParticipantKeys, member_share, owner_share
-from .protocol import Phase, ServerSession, share_payload
+from .hashing import ParticipantKeys, cvhp, member_share, owner_share
+from .protocol import Phase, ServerSession
 from . import pke
 
 
@@ -320,14 +326,14 @@ def distinct_nonzero_scalars(modulus: int, count: int, rng: random.Random) -> li
 
 
 def _deal_context(session_id: bytes, index: int) -> bytes:
-    # a request opens only for the session and the index it was sealed for
+    # a request or receipt opens only for the session and the index it was sealed for
     return session_id + index.to_bytes(2, "big")
 
 
 class ThresholdServer(ServerSession):
     """Dealer plus collector: holds the two polynomials, seals each member of
-    a chosen subset its request, and verifies receipts exactly like the
-    basic server."""
+    a chosen subset its request, opens each receipt under that member's deal
+    keys, and checks the members' shares against what it dealt."""
 
     def __init__(self, params: GroupParams, n: int, k: int, s0: int, t0: int,
                  keypair: pke.KeyPair, rng: random.Random):
@@ -341,38 +347,57 @@ class ThresholdServer(ServerSession):
         self.share_poly = Polynomial.random(s0, k - 1, mod, rng)
         self.mask_poly = Polynomial.random(t0, k - 1, mod, rng)
         self.subset: Optional[tuple] = None
+        self.owner: Optional[int] = None
+        self._receipt_keys: dict[int, tuple] = {}
+        self._dealt: dict[int, tuple] = {}
         self._rng = rng
         super().__init__(params, n, keypair, rng)
 
-    def begin_round(self, publics: dict,
-                    subset: Optional[Sequence[int]] = None) -> list[tuple]:
-        """Pick (or accept) the k-subset; returns [(i, frame), ...], one
-        THRESH_DEAL per chosen participant i: f(i) | t(i) | l_i | nonce_i,
-        sealed under the keys the server's key and i's key ``publics[i]``
-        derive for this session. A missing key raises ``KeyError``, and one
-        that is not a group element other than the identity ``GroupError``,
-        before that member's power; the round then stays unbegun."""
+    def _draw_nonces(self, rng: random.Random) -> dict[int, bytes]:
+        return {}  # each receipt is keyed by its member's deal keys instead
+
+    @property
+    def live(self):
+        return self._receipt_keys.keys()  # the chosen subset, once begun
+
+    def begin_round(self, publics: dict, subset: Optional[Sequence[int]] = None,
+                    owner: Optional[int] = None) -> list[tuple]:
+        """Pick (or accept) the k-subset and the message owner, by default its
+        lowest index; returns [(i, frame), ...], one THRESH_DEAL per chosen i:
+        f(i) | t(i) | l_i sealed under the deal keys of the server's key and
+        ``publics[i]``. An owner outside the subset raises ``ValueError``
+        before any power; a missing key ``KeyError``, and a key that is not a
+        group element other than the identity ``GroupError``, before that
+        member's power. On any of these the round stays unbegun."""
         if self.subset is not None:
             raise ProtocolStateError("round already begun")
-        if subset is None:
-            subset = self._rng.sample(range(1, self.n + 1), self.k)
+        if subset is None:  # drawn around a named owner
+            named = [] if owner is None else [owner]
+            pool = [i for i in range(1, self.n + 1) if i not in named]
+            subset = self._rng.sample(pool, self.k - len(named)) + named
         subset = tuple(sorted(subset))
         if len(subset) != self.k or len(set(subset)) != self.k:
             raise ValueError(f"subset must contain exactly k={self.k} distinct members")
         if not all(1 <= i <= self.n for i in subset):
             raise ValueError("subset member out of range")
-        out = []
-        for i, coeff in zip(subset, lagrange_at_zero(subset, self.params.exponent_modulus)):
-            keys = pke.deal_keys(self.params, self.keypair.secret, self.keypair.public,
-                                 publics[i], self.session_id, i, dealer=True)
-            values = b"".join(scalar_to_bytes(self.params, v)
-                              for v in (self.share_poly(i), self.mask_poly(i), coeff))
-            sealed = pke.seal(*keys, _deal_context(self.session_id, i),
-                              values + self.nonces[i])
+        owner = subset[0] if owner is None else owner
+        if owner not in subset:
+            raise ValueError("message owner must belong to the chosen subset")
+        mod = self.params.exponent_modulus
+        out, receipt_keys, dealt = [], {}, {}
+        for i, coeff in zip(subset, lagrange_at_zero(subset, mod)):
+            stream, request_mac, receipt_mac = pke.deal_keys(
+                self.params, self.keypair.secret, self.keypair.public, publics[i],
+                self.session_id, i, dealer=True)
+            share, mask = self.share_poly(i), self.mask_poly(i)
+            values = b"".join(scalar_to_bytes(self.params, v) for v in (share, mask, coeff))
+            sealed = pke.seal(stream, request_mac, _deal_context(self.session_id, i), values)
             out.append((i, Frame(MsgType.THRESH_DEAL, self.session_id, SERVER_ID, sealed)))
-        # only the chosen participants' nonces stay live
-        self.subset = subset
-        self.nonces = {i: self.nonces[i] for i in subset}
+            receipt_keys[i] = (stream, receipt_mac)
+            if i != owner:
+                dealt[i] = (share * coeff % mod, mask * coeff % mod)
+        self.subset, self.owner = subset, owner
+        self._receipt_keys, self._dealt = receipt_keys, dealt
         return out
 
     def absorb(self, frame: Frame) -> None:
@@ -381,6 +406,25 @@ class ThresholdServer(ServerSession):
         if self.subset is None:
             raise ProtocolStateError("round not begun")
         super().absorb(frame)
+
+    def _open_receipt(self, index: int, element_bytes: bytes, receipt: bytes) -> None:
+        # one tag under i's receipt key over session id | u16 i | element bytes
+        if len(receipt) != pke.TAG_LENGTH:
+            raise EncodingError("a threshold receipt is one tag")
+        pke.unseal(*self._receipt_keys[index],
+                   _deal_context(self.session_id, index) + element_bytes, receipt)
+
+    def _check_digest(self, digest) -> None:
+        """The dealer check: the owner's share times g^(sum f(i)*l_i) *
+        h^(sum t(i)*l_i) over the other members, or SHARE_MISMATCH naming
+        the first member whose share is not its dealt one."""
+        x, y = (sum(v) % self.params.exponent_modulus for v in zip(*self._dealt.values()))
+        if digest != self.params.combine(cvhp(self.params, x, y), self.shares[self.owner]):
+            culprit = next(i for i, dealt in sorted(self._dealt.items())
+                           if self.shares[i] != cvhp(self.params, *dealt))
+            self.fail(ErrorCode.SHARE_MISMATCH)
+            raise ProtocolStateError(
+                f"threshold session failed: SHARE_MISMATCH at participant {culprit}")
 
 
 class ThresholdParticipant:
@@ -402,20 +446,20 @@ class ThresholdParticipant:
         self.session_id: Optional[bytes] = None
 
     def respond(self, frame: Frame, m: Optional[int] = None) -> Frame:
-        """Open a THRESH_DEAL and answer it with a SHARE. A request sealed
-        for another session or index, by anyone without the server's secret,
-        or altered in any byte fails its tag with ``AuthenticationError``; a
-        plaintext other than three scalars and a nonce raises
-        ``EncodingError``; both before any power of the share."""
+        """Open a THRESH_DEAL and answer it with a SHARE: the element's bytes,
+        then the receipt tag over them. A request sealed for another session
+        or index, by anyone without the server's secret, or altered in any
+        byte fails its tag with ``AuthenticationError``; a plaintext other
+        than three scalars raises ``EncodingError``; both before any power
+        of the share."""
         if frame.msg_type is not MsgType.THRESH_DEAL:
             raise ProtocolStateError("expected a THRESH_DEAL frame")
-        deal_keys = pke.deal_keys(self.params, self.keypair.secret, self.server_public,
-                                  self.keypair.public, frame.session_id, self.index,
-                                  dealer=False)
-        rd = Reader(pke.unseal(*deal_keys, _deal_context(frame.session_id, self.index),
-                               frame.payload))
+        stream, request_mac, receipt_mac = pke.deal_keys(
+            self.params, self.keypair.secret, self.server_public, self.keypair.public,
+            frame.session_id, self.index, dealer=False)
+        context = _deal_context(frame.session_id, self.index)
+        rd = Reader(pke.unseal(stream, request_mac, context, frame.payload))
         share, mask, coeff = (rd.scalar(self.params) for _ in range(3))
-        nonce = rd.take(NONCE_LENGTH)
         rd.done()
         self.session_id = frame.session_id
         self.share_value, self.mask_value = share, mask
@@ -425,8 +469,9 @@ class ThresholdParticipant:
             element = member_share(self.params, keys)
         else:
             element = owner_share(self.params, keys, m)
-        payload = share_payload(self.params, element, self.server_public, nonce, self.rng)
-        return Frame(MsgType.SHARE, self.session_id, self.index, payload)
+        element_bytes = element_to_bytes(self.params, element)
+        receipt = pke.seal(stream, receipt_mac, context + element_bytes, b"")
+        return Frame(MsgType.SHARE, self.session_id, self.index, element_bytes + receipt)
 
 
 @dataclass
@@ -444,25 +489,23 @@ def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
 
     The digest equals g^(m + s0) * h^(t0) no matter which k-subset serves the
     request. The message owner must sit in the subset; by default the lowest
-    chosen index plays that role.
+    chosen index plays that role. A failed round raises
+    ``ProtocolStateError`` naming the code and the participant at fault.
     """
     server_keypair = pke.generate_keypair(params, rng)
     server = ThresholdServer(params, n, k, s0, t0, server_keypair, rng)
     participants = [ThresholdParticipant(params, i, server_keypair.public, rng)
                     for i in range(1, n + 1)]
-    issued = server.begin_round({p.index: p.keypair.public for p in participants}, subset)
+    issued = server.begin_round({p.index: p.keypair.public for p in participants},
+                                subset, owner)
     transcript: list[Frame] = [frame for _, frame in issued]
-    chosen = server.subset
-    owner_index = min(chosen) if owner is None else owner
-    if owner_index not in chosen:
-        raise ValueError("message owner must belong to the chosen subset")
     for index, frame in issued:
-        share = participants[index - 1].respond(frame, m if index == owner_index else None)
+        share = participants[index - 1].respond(frame, m if index == server.owner else None)
         transcript.append(share)
         server.absorb(share)
         if server.phase is Phase.FAILED:
-            raise ProtocolStateError(
-                f"threshold session failed: {server.error_code.name}")
+            raise ProtocolStateError(f"threshold session failed: "
+                                     f"{server.error_code.name} at participant {index}")
     digest = server.finalize()
     transcript.append(server.result_frame())
     return ThresholdRun(digest=digest, server=server, transcript=transcript)

@@ -62,9 +62,10 @@ def _request_frame(server, payload: bytes) -> Frame:
 
 
 def _opened(params, server, part, frame):
-    """The deal keys, unsent header and plaintext of participant 1's request."""
+    """The request's stream and MAC key, unsent header and plaintext of
+    participant 1's request."""
     keys = pke.deal_keys(params, server.keypair.secret, server.keypair.public,
-                         part.keypair.public, server.session_id, 1, dealer=True)
+                         part.keypair.public, server.session_id, 1, dealer=True)[:2]
     header = server.session_id + b"\x00\x01"
     return keys, header, pke.unseal(*keys, header, frame.payload)
 
@@ -93,7 +94,7 @@ def _refused(part, frame, error, bases, server_public):
 
 
 # ---------------------------------------------------------------------------
-# THRESH_DEAL payloads: the ciphertext and the four values it seals
+# THRESH_DEAL payloads: the ciphertext and the three values it seals
 # ---------------------------------------------------------------------------
 
 def test_receive_deal_accepts_the_server_payload(toy_subgroup):
@@ -115,15 +116,14 @@ def test_receive_deal_rejects_malformed_payloads(toy_subgroup, monkeypatch):
     width = scalar_byte_length(toy_subgroup)
     q = toy_subgroup.exponent_modulus.to_bytes(width, "big")
     keys, header, values = _opened(toy_subgroup, server, part, frame)
-    scalars, nonce = values[:3 * width], values[3 * width:]
-    assert len(nonce) == 32
+    assert len(values) == 3 * width
     bad = [
-        scalars[:2 * width] + nonce,   # two scalars and a nonce
-        scalars,                       # three scalars and no nonce
+        values[:2 * width],            # two scalars
+        values + values[:width],       # four scalars
         values + b"\x00",              # a trailing byte
     ] + [
         # q in each scalar slot: f(i), t(i) and the coefficient
-        scalars[:slot * width] + q + scalars[(slot + 1) * width:] + nonce
+        values[:slot * width] + q + values[(slot + 1) * width:]
         for slot in range(3)
     ]
     bases = _count_powers(toy_subgroup, monkeypatch)
@@ -215,9 +215,10 @@ def test_thresh_deal_truncation_and_extension(params, monkeypatch):
 
 
 def test_thresh_nonce_truncation_and_extension(params, monkeypatch):
-    # inside the seal: the nonce cut short, extended by one byte, or a
+    # inside the seal: the plaintext cut short, extended by one byte, or a
     # coefficient equal to q is refused before any share power, and the
-    # participant still answers the real request
+    # participant still answers the real request (the name is the retired
+    # THRESH_NONCE frame's, whose coefficient the request now carries)
     server, part, frame = _deal_round(params)
     width = scalar_byte_length(params)
     q = params.exponent_modulus.to_bytes(width, "big")
@@ -229,6 +230,19 @@ def test_thresh_nonce_truncation_and_extension(params, monkeypatch):
                  EncodingError, bases, server.keypair.public)
     monkeypatch.undo()
     server.absorb(part.respond(frame, m=4))
+    assert server.phase is Phase.COLLECTING
+
+
+def test_threshold_share_truncation_and_extension(params):
+    # a threshold SHARE is the element's bytes and one tag: every strict
+    # prefix and a one-byte extension ends MALFORMED, as a basic share does
+    server, part, frame = _deal_round(params)
+    share = part.respond(frame, m=4)
+    for variant in _prefixes_and_extension(share.payload):
+        fresh, _, _ = _deal_round(params)
+        fresh.absorb(Frame(MsgType.SHARE, share.session_id, 1, variant))
+        assert (fresh.phase, fresh.error_code) == (Phase.FAILED, ErrorCode.MALFORMED)
+    server.absorb(share)
     assert server.phase is Phase.COLLECTING
 
 

@@ -20,6 +20,8 @@ from comhash import (
     QuotientTable,
     SealedPolynomialEvaluator,
     cvhp,
+    element_from_bytes,
+    element_to_bytes,
     lagrange_at_zero,
     lagrange_from_quotients,
     member_share,
@@ -33,7 +35,6 @@ from comhash import (
 from comhash import groups, pke, threshold
 from comhash.frames import Frame, MsgType, SERVER_ID, encode_frame
 from comhash.groups import scalar_inv
-from comhash.protocol import share_payload
 from comhash.threshold import ThresholdParticipant, ThresholdServer, distinct_nonzero_scalars
 
 
@@ -476,17 +477,17 @@ def _deal_pair(params, seed):
 
 
 def _keys_and_header(params, server, public, index, keypair=None):
-    """The deal keys that ``keypair`` (by default the server's) and the
-    participant key ``public`` derive for ``index`` in ``server``'s session,
-    and the request's unsent header."""
+    """The request's stream and MAC key that ``keypair`` (by default the
+    server's) and the participant key ``public`` derive for ``index`` in
+    ``server``'s session, and the request's unsent header."""
     keypair = server.keypair if keypair is None else keypair
     keys = pke.deal_keys(params, keypair.secret, keypair.public, public,
                          server.session_id, index, dealer=True)
-    return keys, server.session_id + index.to_bytes(2, "big")
+    return keys[:2], server.session_id + index.to_bytes(2, "big")
 
 
 def _opened(params, server, public, index, frame) -> bytes:
-    """The plaintext of participant ``index``'s request: f | t | l | nonce."""
+    """The plaintext of participant ``index``'s request: f | t | l."""
     keys, header = _keys_and_header(params, server, public, index)
     return pke.unseal(*keys, header, frame.payload)
 
@@ -508,40 +509,85 @@ def _refused(part, frame, error):
     assert (part.share_value, part.mask_value, part.session_id) == (None, None, None)
 
 
-def test_threshold_nonce_mismatch_fails(toy_subgroup):
-    server, parts, issued = _open_round(toy_subgroup, random.Random(40))
-    # participant 2's request, sealed under its real keys with participant
-    # 1's nonce in place of its own
-    public = parts[1].keypair.public
-    plaintext = _opened(toy_subgroup, server, public, 2, issued[2])
-    wrong = _seal_deal(toy_subgroup, server, public, plaintext[:-32] + server.nonces[1],
-                       index=2)
-    server.absorb(parts[1].respond(wrong))
-    assert server.phase is Phase.FAILED
-    assert server.error_code is ErrorCode.NONCE_MISMATCH
+def _decrypt_fail(server, frame):
+    """``server`` absorbs ``frame``, fails DECRYPT_FAIL and stores no digest."""
+    server.absorb(frame)
+    assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.DECRYPT_FAIL)
     assert server.digest is None
+    with pytest.raises(ProtocolStateError):
+        server.finalize()
+
+
+def test_a_receipt_moved_to_another_index_fails(toy_subgroup):
+    # participant 1's share, element and receipt, sent as participant 2's:
+    # the receipt is a tag under participant 1's keys over index 1
+    server, parts, issued = _open_round(toy_subgroup, random.Random(40))
+    share = parts[0].respond(issued[1], m=4)
+    _decrypt_fail(server, Frame(MsgType.SHARE, share.session_id, 2, share.payload))
+    # and participant 2's element with participant 1's receipt
+    server, parts, issued = _open_round(toy_subgroup, random.Random(40))
+    width = len(share.payload) - pke.TAG_LENGTH
+    own = parts[1].respond(issued[2])
+    _decrypt_fail(server, Frame(MsgType.SHARE, own.session_id, 2,
+                                own.payload[:width] + share.payload[width:]))
+
+
+def test_a_receipt_moved_to_another_session_fails(secp):
+    # two sessions of one server key with the same participant keys: the
+    # share answered for the second, carried under the first's session id
+    server, parts, issued = _open_round(secp, random.Random(41))
+    other = ThresholdServer(secp, 3, 2, 5, 6, server.keypair, random.Random(42))
+    assert other.session_id != server.session_id
+    foreign = parts[1].respond(dict(other.begin_round(_publics(parts), subset=(1, 2)))[2])
+    server.absorb(parts[0].respond(issued[1], m=4))
+    _decrypt_fail(server, Frame(MsgType.SHARE, server.session_id, 2, foreign.payload))
+
+
+@pytest.mark.parametrize("params", ["toy_curve", "toy_subgroup", "secp"])
+def test_a_receipt_over_altered_element_bytes_fails(params, request):
+    # an honest share whose element is replaced by another valid element,
+    # the honest one times g, and whose receipt is kept
+    params = request.getfixturevalue(params)
+    server, parts, issued = _open_round(params, random.Random(43))
+    share = parts[0].respond(issued[1], m=4)
+    width = len(share.payload) - pke.TAG_LENGTH
+    element = params.combine(element_from_bytes(params, share.payload[:width]), params.g)
+    altered = element_to_bytes(params, element) + share.payload[width:]
+    _decrypt_fail(server, Frame(MsgType.SHARE, share.session_id, 1, altered))
 
 
 def test_an_eavesdropper_cannot_answer_a_request(toy_subgroup):
     # an eavesdropper reads every frame of a 2-of-3 round and answers
-    # participant 2's request with a basic share of its own element; the
-    # nonce travels sealed, so the best it can echo is the bytes where the
-    # nonce sits in the request, and the round fails without a digest
+    # participant 2's request with a share of its own element; it holds no
+    # receipt key, so the best tag it has is the request's own, and the
+    # round fails without a digest
     server, parts, issued = _open_round(toy_subgroup, random.Random(3))
     server.absorb(parts[0].respond(issued[1], m=4))
     request = issued[2]
-    guess = request.payload[-pke.TAG_LENGTH - 32:-pke.TAG_LENGTH]
     element = member_share(toy_subgroup, ParticipantKeys(3, 4))
-    payload = share_payload(toy_subgroup, element, server.keypair.public, guess,
-                            random.Random(5))
-    server.absorb(Frame(MsgType.SHARE, request.session_id, 2, payload))
-    assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.NONCE_MISMATCH)
-    assert server.digest is None
+    payload = element_to_bytes(toy_subgroup, element) + request.payload[-pke.TAG_LENGTH:]
+    _decrypt_fail(server, Frame(MsgType.SHARE, request.session_id, 2, payload))
+
+
+def test_request_and_receipt_keys_differ(secp):
+    # both sides derive the same three keys, and the request's MAC key is
+    # not the receipt's, so the request's tag never checks as a receipt
+    server, parts, issued = _open_round(secp, random.Random(44))
+    public = parts[0].keypair.public
+    dealer = pke.deal_keys(secp, server.keypair.secret, server.keypair.public, public,
+                           server.session_id, 1, dealer=True)
+    member = pke.deal_keys(secp, parts[0].keypair.secret, server.keypair.public, public,
+                           server.session_id, 1, dealer=False)
+    assert dealer == member and [len(key) for key in dealer] == [32, 32, 32]
+    stream, request_mac, receipt_mac = dealer
+    assert len({stream, request_mac, receipt_mac}) == 3
+    header = server.session_id + b"\x00\x01"
+    assert pke.unseal(stream, request_mac, header, issued[1].payload)
+    with pytest.raises(AuthenticationError):
+        pke.unseal(stream, receipt_mac, header, issued[1].payload)
 
 
 def test_threshold_server_result_frame_type(toy_subgroup):
-    from comhash import element_to_bytes
-
     server, parts, issued = _open_round(toy_subgroup, random.Random(42))
     server.absorb(parts[0].respond(issued[1], m=4))
     server.absorb(parts[1].respond(issued[2]))
@@ -554,22 +600,22 @@ def test_threshold_server_result_frame_type(toy_subgroup):
 
 
 def test_threshold_begin_round_twice_same_subset(toy_subgroup):
-    # the nonces were issued once; issuing them again is a state error
+    # the requests were issued once; issuing them again is a state error
     server, parts, _ = _open_round(toy_subgroup, random.Random(43))
-    nonces = dict(server.nonces)
     with pytest.raises(ProtocolStateError):
         server.begin_round(_publics(parts), subset=(1, 2))
     with pytest.raises(ProtocolStateError):
         server.begin_round(_publics(parts))
-    assert server.subset == (1, 2) and server.nonces == nonces
+    assert (server.subset, server.owner, set(server.live)) == ((1, 2), 1, {1, 2})
+    assert server.nonces == {}
 
 
 def test_threshold_begin_round_twice_other_subset(toy_subgroup):
-    # participant 3's nonce was pruned by the first round
+    # participant 3 stays outside the first round's subset
     server, parts, _ = _open_round(toy_subgroup, random.Random(44))
     with pytest.raises(ProtocolStateError):
         server.begin_round(_publics(parts), subset=(2, 3))
-    assert server.subset == (1, 2) and set(server.nonces) == {1, 2}
+    assert server.subset == (1, 2) and set(server.live) == {1, 2}
 
 
 def test_begin_round_sends_exactly_k_requests(toy_curve, monkeypatch):
@@ -615,19 +661,19 @@ def test_begin_round_inversion_budget(secp, monkeypatch):
     issued = server.begin_round(publics)
     monkeypatch.undo()
     assert len(calls) == k
-    # each coefficient, read from its opened request: f | t | l | nonce
+    # each coefficient, read from its opened request: f | t | l
     coeffs = [int.from_bytes(_opened(secp, server, publics[i], i, frame)[64:96], "big")
               for i, frame in issued]
     assert coeffs == lagrange_at_zero(range(1, n + 1), mod)
 
 
 def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatch):
-    # every request and receipt of a round raises its one server key, so
-    # that key takes a bounded power on a table built once per round; a
-    # member's key is dealt to once and gets none. The kinds: per member,
-    # g^sk, and per chosen member the dealer's pk_i^sk, the member's
-    # server_key^a, a share's g^x and h^y, and the receipt's g^e, pk^e and
-    # the server's decryption
+    # every chosen member raises the round's one server key to derive its
+    # deal keys, so that key takes a bounded power on a table built once per
+    # round; a member's key is dealt to once and gets none. The kinds: per
+    # member, g^sk, plus the server's; per chosen member the dealer's
+    # pk_i^sk, the member's server_key^a and a share's g^x and h^y; and the
+    # dealer check's g^x and h^y. A receipt is a tag and raises nothing
     k, n = 2, 3
     digest = cvhp(secp, 5 + 7, 6)
     calls = {"fixed": 0, "var": 0, "bounded": []}
@@ -645,9 +691,9 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
         calls.update(fixed=0, var=0, bounded=[])
         run = run_threshold_session(secp, 5, 6, k, n, 7, random.Random(seed))
         assert run.digest == digest
-        assert (calls["fixed"], calls["var"]) == (n + 3 * k + 1, 4 * k)
-        assert Counter(calls["bounded"]) == {secp.g: n + k + 1,
-                                             run.server.keypair.public: 2 * k}
+        assert (calls["fixed"], calls["var"]) == (n + 2 * k + 3, 2 * k)
+        assert Counter(calls["bounded"]) == {secp.g: n + 1,
+                                             run.server.keypair.public: k}
         assert groups._ec_comb_table.cache_info().misses == misses + 1
 
 
@@ -659,11 +705,11 @@ def test_threshold_transcript_bytes_pinned(secp):
     assert run.server.subset == (2, 3, 5, 7, 8)
     assert run.digest == cvhp(secp, 33 + 11, 22)
     blob = b"".join(encode_frame(frame) for frame in run.transcript)
-    assert (len(run.transcript), len(blob)) == (11, 1630)
+    assert (len(run.transcript), len(blob)) == (11, 1135)
     assert [f.msg_type for f in run.transcript] == (
         [MsgType.THRESH_DEAL] * 5 + [MsgType.SHARE] * 5 + [MsgType.RESULT])
     assert hashlib.sha256(blob).hexdigest() == \
-        "572faa3a5aaa6e0a191a331d1a1431b213d45921337d6d445b71fb737d44a579"
+        "c85066aea49e043bdc192dd2dd0976e45b147179a642f2fad0abb77d536d13ec"
 
 
 @pytest.mark.parametrize("case", ["share_as_nonce", "other_session"])
@@ -729,23 +775,23 @@ def test_receive_deal_rejects_a_deal_for_another_index(toy_subgroup):
     assert fresh.subset is None
 
 
-def test_request_reads_exactly_three_scalars_and_a_nonce(toy_subgroup):
+def test_request_reads_exactly_three_scalars(toy_subgroup):
     server, (part, _) = _deal_pair(toy_subgroup, 51)
-    one, nonce = scalar_to_bytes(toy_subgroup, 4), server.nonces[1]
-    for plaintext in (one * 2 + nonce, one * 4 + nonce, one * 3, one * 3 + nonce + b"\x00"):
+    one = scalar_to_bytes(toy_subgroup, 4)
+    for plaintext in (one * 2, one * 4, one * 3 + bytes(32), one * 3 + b"\x00"):
         _refused(part, _seal_deal(toy_subgroup, server, part.keypair.public, plaintext),
                  EncodingError)
-    part.respond(_seal_deal(toy_subgroup, server, part.keypair.public, one * 3 + nonce))
+    part.respond(_seal_deal(toy_subgroup, server, part.keypair.public, one * 3))
     assert (part.share_value, part.mask_value) == (4, 4)
 
 
 def _forged_deals(params, server, public):
-    """Participant 1's request with values 7 | 8 | 1 and a nonce, sealed by
+    """Participant 1's request with values 7 | 8 | 1, sealed by
     parties that do not hold ``server``'s secret: hashed ElGamal to the
     participant's key ``public``, as anyone who sees that key can, and the
     deal key of another server key pair, under its own public key and under
     ``server``'s."""
-    values = b"".join(scalar_to_bytes(params, v) for v in (7, 8, 1)) + bytes(32)
+    values = b"".join(scalar_to_bytes(params, v) for v in (7, 8, 1))
     other = pke.generate_keypair(params, random.Random(58))
     impostor = pke.KeyPair(other.secret, server.keypair.public)
     return [Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID,
@@ -772,10 +818,10 @@ def test_forged_deal_never_ends_a_round_done(which, secp, monkeypatch):
     begin_round = ThresholdServer.begin_round
     servers = []
 
-    def forging(self, publics, subset=None):
+    def forging(self, publics, subset=None, owner=None):
         servers.append(self)
         return [(i, _forged_deals(secp, self, publics[i])[which] if i == 1 else frame)
-                for i, frame in begin_round(self, publics, subset)]
+                for i, frame in begin_round(self, publics, subset, owner)]
 
     monkeypatch.setattr(ThresholdServer, "begin_round", forging)
     with pytest.raises(AuthenticationError):
@@ -787,11 +833,10 @@ def test_deal_frame_rejects_a_participant_key_outside_the_group(toy_curve, toy_s
                                                                  monkeypatch):
     # the identity, an off-curve point and a non-square mod 23 as the lowest
     # chosen member's key, each refused before any power is raised; the
-    # round stays unbegun and keeps every nonce
+    # round stays unbegun
     for params, bad in ((toy_curve, toy_curve.identity), (toy_curve, (1, 1)),
                         (toy_subgroup, toy_subgroup.identity), (toy_subgroup, 5)):
         server, parts = _deal_pair(params, 62)
-        nonces = dict(server.nonces)
         powers = []
         monkeypatch.setattr(type(params), "power",
                             lambda self, *args, **kwargs: powers.append(args))
@@ -799,14 +844,13 @@ def test_deal_frame_rejects_a_participant_key_outside_the_group(toy_curve, toy_s
             server.begin_round({**_publics(parts), 1: bad})
         monkeypatch.undo()
         assert powers == []
-        assert server.subset is None and server.nonces == nonces
+        assert (server.subset, server.owner, set(server.live)) == (None, None, set())
 
 
 def test_begin_round_without_a_members_key_stays_unbegun(toy_curve, monkeypatch):
     # member 2's key is missing: the round raises after member 1's power
     # and before member 2's, stays unbegun, and begins once both keys are given
     server, parts = _deal_pair(toy_curve, 63)
-    nonces = dict(server.nonces)
     powers = []
     power = type(toy_curve).power
 
@@ -819,7 +863,7 @@ def test_begin_round_without_a_members_key_stays_unbegun(toy_curve, monkeypatch)
         server.begin_round({1: parts[0].keypair.public})
     monkeypatch.undo()
     assert len(powers) == 1
-    assert server.subset is None and server.nonces == nonces
+    assert (server.subset, server.owner, set(server.live)) == (None, None, set())
     assert [i for i, _ in server.begin_round(_publics(parts))] == [1, 2]
 
 
@@ -844,16 +888,18 @@ def test_no_round_frame_carries_the_dealer_secrets(secp):
 
 
 def test_no_frame_carries_a_nonce_coefficient_or_dealt_value(secp):
-    # a seeded k=5, n=8 round: no server nonce, coefficient, f(i) or t(i)
-    # appears in the bytes of its transcript
+    # a seeded k=5, n=8 round: the threshold server draws no nonce, and no
+    # coefficient, f(i), t(i) or receipt key appears in the bytes of its
+    # transcript
     run = run_threshold_session(secp, 11, 22, 5, 8, 33, random.Random(2026))
     server = run.server
     assert run.digest == cvhp(secp, 33 + 11, 22)
+    assert server.nonces == {}
     coeffs = lagrange_at_zero(server.subset, secp.exponent_modulus)
-    hidden = list(server.nonces.values()) + [
+    hidden = [key for i in server.subset for key in server._receipt_keys[i]] + [
         scalar_to_bytes(secp, v) for i, coeff in zip(server.subset, coeffs)
         for v in (coeff, server.share_poly(i), server.mask_poly(i))]
-    assert len(hidden) == 4 * 5
+    assert len(hidden) == 5 * 5
     blob = b"".join(encode_frame(frame) for frame in run.transcript)
     assert not any(value in blob for value in hidden)
 
@@ -879,9 +925,9 @@ def test_a_coefficient_tamper_stops_the_driver(secp, monkeypatch):
     begin_round, respond = ThresholdServer.begin_round, ThresholdParticipant.respond
     servers = []
 
-    def recording(self, publics, subset=None):
+    def recording(self, publics, subset=None, owner=None):
         servers.append(self)
-        return begin_round(self, publics, subset)
+        return begin_round(self, publics, subset, owner)
 
     def bumped(self, frame, m=None):
         if self.index == 2:
@@ -926,3 +972,97 @@ def test_round_reaches_none_of_the_point_hiding_primitives(toy_curve, monkeypatc
     for subset in combinations(range(1, 6), 3):
         run = run_threshold_session(toy_curve, 5, 7, 3, 5, 12, random.Random(58), subset)
         assert run.digest == expected
+
+
+# ---------------------------------------------------------------------------
+# the owner named before dealing, and the dealer check on member shares
+# ---------------------------------------------------------------------------
+
+def test_an_owner_outside_the_subset_is_refused_before_dealing(toy_curve, monkeypatch):
+    rng = random.Random(67)
+    server_kp = pke.generate_keypair(toy_curve, rng)
+    server = ThresholdServer(toy_curve, 5, 3, 5, 7, server_kp, rng)
+    parts = [ThresholdParticipant(toy_curve, i, server_kp.public, rng) for i in range(1, 6)]
+    powers, seals = [], []
+    monkeypatch.setattr(type(toy_curve), "power",
+                        lambda self, *args, **kwargs: powers.append(args))
+    monkeypatch.setattr(pke, "seal", lambda *args: seals.append(args))
+    with pytest.raises(ValueError):
+        server.begin_round(_publics(parts), subset=(2, 4, 5), owner=1)
+    assert (powers, seals) == ([], [])
+    assert (server.subset, server.owner, set(server.live)) == (None, None, set())
+
+
+def test_a_drawn_subset_contains_the_named_owner(toy_curve):
+    expected = cvhp(toy_curve, (12 + 5) % 19, 7)
+    for owner in range(1, 6):
+        for seed in range(4):
+            run = run_threshold_session(toy_curve, 5, 7, 2, 5, 12, random.Random(seed),
+                                        owner=owner)
+            assert owner in run.server.subset and run.server.owner == owner
+            assert run.digest == expected
+
+
+def _one_forged_member(monkeypatch, params):
+    """From here on, the first member share made is the honest one times g;
+    returns the list the round's servers are recorded in."""
+    begin_round, honest = ThresholdServer.begin_round, threshold.member_share
+    servers, made = [], []
+
+    def recording(self, publics, subset=None, owner=None):
+        servers.append(self)
+        return begin_round(self, publics, subset, owner)
+
+    def forged_once(params, keys):
+        made.append(keys)
+        share = honest(params, keys)
+        return params.combine(share, params.g) if len(made) == 1 else share
+
+    monkeypatch.setattr(ThresholdServer, "begin_round", recording)
+    monkeypatch.setattr(threshold, "member_share", forged_once)
+    return servers
+
+
+@pytest.mark.parametrize("k,n,seed", [(3, 4, 3), (2, 2, 5), (2, 5, 7)])
+def test_a_forged_member_share_fails_the_round(k, n, seed, toy_curve, monkeypatch):
+    # a member answers with g times its dealt share, under a valid receipt:
+    # the dealer check fails the round SHARE_MISMATCH and names that member
+    # (k = 2 has one member); at k = 3, n = 4, seed 3 this share used to be
+    # stored as the digest (5, 16), where cvhp(m + s0, t0) is (6, 14)
+    servers = _one_forged_member(monkeypatch, toy_curve)
+    with pytest.raises(ProtocolStateError) as raised:
+        run_threshold_session(toy_curve, 5, 7, k, n, 2, random.Random(seed))
+    (server,) = servers
+    member = server.subset[1]  # the lowest index is the owner
+    assert str(raised.value).endswith(f"SHARE_MISMATCH at participant {member}")
+    assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.SHARE_MISMATCH)
+    assert server.digest is None and server.shares == {}
+    assert server.error_frame().payload == bytes([ErrorCode.SHARE_MISMATCH])
+
+
+def test_the_dealer_check_costs_two_fixed_powers(toy_curve, monkeypatch):
+    # an honest round's finalize raises g and h once each and nothing else
+    server, parts, issued = _open_round(toy_curve, random.Random(68))
+    server.absorb(parts[0].respond(issued[1], m=4))
+    server.absorb(parts[1].respond(issued[2]))
+    digest = cvhp(toy_curve, (4 + 5) % 19, 6)
+    bases = []
+    power = type(toy_curve).power
+
+    def counted(self, base, *args, **kwargs):
+        bases.append(base)
+        return power(self, base, *args, **kwargs)
+
+    monkeypatch.setattr(type(toy_curve), "power", counted)
+    assert server.finalize() == digest
+    assert bases == [toy_curve.g, toy_curve.h]
+
+
+def test_no_threshold_round_makes_a_hashed_elgamal_receipt(secp, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the round reached hashed ElGamal")
+
+    monkeypatch.setattr(pke, "encrypt", unreachable)
+    monkeypatch.setattr(pke, "decrypt", unreachable)
+    run = run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(69))
+    assert run.digest == cvhp(secp, 5 + 7, 6)
