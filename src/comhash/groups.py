@@ -24,6 +24,14 @@ the GLV endomorphism (Gallant-Lambert-Vanstone, CRYPTO 2001: a == 0, field
 prime and order both 1 mod 3, as on secp256k1) to one interleaved width-5
 w-NAF loop over two half-length scalars; on any other curve, to width-5
 w-NAF over the full scalar.
+
+``power_many(bases, e)`` is ``[power(b, e) for b in bases]``. On a curve
+the bases are lanes of one general-route schedule in affine coordinates,
+and each step's lanes share one field inversion (Montgomery, Math. Comp.
+1987). Each lane holds c * base and adds d * base, with the same c and d
+in every lane, so with bases of prime order a lane meets a zero denominator
+(c = +-d or 2c = 0 mod the order) exactly when all do; then the call falls
+back to ``power``, base by base.
 """
 
 from __future__ import annotations
@@ -267,6 +275,10 @@ class ModpParams:
         return _comb_pow(_modp_comb_table(self, base, bits), bits, k,
                          *_modp_ops(self.modulus))
 
+    def power_many(self, bases: list, exponent: int) -> list:
+        """``[self.power(b, exponent) for b in bases]``."""
+        return [self.power(b, exponent) for b in bases]
+
     def combine(self, e1: int, e2: int) -> int:
         return self._check(e1) * self._check(e2) % self.modulus
 
@@ -398,6 +410,17 @@ class EcParams:
             k = _bounded(exponent, bits)
         table = _ec_comb_table(self, base, bits)
         return _normalize([_comb_pow(table, bits, k, *_ec_ops(p, a))], p)[0]
+
+    def power_many(self, bases: list, exponent: int) -> list:
+        """``[self.power(b, exponent) for b in bases]`` as the lanes of
+        ``_ec_lanes``, or base by base after a zero denominator there."""
+        k = exponent % self.order
+        if k and None not in bases:
+            try:
+                return _ec_lanes(self, [self._check(b) for b in bases], k)
+            except ValueError:  # a zero denominator
+                pass
+        return [self.power(b, exponent) for b in bases]
 
     def combine(self, p1: Point, p2: Point) -> Point:
         """p1 + p2 by the comb's mixed addition: p1 as a Jacobian point
@@ -580,6 +603,19 @@ def _odd_multiples(p: int, a: int, pt: Tuple[int, int]) -> list:
     return _normalize(jac, p)
 
 
+def _wnaf_steps(scalars: list) -> list:
+    """The interleaved w-NAF schedule of scalars of either sign: per bit
+    position, most significant first, the (term, signed digit) pairs to add
+    after that position's doubling."""
+    rows = [_wnaf(abs(k)) for k in scalars]
+    top = max((digits[-1][0] for digits in rows if digits), default=-1)
+    steps: list[list] = [[] for _ in range(top + 1)]
+    for t, (digits, k) in enumerate(zip(rows, scalars)):
+        for i, d in digits:
+            steps[i].append((t, d if k > 0 else -d))
+    return steps[::-1]
+
+
 def _wnaf_sum(p: int, a: int, terms: list) -> Point:
     """The sum of k * P over terms (odd multiples of P, k), k of either sign.
 
@@ -587,21 +623,13 @@ def _wnaf_sum(p: int, a: int, terms: list) -> Point:
     of the longest scalar, one mixed addition per nonzero digit of any term
     (about one in WNAF_WIDTH + 1).
     """
-    rows = [(_wnaf(abs(k)), odd, k < 0) for odd, k in terms]
-    top = max((digits[-1][0] for digits, _, _ in rows if digits), default=-1)
-    steps: list[list] = [[] for _ in range(top + 1)]
-    for digits, odd, negative in rows:
-        neg = [q and (q[0], -q[1] % p) for q in odd]
-        if negative:
-            odd, neg = neg, odd
-        for i, d in digits:
-            steps[i].append(odd[d >> 1] if d > 0 else neg[-d >> 1])
     X, Y, Z = 0, 1, 0
-    for step in reversed(steps):
+    for step in _wnaf_steps([k for _, k in terms]):
         X, Y, Z = _jac_double(X, Y, Z, p, a)
-        for q in step:
+        for t, d in step:
+            q = terms[t][0][abs(d) >> 1]
             if q is not None:  # the identity, for a base of small order
-                X, Y, Z = _jac_add_affine(X, Y, Z, q[0], q[1], p, a)
+                X, Y, Z = _jac_add_affine(X, Y, Z, q[0], q[1] if d > 0 else -q[1] % p, p, a)
     return _normalize([(X, Y, Z)], p)[0]
 
 
@@ -615,6 +643,48 @@ def _glv_mul(params: EcParams, pt: Tuple[int, int], k: int, glv: tuple) -> Point
     odd = _odd_multiples(p, a, pt)
     phi = [q and (beta * q[0] % p, q[1]) for q in odd]
     return _wnaf_sum(p, a, [(odd, k1), (phi, k2)])
+
+
+def _ec_lanes(params: EcParams, bases: list, k: int) -> list:
+    """k * base for every base, 0 < k < order, each base a lane of the
+    general route's schedule in affine coordinates, each step's lanes sharing
+    one ``_inverses``. A zero denominator raises ``ValueError``."""
+    p, a = params.field_prime, params.curve_a
+    odd = [[(x % p, y % p) for x, y in bases]]  # odd[j] holds each lane's (2j + 1) * base
+    two = _affine_sums(odd[0], None, p, a)
+    for _ in range((1 << (WNAF_WIDTH - 2)) - 1):
+        odd.append(_affine_sums(odd[-1], two, p, a))
+    terms, scalars = [odd], [k]
+    glv = _glv_constants(p, a, params.order, params.g)
+    if glv is not None:
+        beta, _, v1, v2 = glv
+        terms.append([[(beta * x % p, y) for x, y in row] for row in odd])
+        scalars = _glv_split(k, params.order, v1, v2)
+    acc = None  # every lane is the identity until the first addition
+    for step in _wnaf_steps(scalars):
+        if acc is not None:
+            acc = _affine_sums(acc, None, p, a)
+        for t, d in step:
+            row = terms[t][d >> 1] if d > 0 else [(x, -y % p) for x, y in terms[t][-d >> 1]]
+            acc = row if acc is None else _affine_sums(acc, row, p, a)
+    return acc
+
+
+def _affine_sums(points: list, addends: Optional[list], p: int, a: int) -> list:
+    """points[i] + addends[i] for every lane, or 2 * points[i] when addends
+    is None, in affine coordinates with one batch inversion."""
+    if addends is None:
+        addends = points
+        nums, dens = [3 * x * x + a for x, _ in points], [2 * y for _, y in points]
+    else:
+        nums = [y2 - y1 for (_, y1), (_, y2) in zip(points, addends)]
+        dens = [x2 - x1 for (x1, _), (x2, _) in zip(points, addends)]
+    out = []
+    for (x1, y1), (x2, _), num, inv in zip(points, addends, nums, _inverses(dens, p)):
+        slope = num * inv % p
+        x3 = (slope * slope - x1 - x2) % p
+        out.append((x3, (slope * (x1 - x3) - y1) % p))
+    return out
 
 
 def _glv_split(k: int, n: int, v1: tuple, v2: tuple) -> Tuple[int, int]:
@@ -686,24 +756,27 @@ def _wnaf(k: int) -> list[Tuple[int, int]]:
     return digits
 
 
+def _inverses(values: list, p: int) -> list:
+    """Each value's inverse mod p from one field inversion (Montgomery's
+    batch trick); a value that is 0 mod p raises ``ValueError``."""
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
+    inv = pow(prefix.pop(), -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
+    return out
+
+
 def _normalize(points: list, p: int) -> list:
-    """Affine forms of Jacobian points with a single field inversion
-    (Montgomery's batch trick); Z == 0 maps to None, the identity."""
-    prefix = []
-    acc = 1
-    for _, _, Z in points:
-        prefix.append(acc)
-        if Z:
-            acc = acc * Z % p
-    inv = pow(acc, -1, p)
-    out: list = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        X, Y, Z = points[i]
-        if Z:
-            zinv = inv * prefix[i] % p
-            inv = inv * Z % p
-            z2 = zinv * zinv % p
-            out[i] = (X * z2 % p, Y * z2 % p * zinv % p)
+    """Affine forms of Jacobian points with one batch inversion; Z == 0
+    maps to None, the identity."""
+    out: list = []
+    for (X, Y, Z), zinv in zip(points, _inverses([Z or 1 for _, _, Z in points], p)):
+        z2 = zinv * zinv % p
+        out.append((X * z2 % p, Y * z2 % p * zinv % p) if Z else None)
     return out
 
 

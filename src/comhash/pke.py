@@ -41,7 +41,7 @@ protocol that is the one server key all of a basic session's receipts go
 to, and every chosen participant raises the same key to derive its deal keys.
 A table checks its key once, when it is built. A participant's own key is
 used once, by the dealer, and the ephemeral^secret of ``decrypt`` once too;
-both take the general route.
+both take the general route, the dealer's keys all in one ``power_many``.
 """
 
 from __future__ import annotations
@@ -146,30 +146,35 @@ def hkdf(salt: bytes, ikm: bytes, info: bytes, length: int) -> bytes:
     return out[:length]
 
 
-def deal_keys(params: GroupParams, secret: int, server_public, participant_public,
-              session_id: bytes, index: int, *, dealer: bool) -> tuple[bytes, bytes, bytes]:
+def dealer_shared(params: GroupParams, secret: int, participant_publics: list) -> list:
+    """The dealer's side of ``deal_keys``: every participant key, from
+    outside, is checked before any power (``GroupError`` if it is not a
+    group element or is ``low_order``), then all go to one ``power_many``."""
+    for public in participant_publics:
+        if not params.element_valid(public) or low_order(params, public):
+            raise GroupError("participant key is not a group element of order above 2")
+    return params.power_many(participant_publics, secret)
+
+
+def member_shared(params: GroupParams, secret: int, server_public):
+    """The participant's side of ``deal_keys``, on the server key's table."""
+    return params.power(server_public, secret, bits=_exponent_bits(params))
+
+
+def deal_keys(params: GroupParams, shared, server_public, participant_public,
+              session_id: bytes, index: int) -> tuple[bytes, bytes, bytes]:
     """The stream, request MAC and receipt MAC keys of participant ``index``
     in threshold session ``session_id``: the ``e, es`` step of Noise's NK
     pattern, with the participant's key as e, so only the server can seal a
     request the participant opens and only the participant can tag a receipt
     the server opens; the two MAC keys differ, so no tag crosses directions.
 
-    The dealer (``dealer=True``, ``secret`` the server's) raises the
-    participant's key, which comes from outside: it is checked, and a key
-    that is not a group element, or is ``low_order``, raises ``GroupError``
-    before any power; the key is used once and takes the general route. The
-    participant (``secret`` its own) raises the server's key on its comb
-    table. HKDF-SHA256 (RFC 9180 §4.1) with the session id as salt and the
-    shared element's bytes as input expands under the label, u16 index and
-    both keys' bytes to three 32-byte keys.
+    ``shared`` is the Diffie-Hellman element of the two keys, from
+    ``dealer_shared`` on the server's side and ``member_shared`` on the
+    participant's. HKDF-SHA256 (RFC 9180 §4.1) with the session id as salt
+    and its bytes as input expands under the label, u16 index and both keys'
+    bytes to three 32-byte keys.
     """
-    if dealer:
-        if (not params.element_valid(participant_public)
-                or low_order(params, participant_public)):
-            raise GroupError("participant key is not a group element of order above 2")
-        shared = params.power(participant_public, secret)
-    else:
-        shared = params.power(server_public, secret, bits=_exponent_bits(params))
     info = (b"comhash/deal/v1" + index.to_bytes(2, "big")
             + element_to_bytes(params, server_public)
             + element_to_bytes(params, participant_public))

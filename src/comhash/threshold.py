@@ -365,10 +365,10 @@ class ThresholdServer(ServerSession):
         """Pick (or accept) the k-subset and the message owner, by default its
         lowest index; returns [(i, frame), ...], one THRESH_DEAL per chosen i:
         f(i) | t(i) | l_i sealed under the deal keys of the server's key and
-        ``publics[i]``. An owner outside the subset raises ``ValueError``
-        before any power; a missing key ``KeyError``, and a key that is not a
-        group element other than the identity ``GroupError``, before that
-        member's power. On any of these the round stays unbegun."""
+        ``publics[i]``. Before any power or seal, and leaving the round
+        unbegun: a subset or owner that does not fit raises ``ValueError``,
+        then a chosen member's missing key ``KeyError``, then a key that is
+        not a group element other than the identity ``GroupError``."""
         if self.subset is not None:
             raise ProtocolStateError("round already begun")
         if subset is None:  # drawn around a named owner
@@ -383,12 +383,13 @@ class ThresholdServer(ServerSession):
         owner = subset[0] if owner is None else owner
         if owner not in subset:
             raise ValueError("message owner must belong to the chosen subset")
+        keys = [publics[i] for i in subset]
+        shared = pke.dealer_shared(self.params, self.keypair.secret, keys)
         mod = self.params.exponent_modulus
         out, receipt_keys, dealt = [], {}, {}
-        for i, coeff in zip(subset, lagrange_at_zero(subset, mod)):
+        for i, key, dh, coeff in zip(subset, keys, shared, lagrange_at_zero(subset, mod)):
             stream, request_mac, receipt_mac = pke.deal_keys(
-                self.params, self.keypair.secret, self.keypair.public, publics[i],
-                self.session_id, i, dealer=True)
+                self.params, dh, self.keypair.public, key, self.session_id, i)
             share, mask = self.share_poly(i), self.mask_poly(i)
             values = b"".join(scalar_to_bytes(self.params, v) for v in (share, mask, coeff))
             sealed = pke.seal(stream, request_mac, _deal_context(self.session_id, i), values)
@@ -454,9 +455,10 @@ class ThresholdParticipant:
         of the share."""
         if frame.msg_type is not MsgType.THRESH_DEAL:
             raise ProtocolStateError("expected a THRESH_DEAL frame")
+        shared = pke.member_shared(self.params, self.keypair.secret, self.server_public)
         stream, request_mac, receipt_mac = pke.deal_keys(
-            self.params, self.keypair.secret, self.server_public, self.keypair.public,
-            frame.session_id, self.index, dealer=False)
+            self.params, shared, self.server_public, self.keypair.public,
+            frame.session_id, self.index)
         context = _deal_context(frame.session_id, self.index)
         rd = Reader(pke.unseal(stream, request_mac, context, frame.payload))
         share, mask, coeff = (rd.scalar(self.params) for _ in range(3))

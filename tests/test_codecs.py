@@ -64,8 +64,9 @@ def _request_frame(server, payload: bytes) -> Frame:
 def _opened(params, server, part, frame):
     """The request's stream and MAC key, unsent header and plaintext of
     participant 1's request."""
-    keys = pke.deal_keys(params, server.keypair.secret, server.keypair.public,
-                         part.keypair.public, server.session_id, 1, dealer=True)[:2]
+    shared, = pke.dealer_shared(params, server.keypair.secret, [part.keypair.public])
+    keys = pke.deal_keys(params, shared, server.keypair.public,
+                         part.keypair.public, server.session_id, 1)[:2]
     header = server.session_id + b"\x00\x01"
     return keys, header, pke.unseal(*keys, header, frame.payload)
 

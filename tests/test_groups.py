@@ -547,6 +547,83 @@ def test_bounded_comb_checks_a_base_once_per_table(modp2048, rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# power_many: many bases under one exponent
+# ---------------------------------------------------------------------------
+
+def _counted_powers(params, monkeypatch) -> list:
+    """Record every ``power`` call from here on: ``power_many`` makes one per
+    base only when it falls back."""
+    calls = []
+    power = type(params).power
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return power(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(params), "power", counted)
+    return calls
+
+
+def test_power_many_every_toy_point_every_scalar(toy_curve, monkeypatch):
+    points = [_ec_mul(toy_curve, toy_curve.g, k) for k in range(1, 19)]
+    calls = _counted_powers(toy_curve, monkeypatch)
+    for e in range(-19, 58):
+        expected = [toy_curve.power(b, e) for b in points]
+        del calls[:]
+        assert toy_curve.power_many(points, e) == expected, e
+        # batched unless e is 0 mod 19: no toy exponent meets a zero denominator
+        assert len(calls) == (len(points) if e % 19 == 0 else 0), e
+        # the identity among the bases sends the call base by base
+        assert toy_curve.power_many(points + [None], e) == expected + [None], e
+        for b in points:
+            assert toy_curve.power_many([b], e) == [toy_curve.power(b, e)], (b, e)
+
+
+def test_power_many_on_the_toy_subgroup(toy_subgroup):
+    elements = list(filter(toy_subgroup.element_valid, range(1, 23)))
+    for e in range(-11, 34):
+        assert toy_subgroup.power_many(elements, e) == [toy_subgroup.power(b, e)
+                                                        for b in elements], e
+
+
+def test_power_many_on_secp(secp, monkeypatch):
+    n = secp.order
+    draws = random.Random(51)
+    keys = [secp.power(secp.g, draws.randrange(1, n)) for _ in range(64)]
+    bases = keys + keys[:5] + [secp.g, secp.h, keys[0]]  # repeated bases
+    calls = _counted_powers(secp, monkeypatch)
+    for e in (0, 1, n - 1, n, n + 1, 2**128 - 1, 2**128 + 1, 2**256 - 1,
+              draws.randrange(n)):
+        expected = [secp.power(b, e) for b in bases]
+        del calls[:]
+        assert secp.power_many(bases, e) == expected, e
+        assert len(calls) == (len(bases) if e % n == 0 else 0), e
+
+
+@pytest.mark.parametrize("which", ["toy_subgroup", "toy_curve", "secp", "modp2048"])
+def test_power_many_of_no_bases(which, request):
+    params = request.getfixturevalue(which)
+    assert params.power_many([], 5) == []
+
+
+def test_power_many_falls_back_on_a_zero_denominator(toy_curve, monkeypatch):
+    # at width 4, 13 = 16 - 3 runs 16P + (-3P), and 16 = -3 mod 19: every
+    # lane's denominator is 0, so every base goes to power, which agrees
+    points = [_ec_mul(toy_curve, toy_curve.g, k) for k in range(1, 19)]
+    monkeypatch.setattr(groups, "WNAF_WIDTH", 4)
+    calls = _counted_powers(toy_curve, monkeypatch)
+    for e, falls_back in ((13, True), (13 + 19, True), (12, False)):
+        expected = [toy_curve.power(b, e) for b in points]
+        assert expected == [_ec_mul(toy_curve, b, e % 19) for b in points]
+        if falls_back:
+            with pytest.raises(ValueError):
+                groups._ec_lanes(toy_curve, points, e % 19)
+        del calls[:]
+        assert toy_curve.power_many(points, e) == expected, e
+        assert len(calls) == (len(points) if falls_back else 0), e
+
+
+# ---------------------------------------------------------------------------
 # second-generator derivation
 # ---------------------------------------------------------------------------
 

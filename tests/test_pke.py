@@ -301,12 +301,13 @@ def test_low_order_is_the_identity_or_order_2(toy_primitive, toy_subgroup, secp)
     assert not pke.low_order(secp, secp.g)
 
 
-def test_the_dealer_refuses_a_participant_key_of_order_2(toy_primitive):
+def test_the_dealer_refuses_a_participant_key_of_order_2(toy_primitive, monkeypatch):
+    # behind a good key, so every key is checked before any is raised
     server = pke.generate_keypair(toy_primitive, rng=random.Random(4))
+    monkeypatch.setattr(type(toy_primitive), "power_many", lambda *args: pytest.fail())
     for bad in (22, toy_primitive.identity):
         with pytest.raises(GroupError):
-            pke.deal_keys(toy_primitive, server.secret, server.public, bad,
-                          bytes(16), 1, dealer=True)
+            pke.dealer_shared(toy_primitive, server.secret, [server.public, bad])
 
 
 @pytest.mark.parametrize("secret", [2, 3])

@@ -481,8 +481,8 @@ def _keys_and_header(params, server, public, index, keypair=None):
     server's) and the participant key ``public`` derive for ``index`` in
     ``server``'s session, and the request's unsent header."""
     keypair = server.keypair if keypair is None else keypair
-    keys = pke.deal_keys(params, keypair.secret, keypair.public, public,
-                         server.session_id, index, dealer=True)
+    shared, = pke.dealer_shared(params, keypair.secret, [public])
+    keys = pke.deal_keys(params, shared, keypair.public, public, server.session_id, index)
     return keys[:2], server.session_id + index.to_bytes(2, "big")
 
 
@@ -574,10 +574,12 @@ def test_request_and_receipt_keys_differ(secp):
     # not the receipt's, so the request's tag never checks as a receipt
     server, parts, issued = _open_round(secp, random.Random(44))
     public = parts[0].keypair.public
-    dealer = pke.deal_keys(secp, server.keypair.secret, server.keypair.public, public,
-                           server.session_id, 1, dealer=True)
-    member = pke.deal_keys(secp, parts[0].keypair.secret, server.keypair.public, public,
-                           server.session_id, 1, dealer=False)
+    dealer_shared, = pke.dealer_shared(secp, server.keypair.secret, [public])
+    member_shared = pke.member_shared(secp, parts[0].keypair.secret, server.keypair.public)
+    dealer = pke.deal_keys(secp, dealer_shared, server.keypair.public, public,
+                           server.session_id, 1)
+    member = pke.deal_keys(secp, member_shared, server.keypair.public, public,
+                           server.session_id, 1)
     assert dealer == member and [len(key) for key in dealer] == [32, 32, 32]
     stream, request_mac, receipt_mac = dealer
     assert len({stream, request_mac, receipt_mac}) == 3
@@ -671,13 +673,14 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
     # every chosen member raises the round's one server key to derive its
     # deal keys, so that key takes a bounded power on a table built once per
     # round; a member's key is dealt to once and gets none. The kinds: per
-    # member, g^sk, plus the server's; per chosen member the dealer's
-    # pk_i^sk, the member's server_key^a and a share's g^x and h^y; and the
-    # dealer check's g^x and h^y. A receipt is a tag and raises nothing
+    # member, g^sk, plus the server's; per chosen member the member's
+    # server_key^a and a share's g^x and h^y; the dealer check's g^x and h^y;
+    # and one power_many that raises the k chosen members' keys to sk. A
+    # receipt is a tag and raises nothing
     k, n = 2, 3
     digest = cvhp(secp, 5 + 7, 6)
-    calls = {"fixed": 0, "var": 0, "bounded": []}
-    power = type(secp).power
+    calls = {"fixed": 0, "var": 0, "bounded": [], "many": []}
+    power, power_many = type(secp).power, type(secp).power_many
 
     def counted(self, base, exponent, bits=None):
         calls["fixed" if base in (self.g, self.h) else "var"] += 1
@@ -685,15 +688,27 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
             calls["bounded"].append(base)
         return power(self, base, exponent, bits)
 
+    def counted_many(self, bases, exponent):
+        calls["many"].append(list(bases))
+        return power_many(self, bases, exponent)
+
+    def recording(self, given, *args):
+        publics.update(given)
+        return begin_round(self, given, *args)
+
+    publics, begin_round = {}, ThresholdServer.begin_round
     monkeypatch.setattr(type(secp), "power", counted)
+    monkeypatch.setattr(type(secp), "power_many", counted_many)
+    monkeypatch.setattr(ThresholdServer, "begin_round", recording)
     for seed in (71, 72):
         misses = groups._ec_comb_table.cache_info().misses
-        calls.update(fixed=0, var=0, bounded=[])
+        calls.update(fixed=0, var=0, bounded=[], many=[])
         run = run_threshold_session(secp, 5, 6, k, n, 7, random.Random(seed))
         assert run.digest == digest
-        assert (calls["fixed"], calls["var"]) == (n + 2 * k + 3, 2 * k)
+        assert (calls["fixed"], calls["var"]) == (n + 2 * k + 3, k)
         assert Counter(calls["bounded"]) == {secp.g: n + 1,
                                              run.server.keypair.public: k}
+        assert calls["many"] == [[publics[i] for i in run.server.subset]]
         assert groups._ec_comb_table.cache_info().misses == misses + 1
 
 
@@ -848,8 +863,8 @@ def test_deal_frame_rejects_a_participant_key_outside_the_group(toy_curve, toy_s
 
 
 def test_begin_round_without_a_members_key_stays_unbegun(toy_curve, monkeypatch):
-    # member 2's key is missing: the round raises after member 1's power
-    # and before member 2's, stays unbegun, and begins once both keys are given
+    # member 2's key is missing: the round raises before any power, stays
+    # unbegun, and begins once both keys are given
     server, parts = _deal_pair(toy_curve, 63)
     powers = []
     power = type(toy_curve).power
@@ -862,9 +877,70 @@ def test_begin_round_without_a_members_key_stays_unbegun(toy_curve, monkeypatch)
     with pytest.raises(KeyError):
         server.begin_round({1: parts[0].keypair.public})
     monkeypatch.undo()
-    assert len(powers) == 1
+    assert powers == []
     assert (server.subset, server.owner, set(server.live)) == (None, None, set())
     assert [i for i, _ in server.begin_round(_publics(parts))] == [1, 2]
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("which, bad", [
+    ("toy_curve", _MISSING), ("toy_curve", (1, 1)), ("toy_curve", None),
+    ("toy_subgroup", _MISSING), ("toy_subgroup", 5), ("toy_subgroup", 1)],
+    ids=["curve-missing", "curve-off-curve", "curve-identity",
+         "subgroup-missing", "subgroup-non-square", "subgroup-identity"])
+def test_a_bad_key_at_the_last_chosen_index_stops_the_round_before_any_power(
+        which, bad, request, monkeypatch):
+    # every chosen key is looked up and checked before the first power or
+    # seal, so a bad one last in the subset costs nothing either
+    params = request.getfixturevalue(which)
+    rng = random.Random(68)
+    server_kp = pke.generate_keypair(params, rng)
+    server = ThresholdServer(params, 5, 3, 5, 7, server_kp, rng)
+    publics = _publics(ThresholdParticipant(params, i, server_kp.public, rng)
+                       for i in range(1, 6))
+    if bad is _MISSING:
+        del publics[5]
+    else:
+        publics[5] = bad
+    powers, seals = [], []
+    monkeypatch.setattr(type(params), "power",
+                        lambda self, *args, **kwargs: powers.append(args))
+    monkeypatch.setattr(type(params), "power_many",
+                        lambda self, *args: powers.append(args), raising=False)
+    monkeypatch.setattr(pke, "seal", lambda *args: seals.append(args))
+    with pytest.raises(KeyError if bad is _MISSING else GroupError):
+        server.begin_round(publics, subset=(1, 3, 5))
+    assert (powers, seals) == ([], [])
+    assert (server.subset, server.owner, set(server.live)) == (None, None, set())
+
+
+def test_begin_round_inversions_do_not_grow_with_k(secp, monkeypatch):
+    # the dealer raises every chosen key to the server's secret in one
+    # power_many, whose steps each invert once for all keys: under one server
+    # key, k = 8 and k = 32 make the same number of field inversions
+    rng = random.Random(46)
+    server_kp = pke.generate_keypair(secp, rng)
+    secp.power(server_kp.public, 3)  # the GLV constants, computed once per process
+    p = secp.field_prime
+    counts = []
+    for k in (8, 32):
+        server = ThresholdServer(secp, k, k, 5, 6, server_kp, rng)
+        publics = _publics(ThresholdParticipant(secp, i, server_kp.public, rng)
+                           for i in range(1, k + 1))
+        inversions = []
+
+        def counted_pow(base, *args):
+            if args == (-1, p):
+                inversions.append(base)
+            return pow(base, *args)
+
+        monkeypatch.setattr(groups, "pow", counted_pow, raising=False)
+        server.begin_round(publics)
+        monkeypatch.undo()
+        counts.append(len(inversions))
+    assert 0 < counts[0] == counts[1] < 256, counts
 
 
 def test_receive_deal_checks_the_frame_type(toy_subgroup):
