@@ -1,23 +1,25 @@
-"""Deterministic in-process message routing plus fault injection.
+"""Deterministic in-process message routing, fault injection, and one driver
+for both rounds.
 
 The router models the trusted channel the protocol assumes: it owns one FIFO
 queue per (src, dst) pair and, driven by a seeded RNG, repeatedly picks a
 non-empty queue and delivers its head to the destination's handler. A
 handler is any callable taking (src, data) and returning the follow-up
-(dst, data) messages, so a whole session plays out from a single upload
-request; the router itself knows nothing of frames, parties or receipts.
-A fault plan can drop, duplicate, delay, flip a byte of, or swap the nonce
-of individual deliveries to exercise every server error path.
+(dst, data) messages, so a session plays out from the basic round's upload
+request or the threshold round's k deals; the router knows nothing of
+frames, parties or receipts. A fault plan can drop, duplicate, delay, flip a
+byte of, or swap the nonce of deliveries to exercise every server error path.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from .errors import FrameError, ProtocolStateError
+from .errors import AuthenticationError, EncodingError, FrameError, ProtocolStateError
 from .frames import ErrorCode, Frame, MsgType, SERVER_ID, decode_frame, encode_frame
 from .groups import GroupParams
 from .hashing import ParticipantKeys
@@ -154,9 +156,9 @@ def route(handlers: dict[int, Handler], pending: list[Delivery], seed: int = 0,
     return trace
 
 
-# -- wiring the basic protocol onto the router -------------------------------
+# -- wiring both rounds onto the router ---------------------------------------
 
-def _frame_handler(on_frame: Callable[[Frame], list[tuple[int, Frame]]]) -> Handler:
+def frame_handler(on_frame: Callable[[Frame], list[tuple[int, Frame]]]) -> Handler:
     """A handler that decodes each delivery, ignores bytes that are not a
     frame, and encodes the (dst, frame) replies of ``on_frame``."""
 
@@ -170,16 +172,27 @@ def _frame_handler(on_frame: Callable[[Frame], list[tuple[int, Frame]]]) -> Hand
     return handle
 
 
-def _participant_handler(session: ParticipantSession) -> Handler:
+def answerer(request: MsgType, respond: Callable[[Frame], Frame]) -> Handler:
+    """A participant's handler: answer each ``request`` frame with the frame
+    ``respond`` makes for the server; a request that does not open gets none."""
+
     def on_frame(frame: Frame) -> list[tuple[int, Frame]]:
-        if frame.msg_type is not MsgType.NONCE:
+        if frame.msg_type is not request:
             return []  # the closing RESULT or ERROR needs no answer
         try:
-            return [(SERVER_ID, session.respond(frame))]
-        except ProtocolStateError:
-            return []  # a nonce of another session
+            return [(SERVER_ID, respond(frame))]
+        except (ProtocolStateError, AuthenticationError, EncodingError):
+            return []  # a nonce of another session, a deal forged or altered
 
-    return _frame_handler(on_frame)
+    return frame_handler(on_frame)
+
+
+def collect(session: Optional[ServerSession], frame: Frame) -> list[tuple[int, Frame]]:
+    """The server absorbs a SHARE while collecting and answers nothing."""
+    if (frame.msg_type is MsgType.SHARE and session is not None
+            and session.phase in (Phase.ISSUED, Phase.COLLECTING)):
+        session.absorb(frame)  # a terminal session ignores late frames
+    return []
 
 
 @dataclass
@@ -189,6 +202,33 @@ class SessionOutcome:
     error_code: Optional[ErrorCode]
     trace: list[Delivery] = field(default_factory=list)
     server: Optional[ServerSession] = None
+
+    @property
+    def transcript(self) -> list[Frame]:
+        return [decode_frame(d.data) for d in self.trace]
+
+
+def play(handlers: dict[int, Handler], pending: list[Delivery], seed: int,
+         faults: Optional[FaultPlan], server: Callable[[], Optional[ServerSession]],
+         recipients: Iterable[int]) -> SessionOutcome:
+    """Route ``pending`` to quiescence, then finalize the session ``server()``
+    returns, or fail it MISSING naming the lowest index without a share, and
+    send its closing RESULT or ERROR frame to ``recipients``."""
+    trace = route(handlers, pending, seed=seed, faults=faults)
+    session = server()
+    if session is None:  # the request that opens it was lost
+        return SessionOutcome(Phase.FAILED, None, ErrorCode.MISSING, trace)
+    if session.phase in (Phase.ISSUED, Phase.COLLECTING):
+        if session.missing:
+            session.fail(ErrorCode.MISSING, min(session.missing))
+        else:
+            with suppress(ProtocolStateError):  # a failed check has failed the session
+                session.finalize()
+    closing = (session.result_frame() if session.phase is Phase.DONE
+               else session.error_frame())
+    trace += route(handlers, [Delivery(SERVER_ID, i, encode_frame(closing))
+                              for i in recipients], seed=0)
+    return SessionOutcome(session.phase, session.digest, session.error_code, trace, session)
 
 
 def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
@@ -215,37 +255,17 @@ def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
         if frame.msg_type is MsgType.UPLOAD_REQUEST and session is None:
             session, nonce_frames = server_begin(params, n, server_keypair, rng)
             return list(enumerate(nonce_frames, start=1))
-        if (frame.msg_type is MsgType.SHARE and session is not None
-                and session.phase in (Phase.ISSUED, Phase.COLLECTING)):
-            session.absorb(frame)  # a terminal session ignores late frames
-        return []
+        return collect(session, frame)
 
-    handlers = {SERVER_ID: _frame_handler(serve)}
+    handlers = {SERVER_ID: frame_handler(serve)}
     participants = {}
     for index, keys in enumerate(keys_list, start=1):
         owner = OwnerRole(m) if index == owner_index else None
         child = None if seed is None else random.Random(rng.randrange(2**63))
         participants[index] = ParticipantSession(params, index, keys, server_keypair.public,
                                                  owner=owner, rng=child)
-        handlers[index] = _participant_handler(participants[index])
+        handlers[index] = answerer(MsgType.NONCE, participants[index].respond)
 
     upload = encode_frame(participants[owner_index].upload_request())
-    trace = route(handlers, [Delivery(owner_index, SERVER_ID, upload)],
-                  seed=rng.randrange(2**63), faults=faults)
-
-    if session is None:  # the upload request itself was lost
-        return SessionOutcome(phase=Phase.FAILED, digest=None,
-                              error_code=ErrorCode.MISSING, trace=trace)
-    if session.phase in (Phase.ISSUED, Phase.COLLECTING):
-        if session.complete:
-            session.finalize()
-        else:
-            session.fail(ErrorCode.MISSING)
-    # broadcast the outcome so the trace ends the way the wire would
-    closing = (session.result_frame() if session.phase is Phase.DONE
-               else session.error_frame())
-    trace += route(handlers, [Delivery(SERVER_ID, i, encode_frame(closing))
-                              for i in participants], seed=0)
-    return SessionOutcome(phase=session.phase, digest=session.digest,
-                          error_code=session.error_code, trace=trace,
-                          server=session)
+    return play(handlers, [Delivery(owner_index, SERVER_ID, upload)], rng.randrange(2**63),
+                faults, lambda: session, participants)

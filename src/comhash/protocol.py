@@ -60,6 +60,7 @@ class ServerSession:
         self.shares: dict[int, object] = {}
         self.phase = Phase.ISSUED
         self.error_code: Optional[ErrorCode] = None
+        self._culprit: Optional[int] = None
         self.digest = None
 
     def _draw_nonces(self, rng: random.Random) -> dict[int, bytes]:
@@ -88,30 +89,36 @@ class ServerSession:
         return None
 
     def _check_digest(self, digest) -> None:
-        """Fail the session and raise ``ProtocolStateError`` if ``digest`` is
-        not the one expected; the basic server expects nothing."""
+        """A subclass fails the session and raises ``ProtocolStateError`` on a wrong digest."""
 
     # -- state transitions ---------------------------------------------
 
-    def fail(self, code: ErrorCode) -> None:
+    @property
+    def culprit(self) -> Optional[int]:
+        """The index of the participant at fault in a failed session, if one is known."""
+        return self._culprit
+
+    def fail(self, code: ErrorCode, index: Optional[int] = None) -> None:
         if self.phase is Phase.DONE:
             raise ProtocolStateError("session already finalized")
         self.phase = Phase.FAILED
         self.error_code = code
+        self._culprit = index
         self.shares.clear()
 
     def absorb(self, frame: Frame) -> None:
         """Process one share frame; on any defect the session fails with a
-        code identifying the defect."""
-        if self.phase not in (Phase.ISSUED, Phase.COLLECTING):
-            raise ProtocolStateError(f"cannot absorb in phase {self.phase.value}")
-        if frame.msg_type is not MsgType.SHARE or frame.session_id != self.session_id:
-            return self.fail(ErrorCode.MALFORMED)
+        code identifying the defect, and the frame's sender as the culprit."""
+        if self.phase not in (Phase.ISSUED, Phase.COLLECTING) or not self.live:
+            # a threshold round takes no share before begin_round
+            raise ProtocolStateError(f"no share awaited in phase {self.phase.value}")
         index = frame.sender
+        if frame.msg_type is not MsgType.SHARE or frame.session_id != self.session_id:
+            return self.fail(ErrorCode.MALFORMED, index)
         if index not in self.live:
-            return self.fail(ErrorCode.MALFORMED)
+            return self.fail(ErrorCode.MALFORMED, index)
         if index in self.shares:
-            return self.fail(ErrorCode.DUPLICATE)
+            return self.fail(ErrorCode.DUPLICATE, index)
         rd = Reader(frame.payload)
         try:
             # the receipt's tag covers the element bytes exactly as received
@@ -119,26 +126,25 @@ class ServerSession:
             element = element_from_bytes(self.params, element_bytes)
             code = self._open_receipt(index, element_bytes, rd.rest())
         except EncodingError:
-            return self.fail(ErrorCode.MALFORMED)
+            return self.fail(ErrorCode.MALFORMED, index)
         except AuthenticationError:
             # altered, or made for another element
-            return self.fail(ErrorCode.DECRYPT_FAIL)
+            return self.fail(ErrorCode.DECRYPT_FAIL, index)
         if code is not None:
-            return self.fail(code)
+            return self.fail(code, index)
         self.shares[index] = element
         self.phase = Phase.COLLECTING
 
     @property
-    def complete(self) -> bool:
-        # absorb admits only live indices
-        return len(self.shares) == len(self.live)
+    def missing(self) -> set:
+        return self.live - self.shares.keys()  # absorb admits only live indices
 
     def finalize(self):
         if self.phase is Phase.FAILED:
             raise ProtocolStateError("session already failed")
         if self.phase is Phase.DONE:
             return self.digest
-        if not self.complete:
+        if self.missing:
             raise ProtocolStateError("shares missing")
         digest = combine_shares(self.params, [self.shares[i] for i in sorted(self.shares)])
         self._check_digest(digest)

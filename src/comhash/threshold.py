@@ -20,6 +20,8 @@ The dealer checks the members, the converse of Feldman's verifiable secret
 sharing: the shares of the chosen participants other than the message owner
 must combine to g^(sum f(i)*l_i) * h^(sum t(i)*l_i). The owner's share is
 not checked, since any element is g^m' times its expected part for some m'.
+The round is played over ``net.route`` by the basic round's driver, and a
+failure ends it FAILED with a code and the participant at fault.
 
 The quotient table, blinded multiplication and sealed evaluator below hide
 evaluation points from the server; they are kept as tested primitives and
@@ -29,18 +31,19 @@ the round does not use them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional, Sequence
 
 from .encoding import (
     Reader, element_to_bytes, prefixed, scalar_from_bytes, scalar_to_bytes)
 from .errors import EncodingError, ProtocolStateError
-from .frames import ErrorCode, Frame, MsgType, SERVER_ID, SESSION_ID_LENGTH
+from .frames import ErrorCode, Frame, MsgType, SERVER_ID, SESSION_ID_LENGTH, encode_frame
 from .groups import GroupParams, scalar_inv
 from .hashing import ParticipantKeys, cvhp, member_share, owner_share
-from .protocol import Phase, ServerSession
-from . import pke
+from .protocol import ServerSession
+from . import net, pke
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +404,6 @@ class ThresholdServer(ServerSession):
         self._receipt_keys, self._dealt = receipt_keys, dealt
         return out
 
-    def absorb(self, frame: Frame) -> None:
-        """A share before ``begin_round`` is a state error; after it, the
-        basic server's check."""
-        if self.subset is None:
-            raise ProtocolStateError("round not begun")
-        super().absorb(frame)
-
     def _open_receipt(self, index: int, element_bytes: bytes, receipt: bytes) -> None:
         # one tag under i's receipt key over session id | u16 i | element bytes
         if len(receipt) != pke.TAG_LENGTH:
@@ -423,7 +419,7 @@ class ThresholdServer(ServerSession):
         if digest != self.params.combine(cvhp(self.params, x, y), self.shares[self.owner]):
             culprit = next(i for i, dealt in sorted(self._dealt.items())
                            if self.shares[i] != cvhp(self.params, *dealt))
-            self.fail(ErrorCode.SHARE_MISMATCH)
+            self.fail(ErrorCode.SHARE_MISMATCH, culprit)
             raise ProtocolStateError(
                 f"threshold session failed: SHARE_MISMATCH at participant {culprit}")
 
@@ -476,23 +472,17 @@ class ThresholdParticipant:
         return Frame(MsgType.SHARE, self.session_id, self.index, element_bytes + receipt)
 
 
-@dataclass
-class ThresholdRun:
-    digest: object
-    server: ThresholdServer
-    transcript: list = field(default_factory=list)
-
-
 def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
                           m: int, rng: random.Random,
                           subset: Optional[Sequence[int]] = None,
-                          owner: Optional[int] = None) -> ThresholdRun:
-    """Drive a full k-of-n round in process and return the stored digest.
+                          owner: Optional[int] = None) -> net.SessionOutcome:
+    """Play a full k-of-n round over ``net.route``: the k THRESH_DEAL frames
+    are the pending deliveries, and the owner gets the closing frame.
 
-    The digest equals g^(m + s0) * h^(t0) no matter which k-subset serves the
-    request. The message owner must sit in the subset; by default the lowest
-    chosen index plays that role. A failed round raises
-    ``ProtocolStateError`` naming the code and the participant at fault.
+    A DONE round stores g^(m + s0) * h^(t0) for every k-subset. The message
+    owner must sit in the subset; by default the lowest chosen index plays
+    that role. Nothing raises after dealing: a failed round ends FAILED with
+    a code, and ``server.culprit`` names the participant at fault.
     """
     server_keypair = pke.generate_keypair(params, rng)
     server = ThresholdServer(params, n, k, s0, t0, server_keypair, rng)
@@ -500,14 +490,8 @@ def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
                     for i in range(1, n + 1)]
     issued = server.begin_round({p.index: p.keypair.public for p in participants},
                                 subset, owner)
-    transcript: list[Frame] = [frame for _, frame in issued]
-    for index, frame in issued:
-        share = participants[index - 1].respond(frame, m if index == server.owner else None)
-        transcript.append(share)
-        server.absorb(share)
-        if server.phase is Phase.FAILED:
-            raise ProtocolStateError(f"threshold session failed: "
-                                     f"{server.error_code.name} at participant {index}")
-    digest = server.finalize()
-    transcript.append(server.result_frame())
-    return ThresholdRun(digest=digest, server=server, transcript=transcript)
+    handlers = {p.index: net.answerer(MsgType.THRESH_DEAL, partial(
+        p.respond, m=m if p.index == server.owner else None)) for p in participants}
+    handlers[SERVER_ID] = net.frame_handler(partial(net.collect, server))
+    deals = [net.Delivery(SERVER_ID, i, encode_frame(frame)) for i, frame in issued]
+    return net.play(handlers, deals, rng.randrange(2**63), None, lambda: server, [server.owner])

@@ -143,6 +143,36 @@ def test_flip_ciphertext_byte_fails_decrypt(toy_subgroup):
     assert out.error_code is ErrorCode.DECRYPT_FAIL
 
 
+def test_a_flipped_receipt_byte_names_that_shares_sender(toy_subgroup):
+    keys = [ParticipantKeys(1, 2), ParticipantKeys(3, 4), ParticipantKeys(5, 6)]
+    clean = run_basic_session(toy_subgroup, keys, m=2, seed=13)
+    for occurrence in range(3):
+        target = ordinal_of(clean.trace, MsgType.SHARE, occurrence)
+        share = clean.trace[target]
+        out = run_basic_session(toy_subgroup, keys, m=2, seed=13,
+                                faults=FaultPlan({target: FlipByte(len(share.data) - 1)}))
+        assert (out.phase, out.error_code) == (Phase.FAILED, ErrorCode.DECRYPT_FAIL)
+        assert out.server.culprit == share.src == decode_frame(share.data).sender
+
+
+def test_a_dropped_share_names_its_index(toy_subgroup):
+    keys = [ParticipantKeys(1, 2), ParticipantKeys(3, 4), ParticipantKeys(5, 6)]
+    clean = run_basic_session(toy_subgroup, keys, m=2, seed=14)
+    assert clean.server.culprit is None
+    for occurrence in range(3):
+        target = ordinal_of(clean.trace, MsgType.SHARE, occurrence)
+        out = run_basic_session(toy_subgroup, keys, m=2, seed=14,
+                                faults=FaultPlan({target: Drop()}))
+        assert (out.phase, out.error_code) == (Phase.FAILED, ErrorCode.MISSING)
+        assert out.server.culprit == clean.trace[target].src
+    # with two shares dropped, the lower of their indices
+    targets = [ordinal_of(clean.trace, MsgType.SHARE, occurrence) for occurrence in (1, 2)]
+    out = run_basic_session(toy_subgroup, keys, m=2, seed=14,
+                            faults=FaultPlan({target: Drop() for target in targets}))
+    assert out.error_code is ErrorCode.MISSING
+    assert out.server.culprit == min(clean.trace[target].src for target in targets)
+
+
 def test_reorder_is_benign(toy_subgroup):
     keys = [ParticipantKeys(1, 2), ParticipantKeys(3, 4), ParticipantKeys(5, 6)]
     clean = run_basic_session(toy_subgroup, keys, m=2, seed=10)

@@ -32,8 +32,10 @@ from comhash import (
     run_threshold_session,
     scalar_to_bytes,
 )
-from comhash import groups, pke, threshold
-from comhash.frames import Frame, MsgType, SERVER_ID, encode_frame
+from comhash import groups, net, pke, threshold
+from comhash.encoding import prefixed
+from comhash.frames import HEADER_LENGTH, Frame, MsgType, SERVER_ID, encode_frame
+from comhash.net import Drop, Duplicate, FaultPlan, FlipByte, Reorder
 from comhash.groups import scalar_inv
 from comhash.threshold import ThresholdParticipant, ThresholdServer, distinct_nonzero_scalars
 
@@ -632,9 +634,11 @@ def test_begin_round_sends_exactly_k_requests(toy_curve, monkeypatch):
     run = run_threshold_session(toy_curve, 5, 7, 2, 5, 12, random.Random(64),
                                 subset=(2, 4))
     assert run.digest == cvhp(toy_curve, (12 + 5) % 19, 7)
-    assert [f.msg_type for f in run.transcript] == (
-        [MsgType.THRESH_DEAL] * 2 + [MsgType.SHARE] * 2 + [MsgType.RESULT])
-    assert answered == [2, 4]
+    # the router picks the delivery order; the RESULT closes the round
+    types = [f.msg_type for f in run.transcript]
+    assert Counter(types) == {MsgType.THRESH_DEAL: 2, MsgType.SHARE: 2, MsgType.RESULT: 1}
+    assert types[-1] is MsgType.RESULT
+    assert sorted(answered) == [2, 4]
     # and begin_round itself, with every key given and the subset drawn
     rng = random.Random(66)
     server_kp = pke.generate_keypair(toy_curve, rng)
@@ -714,17 +718,27 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
 
 def test_threshold_transcript_bytes_pinned(secp):
     # one request per chosen member, k basic SHARE frames and the basic
-    # RESULT; every byte of a seeded session is pinned
+    # RESULT to the owner alone; every byte of a seeded session is pinned,
+    # and so is the router's delivery order
     run = run_threshold_session(secp, s0=11, t0=22, k=5, n=8, m=33,
                                 rng=random.Random(2024), subset=(7, 2, 5, 8, 3))
-    assert run.server.subset == (2, 3, 5, 7, 8)
+    assert run.server.subset == (2, 3, 5, 7, 8) and run.server.owner == 2
     assert run.digest == cvhp(secp, 33 + 11, 22)
-    blob = b"".join(encode_frame(frame) for frame in run.transcript)
-    assert (len(run.transcript), len(blob)) == (11, 1135)
+    frames = [encode_frame(frame) for frame in run.transcript]
+    assert frames == [d.data for d in run.trace]
+    assert (len(frames), len(b"".join(frames))) == (11, 1135)
+    assert [(d.src, d.dst) for d in run.trace] == [
+        (0, 7), (0, 3), (0, 5), (0, 8), (3, 0), (8, 0), (0, 2), (2, 0), (5, 0), (7, 0),
+        (0, 2)]
     assert [f.msg_type for f in run.transcript] == (
-        [MsgType.THRESH_DEAL] * 5 + [MsgType.SHARE] * 5 + [MsgType.RESULT])
-    assert hashlib.sha256(blob).hexdigest() == \
-        "c85066aea49e043bdc192dd2dd0976e45b147179a642f2fad0abb77d536d13ec"
+        [MsgType.THRESH_DEAL] * 4 + [MsgType.SHARE] * 2 + [MsgType.THRESH_DEAL]
+        + [MsgType.SHARE] * 3 + [MsgType.RESULT])
+    assert hashlib.sha256(b"".join(frames)).hexdigest() == \
+        "2f92d2a7a04c9d4e7b2aadf3b357cd5d72201bd0d758230df5568f0f5a899c81"
+    # the same frames, byte for byte, as when the round was played in index
+    # order outside the router
+    assert hashlib.sha256(b"".join(sorted(frames))).hexdigest() == \
+        "20e1be4010ac3cad6f696c4131b7b22960735bacb66475cc753976159f7be741"
 
 
 @pytest.mark.parametrize("case", ["share_as_nonce", "other_session"])
@@ -825,11 +839,26 @@ def test_receive_deal_rejects_a_deal_not_keyed_by_the_server(secp):
                                                           server.mask_poly(1))
 
 
+def _failed_at(run, servers, code, culprit):
+    """The round of ``run``, whose server is the one recorded in ``servers``,
+    ended FAILED with ``code`` naming ``culprit``, stored no digest, and sent
+    the owner alone the ERROR frame that closes its trace."""
+    (server,) = servers
+    assert run.server is server
+    assert (run.phase, run.error_code, run.digest) == (Phase.FAILED, code, None)
+    assert (server.phase, server.culprit, server.digest) == (Phase.FAILED, culprit, None)
+    closing = run.trace[-1]
+    assert (closing.src, closing.dst) == (SERVER_ID, server.owner)
+    assert run.transcript[-1] == server.error_frame()
+    assert server.error_frame().payload == bytes([code])
+    assert [f.msg_type for f in run.transcript].count(MsgType.ERROR) == 1
+
+
 @pytest.mark.parametrize("which", range(3))
 def test_forged_deal_never_ends_a_round_done(which, secp, monkeypatch):
     # secp256k1, k = 3, n = 4, participant 1's request from begin_round
-    # swapped for a forgery: the round stops at that request and stores no
-    # digest
+    # swapped for a forgery: participant 1 makes no share, and the round
+    # ends FAILED MISSING naming it, stores no digest and tells the owner
     begin_round = ThresholdServer.begin_round
     servers = []
 
@@ -839,9 +868,8 @@ def test_forged_deal_never_ends_a_round_done(which, secp, monkeypatch):
                 for i, frame in begin_round(self, publics, subset, owner)]
 
     monkeypatch.setattr(ThresholdServer, "begin_round", forging)
-    with pytest.raises(AuthenticationError):
-        run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(61), subset=(1, 2, 4))
-    assert servers[0].phase is not Phase.DONE and servers[0].digest is None
+    run = run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(61), subset=(1, 2, 4))
+    _failed_at(run, servers, ErrorCode.MISSING, 1)
 
 
 def test_deal_frame_rejects_a_participant_key_outside_the_group(toy_curve, toy_subgroup,
@@ -996,8 +1024,8 @@ def test_coefficient_tamper_fails_the_receipt(secp):
 
 def test_a_coefficient_tamper_stops_the_driver(secp, monkeypatch):
     # run_threshold_session with one chosen member's coefficient altered in
-    # transit: the driver stops at that request and the server stores no
-    # digest
+    # transit: that member makes no share, and the round ends FAILED MISSING
+    # naming it, stores no digest and tells the owner
     begin_round, respond = ThresholdServer.begin_round, ThresholdParticipant.respond
     servers = []
 
@@ -1014,10 +1042,8 @@ def test_a_coefficient_tamper_stops_the_driver(secp, monkeypatch):
 
     monkeypatch.setattr(ThresholdServer, "begin_round", recording)
     monkeypatch.setattr(ThresholdParticipant, "respond", bumped)
-    with pytest.raises(AuthenticationError):
-        run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(63), subset=(1, 2, 4))
-    (server,) = servers
-    assert server.phase is not Phase.DONE and server.digest is None
+    run = run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(63), subset=(1, 2, 4))
+    _failed_at(run, servers, ErrorCode.MISSING, 2)
 
 
 def test_absorb_before_the_round_is_a_state_error(toy_subgroup):
@@ -1081,7 +1107,8 @@ def test_a_drawn_subset_contains_the_named_owner(toy_curve):
 
 def _one_forged_member(monkeypatch, params):
     """From here on, the first member share made is the honest one times g;
-    returns the list the round's servers are recorded in."""
+    returns the list the round's servers are recorded in and the list of
+    the keys each member share was made from."""
     begin_round, honest = ThresholdServer.begin_round, threshold.member_share
     servers, made = [], []
 
@@ -1096,24 +1123,38 @@ def _one_forged_member(monkeypatch, params):
 
     monkeypatch.setattr(ThresholdServer, "begin_round", recording)
     monkeypatch.setattr(threshold, "member_share", forged_once)
-    return servers
+    return servers, made
 
 
 @pytest.mark.parametrize("k,n,seed", [(3, 4, 3), (2, 2, 5), (2, 5, 7)])
 def test_a_forged_member_share_fails_the_round(k, n, seed, toy_curve, monkeypatch):
     # a member answers with g times its dealt share, under a valid receipt:
-    # the dealer check fails the round SHARE_MISMATCH and names that member
-    # (k = 2 has one member); at k = 3, n = 4, seed 3 this share used to be
-    # stored as the digest (5, 16), where cvhp(m + s0, t0) is (6, 14)
-    servers = _one_forged_member(monkeypatch, toy_curve)
-    with pytest.raises(ProtocolStateError) as raised:
-        run_threshold_session(toy_curve, 5, 7, k, n, 2, random.Random(seed))
+    # the dealer check fails the round SHARE_MISMATCH and names that member,
+    # whichever the router lets answer first (k = 2 has one member); at
+    # k = 3, n = 4, seed 3 this share used to be stored as the digest
+    # (5, 16), where cvhp(m + s0, t0) is (6, 14)
+    servers, made = _one_forged_member(monkeypatch, toy_curve)
+    run = run_threshold_session(toy_curve, 5, 7, k, n, 2, random.Random(seed))
     (server,) = servers
-    member = server.subset[1]  # the lowest index is the owner
-    assert str(raised.value).endswith(f"SHARE_MISMATCH at participant {member}")
-    assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.SHARE_MISMATCH)
-    assert server.digest is None and server.shares == {}
-    assert server.error_frame().payload == bytes([ErrorCode.SHARE_MISMATCH])
+    (forged,) = [i for i, dealt in server._dealt.items() if dealt == (made[0].x, made[0].y)]
+    assert forged in server.subset[1:]  # the lowest index is the owner
+    _failed_at(run, servers, ErrorCode.SHARE_MISMATCH, forged)
+    assert server.shares == {}
+
+
+def test_finalize_still_raises_for_a_direct_caller(toy_curve, monkeypatch):
+    # outside the driver, the dealer check fails the session, names the
+    # member on it and raises; the culprit cannot be reassigned
+    _one_forged_member(monkeypatch, toy_curve)
+    server, parts, issued = _open_round(toy_curve, random.Random(68))
+    server.absorb(parts[0].respond(issued[1], m=4))
+    server.absorb(parts[1].respond(issued[2]))
+    with pytest.raises(ProtocolStateError, match="SHARE_MISMATCH at participant 2$"):
+        server.finalize()
+    assert (server.phase, server.error_code, server.culprit) == (
+        Phase.FAILED, ErrorCode.SHARE_MISMATCH, 2)
+    with pytest.raises(AttributeError):
+        server.culprit = 1
 
 
 def test_the_dealer_check_costs_two_fixed_powers(toy_curve, monkeypatch):
@@ -1142,3 +1183,69 @@ def test_no_threshold_round_makes_a_hashed_elgamal_receipt(secp, monkeypatch):
     monkeypatch.setattr(pke, "decrypt", unreachable)
     run = run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(69))
     assert run.digest == cvhp(secp, 5 + 7, 6)
+
+
+# ---------------------------------------------------------------------------
+# the round over the router: faults at every delivery
+# ---------------------------------------------------------------------------
+
+def _routed_round(params, seed, monkeypatch, plan=None):
+    """A k = 3, n = 4 round on ``seed``; ``plan`` reaches the round's first
+    ``net.route`` call, the one that carries its deals and shares."""
+    route, calls = net.route, []
+
+    def first_call_faulted(handlers, pending, seed=0, faults=None):
+        calls.append(pending)
+        return route(handlers, pending, seed, plan if len(calls) == 1 else faults)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(net, "route", first_call_faulted)
+        run = run_threshold_session(params, 5, 7, 3, 4, 12, random.Random(seed))
+    assert len(calls) == 2  # the deals and shares, then the closing frame
+    return run
+
+
+def _outcome_bytes(run) -> bytes:
+    code = 0xFF if run.error_code is None else int(run.error_code)
+    culprit = run.server.culprit
+    parts = [run.phase.value.encode(), bytes([code, 0xFF if culprit is None else culprit]),
+             len(run.trace).to_bytes(4, "big")]
+    for d in run.trace:
+        parts += [d.src.to_bytes(2, "big"), d.dst.to_bytes(2, "big"), prefixed(d.data, 4)]
+    return b"".join(parts)
+
+
+def test_faults_at_every_delivery_never_end_a_round_done_wrong(toy_curve, monkeypatch):
+    # each seed's clean round, then one fault at every delivery of its deals
+    # and shares: a round ends DONE with cvhp(m + s0, t0) or FAILED with a
+    # code, a chosen culprit, no digest and an ERROR to the owner, and never
+    # raises; the hash pins every trace, phase, code and culprit
+    expected = cvhp(toy_curve, (12 + 5) % 19, 7)
+    digest, codes, runs = hashlib.sha256(), Counter(), 0
+    for seed in range(4):
+        clean = _routed_round(toy_curve, seed, monkeypatch)
+        assert (clean.phase, clean.digest, clean.server.culprit) == (Phase.DONE, expected, None)
+        assert len(clean.trace) == 2 * 3 + 1
+        digest.update(_outcome_bytes(clean))
+        for ordinal, delivery in enumerate(clean.trace[:-1]):
+            for mutation in (Drop(), Duplicate(), Reorder(2),
+                             FlipByte(len(delivery.data) - 1), FlipByte(HEADER_LENGTH)):
+                run = _routed_round(toy_curve, seed, monkeypatch,
+                                    FaultPlan({ordinal: mutation}))
+                server = run.server
+                if run.phase is Phase.DONE:
+                    assert run.digest == expected == server.digest
+                else:
+                    assert run.phase is server.phase is Phase.FAILED
+                    assert run.error_code is not None and run.digest is None
+                    assert server.culprit in server.subset
+                    assert run.transcript[-1] == server.error_frame()
+                assert run.trace[-1].dst == server.owner
+                codes[run.error_code] += 1
+                digest.update(_outcome_bytes(run))
+                runs += 1
+    assert runs == 4 * 6 * 5
+    assert codes == {None: 24, ErrorCode.MISSING: 48, ErrorCode.DUPLICATE: 24,
+                     ErrorCode.DECRYPT_FAIL: 24}
+    assert digest.hexdigest() == \
+        "7092b968af1322f9cec424ee66e8907b63a40944a737b704c3c820bb7c5bba11"
