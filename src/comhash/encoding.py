@@ -21,8 +21,8 @@ formats, all integers big-endian:
   receipt key of ``pke.deal_keys`` with header session id | u16 index |
   element bytes;
 - THRESH_DEAL payload (``threshold``): body | 16-byte tag, the ``pke.seal``
-  of three scalars, f(i) | t(i) | l_i, under ``pke.deal_keys``; its header,
-  session id | u16 index, never travels;
+  of two scalars, the dealt pair x_i | y_i, under ``pke.deal_keys``; its
+  header, session id | u16 index, never travels;
 - quotient table (``threshold``): u32 count | count x (u16 index | quotient,
   as wide as the modulus);
 - sealed evaluation (``threshold``): u32 ciphertext length | ciphertext |

@@ -1,31 +1,31 @@
 """k-of-n threshold variant of the hashing session.
 
-Two secrets (s0, t0) are dealt with Shamir sharing over the exponent field
-at the public points x_i = i. Each chosen participant contributes
-``g^(f(i)*l_i) * h^(t(i)*l_i)`` where l_i is its recombination coefficient
-for the chosen subset, so the combined digest collapses to
-``g^(m + s0) * h^(t0)`` for every k-subset.
+The server picks the k-subset, then deals each chosen participant i a pair
+(x_i, y_i): k - 1 uniform pairs, and to the last (s0, t0) minus their sum
+over the exponent field. Each answers with the basic share g^x_i * h^y_i,
+so the digest is ``g^(m + s0) * h^(t0)`` for every k-subset.
 
 Trust model: the server is the dealer. It knows s0 and t0, so it can compute
-any digest by itself, and hiding the points from it would protect nothing.
-Each chosen participant i gets one request, f(i) | t(i) | l_i, sealed under
-keys that only the server and i derive, fresh for this session and bound to
-i (``pke.deal_keys``), and its share's receipt is a tag under i's own key
+any digest by itself, and hiding the pairs from it would protect nothing.
+Each chosen participant i gets one request, x_i | y_i, sealed under keys
+that only the server and i derive, fresh for this session and bound to i
+(``pke.deal_keys``), and its share's receipt is a tag under i's own key
 from them, over the element's bytes. So only the server can deal, only i
-learns its three values, and only i can answer: a request or receipt made
-by anyone else, for another session or index, or altered fails its tag, and
-no nonce is needed. No frame of a round carries s0 or t0.
+learns its pair, and only i can answer: a request or receipt made by anyone
+else, for another session or index, or altered fails its tag, and no nonce
+is needed. No frame of a round carries s0 or t0, and no pair shows which
+other members were chosen.
 
 The dealer checks the members, the converse of Feldman's verifiable secret
 sharing: the shares of the chosen participants other than the message owner
-must combine to g^(sum f(i)*l_i) * h^(sum t(i)*l_i). The owner's share is
-not checked, since any element is g^m' times its expected part for some m'.
-The round is played over ``net.route`` by the basic round's driver, and a
-failure ends it FAILED with a code and the participant at fault.
+must combine to g^(sum x_i) * h^(sum y_i). The owner's share is not checked,
+since any element is g^m' times its expected part for some m'. The round is
+played over ``net.route`` by the basic round's driver, and a failure ends it
+FAILED with a code and the participant at fault.
 
-The quotient table, blinded multiplication and sealed evaluator below hide
-evaluation points from the server; they are kept as tested primitives and
-the round does not use them.
+Shamir's polynomials and Lagrange coefficients, and the point-hiding
+quotient table, blinded multiplication and sealed evaluator below are kept
+as tested primitives; the round does not use them.
 """
 
 from __future__ import annotations
@@ -308,8 +308,8 @@ class SealedPolynomialEvaluator:
 
 def _require_prime_order(params: GroupParams) -> None:
     if not params.prime_order:
-        # order-2q generators make exponent sums sign-ambiguous, which breaks
-        # the recombination identity; only prime-order settings are sound
+        # keeps the deal keys' Diffie-Hellman in prime order: with an
+        # order-2q generator, g^a and g^b show whether g^(ab) is a square
         raise ValueError("threshold sessions require subgroup-mode modp or ec parameters")
 
 
@@ -334,9 +334,11 @@ def _deal_context(session_id: bytes, index: int) -> bytes:
 
 
 class ThresholdServer(ServerSession):
-    """Dealer plus collector: holds the two polynomials, seals each member of
-    a chosen subset its request, opens each receipt under that member's deal
-    keys, and checks the members' shares against what it dealt."""
+    """Dealer plus collector: holds the k ``pairs`` it deals in subset order
+    (k - 1 uniform ones drawn before any subset is chosen, then (s0, t0)
+    minus their sum), seals each member of a chosen subset its request,
+    opens each receipt under that member's deal keys, and checks the
+    members' shares against what it dealt."""
 
     def __init__(self, params: GroupParams, n: int, k: int, s0: int, t0: int,
                  keypair: pke.KeyPair, rng: random.Random):
@@ -344,11 +346,10 @@ class ThresholdServer(ServerSession):
         if not 1 < k <= n:
             raise ValueError("threshold k must satisfy 1 < k <= n")
         mod = params.exponent_modulus
-        if n >= mod:
-            raise ValueError("the points 1..n must be distinct nonzero scalars")
         self.k = k
-        self.share_poly = Polynomial.random(s0, k - 1, mod, rng)
-        self.mask_poly = Polynomial.random(t0, k - 1, mod, rng)
+        drawn = [(rng.randrange(mod), rng.randrange(mod)) for _ in range(k - 1)]
+        x, y = (sum(v) for v in zip(*drawn))
+        self.pairs = drawn + [((s0 - x) % mod, (t0 - y) % mod)]
         self.subset: Optional[tuple] = None
         self.owner: Optional[int] = None
         self._receipt_keys: dict[int, tuple] = {}
@@ -366,12 +367,13 @@ class ThresholdServer(ServerSession):
     def begin_round(self, publics: dict, subset: Optional[Sequence[int]] = None,
                     owner: Optional[int] = None) -> list[tuple]:
         """Pick (or accept) the k-subset and the message owner, by default its
-        lowest index; returns [(i, frame), ...], one THRESH_DEAL per chosen i:
-        f(i) | t(i) | l_i sealed under the deal keys of the server's key and
-        ``publics[i]``. Before any power or seal, and leaving the round
-        unbegun: a subset or owner that does not fit raises ``ValueError``,
-        then a chosen member's missing key ``KeyError``, then a key that is
-        not a group element other than the identity ``GroupError``."""
+        lowest index; returns [(i, frame), ...], one THRESH_DEAL per chosen i
+        in subset order: its pair x_i | y_i sealed under the deal keys of the
+        server's key and ``publics[i]``. Before any power or seal, and
+        leaving the round unbegun: a subset or owner that does not fit raises
+        ``ValueError``, then a chosen member's missing key ``KeyError``, then
+        a key that is not a group element other than the identity
+        ``GroupError``."""
         if self.subset is not None:
             raise ProtocolStateError("round already begun")
         if subset is None:  # drawn around a named owner
@@ -388,20 +390,17 @@ class ThresholdServer(ServerSession):
             raise ValueError("message owner must belong to the chosen subset")
         keys = [publics[i] for i in subset]
         shared = pke.dealer_shared(self.params, self.keypair.secret, keys)
-        mod = self.params.exponent_modulus
-        out, receipt_keys, dealt = [], {}, {}
-        for i, key, dh, coeff in zip(subset, keys, shared, lagrange_at_zero(subset, mod)):
+        out, receipt_keys = [], {}
+        for i, key, dh, pair in zip(subset, keys, shared, self.pairs):
             stream, request_mac, receipt_mac = pke.deal_keys(
                 self.params, dh, self.keypair.public, key, self.session_id, i)
-            share, mask = self.share_poly(i), self.mask_poly(i)
-            values = b"".join(scalar_to_bytes(self.params, v) for v in (share, mask, coeff))
+            values = b"".join(scalar_to_bytes(self.params, v) for v in pair)
             sealed = pke.seal(stream, request_mac, _deal_context(self.session_id, i), values)
             out.append((i, Frame(MsgType.THRESH_DEAL, self.session_id, SERVER_ID, sealed)))
             receipt_keys[i] = (stream, receipt_mac)
-            if i != owner:
-                dealt[i] = (share * coeff % mod, mask * coeff % mod)
         self.subset, self.owner = subset, owner
-        self._receipt_keys, self._dealt = receipt_keys, dealt
+        self._receipt_keys = receipt_keys
+        self._dealt = {i: pair for i, pair in zip(subset, self.pairs) if i != owner}
         return out
 
     def _open_receipt(self, index: int, element_bytes: bytes, receipt: bytes) -> None:
@@ -412,9 +411,9 @@ class ThresholdServer(ServerSession):
                    _deal_context(self.session_id, index) + element_bytes, receipt)
 
     def _check_digest(self, digest) -> None:
-        """The dealer check: the owner's share times g^(sum f(i)*l_i) *
-        h^(sum t(i)*l_i) over the other members, or SHARE_MISMATCH naming
-        the first member whose share is not its dealt one."""
+        """The dealer check: the owner's share times g^(sum x_i) *
+        h^(sum y_i) over the other members, or SHARE_MISMATCH naming the
+        first member whose share is not its dealt one."""
         x, y = (sum(v) % self.params.exponent_modulus for v in zip(*self._dealt.values()))
         if digest != self.params.combine(cvhp(self.params, x, y), self.shares[self.owner]):
             culprit = next(i for i, dealt in sorted(self._dealt.items())
@@ -425,8 +424,8 @@ class ThresholdServer(ServerSession):
 
 
 class ThresholdParticipant:
-    """Participant ``index``: opens its request and answers it with a
-    coefficient-scaled share."""
+    """Participant ``index``: opens its request and answers it with the
+    basic share of the pair it was dealt."""
 
     def __init__(self, params: GroupParams, index: int, server_public,
                  rng: Optional[random.Random] = None):
@@ -447,8 +446,8 @@ class ThresholdParticipant:
         then the receipt tag over them. A request sealed for another session
         or index, by anyone without the server's secret, or altered in any
         byte fails its tag with ``AuthenticationError``; a plaintext other
-        than three scalars raises ``EncodingError``; both before any power
-        of the share."""
+        than two scalars raises ``EncodingError``; both before any power of
+        the share."""
         if frame.msg_type is not MsgType.THRESH_DEAL:
             raise ProtocolStateError("expected a THRESH_DEAL frame")
         shared = pke.member_shared(self.params, self.keypair.secret, self.server_public)
@@ -457,12 +456,10 @@ class ThresholdParticipant:
             frame.session_id, self.index)
         context = _deal_context(frame.session_id, self.index)
         rd = Reader(pke.unseal(stream, request_mac, context, frame.payload))
-        share, mask, coeff = (rd.scalar(self.params) for _ in range(3))
+        keys = ParticipantKeys(rd.scalar(self.params), rd.scalar(self.params))
         rd.done()
         self.session_id = frame.session_id
-        self.share_value, self.mask_value = share, mask
-        mod = self.params.exponent_modulus
-        keys = ParticipantKeys(share * coeff % mod, mask * coeff % mod)
+        self.share_value, self.mask_value = keys.x, keys.y
         if m is None:
             element = member_share(self.params, keys)
         else:

@@ -95,7 +95,7 @@ def _refused(part, frame, error, bases, server_public):
 
 
 # ---------------------------------------------------------------------------
-# THRESH_DEAL payloads: the ciphertext and the three values it seals
+# THRESH_DEAL payloads: the ciphertext and the two values it seals
 # ---------------------------------------------------------------------------
 
 def test_receive_deal_accepts_the_server_payload(toy_subgroup):
@@ -103,8 +103,7 @@ def test_receive_deal_accepts_the_server_payload(toy_subgroup):
     # server absorbs
     server, part, frame = _deal_round(toy_subgroup)
     share = part.respond(frame, m=4)
-    assert part.share_value == server.share_poly(1)
-    assert part.mask_value == server.mask_poly(1)
+    assert (part.share_value, part.mask_value) == server.pairs[0]
     assert part.session_id == server.session_id
     server.absorb(share)
     assert server.phase is Phase.COLLECTING
@@ -117,15 +116,15 @@ def test_receive_deal_rejects_malformed_payloads(toy_subgroup, monkeypatch):
     width = scalar_byte_length(toy_subgroup)
     q = toy_subgroup.exponent_modulus.to_bytes(width, "big")
     keys, header, values = _opened(toy_subgroup, server, part, frame)
-    assert len(values) == 3 * width
+    assert len(values) == 2 * width
     bad = [
-        values[:2 * width],            # two scalars
-        values + values[:width],       # four scalars
+        values[:width],                # one scalar
+        values + values[:width],       # three scalars
         values + b"\x00",              # a trailing byte
     ] + [
-        # q in each scalar slot: f(i), t(i) and the coefficient
+        # q in each scalar slot: x_i and y_i
         values[:slot * width] + q + values[(slot + 1) * width:]
-        for slot in range(3)
+        for slot in range(2)
     ]
     bases = _count_powers(toy_subgroup, monkeypatch)
     for plaintext in bad:

@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import comhash
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # every name the package exported when this list was written; names may be
 # added, but none of these may go
@@ -28,3 +33,11 @@ def test_every_exported_name_is_still_exported():
     assert len(EXPORTED) == len(set(EXPORTED)) == 64
     assert [name for name in EXPORTED if not hasattr(comhash, name)] == []
 
+
+
+def test_the_readme_library_example_runs():
+    # every ```python block of the README, run as written
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

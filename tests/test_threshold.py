@@ -450,7 +450,7 @@ def test_threshold_rejects_wrong_subset_size(toy_subgroup):
 
 
 def test_threshold_rejects_primitive_mode(toy_primitive):
-    # order-2q generators break the recombination identity
+    # the round's deal keys need a group of prime order
     with pytest.raises(ValueError):
         run_threshold_session(toy_primitive, 5, 6, 3, 5, 4,
                               rng=random.Random(1))
@@ -489,7 +489,7 @@ def _keys_and_header(params, server, public, index, keypair=None):
 
 
 def _opened(params, server, public, index, frame) -> bytes:
-    """The plaintext of participant ``index``'s request: f | t | l."""
+    """The plaintext of participant ``index``'s request: x_i | y_i."""
     keys, header = _keys_and_header(params, server, public, index)
     return pke.unseal(*keys, header, frame.payload)
 
@@ -649,9 +649,8 @@ def test_begin_round_sends_exactly_k_requests(toy_curve, monkeypatch):
 
 
 def test_begin_round_inversion_budget(secp, monkeypatch):
-    # one inversion per chosen member: k = n = 64 costs 64
+    # the additive deal inverts no scalar: k = n = 64 costs none
     k = n = 64
-    mod = secp.exponent_modulus
     rng = random.Random(45)
     server_kp = pke.generate_keypair(secp, rng)
     server = ThresholdServer(secp, n, k, 5, 6, server_kp, rng)
@@ -666,11 +665,37 @@ def test_begin_round_inversion_budget(secp, monkeypatch):
     monkeypatch.setattr(threshold, "scalar_inv", counted)
     issued = server.begin_round(publics)
     monkeypatch.undo()
-    assert len(calls) == k
-    # each coefficient, read from its opened request: f | t | l
-    coeffs = [int.from_bytes(_opened(secp, server, publics[i], i, frame)[64:96], "big")
-              for i, frame in issued]
-    assert coeffs == lagrange_at_zero(range(1, n + 1), mod)
+    assert calls == []
+    # each request opens to the pair dealt to it, in subset order: x_i | y_i
+    opened = [_opened(secp, server, publics[i], i, frame) for i, frame in issued]
+    assert [(int.from_bytes(plain[:32], "big"), int.from_bytes(plain[32:], "big"))
+            for plain in opened] == server.pairs
+
+
+@pytest.mark.parametrize("params", ["toy_curve", "toy_subgroup", "secp"])
+def test_dealt_pairs_sum_to_the_secrets_and_all_but_the_last_ignore_them(params, request):
+    # a 4-of-6 round's pairs, read from its opened requests, sum to (s0, t0)
+    # over the exponent field; a server built from the same seed with other
+    # secrets deals byte-identical pairs to every chosen member but the last
+    params = request.getfixturevalue(params)
+    mod = params.exponent_modulus
+    rounds = []
+    for s0, t0 in ((5, 6), (9, 2)):
+        rng = random.Random(70)
+        server_kp = pke.generate_keypair(params, rng)
+        server = ThresholdServer(params, 6, 4, s0, t0, server_kp, rng)
+        publics = _publics(ThresholdParticipant(params, i, server_kp.public, rng)
+                           for i in range(1, 7))
+        opened = [_opened(params, server, publics[i], i, frame)
+                  for i, frame in server.begin_round(publics)]
+        width = len(opened[0]) // 2
+        pairs = [(int.from_bytes(plain[:width], "big"), int.from_bytes(plain[width:], "big"))
+                 for plain in opened]
+        assert [sum(v) % mod for v in zip(*pairs)] == [s0, t0]
+        rounds.append((server.subset, opened))
+    (subset, first), (other_subset, second) = rounds
+    assert subset == other_subset and len(subset) == 4
+    assert first[:-1] == second[:-1] and first[-1] != second[-1]
 
 
 def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatch):
@@ -726,7 +751,7 @@ def test_threshold_transcript_bytes_pinned(secp):
     assert run.digest == cvhp(secp, 33 + 11, 22)
     frames = [encode_frame(frame) for frame in run.transcript]
     assert frames == [d.data for d in run.trace]
-    assert (len(frames), len(b"".join(frames))) == (11, 1135)
+    assert (len(frames), len(b"".join(frames))) == (11, 975)
     assert [(d.src, d.dst) for d in run.trace] == [
         (0, 7), (0, 3), (0, 5), (0, 8), (3, 0), (8, 0), (0, 2), (2, 0), (5, 0), (7, 0),
         (0, 2)]
@@ -734,11 +759,10 @@ def test_threshold_transcript_bytes_pinned(secp):
         [MsgType.THRESH_DEAL] * 4 + [MsgType.SHARE] * 2 + [MsgType.THRESH_DEAL]
         + [MsgType.SHARE] * 3 + [MsgType.RESULT])
     assert hashlib.sha256(b"".join(frames)).hexdigest() == \
-        "2f92d2a7a04c9d4e7b2aadf3b357cd5d72201bd0d758230df5568f0f5a899c81"
-    # the same frames, byte for byte, as when the round was played in index
-    # order outside the router
+        "da089905147937d85a70e3a58628624a1cf1b40a8acbea1edae08e849c832cf6"
+    # and the frames as a multiset, whatever order the router picks
     assert hashlib.sha256(b"".join(sorted(frames))).hexdigest() == \
-        "20e1be4010ac3cad6f696c4131b7b22960735bacb66475cc753976159f7be741"
+        "f3e5fca00f8b17ed76c78a590e9abb541a6f6331b95a762b52b4d65206a62308"
 
 
 @pytest.mark.parametrize("case", ["share_as_nonce", "other_session"])
@@ -764,8 +788,7 @@ def test_receive_deal_rejects_another_sessions_deal(toy_subgroup):
     _refused(parts[0], stray, AuthenticationError)
     share = parts[0].respond(request, m=4)
     assert parts[0].session_id == share.session_id == server.session_id
-    assert (parts[0].share_value, parts[0].mask_value) == (server.share_poly(1),
-                                                          server.mask_poly(1))
+    assert (parts[0].share_value, parts[0].mask_value) == server.pairs[0]
 
 
 def test_deal_sealed_for_another_session_fails_under_this_header(toy_subgroup):
@@ -804,23 +827,23 @@ def test_receive_deal_rejects_a_deal_for_another_index(toy_subgroup):
     assert fresh.subset is None
 
 
-def test_request_reads_exactly_three_scalars(toy_subgroup):
+def test_request_reads_exactly_two_scalars(toy_subgroup):
     server, (part, _) = _deal_pair(toy_subgroup, 51)
     one = scalar_to_bytes(toy_subgroup, 4)
-    for plaintext in (one * 2, one * 4, one * 3 + bytes(32), one * 3 + b"\x00"):
+    for plaintext in (one, one * 3, one * 2 + bytes(32), one * 2 + b"\x00"):
         _refused(part, _seal_deal(toy_subgroup, server, part.keypair.public, plaintext),
                  EncodingError)
-    part.respond(_seal_deal(toy_subgroup, server, part.keypair.public, one * 3))
+    part.respond(_seal_deal(toy_subgroup, server, part.keypair.public, one * 2))
     assert (part.share_value, part.mask_value) == (4, 4)
 
 
 def _forged_deals(params, server, public):
-    """Participant 1's request with values 7 | 8 | 1, sealed by
+    """Participant 1's request with values 7 | 8, sealed by
     parties that do not hold ``server``'s secret: hashed ElGamal to the
     participant's key ``public``, as anyone who sees that key can, and the
     deal key of another server key pair, under its own public key and under
     ``server``'s."""
-    values = b"".join(scalar_to_bytes(params, v) for v in (7, 8, 1))
+    values = b"".join(scalar_to_bytes(params, v) for v in (7, 8))
     other = pke.generate_keypair(params, random.Random(58))
     impostor = pke.KeyPair(other.secret, server.keypair.public)
     return [Frame(MsgType.THRESH_DEAL, server.session_id, SERVER_ID,
@@ -835,8 +858,7 @@ def test_receive_deal_rejects_a_deal_not_keyed_by_the_server(secp):
     for forged in _forged_deals(secp, server, parts[0].keypair.public):
         _refused(parts[0], forged, AuthenticationError)
     parts[0].respond(dict(server.begin_round(_publics(parts)))[1])
-    assert (parts[0].share_value, parts[0].mask_value) == (server.share_poly(1),
-                                                          server.mask_poly(1))
+    assert (parts[0].share_value, parts[0].mask_value) == server.pairs[0]
 
 
 def _failed_at(run, servers, code, culprit):
@@ -870,6 +892,38 @@ def test_forged_deal_never_ends_a_round_done(which, secp, monkeypatch):
     monkeypatch.setattr(ThresholdServer, "begin_round", forging)
     run = run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(61), subset=(1, 2, 4))
     _failed_at(run, servers, ErrorCode.MISSING, 1)
+
+
+@pytest.mark.parametrize("member", [1, 4])
+def test_a_three_scalar_request_fails_closed(member, secp, monkeypatch):
+    # a dealer that still seals three scalars, f(i) | t(i) | l_i, under the
+    # real deal keys: the request opens, but the participant refuses it
+    # before any power of the share, and a round with it ends FAILED MISSING
+    # naming that member, never DONE
+    values = b"".join(scalar_to_bytes(secp, v) for v in (7, 8, 1))
+    server, parts = _deal_pair(secp, 64)
+    bases, power = [], type(secp).power
+
+    def counted(self, base, *args, **kwargs):
+        bases.append(base)
+        return power(self, base, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(type(secp), "power", counted)
+        _refused(parts[0], _seal_deal(secp, server, parts[0].keypair.public, values),
+                 EncodingError)
+    assert bases == [server.keypair.public]  # the deal keys' one power
+    begin_round = ThresholdServer.begin_round
+    servers = []
+
+    def three_scalars(self, publics, subset=None, owner=None):
+        servers.append(self)
+        return [(i, _seal_deal(secp, self, publics[i], values, index=i) if i == member
+                 else frame) for i, frame in begin_round(self, publics, subset, owner)]
+
+    monkeypatch.setattr(ThresholdServer, "begin_round", three_scalars)
+    run = run_threshold_session(secp, 5, 6, 3, 4, 7, random.Random(61), subset=(1, 2, 4))
+    _failed_at(run, servers, ErrorCode.MISSING, member)
 
 
 def test_deal_frame_rejects_a_participant_key_outside_the_group(toy_curve, toy_subgroup,
@@ -993,28 +1047,28 @@ def test_no_round_frame_carries_the_dealer_secrets(secp):
 
 def test_no_frame_carries_a_nonce_coefficient_or_dealt_value(secp):
     # a seeded k=5, n=8 round: the threshold server draws no nonce, and no
-    # coefficient, f(i), t(i) or receipt key appears in the bytes of its
-    # transcript
+    # dealt x_i or y_i, receipt key or chosen member's Lagrange coefficient
+    # appears in the bytes of its transcript
     run = run_threshold_session(secp, 11, 22, 5, 8, 33, random.Random(2026))
     server = run.server
     assert run.digest == cvhp(secp, 33 + 11, 22)
     assert server.nonces == {}
     coeffs = lagrange_at_zero(server.subset, secp.exponent_modulus)
     hidden = [key for i in server.subset for key in server._receipt_keys[i]] + [
-        scalar_to_bytes(secp, v) for i, coeff in zip(server.subset, coeffs)
-        for v in (coeff, server.share_poly(i), server.mask_poly(i))]
+        scalar_to_bytes(secp, v) for coeff, pair in zip(coeffs, server.pairs)
+        for v in (coeff, *pair)]
     assert len(hidden) == 5 * 5
     blob = b"".join(encode_frame(frame) for frame in run.transcript)
     assert not any(value in blob for value in hidden)
 
 
-def test_coefficient_tamper_fails_the_receipt(secp):
-    # a coefficient altered in transit fails the request's tag at the
+def test_a_dealt_value_tamper_fails_the_request(secp):
+    # a dealt y_i altered in transit fails the request's tag at the
     # participant, which makes no share; the round cannot end
     server, parts, issued = _open_round(secp, random.Random(55))
     frame = issued[1]
     payload = bytearray(frame.payload)
-    payload[64] ^= 0x01  # the coefficient's first byte, under the keystream
+    payload[32] ^= 0x01  # y_i's first byte, under the keystream
     _refused(parts[0], Frame(MsgType.THRESH_DEAL, frame.session_id, SERVER_ID,
                              bytes(payload)), AuthenticationError)
     assert server.phase is Phase.ISSUED and server.digest is None
@@ -1022,10 +1076,10 @@ def test_coefficient_tamper_fails_the_receipt(secp):
         server.finalize()
 
 
-def test_a_coefficient_tamper_stops_the_driver(secp, monkeypatch):
-    # run_threshold_session with one chosen member's coefficient altered in
-    # transit: that member makes no share, and the round ends FAILED MISSING
-    # naming it, stores no digest and tells the owner
+def test_a_dealt_value_tamper_stops_the_driver(secp, monkeypatch):
+    # run_threshold_session with one chosen member's x_i altered in transit:
+    # that member makes no share, and the round ends FAILED MISSING naming
+    # it, stores no digest and tells the owner
     begin_round, respond = ThresholdServer.begin_round, ThresholdParticipant.respond
     servers = []
 
@@ -1036,7 +1090,7 @@ def test_a_coefficient_tamper_stops_the_driver(secp, monkeypatch):
     def bumped(self, frame, m=None):
         if self.index == 2:
             payload = bytearray(frame.payload)
-            payload[64] ^= 0x01
+            payload[0] ^= 0x01
             frame = Frame(frame.msg_type, frame.session_id, frame.sender, bytes(payload))
         return respond(self, frame, m)
 
@@ -1053,21 +1107,15 @@ def test_absorb_before_the_round_is_a_state_error(toy_subgroup):
         server.absorb(share)
 
 
-def test_threshold_rejects_more_participants_than_points(toy_subgroup):
-    # the points 1..n are distinct and nonzero mod q = 11 only for n < 11
-    rng = random.Random(57)
-    with pytest.raises(ValueError):
-        ThresholdServer(toy_subgroup, 11, 3, 5, 6, pke.generate_keypair(toy_subgroup, rng), rng)
-    assert ThresholdServer(toy_subgroup, 10, 3, 5, 6,
-                           pke.generate_keypair(toy_subgroup, rng), rng).n == 10
-
-
 def test_round_reaches_none_of_the_point_hiding_primitives(toy_curve, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the round reached a point-hiding primitive")
 
     monkeypatch.setattr(threshold, "run_multiply", unreachable)
     monkeypatch.setattr(threshold, "lagrange_from_quotients", unreachable)
+    monkeypatch.setattr(threshold, "lagrange_at_zero", unreachable)
+    for method in ("random", "__call__"):
+        monkeypatch.setattr(Polynomial, method, unreachable)
     for method in ("encrypt_input", "apply_poly", "decrypt_output"):
         monkeypatch.setattr(SealedPolynomialEvaluator, method, unreachable)
     expected = cvhp(toy_curve, (12 + 5) % 19, 7)
@@ -1245,7 +1293,9 @@ def test_faults_at_every_delivery_never_end_a_round_done_wrong(toy_curve, monkey
                 digest.update(_outcome_bytes(run))
                 runs += 1
     assert runs == 4 * 6 * 5
+    # seed 3's owner share is the identity, one byte 0x00; flipped to 0x01 it
+    # no longer decodes, so that one altered element ends MALFORMED
     assert codes == {None: 24, ErrorCode.MISSING: 48, ErrorCode.DUPLICATE: 24,
-                     ErrorCode.DECRYPT_FAIL: 24}
+                     ErrorCode.DECRYPT_FAIL: 23, ErrorCode.MALFORMED: 1}
     assert digest.hexdigest() == \
-        "7092b968af1322f9cec424ee66e8907b63a40944a737b704c3c820bb7c5bba11"
+        "46a76ab3bcda81b1d993816417b28f82b0d212742b1deb2e1e5b211e91ec85e8"
