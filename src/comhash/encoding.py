@@ -15,11 +15,11 @@ formats, all integers big-endian:
   as minimal integers for modp, (ASCII curve id, g, h) for ec;
 - ciphertext (``pke.encrypt`` returns it, ``pke.decrypt`` takes it):
   ephemeral element | u16 body length | body | 16-byte tag;
-- SHARE payload (``protocol``): share element | receipt, a ciphertext whose
-  tag covers the element bytes as associated data; in the threshold round
-  the receipt is one 16-byte tag, the ``pke.seal`` of nothing under the
-  receipt key of ``pke.deal_keys`` with header session id | u16 index |
-  element bytes;
+- SHARE payload (``protocol.share_frame``, for both rounds): share element
+  | receipt over the element bytes: in the basic round a ciphertext of the
+  nonce with them as associated data, in the threshold round one 16-byte
+  tag, the ``pke.seal`` of nothing under the receipt key of
+  ``pke.deal_keys`` with header session id | u16 index | element bytes;
 - THRESH_DEAL payload (``threshold``): body | 16-byte tag, the ``pke.seal``
   of two scalars, the dealt pair x_i | y_i, under ``pke.deal_keys``; its
   header, session id | u16 index, never travels;

@@ -7,8 +7,10 @@ non-empty queue and delivers its head to the destination's handler. A
 handler is any callable taking (src, data) and returning the follow-up
 (dst, data) messages, so a session plays out from the basic round's upload
 request or the threshold round's k deals; the router knows nothing of
-frames, parties or receipts. A fault plan can drop, duplicate, delay, flip a
-byte of, or swap the nonce of deliveries to exercise every server error path.
+frames, parties or receipts. Either round's server takes a share only from
+an index its request table holds, so one ``collect`` and ``play`` serve both.
+A fault plan can drop, duplicate, delay, flip a byte of, or swap the nonce
+of deliveries to exercise every server error path.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """State machines for the n-party hashing session.
 
-Flow: the owner asks for an upload, the server hands every participant a
-fresh 32-byte nonce, each participant returns its share next to the nonce
-encrypted under the server's public key, and the server keeps the combined
-digest only if every receipt checks out. Any mismatch parks the session in a
+Flow: the owner asks for an upload, the server issues each participant a
+request, here a fresh 32-byte nonce, and each returns its share next to a
+receipt, here the nonce encrypted under the server's public key; the server
+keeps the combined digest only if every receipt checks out. Both rounds share
+the request table and ``share_frame``. Any mismatch parks the session in a
 terminal failed state with a specific error code; a failed session never
 stores a digest.
 """
@@ -14,7 +15,7 @@ import hmac
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .encoding import Reader, element_from_bytes, element_to_bytes
 from .errors import AuthenticationError, EncodingError, ProtocolStateError
@@ -46,7 +47,8 @@ class OwnerRole:
 
 
 class ServerSession:
-    """Server side of one run; mutated by a single logical thread."""
+    """Server side of one run; mutated by a single logical thread. A subclass
+    changes only how a receipt opens and how the digest is checked."""
 
     def __init__(self, params: GroupParams, n: int, keypair: pke.KeyPair,
                  rng: random.Random):
@@ -56,35 +58,24 @@ class ServerSession:
         self.n = n
         self.keypair = keypair
         self.session_id = rng.randbytes(SESSION_ID_LENGTH)
-        self.nonces = self._draw_nonces(rng)
+        self.requests: dict[int, object] = {}  # index -> what its receipt answers
         self.shares: dict[int, object] = {}
         self.phase = Phase.ISSUED
         self.error_code: Optional[ErrorCode] = None
         self._culprit: Optional[int] = None
         self.digest = None
-
-    def _draw_nonces(self, rng: random.Random) -> dict[int, bytes]:
-        """One NONCE per participant, for its receipt to echo."""
-        nonces: dict[int, bytes] = {}
-        seen = set()
-        for index in range(1, self.n + 1):
-            nonce = rng.randbytes(NONCE_LENGTH)
-            while nonce in seen:  # distinct per participant
-                nonce = rng.randbytes(NONCE_LENGTH)
-            seen.add(nonce)
-            nonces[index] = nonce
-        return nonces
+        self._rng = rng
 
     @property
     def live(self):
-        return self.nonces.keys()  # the indices whose shares the session takes
+        return self.requests.keys()  # the indices issued a request, whose shares it takes
 
     def _open_receipt(self, index: int, element_bytes: bytes,
                       receipt: bytes) -> Optional[ErrorCode]:
         """Check ``index``'s receipt next to the element's bytes as received:
         malformed bytes raise ``EncodingError``, a bad tag ``AuthenticationError``."""
         echoed = pke.decrypt(self.params, self.keypair.secret, receipt, element_bytes)
-        if not hmac.compare_digest(echoed, self.nonces[index]):
+        if not hmac.compare_digest(echoed, self.requests[index]):
             return ErrorCode.NONCE_MISMATCH
         return None
 
@@ -110,7 +101,7 @@ class ServerSession:
         """Process one share frame; on any defect the session fails with a
         code identifying the defect, and the frame's sender as the culprit."""
         if self.phase not in (Phase.ISSUED, Phase.COLLECTING) or not self.live:
-            # a threshold round takes no share before begin_round
+            # no share is taken before the requests are issued
             raise ProtocolStateError(f"no share awaited in phase {self.phase.value}")
         index = frame.sender
         if frame.msg_type is not MsgType.SHARE or frame.session_id != self.session_id:
@@ -156,9 +147,16 @@ class ServerSession:
     # -- outbound frames -------------------------------------------------
 
     def nonce_frames(self) -> list[Frame]:
-        """One NONCE frame per participant, in index order."""
-        return [Frame(MsgType.NONCE, self.session_id, SERVER_ID, self.nonces[i])
-                for i in range(1, self.n + 1)]
+        """Issue each participant a distinct fresh NONCE, in index order, once."""
+        if self.requests:
+            raise ProtocolStateError("requests already issued")
+        for index in range(1, self.n + 1):
+            nonce = self._rng.randbytes(NONCE_LENGTH)
+            while nonce in self.requests.values():  # distinct per participant
+                nonce = self._rng.randbytes(NONCE_LENGTH)
+            self.requests[index] = nonce
+        return [Frame(MsgType.NONCE, self.session_id, SERVER_ID, nonce)
+                for nonce in self.requests.values()]
 
     def result_frame(self) -> Frame:
         if self.phase is not Phase.DONE:
@@ -197,20 +195,24 @@ class ParticipantSession:
             self.session_id = frame.session_id
         elif frame.session_id != self.session_id:
             raise ProtocolStateError("nonce belongs to a different session")
-        if self.owner is not None:
-            element = owner_share(self.params, self.keys, self.owner.m)
-        else:
-            element = member_share(self.params, self.keys)
-        # the element's bytes, then the nonce encrypted to the server with
-        # them as associated data: the receipt checks out only next to them
-        element_bytes = element_to_bytes(self.params, element)
-        receipt = pke.encrypt(self.params, self.server_public, frame.payload, self.rng,
-                              element_bytes)
-        return Frame(MsgType.SHARE, self.session_id, self.index, element_bytes + receipt)
+        m = None if self.owner is None else self.owner.m
+        # the receipt: the nonce encrypted to the server, bound to the element's bytes
+        return share_frame(self.params, self.keys, m, self.session_id, self.index,
+                           lambda element: pke.encrypt(self.params, self.server_public,
+                                                       frame.payload, self.rng, element))
 
     def upload_request(self) -> Frame:
         """The opening frame; the real session id is assigned by the server."""
         return Frame(MsgType.UPLOAD_REQUEST, bytes(SESSION_ID_LENGTH), self.index)
+
+
+def share_frame(params: GroupParams, keys: ParticipantKeys, m: Optional[int],
+                session_id: bytes, index: int, receipt: Callable[[bytes], bytes]) -> Frame:
+    """The SHARE of either round: the element's bytes, then ``receipt`` of
+    them. The message owner passes its m, every other participant None."""
+    element = member_share(params, keys) if m is None else owner_share(params, keys, m)
+    element_bytes = element_to_bytes(params, element)
+    return Frame(MsgType.SHARE, session_id, index, element_bytes + receipt(element_bytes))
 
 
 # -- module-level views matching the operation names ------------------------

@@ -9,12 +9,12 @@ Trust model: the server is the dealer. It knows s0 and t0, so it can compute
 any digest by itself, and hiding the pairs from it would protect nothing.
 Each chosen participant i gets one request, x_i | y_i, sealed under keys
 that only the server and i derive, fresh for this session and bound to i
-(``pke.deal_keys``), and its share's receipt is a tag under i's own key
-from them, over the element's bytes. So only the server can deal, only i
-learns its pair, and only i can answer: a request or receipt made by anyone
-else, for another session or index, or altered fails its tag, and no nonce
-is needed. No frame of a round carries s0 or t0, and no pair shows which
-other members were chosen.
+(``pke.deal_keys``), which the server's request table keeps in place of a
+nonce; its SHARE (``protocol.share_frame``) carries a receipt tag under i's
+own key from them over the element's bytes. So only the server can deal,
+only i learns its pair, and only i can answer: a request or receipt made by
+anyone else, for another session or index, or altered fails its tag. No
+frame carries s0 or t0, and no pair shows which others were chosen.
 
 The dealer checks the members, the converse of Feldman's verifiable secret
 sharing: the shares of the chosen participants other than the message owner
@@ -36,13 +36,12 @@ from enum import Enum
 from functools import partial
 from typing import Optional, Sequence
 
-from .encoding import (
-    Reader, element_to_bytes, prefixed, scalar_from_bytes, scalar_to_bytes)
+from .encoding import Reader, prefixed, scalar_from_bytes, scalar_to_bytes
 from .errors import EncodingError, ProtocolStateError
 from .frames import ErrorCode, Frame, MsgType, SERVER_ID, SESSION_ID_LENGTH, encode_frame
 from .groups import GroupParams, scalar_inv
-from .hashing import ParticipantKeys, cvhp, member_share, owner_share
-from .protocol import ServerSession
+from .hashing import ParticipantKeys, cvhp
+from .protocol import ServerSession, share_frame
 from . import net, pke
 
 
@@ -313,21 +312,6 @@ def _require_prime_order(params: GroupParams) -> None:
         raise ValueError("threshold sessions require subgroup-mode modp or ec parameters")
 
 
-def distinct_nonzero_scalars(modulus: int, count: int, rng: random.Random) -> list[int]:
-    """Pairwise-distinct nonzero scalars; rejection keeps it exact even when
-    the modulus is tiny."""
-    if count >= modulus:
-        raise ValueError("not enough nonzero field elements")
-    out: list[int] = []
-    seen = set()
-    while len(out) < count:
-        v = rng.randrange(1, modulus)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
 def _deal_context(session_id: bytes, index: int) -> bytes:
     # a request or receipt opens only for the session and the index it was sealed for
     return session_id + index.to_bytes(2, "big")
@@ -336,9 +320,10 @@ def _deal_context(session_id: bytes, index: int) -> bytes:
 class ThresholdServer(ServerSession):
     """Dealer plus collector: holds the k ``pairs`` it deals in subset order
     (k - 1 uniform ones drawn before any subset is chosen, then (s0, t0)
-    minus their sum), seals each member of a chosen subset its request,
-    opens each receipt under that member's deal keys, and checks the
-    members' shares against what it dealt."""
+    minus their sum), seals each member of a chosen subset its request, and
+    checks the members' shares against what it dealt. ``begin_round`` fills
+    the request table with each member's deal keys (stream, receipt MAC),
+    under which its receipt opens."""
 
     def __init__(self, params: GroupParams, n: int, k: int, s0: int, t0: int,
                  keypair: pke.KeyPair, rng: random.Random):
@@ -352,17 +337,8 @@ class ThresholdServer(ServerSession):
         self.pairs = drawn + [((s0 - x) % mod, (t0 - y) % mod)]
         self.subset: Optional[tuple] = None
         self.owner: Optional[int] = None
-        self._receipt_keys: dict[int, tuple] = {}
         self._dealt: dict[int, tuple] = {}
-        self._rng = rng
         super().__init__(params, n, keypair, rng)
-
-    def _draw_nonces(self, rng: random.Random) -> dict[int, bytes]:
-        return {}  # each receipt is keyed by its member's deal keys instead
-
-    @property
-    def live(self):
-        return self._receipt_keys.keys()  # the chosen subset, once begun
 
     def begin_round(self, publics: dict, subset: Optional[Sequence[int]] = None,
                     owner: Optional[int] = None) -> list[tuple]:
@@ -374,8 +350,8 @@ class ThresholdServer(ServerSession):
         ``ValueError``, then a chosen member's missing key ``KeyError``, then
         a key that is not a group element other than the identity
         ``GroupError``."""
-        if self.subset is not None:
-            raise ProtocolStateError("round already begun")
+        if self.requests:
+            raise ProtocolStateError("requests already issued")
         if subset is None:  # drawn around a named owner
             named = [] if owner is None else [owner]
             pool = [i for i in range(1, self.n + 1) if i not in named]
@@ -390,16 +366,15 @@ class ThresholdServer(ServerSession):
             raise ValueError("message owner must belong to the chosen subset")
         keys = [publics[i] for i in subset]
         shared = pke.dealer_shared(self.params, self.keypair.secret, keys)
-        out, receipt_keys = [], {}
+        out, requests = [], {}
         for i, key, dh, pair in zip(subset, keys, shared, self.pairs):
             stream, request_mac, receipt_mac = pke.deal_keys(
                 self.params, dh, self.keypair.public, key, self.session_id, i)
             values = b"".join(scalar_to_bytes(self.params, v) for v in pair)
             sealed = pke.seal(stream, request_mac, _deal_context(self.session_id, i), values)
             out.append((i, Frame(MsgType.THRESH_DEAL, self.session_id, SERVER_ID, sealed)))
-            receipt_keys[i] = (stream, receipt_mac)
-        self.subset, self.owner = subset, owner
-        self._receipt_keys = receipt_keys
+            requests[i] = (stream, receipt_mac)
+        self.subset, self.owner, self.requests = subset, owner, requests
         self._dealt = {i: pair for i, pair in zip(subset, self.pairs) if i != owner}
         return out
 
@@ -407,7 +382,7 @@ class ThresholdServer(ServerSession):
         # one tag under i's receipt key over session id | u16 i | element bytes
         if len(receipt) != pke.TAG_LENGTH:
             raise EncodingError("a threshold receipt is one tag")
-        pke.unseal(*self._receipt_keys[index],
+        pke.unseal(*self.requests[index],
                    _deal_context(self.session_id, index) + element_bytes, receipt)
 
     def _check_digest(self, digest) -> None:
@@ -460,13 +435,9 @@ class ThresholdParticipant:
         rd.done()
         self.session_id = frame.session_id
         self.share_value, self.mask_value = keys.x, keys.y
-        if m is None:
-            element = member_share(self.params, keys)
-        else:
-            element = owner_share(self.params, keys, m)
-        element_bytes = element_to_bytes(self.params, element)
-        receipt = pke.seal(stream, receipt_mac, context + element_bytes, b"")
-        return Frame(MsgType.SHARE, self.session_id, self.index, element_bytes + receipt)
+        return share_frame(
+            self.params, keys, m, self.session_id, self.index,
+            lambda element: pke.seal(stream, receipt_mac, context + element, b""))
 
 
 def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,

@@ -11,6 +11,21 @@ from comhash import (
 )
 
 
+def distinct_nonzero_scalars(modulus: int, count: int, rng: random.Random) -> list[int]:
+    """Pairwise-distinct nonzero scalars, Shamir evaluation points for the
+    tests; rejection keeps it exact even when the modulus is tiny."""
+    if count >= modulus:
+        raise ValueError("not enough nonzero field elements")
+    out: list[int] = []
+    seen = set()
+    while len(out) < count:
+        v = rng.randrange(1, modulus)
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
+
+
 @pytest.fixture(scope="session")
 def toy_subgroup():
     return toy_modp_subgroup()

@@ -37,10 +37,10 @@ from comhash.threshold import (
     MultiplyRole,
     MultiplySession,
     Polynomial,
-    distinct_nonzero_scalars,
     multiply_step,
     run_multiply,
 )
+from conftest import distinct_nonzero_scalars
 
 SECP_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 
@@ -106,7 +106,7 @@ def test_c02_owner_position_and_order_invariance(toy_subgroup, toy_curve):
                   else [rng.sample(range(n), n) for _ in range(6)])
         for order in orders:
             server2, _ = server_begin(params, n, kp, rng)
-            server2.nonces = dict(server.nonces)
+            server2.requests = dict(server.requests)
             server2.session_id = server.session_id
             for i in order:
                 server_absorb(server2, shares[i])

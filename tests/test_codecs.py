@@ -27,12 +27,12 @@ from comhash import (
     Polynomial,
     QuotientTable,
     SealedPolynomialEvaluator,
-    ServerSession,
     ThresholdParticipant,
     ThresholdServer,
     params_from_bytes,
     params_to_bytes,
     pke,
+    server_begin,
 )
 from comhash.encoding import scalar_byte_length
 
@@ -165,17 +165,16 @@ def test_share_payload_truncation_and_extension(params):
     kp = pke.generate_keypair(params, random.Random(4))
 
     def fresh_server():
-        return ServerSession(params, 1, kp, random.Random(5))
+        return server_begin(params, 1, kp, random.Random(5))
 
-    nonce_frame = fresh_server().nonce_frames()[0]
+    server, (nonce_frame,) = fresh_server()
     part = ParticipantSession(params, 1, ParticipantKeys(2, 3), kp.public,
                               rng=random.Random(6))
     share = part.respond(nonce_frame)
-    server = fresh_server()
     server.absorb(share)
     assert server.phase is Phase.COLLECTING
     for variant in _prefixes_and_extension(share.payload):
-        server = fresh_server()
+        server, _ = fresh_server()
         server.absorb(Frame(MsgType.SHARE, share.session_id, 1, variant))
         assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.MALFORMED)
 
@@ -252,6 +251,22 @@ def test_params_truncation_and_extension(params):
     for variant in _prefixes_and_extension(data):
         with pytest.raises(EncodingError):
             params_from_bytes(variant)
+
+
+# ---------------------------------------------------------------------------
+# one SHARE builder: no module but protocol makes a SHARE frame
+# ---------------------------------------------------------------------------
+
+def test_only_protocol_builds_a_share_frame():
+    builders = []
+    for path in sorted(Path(comhash.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Frame")):
+                continue
+            kinds = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "msg_type"]
+            if any(ast.unparse(kind).endswith("MsgType.SHARE") for kind in kinds):
+                builders.append(path.name)
+    assert builders == ["protocol.py"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from comhash import (
     ParticipantSession,
     Phase,
     ProtocolStateError,
+    ServerSession,
     member_share,
     participant_respond,
     reference_digest,
@@ -62,6 +63,30 @@ def test_two_sessions_have_distinct_ids(toy_subgroup, server_kp):
     s1, _ = server_begin(toy_subgroup, 2, server_kp, rng)
     s2, _ = server_begin(toy_subgroup, 2, server_kp, rng)
     assert s1.session_id != s2.session_id
+
+
+def test_an_unissued_server_refuses_a_share(toy_subgroup, server_kp):
+    # the same seed gives the same session id and nonce, so this share is
+    # refused only because its nonce was not issued yet, as a threshold
+    # server refuses one before begin_round
+    _, (nonce,) = server_begin(toy_subgroup, 1, server_kp, random.Random(18))
+    server = ServerSession(toy_subgroup, 1, server_kp, random.Random(18))
+    (owner,) = make_participants(toy_subgroup, server_kp, server.session_id,
+                                 [ParticipantKeys(2, 3)], m=1)
+    share = owner.respond(nonce)
+    with pytest.raises(ProtocolStateError):
+        server_absorb(server, share)
+    assert (server.phase, server.error_code, server.shares) == (Phase.ISSUED, None, {})
+    assert server.nonce_frames() == [nonce]
+    server_absorb(server, share)
+    assert server.phase is Phase.COLLECTING
+
+
+def test_nonces_are_issued_once(toy_subgroup, server_kp):
+    server, frames = server_begin(toy_subgroup, 2, server_kp, random.Random(19))
+    with pytest.raises(ProtocolStateError):
+        server.nonce_frames()
+    assert server.requests == {1: frames[0].payload, 2: frames[1].payload}
 
 
 def test_participant_responses_carry_expected_shares(toy_subgroup, server_kp):
@@ -178,7 +203,7 @@ def test_unbound_receipt_fails_decrypt_after_one_decrypt(right_nonce, toy_subgro
     # whatever nonce it holds
     server, nonces = server_begin(toy_subgroup, 1, server_kp, random.Random(16))
     nonce = nonces[0].payload if right_nonce else b"\x11" * 32
-    assert (nonce == server.nonces[1]) is right_nonce
+    assert (nonce == server.requests[1]) is right_nonce
     element = member_share(toy_subgroup, ParticipantKeys(2, 3))
     receipt = pke.encrypt(toy_subgroup, server_kp.public, nonce, random.Random(17))
     calls = []

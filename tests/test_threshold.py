@@ -32,12 +32,13 @@ from comhash import (
     run_threshold_session,
     scalar_to_bytes,
 )
-from comhash import groups, net, pke, threshold
+from comhash import groups, net, pke, protocol, threshold
 from comhash.encoding import prefixed
 from comhash.frames import HEADER_LENGTH, Frame, MsgType, SERVER_ID, encode_frame
 from comhash.net import Drop, Duplicate, FaultPlan, FlipByte, Reorder
 from comhash.groups import scalar_inv
-from comhash.threshold import ThresholdParticipant, ThresholdServer, distinct_nonzero_scalars
+from comhash.threshold import ThresholdParticipant, ThresholdServer
+from conftest import distinct_nonzero_scalars
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +471,14 @@ def _open_round(params, rng):
     return server, parts, dict(server.begin_round(_publics(parts), subset=(1, 2)))
 
 
+def _member_deal_keys(server, part) -> tuple:
+    """The (stream, receipt MAC) deal keys ``part`` derives for the round."""
+    shared = pke.member_shared(server.params, part.keypair.secret, server.keypair.public)
+    stream, _, receipt_mac = pke.deal_keys(server.params, shared, server.keypair.public,
+                                           part.keypair.public, server.session_id, part.index)
+    return stream, receipt_mac
+
+
 def _deal_pair(params, seed):
     rng = random.Random(seed)
     server_kp = pke.generate_keypair(params, rng)
@@ -611,7 +620,7 @@ def test_threshold_begin_round_twice_same_subset(toy_subgroup):
     with pytest.raises(ProtocolStateError):
         server.begin_round(_publics(parts))
     assert (server.subset, server.owner, set(server.live)) == ((1, 2), 1, {1, 2})
-    assert server.nonces == {}
+    assert server.requests == {i: _member_deal_keys(server, parts[i - 1]) for i in (1, 2)}
 
 
 def test_threshold_begin_round_twice_other_subset(toy_subgroup):
@@ -1046,15 +1055,17 @@ def test_no_round_frame_carries_the_dealer_secrets(secp):
 
 
 def test_no_frame_carries_a_nonce_coefficient_or_dealt_value(secp):
-    # a seeded k=5, n=8 round: the threshold server draws no nonce, and no
-    # dealt x_i or y_i, receipt key or chosen member's Lagrange coefficient
-    # appears in the bytes of its transcript
+    # a seeded k=5, n=8 round: the threshold server's request table holds
+    # each chosen member's two deal keys, not a nonce, and no dealt x_i or
+    # y_i, deal key or chosen member's Lagrange coefficient appears in the
+    # bytes of its transcript
     run = run_threshold_session(secp, 11, 22, 5, 8, 33, random.Random(2026))
     server = run.server
     assert run.digest == cvhp(secp, 33 + 11, 22)
-    assert server.nonces == {}
+    assert list(server.requests) == list(server.subset)
+    assert all(len(key) == 32 for keys in server.requests.values() for key in keys)
     coeffs = lagrange_at_zero(server.subset, secp.exponent_modulus)
-    hidden = [key for i in server.subset for key in server._receipt_keys[i]] + [
+    hidden = [key for keys in server.requests.values() for key in keys] + [
         scalar_to_bytes(secp, v) for coeff, pair in zip(coeffs, server.pairs)
         for v in (coeff, *pair)]
     assert len(hidden) == 5 * 5
@@ -1157,7 +1168,7 @@ def _one_forged_member(monkeypatch, params):
     """From here on, the first member share made is the honest one times g;
     returns the list the round's servers are recorded in and the list of
     the keys each member share was made from."""
-    begin_round, honest = ThresholdServer.begin_round, threshold.member_share
+    begin_round, honest = ThresholdServer.begin_round, protocol.member_share
     servers, made = [], []
 
     def recording(self, publics, subset=None, owner=None):
@@ -1170,7 +1181,7 @@ def _one_forged_member(monkeypatch, params):
         return params.combine(share, params.g) if len(made) == 1 else share
 
     monkeypatch.setattr(ThresholdServer, "begin_round", recording)
-    monkeypatch.setattr(threshold, "member_share", forged_once)
+    monkeypatch.setattr(protocol, "member_share", forged_once)
     return servers, made
 
 
