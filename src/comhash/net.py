@@ -7,8 +7,8 @@ non-empty queue and delivers its head to the destination's handler. A
 handler is any callable taking (src, data) and returning the follow-up
 (dst, data) messages, so a session plays out from the basic round's upload
 request or the threshold round's k deals; the router knows nothing of
-frames, parties or receipts. Either round's server takes a share only from
-an index its request table holds, so one ``collect`` and ``play`` serve both.
+frames, parties or receipts. Each server issues its requests in one
+``begin_round``, so one ``answerer``, ``collect`` and ``play`` serve both.
 A fault plan can drop, duplicate, delay, flip a byte of, or swap the nonce
 of deliveries to exercise every server error path.
 """
@@ -25,7 +25,7 @@ from .errors import AuthenticationError, EncodingError, FrameError, ProtocolStat
 from .frames import ErrorCode, Frame, MsgType, SERVER_ID, decode_frame, encode_frame
 from .groups import GroupParams
 from .hashing import ParticipantKeys
-from .protocol import OwnerRole, ParticipantSession, Phase, ServerSession, server_begin
+from .protocol import OwnerRole, ParticipantSession, Phase, ServerSession
 from . import pke
 
 MAX_DELIVERIES = 1_000_000  # a run still busy after this many is looping
@@ -174,17 +174,17 @@ def frame_handler(on_frame: Callable[[Frame], list[tuple[int, Frame]]]) -> Handl
     return handle
 
 
-def answerer(request: MsgType, respond: Callable[[Frame], Frame]) -> Handler:
-    """A participant's handler: answer each ``request`` frame with the frame
-    ``respond`` makes for the server; a request that does not open gets none."""
+def answerer(respond: Callable[[Frame], Frame]) -> Handler:
+    """A participant's handler: answer each frame with the frame ``respond``
+    makes for the server; one that is not its request, or does not open, gets none."""
 
     def on_frame(frame: Frame) -> list[tuple[int, Frame]]:
-        if frame.msg_type is not request:
-            return []  # the closing RESULT or ERROR needs no answer
+        if frame.msg_type in (MsgType.RESULT, MsgType.ERROR):
+            return []  # the closing frame needs no answer
         try:
             return [(SERVER_ID, respond(frame))]
         except (ProtocolStateError, AuthenticationError, EncodingError):
-            return []  # a nonce of another session, a deal forged or altered
+            return []  # another round's frame or session's nonce, a deal forged or altered
 
     return frame_handler(on_frame)
 
@@ -255,8 +255,8 @@ def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
     def serve(frame: Frame) -> list[tuple[int, Frame]]:
         nonlocal session
         if frame.msg_type is MsgType.UPLOAD_REQUEST and session is None:
-            session, nonce_frames = server_begin(params, n, server_keypair, rng)
-            return list(enumerate(nonce_frames, start=1))
+            session = ServerSession(params, n, server_keypair, rng)
+            return session.begin_round()
         return collect(session, frame)
 
     handlers = {SERVER_ID: frame_handler(serve)}
@@ -266,7 +266,7 @@ def run_basic_session(params: GroupParams, keys_list: list[ParticipantKeys],
         child = None if seed is None else random.Random(rng.randrange(2**63))
         participants[index] = ParticipantSession(params, index, keys, server_keypair.public,
                                                  owner=owner, rng=child)
-        handlers[index] = answerer(MsgType.NONCE, participants[index].respond)
+        handlers[index] = answerer(participants[index].respond)
 
     upload = encode_frame(participants[owner_index].upload_request())
     return play(handlers, [Delivery(owner_index, SERVER_ID, upload)], rng.randrange(2**63),

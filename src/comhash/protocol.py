@@ -3,10 +3,10 @@
 Flow: the owner asks for an upload, the server issues each participant a
 request, here a fresh 32-byte nonce, and each returns its share next to a
 receipt, here the nonce encrypted under the server's public key; the server
-keeps the combined digest only if every receipt checks out. Both rounds share
-the request table and ``share_frame``. Any mismatch parks the session in a
-terminal failed state with a specific error code; a failed session never
-stores a digest.
+keeps the combined digest only if every receipt checks out. Each round fills
+the request table once in its ``begin_round`` and shares ``share_frame``. Any
+mismatch parks the session in a terminal failed state with a specific error
+code; a failed session never stores a digest.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class OwnerRole:
 
 
 class ServerSession:
-    """Server side of one run; mutated by a single logical thread. A subclass
-    changes only how a receipt opens and how the digest is checked."""
+    """Server side of one run, driven by one logical thread. A subclass replaces
+    ``begin_round``, its one issuing step, ``_open_receipt`` and ``_check_digest``."""
 
     def __init__(self, params: GroupParams, n: int, keypair: pke.KeyPair,
                  rng: random.Random):
@@ -146,8 +146,8 @@ class ServerSession:
 
     # -- outbound frames -------------------------------------------------
 
-    def nonce_frames(self) -> list[Frame]:
-        """Issue each participant a distinct fresh NONCE, in index order, once."""
+    def begin_round(self) -> list[tuple[int, Frame]]:
+        """Issue each participant a distinct fresh NONCE once: [(i, frame), ...]."""
         if self.requests:
             raise ProtocolStateError("requests already issued")
         for index in range(1, self.n + 1):
@@ -155,8 +155,8 @@ class ServerSession:
             while nonce in self.requests.values():  # distinct per participant
                 nonce = self._rng.randbytes(NONCE_LENGTH)
             self.requests[index] = nonce
-        return [Frame(MsgType.NONCE, self.session_id, SERVER_ID, nonce)
-                for nonce in self.requests.values()]
+        return [(index, Frame(MsgType.NONCE, self.session_id, SERVER_ID, nonce))
+                for index, nonce in self.requests.items()]
 
     def result_frame(self) -> Frame:
         if self.phase is not Phase.DONE:
@@ -221,7 +221,7 @@ def server_begin(params: GroupParams, n: int, server_keypair: pke.KeyPair,
                  rng: random.Random):
     """Open a session: returns it plus the NONCE frames for participants 1..n."""
     session = ServerSession(params, n, server_keypair, rng)
-    return session, session.nonce_frames()
+    return session, [frame for _, frame in session.begin_round()]
 
 
 def participant_respond(session: ParticipantSession, frame: Frame) -> Frame:

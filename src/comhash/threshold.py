@@ -321,9 +321,9 @@ class ThresholdServer(ServerSession):
     """Dealer plus collector: holds the k ``pairs`` it deals in subset order
     (k - 1 uniform ones drawn before any subset is chosen, then (s0, t0)
     minus their sum), seals each member of a chosen subset its request, and
-    checks the members' shares against what it dealt. ``begin_round`` fills
-    the request table with each member's deal keys (stream, receipt MAC),
-    under which its receipt opens."""
+    checks the members' shares against what it dealt. Its ``begin_round``,
+    its only issuing step, fills the request table with each member's deal
+    keys (stream, receipt MAC), under which its receipt opens, never a nonce."""
 
     def __init__(self, params: GroupParams, n: int, k: int, s0: int, t0: int,
                  keypair: pke.KeyPair, rng: random.Random):
@@ -458,7 +458,7 @@ def run_threshold_session(params: GroupParams, s0: int, t0: int, k: int, n: int,
                     for i in range(1, n + 1)]
     issued = server.begin_round({p.index: p.keypair.public for p in participants},
                                 subset, owner)
-    handlers = {p.index: net.answerer(MsgType.THRESH_DEAL, partial(
+    handlers = {p.index: net.answerer(partial(
         p.respond, m=m if p.index == server.owner else None)) for p in participants}
     handlers[SERVER_ID] = net.frame_handler(partial(net.collect, server))
     deals = [net.Delivery(SERVER_ID, i, encode_frame(frame)) for i, frame in issued]

@@ -13,6 +13,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import comhash
 from comhash import (
@@ -267,6 +269,74 @@ def test_only_protocol_builds_a_share_frame():
             if any(ast.unparse(kind).endswith("MsgType.SHARE") for kind in kinds):
                 builders.append(path.name)
     assert builders == ["protocol.py"]
+
+
+# ---------------------------------------------------------------------------
+# one issuing step: only a server's own begin_round fills its request table
+# ---------------------------------------------------------------------------
+
+_MUTATORS = {"update", "clear", "pop", "popitem", "setdefault"}
+
+
+def _writes_requests(node) -> bool:
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in _MUTATORS):
+        targets = [node.func.value]
+    else:
+        return False
+    return any(isinstance(sub, ast.Attribute) and sub.attr == "requests"
+               for target in targets for sub in ast.walk(target))
+
+
+def test_only_the_constructor_and_begin_round_write_the_request_table():
+    writers = set()
+    for path in sorted(Path(comhash.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if _writes_requests(node):
+                scope = next((name for name, fn in methods
+                              if fn.lineno <= node.lineno <= fn.end_lineno), "<module>")
+                writers.add(f"{path.name}:{scope}")
+    assert writers == {"protocol.py:ServerSession.__init__",
+                       "protocol.py:ServerSession.begin_round",
+                       "threshold.py:ThresholdServer.begin_round"}
+
+
+# ---------------------------------------------------------------------------
+# a SHARE of any bytes from an issued index fails the session with a code
+# ---------------------------------------------------------------------------
+
+def _issued_server(params, threshold: bool, rng: random.Random):
+    """A basic 2-party server, or a 2-of-3 threshold server, after begin_round."""
+    keypair = pke.generate_keypair(params, rng)
+    if not threshold:
+        return server_begin(params, 2, keypair, rng)[0]
+    server = ThresholdServer(params, 3, 2, 5, 6, keypair, rng)
+    parts = [ThresholdParticipant(params, i, keypair.public, rng) for i in (1, 2, 3)]
+    server.begin_round({p.index: p.keypair.public for p in parts})
+    return server
+
+
+@pytest.mark.parametrize("threshold", [False, True], ids=["basic", "threshold"])
+@pytest.mark.parametrize("name", ["toy_ec", "toy_modp_subgroup"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_share_of_any_bytes_fails_with_a_code(name, threshold, data):
+    server = _issued_server(getattr(comhash, name)(), threshold, random.Random(5))
+    index = data.draw(st.sampled_from(sorted(server.live)), label="index")
+    payload = data.draw(st.binary(max_size=160), label="payload")
+    server.absorb(Frame(MsgType.SHARE, server.session_id, index, payload))
+    assert server.phase is Phase.FAILED
+    assert server.error_code in (ErrorCode.MALFORMED, ErrorCode.DECRYPT_FAIL,
+                                 ErrorCode.NONCE_MISMATCH)
+    assert (server.culprit, server.digest) == (index, None)
 
 
 # ---------------------------------------------------------------------------

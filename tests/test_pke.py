@@ -319,7 +319,7 @@ def test_order_2_share_ephemeral_is_malformed_for_either_parity(secret, toy_prim
 
     keypair = pke.KeyPair(secret, toy_primitive.power(toy_primitive.g, secret))
     server = ServerSession(toy_primitive, 1, keypair, random.Random(8))
-    (nonce,) = server.nonce_frames()
+    ((_, nonce),) = server.begin_round()
     element = element_to_bytes(toy_primitive,
                                member_share(toy_primitive, ParticipantKeys(3, 4)))
     payload = element + order_2_receipt(toy_primitive, nonce.payload, element)

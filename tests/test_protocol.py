@@ -77,7 +77,7 @@ def test_an_unissued_server_refuses_a_share(toy_subgroup, server_kp):
     with pytest.raises(ProtocolStateError):
         server_absorb(server, share)
     assert (server.phase, server.error_code, server.shares) == (Phase.ISSUED, None, {})
-    assert server.nonce_frames() == [nonce]
+    assert server.begin_round() == [(1, nonce)]
     server_absorb(server, share)
     assert server.phase is Phase.COLLECTING
 
@@ -85,7 +85,7 @@ def test_an_unissued_server_refuses_a_share(toy_subgroup, server_kp):
 def test_nonces_are_issued_once(toy_subgroup, server_kp):
     server, frames = server_begin(toy_subgroup, 2, server_kp, random.Random(19))
     with pytest.raises(ProtocolStateError):
-        server.nonce_frames()
+        server.begin_round()
     assert server.requests == {1: frames[0].payload, 2: frames[1].payload}
 
 

@@ -623,6 +623,21 @@ def test_threshold_begin_round_twice_same_subset(toy_subgroup):
     assert server.requests == {i: _member_deal_keys(server, parts[i - 1]) for i in (1, 2)}
 
 
+def test_a_threshold_server_issues_no_nonce(toy_curve):
+    # its begin_round is its one issuing step, so its table never holds a
+    # nonce, and a hashed-ElGamal receipt of one fails with a code, not a TypeError
+    assert not hasattr(ThresholdServer, "nonce_frames")
+    server, _, _ = _open_round(toy_curve, random.Random(46))
+    share = protocol.share_frame(
+        toy_curve, ParticipantKeys(3, 4), 7, server.session_id, 1,
+        lambda element: pke.encrypt(toy_curve, server.keypair.public, bytes(32),
+                                    random.Random(47), element))
+    server.absorb(share)
+    assert (server.phase, server.error_code, server.culprit) == (
+        Phase.FAILED, ErrorCode.MALFORMED, 1)
+    assert server.digest is None
+
+
 def test_threshold_begin_round_twice_other_subset(toy_subgroup):
     # participant 3 stays outside the first round's subset
     server, parts, _ = _open_round(toy_subgroup, random.Random(44))

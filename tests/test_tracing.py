@@ -7,10 +7,12 @@ new signature fails here, not only in a benchmark run.
 """
 
 import importlib.util
+import random
 from collections import Counter
 from pathlib import Path
 
-from comhash import ParticipantKeys, Phase, pke, run_basic_session
+from comhash import (ParticipantKeys, Phase, cvhp, pke, run_basic_session,
+                     run_threshold_session)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +53,18 @@ def test_traced_session_records_the_receipt_spans(toy_curve):
     assert spans["pke.encrypt"] == spans["pke.decrypt"] == len(keys)
     assert tracer.counts["pke.decrypt.failed"] == 0
     assert not hasattr(pke.encrypt, "__wrapped__")
+
+
+def test_traced_threshold_round_records_its_issuing_and_respond_spans(toy_curve):
+    # the benchmark's threshold workload reads these spans and frames.bytes
+    tracer = _tracing().Tracer()
+    try:
+        tracer.install()
+        out = run_threshold_session(toy_curve, 5, 6, k=2, n=3, m=7, rng=random.Random(8))
+    finally:
+        tracer.uninstall()
+    assert (out.phase, out.digest) == (Phase.DONE, cvhp(toy_curve, 7 + 5, 6))
+    spans = Counter(span[0] for span in tracer.spans)
+    assert spans["threshold.begin_round"] == 1
+    assert spans["protocol.respond"] == 2
+    assert tracer.counts["frames.bytes"] == sum(len(d.data) for d in out.trace)
