@@ -19,6 +19,9 @@ A ciphertext exists only as its wire bytes, as in HPKE's Seal and Open (RFC
 9180 §6.1): ``encrypt`` returns ephemeral element | u16 body length | body |
 16-byte tag, and ``decrypt`` reads them, so the tag is computed over the
 ephemeral's bytes as they were sent and as they arrived, never re-encoded.
+``decrypt`` is ``read_ciphertext`` (the form and the ephemeral's decode),
+one power, then ``open_ciphertext``; the basic server calls the two steps
+itself, so that it can raise a session's ephemerals together.
 
 A Diffie-Hellman key from outside that is ``low_order`` (the identity, or
 p - 1 in primitive-mode modp) is refused wherever one arrives: any secret
@@ -40,8 +43,9 @@ for key pairs and ephemerals, and every recipient key of ``encrypt``. In the
 protocol that is the one server key all of a basic session's receipts go
 to, and every chosen participant raises the same key to derive its deal keys.
 A table checks its key once, when it is built. A participant's own key is
-used once, by the dealer, and the ephemeral^secret of ``decrypt`` once too;
-both take the general route, the dealer's keys all in one ``power_many``.
+used once, by the dealer, and a receipt's ephemeral once, by the server;
+both take the general route in one ``power_many``, the dealer's over its k
+keys and the basic server's over a session's n ephemerals at ``finalize``.
 """
 
 from __future__ import annotations
@@ -109,9 +113,10 @@ def _derive_key(params: GroupParams, shared) -> bytes:
 
 def keystream_xor(data: bytes, key: bytes) -> bytes:
     """data XORed with the SHA-256 counter-mode keystream under key."""
+    n = len(data)
     stream = b"".join(hashlib.sha256(key + b"/stream/" + counter.to_bytes(4, "big")).digest()
-                      for counter in range(-(-len(data) // 32)))
-    return bytes(a ^ b for a, b in zip(data, stream))
+                      for counter in range(-(-n // 32)))
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
 
 
 def _mac(mac_key: bytes, header: bytes, body: bytes) -> bytes:
@@ -212,10 +217,10 @@ def encrypt(params: GroupParams, public, plaintext: bytes, rng=None,
     return ephemeral_bytes + len(plaintext).to_bytes(2, "big") + sealed
 
 
-def decrypt(params: GroupParams, secret: int, data: bytes,
-            associated: bytes = b"") -> bytes:
-    """Open the wire bytes ``encrypt`` returned. Malformed bytes or a
-    ``low_order`` ephemeral raise ``EncodingError``, a bad tag ``AuthenticationError``."""
+def read_ciphertext(params: GroupParams, data: bytes) -> tuple:
+    """(ephemeral, ephemeral bytes, body | tag) of the wire bytes ``encrypt``
+    returned, for ``open_ciphertext``. Malformed bytes or a ``low_order``
+    ephemeral raise ``EncodingError``."""
     rd = Reader(data)
     # the tag covers the ephemeral's bytes as received; the strict decode
     # makes them the one canonical encoding of the point
@@ -225,5 +230,23 @@ def decrypt(params: GroupParams, secret: int, data: bytes,
         raise EncodingError("ephemeral element has order at most 2")
     sealed = rd.field() + rd.take(TAG_LENGTH)
     rd.done()
-    key = _derive_key(params, params.power(ephemeral, secret))
+    return ephemeral, ephemeral_bytes, sealed
+
+
+def open_ciphertext(params: GroupParams, shared, ciphertext: tuple,
+                    associated: bytes) -> bytes:
+    """The plaintext of a ``read_ciphertext`` result, given ``shared``, its
+    ephemeral raised to the recipient's secret; a bad tag raises
+    ``AuthenticationError``."""
+    _, ephemeral_bytes, sealed = ciphertext
+    key = _derive_key(params, shared)
     return unseal(key, key, _receipt_header(ephemeral_bytes, associated), sealed)
+
+
+def decrypt(params: GroupParams, secret: int, data: bytes,
+            associated: bytes = b"") -> bytes:
+    """Open the wire bytes ``encrypt`` returned: ``read_ciphertext``, one
+    power, then ``open_ciphertext``."""
+    ciphertext = read_ciphertext(params, data)
+    return open_ciphertext(params, params.power(ciphertext[0], secret), ciphertext,
+                           associated)

@@ -378,8 +378,9 @@ class ThresholdServer(ServerSession):
         self._dealt = {i: pair for i, pair in zip(subset, self.pairs) if i != owner}
         return out
 
-    def _open_receipt(self, index: int, element_bytes: bytes, receipt: bytes) -> None:
-        # one tag under i's receipt key over session id | u16 i | element bytes
+    def _take_receipt(self, index: int, element_bytes: bytes, receipt: bytes) -> None:
+        # one tag under i's receipt key over session id | u16 i | element
+        # bytes, checked here: nothing is kept for ``_open_receipts``
         if len(receipt) != pke.TAG_LENGTH:
             raise EncodingError("a threshold receipt is one tag")
         pke.unseal(*self.requests[index],

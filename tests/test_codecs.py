@@ -27,6 +27,7 @@ from comhash import (
     ParticipantSession,
     Phase,
     Polynomial,
+    ProtocolStateError,
     QuotientTable,
     SealedPolynomialEvaluator,
     ThresholdParticipant,
@@ -314,14 +315,18 @@ def test_only_the_constructor_and_begin_round_write_the_request_table():
 # ---------------------------------------------------------------------------
 
 def _issued_server(params, threshold: bool, rng: random.Random):
-    """A basic 2-party server, or a 2-of-3 threshold server, after begin_round."""
+    """A basic 2-party server, or a 2-of-3 threshold server, after
+    begin_round, and an honest SHARE for each index it issued a request to."""
     keypair = pke.generate_keypair(params, rng)
     if not threshold:
-        return server_begin(params, 2, keypair, rng)[0]
+        server, nonces = server_begin(params, 2, keypair, rng)
+        parts = [ParticipantSession(params, i, ParticipantKeys(i, 2 * i), keypair.public,
+                                    rng=rng) for i in (1, 2)]
+        return server, {p.index: p.respond(nonce) for p, nonce in zip(parts, nonces)}
     server = ThresholdServer(params, 3, 2, 5, 6, keypair, rng)
     parts = [ThresholdParticipant(params, i, keypair.public, rng) for i in (1, 2, 3)]
-    server.begin_round({p.index: p.keypair.public for p in parts})
-    return server
+    issued = server.begin_round({p.index: p.keypair.public for p in parts})
+    return server, {i: parts[i - 1].respond(frame) for i, frame in issued}
 
 
 @pytest.mark.parametrize("threshold", [False, True], ids=["basic", "threshold"])
@@ -329,10 +334,17 @@ def _issued_server(params, threshold: bool, rng: random.Random):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_a_share_of_any_bytes_fails_with_a_code(name, threshold, data):
-    server = _issued_server(getattr(comhash, name)(), threshold, random.Random(5))
+    # bytes of a share's form pass absorb: a basic receipt's tag and nonce
+    # are checked when finalize opens it, after every other share is in
+    server, honest = _issued_server(getattr(comhash, name)(), threshold, random.Random(5))
     index = data.draw(st.sampled_from(sorted(server.live)), label="index")
     payload = data.draw(st.binary(max_size=160), label="payload")
     server.absorb(Frame(MsgType.SHARE, server.session_id, index, payload))
+    if server.phase is not Phase.FAILED:
+        for other in sorted(server.live - {index}):
+            server.absorb(honest[other])
+        with pytest.raises(ProtocolStateError):
+            server.finalize()
     assert server.phase is Phase.FAILED
     assert server.error_code in (ErrorCode.MALFORMED, ErrorCode.DECRYPT_FAIL,
                                  ErrorCode.NONCE_MISMATCH)

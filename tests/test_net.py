@@ -173,6 +173,20 @@ def test_a_dropped_share_names_its_index(toy_subgroup):
     assert out.server.culprit == min(clean.trace[target].src for target in targets)
 
 
+def test_a_bad_receipt_and_a_dropped_share_end_missing(toy_subgroup):
+    # receipts open at finalize, which a session with a share missing never
+    # reaches: the first share's altered tag is not named, the dropped one is
+    keys = [ParticipantKeys(1, 2), ParticipantKeys(3, 4), ParticipantKeys(5, 6)]
+    clean = run_basic_session(toy_subgroup, keys, m=2, seed=15)
+    altered, dropped = (ordinal_of(clean.trace, MsgType.SHARE, occurrence)
+                        for occurrence in (0, 1))
+    out = run_basic_session(toy_subgroup, keys, m=2, seed=15, faults=FaultPlan({
+        altered: FlipByte(len(clean.trace[altered].data) - 1), dropped: Drop()}))
+    assert (out.phase, out.error_code, out.digest) == (Phase.FAILED, ErrorCode.MISSING, None)
+    assert out.server.culprit == clean.trace[dropped].src != clean.trace[altered].src
+    assert frame_types(out.trace)[-1] is MsgType.ERROR
+
+
 def test_reorder_is_benign(toy_subgroup):
     keys = [ParticipantKeys(1, 2), ParticipantKeys(3, 4), ParticipantKeys(5, 6)]
     clean = run_basic_session(toy_subgroup, keys, m=2, seed=10)
@@ -329,6 +343,8 @@ def test_modp_session_membership_budget(which, per_share, per_session, request,
     # share the share element, the ephemeral and both KEM points as encoded,
     # and once the digest. The server key is checked once per value, when
     # its comb table is built: in the first of two sessions, not the second.
+    # The server opens its receipts in one power_many, a power per base: mod
+    # p it calls power for each, and on a curve each base is counted here.
     params = request.getfixturevalue(which)
     cls = type(params)
     rng = random.Random(12)
@@ -344,6 +360,11 @@ def test_modp_session_membership_budget(which, per_share, per_session, request,
             calls[_name] += 1
             return _method(self, *args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
+    if cls is EcParams:
+        def counted_many(self, bases, exponent, _method=cls.power_many):
+            calls["power"] += len(bases)
+            return _method(self, bases, exponent)
+        monkeypatch.setattr(cls, "power_many", counted_many)
     outs = [run_basic_session(params, keys, m, owner_index=2, seed=seed,
                               server_keypair=server) for seed in (5, 6)]
     assert [out.phase for out in outs] == [Phase.DONE, Phase.DONE]
@@ -374,22 +395,32 @@ def test_each_server_key_gets_one_comb_table(secp):
 
 def test_session_power_budget(secp, monkeypatch):
     # per share: g^x and h^y in the share and g^e in the receipt (fixed base),
-    # the receipt key pk^e, and the server's ephemeral^sk on decryption
+    # the receipt key pk^e, and the server's ephemeral^sk on decryption, one
+    # base of the power_many that opens every receipt at finalize
     rng = random.Random(11)
     n = 4
     keys = [ParticipantKeys.random(secp, rng) for _ in range(n)]
     server = pke.generate_keypair(secp, rng)
     m = rng.randrange(secp.order)
     calls = {"fixed": 0, "key": 0, "var": 0}
-    power = EcParams.power
+    power, power_many = EcParams.power, EcParams.power_many
 
-    def counted(self, base, exponent, **kwargs):
+    def count(self, base):
         kind = ("fixed" if base in (self.g, self.h)
                 else "key" if base == server.public else "var")
         calls[kind] += 1
+
+    def counted(self, base, exponent, **kwargs):
+        count(self, base)
         return power(self, base, exponent, **kwargs)
 
+    def counted_many(self, bases, exponent):
+        for base in bases:
+            count(self, base)
+        return power_many(self, bases, exponent)
+
     monkeypatch.setattr(EcParams, "power", counted)
+    monkeypatch.setattr(EcParams, "power_many", counted_many)
     out = run_basic_session(secp, keys, m, owner_index=2, seed=5, server_keypair=server)
     assert out.phase is Phase.DONE
     assert calls == {"fixed": 3 * n, "key": n, "var": n}

@@ -1,8 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import comhash
 from comhash import (
+    AuthenticationError,
+    EncodingError,
     ErrorCode,
     Frame,
     MsgType,
@@ -153,12 +158,15 @@ def test_nonce_mismatch_fails_session(toy_subgroup, server_kp):
     server, nonces = server_begin(toy_subgroup, 2, server_kp, random.Random(9))
     keys = [ParticipantKeys(2, 3), ParticipantKeys(4, 6)]
     parts = make_participants(toy_subgroup, server_kp, server.session_id, keys, m=5)
-    # participant 2 echoes participant 1's nonce
+    # participant 2 echoes participant 1's nonce; receipts open at finalize
     swapped = Frame(MsgType.NONCE, server.session_id, 0, nonces[0].payload)
-    share = parts[1].respond(swapped)
-    server_absorb(server, share)
+    server_absorb(server, parts[1].respond(swapped))
+    server_absorb(server, participant_respond(parts[0], nonces[0]))
+    assert server.phase is Phase.COLLECTING
+    with pytest.raises(ProtocolStateError):
+        server_finalize(server)
     assert server.phase is Phase.FAILED
-    assert server.error_code is ErrorCode.NONCE_MISMATCH
+    assert (server.error_code, server.culprit) == (ErrorCode.NONCE_MISMATCH, 2)
     assert server.digest is None
     with pytest.raises(ProtocolStateError):
         server_finalize(server)
@@ -192,33 +200,41 @@ def test_corrupt_ciphertext_fails_with_decrypt_code(toy_subgroup, server_kp):
     corrupted = share.payload[:-1] + bytes([share.payload[-1] ^ 1])
     server_absorb(server, Frame(share.msg_type, share.session_id,
                                 share.sender, corrupted))
-    assert server.error_code is ErrorCode.DECRYPT_FAIL
+    with pytest.raises(ProtocolStateError):
+        server_finalize(server)
+    assert (server.phase, server.error_code, server.culprit) == \
+        (Phase.FAILED, ErrorCode.DECRYPT_FAIL, 1)
+    assert server.digest is None
 
 
 @pytest.mark.parametrize("right_nonce", [False, True], ids=["wrong_nonce", "right_nonce"])
 def test_unbound_receipt_fails_decrypt_after_one_decrypt(right_nonce, toy_subgroup,
                                                         server_kp, monkeypatch):
     # a receipt encrypted to the server without the element as associated
-    # data does not cover the element beside it: one decryption refuses it,
-    # whatever nonce it holds
+    # data does not cover the element beside it: opening it, one base raised
+    # to the server secret, refuses it, whatever nonce it holds
     server, nonces = server_begin(toy_subgroup, 1, server_kp, random.Random(16))
     nonce = nonces[0].payload if right_nonce else b"\x11" * 32
     assert (nonce == server.requests[1]) is right_nonce
     element = member_share(toy_subgroup, ParticipantKeys(2, 3))
     receipt = pke.encrypt(toy_subgroup, server_kp.public, nonce, random.Random(17))
-    calls = []
-    decrypt = pke.decrypt
+    opened = []
+    power_many = type(toy_subgroup).power_many
 
-    def counted(*args):
-        calls.append(args)
-        return decrypt(*args)
+    def counted(self, bases, exponent):
+        opened.extend(bases)
+        return power_many(self, bases, exponent)
 
-    monkeypatch.setattr(pke, "decrypt", counted)
+    monkeypatch.setattr(type(toy_subgroup), "power_many", counted)
+    monkeypatch.setattr(pke, "decrypt", lambda *args: pytest.fail("the server decrypts"))
     server_absorb(server, Frame(MsgType.SHARE, server.session_id, 1,
                                 element_to_bytes(toy_subgroup, element) + receipt))
-    assert server.phase is Phase.FAILED
-    assert server.error_code is ErrorCode.DECRYPT_FAIL
-    assert len(calls) == 1
+    with pytest.raises(ProtocolStateError):
+        server_finalize(server)
+    assert (server.phase, server.error_code, server.culprit) == \
+        (Phase.FAILED, ErrorCode.DECRYPT_FAIL, 1)
+    assert server.digest is None
+    assert len(opened) == 1
 
 
 def test_garbage_payload_fails_malformed(toy_subgroup, server_kp):
@@ -285,3 +301,102 @@ def test_random_sessions_match_oracle(which, request, server_kp, rng):
         for psession, nonce in zip(parts, nonces):
             server_absorb(server, participant_respond(psession, nonce))
         assert server_finalize(server) == reference_digest(params, m, keys)
+
+
+# ---------------------------------------------------------------------------
+# a basic round's receipts open together at finalize, in index order
+# ---------------------------------------------------------------------------
+
+def _opened_one_by_one(params, secret, requests, payloads, order):
+    """The (phase, code, culprit) that opening each receipt with
+    ``pke.decrypt`` gives: the first in delivery order whose bytes do not
+    read ends MALFORMED as it arrives; otherwise the first in index order
+    that fails its tag or echoes another nonce names its index."""
+    codes = {}
+    for index in order:
+        rd = Reader(payloads[index])
+        element_bytes = rd.element_bytes(params)
+        try:
+            echoed = pke.decrypt(params, secret, rd.rest(), element_bytes)
+        except EncodingError:
+            return Phase.FAILED, ErrorCode.MALFORMED, index
+        except AuthenticationError:
+            codes[index] = ErrorCode.DECRYPT_FAIL
+        else:
+            codes[index] = None if echoed == requests[index] else ErrorCode.NONCE_MISMATCH
+    for index in sorted(codes):
+        if codes[index] is not None:
+            return Phase.FAILED, codes[index], index
+    return Phase.DONE, None, None
+
+
+@pytest.mark.parametrize("name", ["toy_ec", "toy_modp_subgroup", "secp256k1"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_receipts_opened_together_fail_as_opened_one_by_one(name, data):
+    # any n; each receipt kept, forged (a fresh one for another nonce),
+    # unbound (the right nonce, not bound to the element), moved from another
+    # index or altered in one byte; shares delivered in any order
+    params = getattr(comhash, name)()
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    n = data.draw(st.integers(1, 5), label="n")
+    keys = [ParticipantKeys.random(params, rng) for _ in range(n)]
+    m = rng.randrange(params.exponent_modulus)
+    kp = pke.generate_keypair(params, rng)
+    server, nonces = server_begin(params, n, kp, rng)
+    parts = make_participants(params, kp, server.session_id, keys, m)
+    honest = {}
+    for p, nonce in zip(parts, nonces):
+        rd = Reader(p.respond(nonce).payload)
+        honest[p.index] = (rd.element_bytes(params), rd.rest())
+    payloads = {}
+    for index, (element_bytes, receipt) in honest.items():
+        action = data.draw(st.sampled_from(["keep", "forge", "unbound", "move", "alter"]),
+                           label=f"receipt {index}")
+        if action == "forge":
+            receipt = pke.encrypt(params, kp.public, rng.randbytes(32), rng, element_bytes)
+        elif action == "unbound":
+            receipt = pke.encrypt(params, kp.public, server.requests[index], rng)
+        elif action == "move":
+            receipt = honest[data.draw(st.integers(1, n), label="from")][1]
+        elif action == "alter":
+            at = data.draw(st.integers(0, len(receipt) - 1), label="at")
+            flip = data.draw(st.integers(1, 255), label="flip")
+            receipt = receipt[:at] + bytes([receipt[at] ^ flip]) + receipt[at + 1:]
+        payloads[index] = element_bytes + receipt
+    order = data.draw(st.permutations(range(1, n + 1)), label="order")
+    expected = _opened_one_by_one(params, kp.secret, server.requests, payloads, order)
+    for index in order:
+        if server.phase is not Phase.FAILED:  # a failed session takes no share
+            server_absorb(server, Frame(MsgType.SHARE, server.session_id, index,
+                                        payloads[index]))
+    if server.phase is Phase.COLLECTING:
+        try:
+            server_finalize(server)
+        except ProtocolStateError:
+            pass
+    assert (server.phase, server.error_code, server.culprit) == expected
+    if server.phase is Phase.DONE:
+        assert server.digest == reference_digest(params, m, keys)
+    else:
+        assert server.digest is None
+
+
+def test_two_bad_receipts_name_the_lower_index(toy_subgroup, server_kp):
+    # participant 3's altered tag arrives first, participant 2's wrong nonce
+    # last: the receipts open in index order, so 2 is named, with its code
+    keys = [ParticipantKeys(2, 3), ParticipantKeys(4, 6), ParticipantKeys(1, 5)]
+    server, nonces = server_begin(toy_subgroup, 3, server_kp, random.Random(20))
+    parts = make_participants(toy_subgroup, server_kp, server.session_id, keys, m=5)
+    third = parts[2].respond(nonces[2])
+    altered = third.payload[:-1] + bytes([third.payload[-1] ^ 1])
+    server_absorb(server, Frame(MsgType.SHARE, server.session_id, 3, altered))
+    server_absorb(server, parts[0].respond(nonces[0]))
+    server_absorb(server, parts[1].respond(
+        Frame(MsgType.NONCE, server.session_id, 0, b"\x5a" * 32)))
+    assert server.phase is Phase.COLLECTING
+    with pytest.raises(ProtocolStateError):
+        server_finalize(server)
+    assert (server.phase, server.error_code, server.culprit) == \
+        (Phase.FAILED, ErrorCode.NONCE_MISMATCH, 2)
+    assert server.digest is None

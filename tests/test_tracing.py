@@ -40,9 +40,18 @@ def test_install_then_uninstall_restores_every_patched_attribute():
         assert vars(owner)[attr] is original
 
 
-def test_traced_session_records_the_receipt_spans(toy_curve):
+def test_traced_session_records_the_receipt_spans(toy_curve, monkeypatch):
+    # the server opens every receipt in one power_many, which the tracer
+    # does not wrap, so this test counts its bases itself
     tracer = _tracing().Tracer()
     keys = [ParticipantKeys(2, 3), ParticipantKeys(5, 7), ParticipantKeys(4, 1)]
+    opened, power_many = [], type(toy_curve).power_many
+
+    def counted(self, bases, exponent):
+        opened.append(len(bases))
+        return power_many(self, bases, exponent)
+
+    monkeypatch.setattr(type(toy_curve), "power_many", counted)
     try:
         tracer.install()
         out = run_basic_session(toy_curve, keys, m=6, seed=4)
@@ -50,7 +59,8 @@ def test_traced_session_records_the_receipt_spans(toy_curve):
         tracer.uninstall()
     assert out.phase is Phase.DONE
     spans = Counter(span[0] for span in tracer.spans)
-    assert spans["pke.encrypt"] == spans["pke.decrypt"] == len(keys)
+    assert spans["pke.encrypt"] == len(keys)
+    assert opened == [len(keys)]
     assert tracer.counts["pke.decrypt.failed"] == 0
     assert not hasattr(pke.encrypt, "__wrapped__")
 
