@@ -9,11 +9,9 @@ mismatch parks the session in a terminal failed state with a specific error
 code; a failed session never stores a digest.
 
 ``absorb`` checks each share's form as it arrives: its element's decode and
-its receipt's (ephemeral decode, length, tag length). A basic round opens its
-receipts together at ``finalize``: every ephemeral raised to the server
-secret in one ``power_many`` (one field inversion per step on a curve), then
-each tag and nonce in index order, so a bad tag or nonce surfaces there,
-naming the lowest index that has one.
+how its round reads the receipt. ``finalize`` opens every receipt in index
+order once all are in, naming the lowest index with a bad tag or nonce; a
+basic round raises its ephemerals to the server secret in one ``power_many``.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import hmac
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterator, NoReturn, Optional
 
 from .encoding import Reader, element_from_bytes, element_to_bytes
 from .errors import AuthenticationError, EncodingError, ProtocolStateError
@@ -55,7 +53,8 @@ class OwnerRole:
 
 class ServerSession:
     """Server side of one run, driven by one logical thread. A subclass replaces
-    ``begin_round``, its one issuing step, ``_take_receipt`` and ``_check_digest``."""
+    ``begin_round``, its one issuing step, how a receipt is read and how a
+    batch opens (``_read_receipt``, ``_open_receipts``), and ``_check_digest``."""
 
     def __init__(self, params: GroupParams, n: int, keypair: pke.KeyPair,
                  rng: random.Random):
@@ -66,8 +65,7 @@ class ServerSession:
         self.keypair = keypair
         self.session_id = rng.randbytes(SESSION_ID_LENGTH)
         self.requests: dict[int, object] = {}  # index -> what its receipt answers
-        self.shares: dict[int, object] = {}
-        self._receipts: dict[int, tuple] = {}  # index -> (element bytes, receipt as read)
+        self.shares: dict[int, tuple] = {}  # index -> (element, its bytes, receipt as read)
         self.phase = Phase.ISSUED
         self.error_code: Optional[ErrorCode] = None
         self._culprit: Optional[int] = None
@@ -78,39 +76,23 @@ class ServerSession:
     def live(self):
         return self.requests.keys()  # the indices issued a request, whose shares it takes
 
-    def _take_receipt(self, index: int, element_bytes: bytes, receipt: bytes) -> None:
-        """Read ``index``'s receipt next to the element's bytes as received,
-        keeping it for ``_open_receipts``: malformed bytes raise ``EncodingError``.
-        A subclass that checks it here raises ``AuthenticationError`` on a bad tag."""
-        self._receipts[index] = (element_bytes, pke.read_ciphertext(self.params, receipt))
+    def _read_receipt(self, receipt: bytes):
+        """``receipt`` as read for ``_open_receipts``, or ``EncodingError``."""
+        return pke.read_ciphertext(self.params, receipt)
 
-    def _open_receipts(self) -> None:
-        """Open every receipt ``_take_receipt`` kept, in index order, their
-        ephemerals raised to the server secret in one ``power_many``: the
-        first that fails its tag (DECRYPT_FAIL) or echoes another nonce
-        (NONCE_MISMATCH) fails the session naming its index, and raises
-        ``ProtocolStateError``. A subclass that checks each receipt in
-        ``_take_receipt`` keeps none, and this does nothing."""
-        if not self._receipts:
-            return
-        indices = sorted(self._receipts)
-        shared = self.params.power_many([self._receipts[i][1][0] for i in indices],
+    def _open_receipts(self, indices: list) -> Iterator[bool]:
+        """Open the receipts of ``indices`` in order, yielding whether each
+        echoes its nonce; a bad tag raises ``AuthenticationError``. Every
+        ephemeral is raised to the server secret in one ``power_many``."""
+        shared = self.params.power_many([self.shares[i][2][0] for i in indices],
                                         self.keypair.secret)
         for index, dh in zip(indices, shared):
-            element_bytes, ciphertext = self._receipts[index]
-            try:
-                echoed = pke.open_ciphertext(self.params, dh, ciphertext, element_bytes)
-            except AuthenticationError:  # altered, or made for another element
-                code = ErrorCode.DECRYPT_FAIL
-            else:
-                if hmac.compare_digest(echoed, self.requests[index]):
-                    continue
-                code = ErrorCode.NONCE_MISMATCH
-            self.fail(code, index)
-            raise ProtocolStateError(f"session failed: {code.name} at participant {index}")
+            _, element_bytes, ciphertext = self.shares[index]
+            echoed = pke.open_ciphertext(self.params, dh, ciphertext, element_bytes)
+            yield hmac.compare_digest(echoed, self.requests[index])
 
     def _check_digest(self, digest) -> None:
-        """A subclass fails the session and raises ``ProtocolStateError`` on a wrong digest."""
+        """A subclass fails a wrong digest through ``_fail_and_raise``."""
 
     # -- state transitions ---------------------------------------------
 
@@ -126,13 +108,18 @@ class ServerSession:
         self.error_code = code
         self._culprit = index
         self.shares.clear()
-        self._receipts.clear()
+
+    def _fail_and_raise(self, code: ErrorCode, index: int) -> NoReturn:
+        """Fail the session naming ``index`` and raise ``ProtocolStateError``:
+        the one way a check of ``finalize`` fails it."""
+        self.fail(code, index)
+        raise ProtocolStateError(f"session failed: {code.name} at participant {index}")
 
     def absorb(self, frame: Frame) -> None:
         """Process one share frame: on a defect found here (its type, session,
         index, a repeat, or the form of its element or receipt) the session
         fails with that defect's code, and the frame's sender as the culprit.
-        A basic receipt's tag and nonce are checked at ``finalize``."""
+        The receipt is only read here; ``finalize`` opens it."""
         if self.phase not in (Phase.ISSUED, Phase.COLLECTING) or not self.live:
             # no share is taken before the requests are issued
             raise ProtocolStateError(f"no share awaited in phase {self.phase.value}")
@@ -148,13 +135,10 @@ class ServerSession:
             # the receipt's tag covers the element bytes exactly as received
             element_bytes = rd.element_bytes(self.params)
             element = element_from_bytes(self.params, element_bytes)
-            self._take_receipt(index, element_bytes, rd.rest())
+            receipt = self._read_receipt(rd.rest())
         except EncodingError:
             return self.fail(ErrorCode.MALFORMED, index)
-        except AuthenticationError:
-            # a receipt checked on arrival, altered or made for another element
-            return self.fail(ErrorCode.DECRYPT_FAIL, index)
-        self.shares[index] = element
+        self.shares[index] = (element, element_bytes, receipt)
         self.phase = Phase.COLLECTING
 
     @property
@@ -162,21 +146,29 @@ class ServerSession:
         return self.live - self.shares.keys()  # absorb admits only live indices
 
     def finalize(self):
-        """Store and return the digest once every share is in and every
-        receipt opens (``_open_receipts``), and the subclass's digest check
-        passes; a failed check fails the session and raises ``ProtocolStateError``."""
+        """Store and return the digest once every share is in, every receipt
+        opens in index order and the subclass's digest check passes; a failed
+        check fails the session naming the lowest index at fault and raises
+        ``ProtocolStateError``."""
         if self.phase is Phase.FAILED:
             raise ProtocolStateError("session already failed")
         if self.phase is Phase.DONE:
             return self.digest
-        if self.missing:
+        if self.missing or not self.shares:  # none before the requests are issued
             raise ProtocolStateError("shares missing")
-        self._open_receipts()
-        digest = combine_shares(self.params, [self.shares[i] for i in sorted(self.shares)])
+        indices = sorted(self.shares)
+        opened = self._open_receipts(indices)
+        for index in indices:
+            try:
+                answered = next(opened)
+            except AuthenticationError:  # altered, moved, or made for another element
+                self._fail_and_raise(ErrorCode.DECRYPT_FAIL, index)
+            if not answered:
+                self._fail_and_raise(ErrorCode.NONCE_MISMATCH, index)
+        digest = combine_shares(self.params, [self.shares[i][0] for i in indices])
         self._check_digest(digest)
         self.digest = digest
         self.shares.clear()  # only the digest is retained
-        self._receipts.clear()
         self.phase = Phase.DONE
         return digest
 

@@ -13,8 +13,10 @@ that only the server and i derive, fresh for this session and bound to i
 nonce; its SHARE (``protocol.share_frame``) carries a receipt tag under i's
 own key from them over the element's bytes. So only the server can deal,
 only i learns its pair, and only i can answer: a request or receipt made by
-anyone else, for another session or index, or altered fails its tag. No
-frame carries s0 or t0, and no pair shows which others were chosen.
+anyone else, for another session or index, or altered fails its tag, a
+receipt's at ``finalize``, in index order, as the basic round opens its
+receipts. No frame carries s0 or t0, and no pair shows which others were
+chosen.
 
 The dealer checks the members, the converse of Feldman's verifiable secret
 sharing: the shares of the chosen participants other than the message owner
@@ -34,7 +36,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .encoding import Reader, prefixed, scalar_from_bytes, scalar_to_bytes
 from .errors import EncodingError, ProtocolStateError
@@ -378,25 +380,29 @@ class ThresholdServer(ServerSession):
         self._dealt = {i: pair for i, pair in zip(subset, self.pairs) if i != owner}
         return out
 
-    def _take_receipt(self, index: int, element_bytes: bytes, receipt: bytes) -> None:
-        # one tag under i's receipt key over session id | u16 i | element
-        # bytes, checked here: nothing is kept for ``_open_receipts``
+    def _read_receipt(self, receipt: bytes) -> bytes:
         if len(receipt) != pke.TAG_LENGTH:
             raise EncodingError("a threshold receipt is one tag")
-        pke.unseal(*self.requests[index],
-                   _deal_context(self.session_id, index) + element_bytes, receipt)
+        return receipt
+
+    def _open_receipts(self, indices: list) -> Iterator[bool]:
+        # i's tag under its receipt key from ``requests``, over session id |
+        # u16 i | element bytes: a bad one raises, and no nonce is echoed
+        for index in indices:
+            _, element_bytes, tag = self.shares[index]
+            pke.unseal(*self.requests[index],
+                       _deal_context(self.session_id, index) + element_bytes, tag)
+            yield True
 
     def _check_digest(self, digest) -> None:
         """The dealer check: the owner's share times g^(sum x_i) *
         h^(sum y_i) over the other members, or SHARE_MISMATCH naming the
         first member whose share is not its dealt one."""
         x, y = (sum(v) % self.params.exponent_modulus for v in zip(*self._dealt.values()))
-        if digest != self.params.combine(cvhp(self.params, x, y), self.shares[self.owner]):
-            culprit = next(i for i, dealt in sorted(self._dealt.items())
-                           if self.shares[i] != cvhp(self.params, *dealt))
-            self.fail(ErrorCode.SHARE_MISMATCH, culprit)
-            raise ProtocolStateError(
-                f"threshold session failed: SHARE_MISMATCH at participant {culprit}")
+        if digest != self.params.combine(cvhp(self.params, x, y), self.shares[self.owner][0]):
+            self._fail_and_raise(ErrorCode.SHARE_MISMATCH, next(
+                i for i, dealt in sorted(self._dealt.items())
+                if self.shares[i][0] != cvhp(self.params, *dealt)))
 
 
 class ThresholdParticipant:

@@ -87,6 +87,18 @@ def test_an_unissued_server_refuses_a_share(toy_subgroup, server_kp):
     assert server.phase is Phase.COLLECTING
 
 
+def test_an_unissued_server_refuses_to_finalize(toy_curve):
+    # no request issued, so no share is awaited: a state error, not a
+    # ValueError from combining an empty share list, and the phase stays
+    rng = random.Random(21)
+    server = ServerSession(toy_curve, 3, pke.generate_keypair(toy_curve, rng), rng)
+    with pytest.raises(ProtocolStateError):
+        server_finalize(server)
+    assert (server.phase, server.error_code, server.culprit, server.digest) == \
+        (Phase.ISSUED, None, None, None)
+    assert len(server.begin_round()) == 3
+
+
 def test_nonces_are_issued_once(toy_subgroup, server_kp):
     server, frames = server_begin(toy_subgroup, 2, server_kp, random.Random(19))
     with pytest.raises(ProtocolStateError):

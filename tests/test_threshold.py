@@ -5,7 +5,10 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import comhash
 from comhash import (
     AuthenticationError,
     EncodingError,
@@ -520,10 +523,17 @@ def _refused(part, frame, error):
     assert (part.share_value, part.mask_value, part.session_id) == (None, None, None)
 
 
-def _decrypt_fail(server, frame):
-    """``server`` absorbs ``frame``, fails DECRYPT_FAIL and stores no digest."""
-    server.absorb(frame)
-    assert (server.phase, server.error_code) == (Phase.FAILED, ErrorCode.DECRYPT_FAIL)
+def _decrypt_fail(server, frame, *honest):
+    """``server`` absorbs ``frame``, then the other chosen members' ``honest``
+    SHAREs, reading each receipt's form only; ``finalize`` then opens the
+    receipts, fails DECRYPT_FAIL naming ``frame``'s sender and stores no digest."""
+    for each in (frame, *honest):
+        server.absorb(each)
+    assert (server.phase, server.error_code) == (Phase.COLLECTING, None)
+    with pytest.raises(ProtocolStateError):
+        server.finalize()
+    assert (server.phase, server.error_code, server.culprit) == \
+        (Phase.FAILED, ErrorCode.DECRYPT_FAIL, frame.sender)
     assert server.digest is None
     with pytest.raises(ProtocolStateError):
         server.finalize()
@@ -534,13 +544,14 @@ def test_a_receipt_moved_to_another_index_fails(toy_subgroup):
     # the receipt is a tag under participant 1's keys over index 1
     server, parts, issued = _open_round(toy_subgroup, random.Random(40))
     share = parts[0].respond(issued[1], m=4)
-    _decrypt_fail(server, Frame(MsgType.SHARE, share.session_id, 2, share.payload))
+    _decrypt_fail(server, Frame(MsgType.SHARE, share.session_id, 2, share.payload), share)
     # and participant 2's element with participant 1's receipt
     server, parts, issued = _open_round(toy_subgroup, random.Random(40))
     width = len(share.payload) - pke.TAG_LENGTH
     own = parts[1].respond(issued[2])
     _decrypt_fail(server, Frame(MsgType.SHARE, own.session_id, 2,
-                                own.payload[:width] + share.payload[width:]))
+                                own.payload[:width] + share.payload[width:]),
+                  parts[0].respond(issued[1], m=4))
 
 
 def test_a_receipt_moved_to_another_session_fails(secp):
@@ -564,7 +575,8 @@ def test_a_receipt_over_altered_element_bytes_fails(params, request):
     width = len(share.payload) - pke.TAG_LENGTH
     element = params.combine(element_from_bytes(params, share.payload[:width]), params.g)
     altered = element_to_bytes(params, element) + share.payload[width:]
-    _decrypt_fail(server, Frame(MsgType.SHARE, share.session_id, 1, altered))
+    _decrypt_fail(server, Frame(MsgType.SHARE, share.session_id, 1, altered),
+                  parts[1].respond(issued[2]))
 
 
 def test_an_eavesdropper_cannot_answer_a_request(toy_subgroup):
@@ -578,6 +590,108 @@ def test_an_eavesdropper_cannot_answer_a_request(toy_subgroup):
     element = member_share(toy_subgroup, ParticipantKeys(3, 4))
     payload = element_to_bytes(toy_subgroup, element) + request.payload[-pke.TAG_LENGTH:]
     _decrypt_fail(server, Frame(MsgType.SHARE, request.session_id, 2, payload))
+
+
+# ---------------------------------------------------------------------------
+# a threshold round's receipts open at finalize, in index order
+# ---------------------------------------------------------------------------
+
+def _altered_tag(share):
+    return Frame(MsgType.SHARE, share.session_id, share.sender,
+                 share.payload[:-1] + bytes([share.payload[-1] ^ 1]))
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_two_bad_tags_name_the_lower_index(order, toy_subgroup):
+    # both members' tags altered: the tags open in index order at finalize,
+    # so 1 is named whichever arrives first
+    server, parts, issued = _open_round(toy_subgroup, random.Random(48))
+    shares = {1: parts[0].respond(issued[1], m=4), 2: parts[1].respond(issued[2])}
+    for index in order:
+        server.absorb(_altered_tag(shares[index]))
+    assert server.phase is Phase.COLLECTING
+    with pytest.raises(ProtocolStateError, match="DECRYPT_FAIL at participant 1$"):
+        server.finalize()
+    assert (server.phase, server.error_code, server.culprit, server.digest) == \
+        (Phase.FAILED, ErrorCode.DECRYPT_FAIL, 1, None)
+
+
+def test_a_bad_tag_and_a_later_malformed_share_end_malformed(toy_subgroup):
+    # the bad tag is only read at absorb, so the later share whose receipt
+    # is not one tag fails the round first, naming its sender
+    server, parts, issued = _open_round(toy_subgroup, random.Random(49))
+    server.absorb(_altered_tag(parts[0].respond(issued[1], m=4)))
+    share = parts[1].respond(issued[2])
+    server.absorb(Frame(MsgType.SHARE, share.session_id, 2, share.payload + b"\x00"))
+    assert (server.phase, server.error_code, server.culprit, server.digest) == \
+        (Phase.FAILED, ErrorCode.MALFORMED, 2, None)
+
+
+def test_a_bad_tag_and_a_dropped_share_end_missing(toy_curve, monkeypatch):
+    # over net.play: tags open at finalize, which a round with a share
+    # missing never reaches, so the dropped member is named, not the altered one
+    clean = _routed_round(toy_curve, 1, monkeypatch)
+    shares = [ordinal for ordinal, frame in enumerate(clean.transcript)
+              if frame.msg_type is MsgType.SHARE]
+    altered, dropped = shares[:2]
+    run = _routed_round(toy_curve, 1, monkeypatch, FaultPlan({
+        altered: FlipByte(len(clean.trace[altered].data) - 1), dropped: Drop()}))
+    assert (run.phase, run.error_code, run.digest) == (Phase.FAILED, ErrorCode.MISSING, None)
+    assert run.server.culprit == clean.trace[dropped].src != clean.trace[altered].src
+    assert run.transcript[-1] == run.server.error_frame()
+
+
+@pytest.mark.parametrize("name", ["toy_ec", "toy_modp_subgroup", "secp256k1"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tags_opened_at_finalize_fail_as_checked_one_by_one(name, data):
+    # any k of n; each member's receipt kept, altered in one byte, or moved
+    # from another index; shares delivered in any order: finalize ends as
+    # checking each tag under its member's own keys in index order does
+    params = getattr(comhash, name)()
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    n = data.draw(st.integers(2, 5), label="n")
+    k = data.draw(st.integers(2, n), label="k")
+    mod = params.exponent_modulus
+    s0, t0, m = (rng.randrange(mod) for _ in range(3))
+    kp = pke.generate_keypair(params, rng)
+    server = ThresholdServer(params, n, k, s0, t0, kp, rng)
+    parts = [ThresholdParticipant(params, i, kp.public, rng) for i in range(1, n + 1)]
+    issued = dict(server.begin_round(_publics(parts)))
+    honest = {i: parts[i - 1].respond(issued[i], m=m if i == server.owner else None).payload
+              for i in server.subset}
+    payloads = {}
+    for index, payload in honest.items():
+        element_bytes, tag = payload[:-pke.TAG_LENGTH], payload[-pke.TAG_LENGTH:]
+        action = data.draw(st.sampled_from(["keep", "alter", "move"]), label=f"tag {index}")
+        if action == "alter":
+            at = data.draw(st.integers(0, pke.TAG_LENGTH - 1), label="at")
+            flip = data.draw(st.integers(1, 255), label="flip")
+            tag = tag[:at] + bytes([tag[at] ^ flip]) + tag[at + 1:]
+        elif action == "move":
+            tag = honest[data.draw(st.sampled_from(server.subset), label="from")][-pke.TAG_LENGTH:]
+        payloads[index] = element_bytes + tag
+    expected = (Phase.DONE, None, None)
+    for index in server.subset:  # sorted
+        header = server.session_id + index.to_bytes(2, "big") + payloads[index][:-pke.TAG_LENGTH]
+        try:
+            pke.unseal(*_member_deal_keys(server, parts[index - 1]), header,
+                       payloads[index][-pke.TAG_LENGTH:])
+        except AuthenticationError:
+            expected = (Phase.FAILED, ErrorCode.DECRYPT_FAIL, index)
+            break
+    for index in data.draw(st.permutations(server.subset), label="order"):
+        server.absorb(Frame(MsgType.SHARE, server.session_id, index, payloads[index]))
+    assert server.phase is Phase.COLLECTING
+    try:
+        server.finalize()
+    except ProtocolStateError:
+        pass
+    assert (server.phase, server.error_code, server.culprit) == expected
+    if server.phase is Phase.DONE:
+        assert server.digest == cvhp(params, (m + s0) % mod, t0)
+    else:
+        assert server.digest is None
 
 
 def test_request_and_receipt_keys_differ(secp):
@@ -636,6 +750,17 @@ def test_a_threshold_server_issues_no_nonce(toy_curve):
     assert (server.phase, server.error_code, server.culprit) == (
         Phase.FAILED, ErrorCode.MALFORMED, 1)
     assert server.digest is None
+
+
+def test_a_threshold_server_refuses_to_finalize_before_begin_round(toy_curve):
+    # no deal made, so no share is awaited: a state error, and the round can
+    # still begin
+    server, parts = _deal_pair(toy_curve, 64)
+    with pytest.raises(ProtocolStateError):
+        server.finalize()
+    assert (server.phase, server.error_code, server.culprit, server.digest) == \
+        (Phase.ISSUED, None, None, None)
+    assert [i for i, _ in server.begin_round(_publics(parts))] == [1, 2]
 
 
 def test_threshold_begin_round_twice_other_subset(toy_subgroup):
