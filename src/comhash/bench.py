@@ -130,12 +130,15 @@ def reference_fit(backend: str,
 
 
 def write_csv(points: Sequence[BenchPoint], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for p in points:
-            writer.writerow([p.backend, p.n, p.trials,
-                             f"{p.mean_s:.9f}", f"{p.stddev_s:.9f}"])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            for p in points:
+                writer.writerow([p.backend, p.n, p.trials,
+                                 f"{p.mean_s:.9f}", f"{p.stddev_s:.9f}"])
+    except OSError as exc:
+        raise BenchError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def read_csv(path: str) -> list[BenchPoint]:
@@ -155,14 +158,19 @@ def read_reference_csv(path: str) -> list[tuple[int, float, float]]:
             missing = [c for c in columns if c not in (reader.fieldnames or ())]
             if missing:
                 raise BenchError(f"{path}: missing column(s) {', '.join(missing)}")
-            rows = [(int(row["participants"]), float(row["ec_seconds"]),
-                     float(row["modp_seconds"])) for row in reader]
+            rows = []
+            for row in reader:  # a short row reads None, a long one a None key
+                if None in row or None in row.values():
+                    raise BenchError(f"{path}: line {reader.line_num} has "
+                                     f"{'more' if None in row else 'fewer'} fields than the header")
+                rows.append((int(row["participants"]), float(row["ec_seconds"]),
+                             float(row["modp_seconds"])))
     except OSError as exc:
         raise BenchError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise BenchError(f"{path}: {exc}") from None
-    if not rows:
-        raise BenchError(f"no rows in {path}")
+    if len({n for n, _, _ in rows}) < 2:  # the line fit needs two
+        raise BenchError(f"{path}: need rows at two or more participant counts")
     return rows
 
 

@@ -9,9 +9,11 @@ mismatch parks the session in a terminal failed state with a specific error
 code; a failed session never stores a digest.
 
 ``absorb`` checks each share's form as it arrives: its element's decode and
-how its round reads the receipt. ``finalize`` opens every receipt in index
-order once all are in, naming the lowest index with a bad tag or nonce; a
-basic round raises its ephemerals to the server secret in one ``power_many``.
+how its round reads the receipt. Once all are in, ``finalize`` combines the
+shares and fails on the first ``(code, index)`` its round's ``_faults``
+yields: a basic round opens every receipt in index order, raising its
+ephemerals to the server secret in one ``power_many``, and names the lowest
+index with a bad tag or nonce.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import hmac
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NoReturn, Optional
+from typing import Callable, Iterator, Optional
 
 from .encoding import Reader, element_from_bytes, element_to_bytes
 from .errors import AuthenticationError, EncodingError, ProtocolStateError
@@ -53,8 +55,9 @@ class OwnerRole:
 
 class ServerSession:
     """Server side of one run, driven by one logical thread. A subclass replaces
-    ``begin_round``, its one issuing step, how a receipt is read and how a
-    batch opens (``_read_receipt``, ``_open_receipts``), and ``_check_digest``."""
+    ``begin_round``, its one issuing step, how a receipt is read
+    (``_read_receipt``), and ``_faults``, its one stream of check verdicts;
+    ``fail`` is the one way the session fails."""
 
     def __init__(self, params: GroupParams, n: int, keypair: pke.KeyPair,
                  rng: random.Random):
@@ -77,22 +80,25 @@ class ServerSession:
         return self.requests.keys()  # the indices issued a request, whose shares it takes
 
     def _read_receipt(self, receipt: bytes):
-        """``receipt`` as read for ``_open_receipts``, or ``EncodingError``."""
+        """``receipt`` as read for ``_faults``, or ``EncodingError``."""
         return pke.read_ciphertext(self.params, receipt)
 
-    def _open_receipts(self, indices: list) -> Iterator[bool]:
-        """Open the receipts of ``indices`` in order, yielding whether each
-        echoes its nonce; a bad tag raises ``AuthenticationError``. Every
+    def _faults(self, indices: list, digest) -> Iterator[tuple[ErrorCode, int]]:
+        """Yield ``(code, index)`` for each fault in the round of ``indices``
+        and its combined ``digest``, in the order the checks run: here a bad
+        tag or a nonce not echoed, per receipt in index order. Every
         ephemeral is raised to the server secret in one ``power_many``."""
         shared = self.params.power_many([self.shares[i][2][0] for i in indices],
                                         self.keypair.secret)
         for index, dh in zip(indices, shared):
             _, element_bytes, ciphertext = self.shares[index]
-            echoed = pke.open_ciphertext(self.params, dh, ciphertext, element_bytes)
-            yield hmac.compare_digest(echoed, self.requests[index])
-
-    def _check_digest(self, digest) -> None:
-        """A subclass fails a wrong digest through ``_fail_and_raise``."""
+            try:
+                echoed = pke.open_ciphertext(self.params, dh, ciphertext, element_bytes)
+            except AuthenticationError:  # altered, moved, or made for another element
+                yield ErrorCode.DECRYPT_FAIL, index
+            else:
+                if not hmac.compare_digest(echoed, self.requests[index]):
+                    yield ErrorCode.NONCE_MISMATCH, index
 
     # -- state transitions ---------------------------------------------
 
@@ -109,12 +115,6 @@ class ServerSession:
         self._culprit = index
         self.shares.clear()
 
-    def _fail_and_raise(self, code: ErrorCode, index: int) -> NoReturn:
-        """Fail the session naming ``index`` and raise ``ProtocolStateError``:
-        the one way a check of ``finalize`` fails it."""
-        self.fail(code, index)
-        raise ProtocolStateError(f"session failed: {code.name} at participant {index}")
-
     def absorb(self, frame: Frame) -> None:
         """Process one share frame: on a defect found here (its type, session,
         index, a repeat, or the form of its element or receipt) the session
@@ -124,9 +124,8 @@ class ServerSession:
             # no share is taken before the requests are issued
             raise ProtocolStateError(f"no share awaited in phase {self.phase.value}")
         index = frame.sender
-        if frame.msg_type is not MsgType.SHARE or frame.session_id != self.session_id:
-            return self.fail(ErrorCode.MALFORMED, index)
-        if index not in self.live:
+        if (frame.msg_type is not MsgType.SHARE or frame.session_id != self.session_id
+                or index not in self.live):
             return self.fail(ErrorCode.MALFORMED, index)
         if index in self.shares:
             return self.fail(ErrorCode.DUPLICATE, index)
@@ -146,10 +145,9 @@ class ServerSession:
         return self.live - self.shares.keys()  # absorb admits only live indices
 
     def finalize(self):
-        """Store and return the digest once every share is in, every receipt
-        opens in index order and the subclass's digest check passes; a failed
-        check fails the session naming the lowest index at fault and raises
-        ``ProtocolStateError``."""
+        """Store and return the digest once every share is in and the round's
+        ``_faults`` yields none; on the first fault it yields, the session
+        fails naming that participant and ``ProtocolStateError`` is raised."""
         if self.phase is Phase.FAILED:
             raise ProtocolStateError("session already failed")
         if self.phase is Phase.DONE:
@@ -157,16 +155,10 @@ class ServerSession:
         if self.missing or not self.shares:  # none before the requests are issued
             raise ProtocolStateError("shares missing")
         indices = sorted(self.shares)
-        opened = self._open_receipts(indices)
-        for index in indices:
-            try:
-                answered = next(opened)
-            except AuthenticationError:  # altered, moved, or made for another element
-                self._fail_and_raise(ErrorCode.DECRYPT_FAIL, index)
-            if not answered:
-                self._fail_and_raise(ErrorCode.NONCE_MISMATCH, index)
         digest = combine_shares(self.params, [self.shares[i][0] for i in indices])
-        self._check_digest(digest)
+        for code, index in self._faults(indices, digest):
+            self.fail(code, index)
+            raise ProtocolStateError(f"session failed: {code.name} at participant {index}")
         self.digest = digest
         self.shares.clear()  # only the digest is retained
         self.phase = Phase.DONE

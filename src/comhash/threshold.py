@@ -15,15 +15,16 @@ own key from them over the element's bytes. So only the server can deal,
 only i learns its pair, and only i can answer: a request or receipt made by
 anyone else, for another session or index, or altered fails its tag, a
 receipt's at ``finalize``, in index order, as the basic round opens its
-receipts. No frame carries s0 or t0, and no pair shows which others were
-chosen.
+receipts: both rounds report through ``_faults``. No frame carries s0 or
+t0, and no pair shows which others were chosen.
 
 The dealer checks the members, the converse of Feldman's verifiable secret
 sharing: the shares of the chosen participants other than the message owner
-must combine to g^(sum x_i) * h^(sum y_i). The owner's share is not checked,
-since any element is g^m' times its expected part for some m'. The round is
-played over ``net.route`` by the basic round's driver, and a failure ends it
-FAILED with a code and the participant at fault.
+must combine to g^(sum x_i) * h^(sum y_i), a fault ``_faults`` yields after
+the receipts'. The owner's share is not checked, since any element is g^m'
+times its expected part for some m'. The round is played over ``net.route``
+by the basic round's driver, and a failure ends it FAILED with a code and
+the participant at fault.
 
 Shamir's polynomials and Lagrange coefficients, and the point-hiding
 quotient table, blinded multiplication and sealed evaluator below are kept
@@ -39,7 +40,7 @@ from functools import partial
 from typing import Iterator, Optional, Sequence
 
 from .encoding import Reader, prefixed, scalar_from_bytes, scalar_to_bytes
-from .errors import EncodingError, ProtocolStateError
+from .errors import AuthenticationError, EncodingError, ProtocolStateError
 from .frames import ErrorCode, Frame, MsgType, SERVER_ID, SESSION_ID_LENGTH, encode_frame
 from .groups import GroupParams, scalar_inv
 from .hashing import ParticipantKeys, cvhp
@@ -323,7 +324,8 @@ class ThresholdServer(ServerSession):
     """Dealer plus collector: holds the k ``pairs`` it deals in subset order
     (k - 1 uniform ones drawn before any subset is chosen, then (s0, t0)
     minus their sum), seals each member of a chosen subset its request, and
-    checks the members' shares against what it dealt. Its ``begin_round``,
+    its ``_faults`` checks the members' shares against what it dealt after
+    their receipt tags, in two fixed powers. Its ``begin_round``,
     its only issuing step, fills the request table with each member's deal
     keys (stream, receipt MAC), under which its receipt opens, never a nonce."""
 
@@ -385,24 +387,24 @@ class ThresholdServer(ServerSession):
             raise EncodingError("a threshold receipt is one tag")
         return receipt
 
-    def _open_receipts(self, indices: list) -> Iterator[bool]:
-        # i's tag under its receipt key from ``requests``, over session id |
-        # u16 i | element bytes: a bad one raises, and no nonce is echoed
+    def _faults(self, indices: list, digest) -> Iterator[tuple[ErrorCode, int]]:
+        """DECRYPT_FAIL for each bad receipt tag in index order, i's under its
+        receipt key from ``requests`` over session id | u16 i | element bytes;
+        then the dealer check: ``digest`` must be the owner's share times
+        g^(sum x_i) * h^(sum y_i) over the other members, or SHARE_MISMATCH
+        names the first member whose share is not its dealt one."""
         for index in indices:
             _, element_bytes, tag = self.shares[index]
-            pke.unseal(*self.requests[index],
-                       _deal_context(self.session_id, index) + element_bytes, tag)
-            yield True
-
-    def _check_digest(self, digest) -> None:
-        """The dealer check: the owner's share times g^(sum x_i) *
-        h^(sum y_i) over the other members, or SHARE_MISMATCH naming the
-        first member whose share is not its dealt one."""
+            try:
+                pke.unseal(*self.requests[index],
+                           _deal_context(self.session_id, index) + element_bytes, tag)
+            except AuthenticationError:
+                yield ErrorCode.DECRYPT_FAIL, index
         x, y = (sum(v) % self.params.exponent_modulus for v in zip(*self._dealt.values()))
         if digest != self.params.combine(cvhp(self.params, x, y), self.shares[self.owner][0]):
-            self._fail_and_raise(ErrorCode.SHARE_MISMATCH, next(
+            yield ErrorCode.SHARE_MISMATCH, next(
                 i for i, dealt in sorted(self._dealt.items())
-                if self.shares[i][0] != cvhp(self.params, *dealt)))
+                if self.shares[i][0] != cvhp(self.params, *dealt))
 
 
 class ThresholdParticipant:

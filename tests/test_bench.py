@@ -200,6 +200,14 @@ def test_cli_verify_explicit_table(tmp_path, capsys):
     ("a,b\n1,2\n", "missing column(s) participants, ec_seconds, modp_seconds"),
     ("participants,ec_seconds\n1,1.0\n", "missing column(s) modp_seconds"),
     ("participants,ec_seconds,modp_seconds\n1,fast,2.0\n", "fast"),
+    ("participants,ec_seconds,modp_seconds\n4,0.1\n8,0.2,0.3\n",
+     "line 2 has fewer fields than the header"),
+    ("participants,ec_seconds,modp_seconds\n4,0.1,0.2,9\n8,0.2,0.3\n",
+     "line 2 has more fields than the header"),
+    ("participants,ec_seconds,modp_seconds\n4,0.1,0.2\n",
+     "need rows at two or more participant counts"),
+    ("participants,ec_seconds,modp_seconds\n4,0.1,0.2\n4,0.3,0.4\n",
+     "need rows at two or more participant counts"),
 ])
 def test_cli_verify_reports_a_bad_table(content, message, tmp_path, capsys):
     path = tmp_path / "table.csv"
@@ -245,3 +253,12 @@ def test_cli_reports_library_errors_without_traceback(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "comhash: error: unsupported modp size: 7000\n"
+
+
+def test_cli_reports_an_unwritable_out_path(tmp_path, capsys):
+    path = tmp_path / "absent" / "x.csv"
+    rc = cli.main(["bench", "--backend", "ec", "--bits", "5", "--sizes", "2",
+                   "--trials", "1", "--out", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"comhash: error: cannot write {path}: ")
+    assert not path.parent.exists()

@@ -311,6 +311,52 @@ def test_only_the_constructor_and_begin_round_write_the_request_table():
 
 
 # ---------------------------------------------------------------------------
+# one failure path: only ServerSession.fail fails a session, and only
+# finalize raises a failed check
+# ---------------------------------------------------------------------------
+
+def _scopes_where(predicate) -> set:
+    """``file:Class.method`` (or ``file:<module>``) of each node in the
+    package for which ``predicate`` holds."""
+    scopes = set()
+    for path in sorted(Path(comhash.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if predicate(node):
+                scope = next((name for name, fn in methods
+                              if fn.lineno <= node.lineno <= fn.end_lineno), "<module>")
+                scopes.add(f"{path.name}:{scope}")
+    return scopes
+
+
+def _fails_a_session(node) -> bool:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    failed = node.value is not None and "Phase.FAILED" in ast.unparse(node.value)
+    written = {sub.attr for target in targets for sub in ast.walk(target)
+               if isinstance(sub, ast.Attribute)}
+    return bool(written & {"error_code", "_culprit"}) or ("phase" in written and failed)
+
+
+def _raises_a_failed_check(node) -> bool:
+    raised = ast.unparse(node.exc) if isinstance(node, ast.Raise) and node.exc else ""
+    return raised.startswith("ProtocolStateError(") and "session failed:" in raised
+
+
+def test_only_fail_fails_a_session_and_only_finalize_raises_its_check():
+    assert _scopes_where(_fails_a_session) - {"protocol.py:ServerSession.__init__"} \
+        == {"protocol.py:ServerSession.fail"}
+    assert _scopes_where(_raises_a_failed_check) == {"protocol.py:ServerSession.finalize"}
+
+
+# ---------------------------------------------------------------------------
 # a SHARE of any bytes from an issued index fails the session with a code
 # ---------------------------------------------------------------------------
 

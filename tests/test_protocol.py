@@ -412,3 +412,35 @@ def test_two_bad_receipts_name_the_lower_index(toy_subgroup, server_kp):
     assert (server.phase, server.error_code, server.culprit) == \
         (Phase.FAILED, ErrorCode.NONCE_MISMATCH, 2)
     assert server.digest is None
+
+
+class _FlagsTwo(ServerSession):
+    """A round with one more check after the receipts, as a registered-share
+    check would add: it always names participant 2."""
+
+    def _faults(self, indices, digest):
+        yield from super()._faults(indices, digest)
+        yield ErrorCode.SHARE_MISMATCH, 2
+
+
+@pytest.mark.parametrize("flip_first", [False, True], ids=["honest", "first_receipt_flipped"])
+def test_a_round_s_added_check_fails_it_through_faults(flip_first, toy_subgroup, server_kp):
+    keys = [ParticipantKeys(2, 3), ParticipantKeys(4, 6), ParticipantKeys(1, 5)]
+    server = _FlagsTwo(toy_subgroup, 3, server_kp, random.Random(21))
+    nonces = [frame for _, frame in server.begin_round()]
+    parts = make_participants(toy_subgroup, server_kp, server.session_id, keys, m=5)
+    for part, nonce in zip(parts, nonces):
+        share = part.respond(nonce)
+        if flip_first and part.index == 1:
+            share = Frame(MsgType.SHARE, server.session_id, 1,
+                          share.payload[:-1] + bytes([share.payload[-1] ^ 1]))
+        server_absorb(server, share)
+    # the receipts are checked first, so a bad one is named before the added check
+    code, culprit = (ErrorCode.DECRYPT_FAIL, 1) if flip_first else (ErrorCode.SHARE_MISMATCH, 2)
+    with pytest.raises(ProtocolStateError, match=f"{code.name} at participant {culprit}$"):
+        server_finalize(server)
+    assert (server.phase, server.error_code, server.culprit) == (Phase.FAILED, code, culprit)
+    assert server.digest is None
+    assert server.shares == {}
+    with pytest.raises(ProtocolStateError, match="already failed"):
+        server_finalize(server)
