@@ -13,6 +13,7 @@ expected to be reproduced.
 from __future__ import annotations
 
 import csv
+import math
 import random
 import statistics
 import time
@@ -105,6 +106,8 @@ def linear_fit(points: Sequence[tuple[float, float]]) -> LinearFit:
         raise ValueError("need at least two points")
     xs = [float(x) for x, _ in points]
     ys = [float(y) for _, y in points]
+    if not all(map(math.isfinite, xs + ys)):  # a nan would pass the R-squared clamp as 1
+        raise ValueError("every point must be finite")
     if len(set(xs)) < 2:
         raise ValueError("all sizes equal; the fit is singular")
     reg = statistics.linear_regression(xs, ys)
@@ -163,8 +166,12 @@ def read_reference_csv(path: str) -> list[tuple[int, float, float]]:
                 if None in row or None in row.values():
                     raise BenchError(f"{path}: line {reader.line_num} has "
                                      f"{'more' if None in row else 'fewer'} fields than the header")
-                rows.append((int(row["participants"]), float(row["ec_seconds"]),
-                             float(row["modp_seconds"])))
+                n, ec, modp = (int(row["participants"]), float(row["ec_seconds"]),
+                               float(row["modp_seconds"]))
+                if n < 1 or not (math.isfinite(ec) and math.isfinite(modp)):
+                    raise BenchError(f"{path}: line {reader.line_num} needs a positive "
+                                     f"participant count and finite seconds")
+                rows.append((n, ec, modp))
     except OSError as exc:
         raise BenchError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:

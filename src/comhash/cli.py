@@ -71,6 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
+    if args.out:  # an unwritable path fails before any session runs
+        bench.write_csv([], args.out)
     params = bench.bench_params(args.backend, args.bits,
                                 ModpMode(args.mode))
     points = bench.run_bench(args.backend, args.sizes, args.trials,

@@ -8,7 +8,8 @@ handler is any callable taking (src, data) and returning the follow-up
 (dst, data) messages, so a session plays out from the basic round's upload
 request or the threshold round's k deals; the router knows nothing of
 frames, parties or receipts. Each server issues its requests in one
-``begin_round``, so one ``answerer``, ``collect`` and ``play`` serve both.
+``begin_round`` and ends collection in ``finalize``, which decides any
+failure, so one ``answerer``, ``collect`` and ``play`` serve both.
 A fault plan can drop, duplicate, delay, flip a byte of, or swap the nonce
 of deliveries to exercise every server error path.
 """
@@ -213,19 +214,14 @@ class SessionOutcome:
 def play(handlers: dict[int, Handler], pending: list[Delivery], seed: int,
          faults: Optional[FaultPlan], server: Callable[[], Optional[ServerSession]],
          recipients: Iterable[int]) -> SessionOutcome:
-    """Route ``pending`` to quiescence, then finalize the session ``server()``
-    returns, or fail it MISSING naming the lowest index without a share, and
-    send its closing RESULT or ERROR frame to ``recipients``."""
+    """Route ``pending`` to quiescence, finalize the session ``server()``
+    returns, and send its closing RESULT or ERROR frame to ``recipients``."""
     trace = route(handlers, pending, seed=seed, faults=faults)
     session = server()
     if session is None:  # the request that opens it was lost
         return SessionOutcome(Phase.FAILED, None, ErrorCode.MISSING, trace)
-    if session.phase in (Phase.ISSUED, Phase.COLLECTING):
-        if session.missing:
-            session.fail(ErrorCode.MISSING, min(session.missing))
-        else:
-            with suppress(ProtocolStateError):  # a failed check has failed the session
-                session.finalize()
+    with suppress(ProtocolStateError):  # the session has failed, or failed just now
+        session.finalize()
     closing = (session.result_frame() if session.phase is Phase.DONE
                else session.error_frame())
     trace += route(handlers, [Delivery(SERVER_ID, i, encode_frame(closing))

@@ -9,11 +9,11 @@ mismatch parks the session in a terminal failed state with a specific error
 code; a failed session never stores a digest.
 
 ``absorb`` checks each share's form as it arrives: its element's decode and
-how its round reads the receipt. Once all are in, ``finalize`` combines the
-shares and fails on the first ``(code, index)`` its round's ``_faults``
-yields: a basic round opens every receipt in index order, raising its
-ephemerals to the server secret in one ``power_many``, and names the lowest
-index with a bad tag or nonce.
+how its round reads the receipt. ``finalize`` ends collection. It fails
+MISSING at the lowest index without a share, else on the first fault that
+its round's ``_faults`` yields over the combined shares: a basic round opens
+every receipt in index order, one ``power_many`` raising the ephemerals to
+the server secret, and names the lowest index with a bad tag or nonce.
 """
 
 from __future__ import annotations
@@ -140,23 +140,26 @@ class ServerSession:
         self.shares[index] = (element, element_bytes, receipt)
         self.phase = Phase.COLLECTING
 
-    @property
-    def missing(self) -> set:
-        return self.live - self.shares.keys()  # absorb admits only live indices
-
     def finalize(self):
-        """Store and return the digest once every share is in and the round's
-        ``_faults`` yields none; on the first fault it yields, the session
-        fails naming that participant and ``ProtocolStateError`` is raised."""
+        """End collection: store and return the digest once every issued index
+        has a share and ``_faults`` yields none. The first fault fails the
+        session naming that participant and raises ``ProtocolStateError``:
+        MISSING at the lowest index without a share, before any share is
+        combined or receipt opened, else the first that ``_faults`` yields."""
         if self.phase is Phase.FAILED:
             raise ProtocolStateError("session already failed")
         if self.phase is Phase.DONE:
             return self.digest
-        if self.missing or not self.shares:  # none before the requests are issued
-            raise ProtocolStateError("shares missing")
-        indices = sorted(self.shares)
-        digest = combine_shares(self.params, [self.shares[i][0] for i in indices])
-        for code, index in self._faults(indices, digest):
+        if not self.live:
+            raise ProtocolStateError("no request issued")  # nothing to collect, nor to miss
+        missing = self.live - self.shares.keys()  # absorb admits only live indices
+        if missing:
+            digest, faults = None, [(ErrorCode.MISSING, min(missing))]
+        else:
+            indices = sorted(self.shares)
+            digest = combine_shares(self.params, [self.shares[i][0] for i in indices])
+            faults = self._faults(indices, digest)
+        for code, index in faults:
             self.fail(code, index)
             raise ProtocolStateError(f"session failed: {code.name} at participant {index}")
         self.digest = digest

@@ -36,6 +36,10 @@ def test_singular_inputs_rejected():
         linear_fit([(4, 1.0), (4, 2.0), (4, 3.0)])
     with pytest.raises(ValueError):
         linear_fit([(4, 1.0)])
+    with pytest.raises(ValueError):
+        linear_fit([(4, float("nan")), (8, 0.058)])
+    with pytest.raises(ValueError):
+        linear_fit([(4, 0.03), (8, float("inf"))])
 
 
 def test_reference_fit_ec_column():
@@ -208,6 +212,12 @@ def test_cli_verify_explicit_table(tmp_path, capsys):
      "need rows at two or more participant counts"),
     ("participants,ec_seconds,modp_seconds\n4,0.1,0.2\n4,0.3,0.4\n",
      "need rows at two or more participant counts"),
+    ("participants,ec_seconds,modp_seconds\n4,nan,0.28\n8,0.058,0.3\n",
+     "line 2 needs a positive participant count and finite seconds"),
+    ("participants,ec_seconds,modp_seconds\n4,0.03,0.28\n8,0.058,inf\n",
+     "line 3 needs a positive participant count and finite seconds"),
+    ("participants,ec_seconds,modp_seconds\n0,0.03,0.28\n8,0.058,0.3\n",
+     "line 2 needs a positive participant count and finite seconds"),
 ])
 def test_cli_verify_reports_a_bad_table(content, message, tmp_path, capsys):
     path = tmp_path / "table.csv"
@@ -245,6 +255,19 @@ def test_cli_fit_needs_two_distinct_sizes(sizes, capsys, monkeypatch):
                   "--trials", "1", "--fit"])
     assert exc.value.code == 2
     assert "--fit" in capsys.readouterr().err
+
+
+def test_cli_checks_the_out_path_before_any_session(tmp_path, capsys, monkeypatch):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session ran before the output path was checked")
+
+    monkeypatch.setattr(cli.bench, "run_bench", no_session)
+    path = tmp_path / "absent" / "x.csv"
+    rc = cli.main(["bench", "--backend", "ec", "--bits", "5", "--sizes", "2",
+                   "--trials", "1", "--out", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"comhash: error: cannot write {path}: ")
+    assert not path.parent.exists()
 
 
 def test_cli_reports_library_errors_without_traceback(capsys):

@@ -356,6 +356,17 @@ def test_only_fail_fails_a_session_and_only_finalize_raises_its_check():
     assert _scopes_where(_raises_a_failed_check) == {"protocol.py:ServerSession.finalize"}
 
 
+def _calls_fail(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "fail")
+
+
+def test_only_absorb_and_finalize_call_fail():
+    # no driver fails a session from outside: a missing share is finalize's fault too
+    assert _scopes_where(_calls_fail) == {"protocol.py:ServerSession.absorb",
+                                         "protocol.py:ServerSession.finalize"}
+
+
 # ---------------------------------------------------------------------------
 # a SHARE of any bytes from an issued index fails the session with a code
 # ---------------------------------------------------------------------------

@@ -265,6 +265,26 @@ def test_finalize_with_missing_share_raises(toy_subgroup, server_kp):
         server_finalize(server)
 
 
+def test_finalize_fails_missing_at_the_lowest_unanswered_index(toy_subgroup, server_kp,
+                                                               monkeypatch):
+    # shares 1 and 3 in: finalize ends collection, failing MISSING at 2
+    # before any share is combined or receipt opened
+    server, nonces = server_begin(toy_subgroup, 3, server_kp, random.Random(22))
+    parts = make_participants(toy_subgroup, server_kp, server.session_id,
+                              [ParticipantKeys(2, 3), ParticipantKeys(4, 6),
+                               ParticipantKeys(5, 7)], m=5)
+    for i in (0, 2):
+        server_absorb(server, parts[i].respond(nonces[i]))
+    monkeypatch.setattr(type(toy_subgroup), "power_many",
+                        lambda *args: pytest.fail("a receipt was opened"))
+    with pytest.raises(ProtocolStateError, match="MISSING at participant 2$"):
+        server_finalize(server)
+    assert (server.phase, server.error_code, server.culprit, server.digest, server.shares) == \
+        (Phase.FAILED, ErrorCode.MISSING, 2, None, {})
+    with pytest.raises(ProtocolStateError, match="already failed"):
+        server_finalize(server)
+
+
 def test_result_and_error_frames(toy_subgroup, server_kp):
     server, nonces = server_begin(toy_subgroup, 1, server_kp, random.Random(16))
     (owner,) = make_participants(toy_subgroup, server_kp, server.session_id,

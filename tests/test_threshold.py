@@ -641,6 +641,21 @@ def test_a_bad_tag_and_a_dropped_share_end_missing(toy_curve, monkeypatch):
     assert run.transcript[-1] == run.server.error_frame()
 
 
+def test_a_missing_owner_share_fails_before_any_check(toy_subgroup, monkeypatch):
+    # the owner never answers: finalize fails MISSING at it before a tag
+    # opens, and the dealer check, which reads the owner's share, never runs
+    server, parts, issued = _open_round(toy_subgroup, random.Random(50))
+    assert server.owner == 1
+    server.absorb(parts[1].respond(issued[2]))
+    monkeypatch.setattr(pke, "unseal", lambda *args: pytest.fail("a tag was opened"))
+    with pytest.raises(ProtocolStateError, match="MISSING at participant 1$"):
+        server.finalize()
+    assert (server.phase, server.error_code, server.culprit, server.digest, server.shares) == \
+        (Phase.FAILED, ErrorCode.MISSING, 1, None, {})
+    with pytest.raises(ProtocolStateError, match="already failed"):
+        server.finalize()
+
+
 @pytest.mark.parametrize("name", ["toy_ec", "toy_modp_subgroup", "secp256k1"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
