@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import BenchError
 from .groups import GroupParams, ModpMode, generate_group
-from .hashing import ParticipantKeys
+from .hashing import ParticipantKeys, member_share
 from .net import run_basic_session
 from .protocol import Phase
 from . import net, pke
@@ -61,12 +61,16 @@ def run_bench(backend: str, sizes: Sequence[int], trials: int, seed: int = 0,
               params: Optional[GroupParams] = None) -> list[BenchPoint]:
     """Average wall time of `trials` full sessions at each participant count.
 
-    Setup (parameters, keys, the server key pair, and every comb table and
-    GLV constant a session uses) happens outside the timer; the timed region
-    is the protocol itself, upload request through digest.
+    Setup (parameters, every size's keys and their member shares, the server
+    key pair, and every comb table and GLV constant a session uses) happens
+    outside the timer; the timed region is the protocol itself, upload
+    request through digest. Trials run round-robin across the sizes, so a
+    drift in host speed spreads over every size instead of lining up with N.
     """
     if trials < 1:
         raise BenchError("trials must be positive")
+    if any(n < 1 for n in sizes):
+        raise BenchError("participant counts must be positive")
     if params is None:
         params = bench_params(backend)
     rng = random.Random(seed)
@@ -77,14 +81,15 @@ def run_bench(backend: str, sizes: Sequence[int], trials: int, seed: int = 0,
     warm_up = random.Random(0)
     net.run_basic_session(params, [ParticipantKeys.random(params, warm_up)], 1, seed=0,
                           server_keypair=server_keypair)
-    points = []
+    inputs = []
     for n in sizes:
-        if n < 1:
-            raise BenchError("participant counts must be positive")
         keys = [ParticipantKeys.random(params, rng) for _ in range(n)]
-        m = rng.randrange(params.exponent_modulus)
-        samples = []
-        for _ in range(trials):
+        for k in keys:
+            member_share(params, k)  # kept on the key pair for every session
+        inputs.append((n, keys, rng.randrange(params.exponent_modulus)))
+    samples: list[list[float]] = [[] for _ in sizes]
+    for _ in range(trials):
+        for (n, keys, m), times in zip(inputs, samples):
             session_seed = rng.randrange(2**63)
             start = time.perf_counter()
             outcome = run_basic_session(params, keys, m, seed=session_seed,
@@ -93,11 +98,10 @@ def run_bench(backend: str, sizes: Sequence[int], trials: int, seed: int = 0,
             if outcome.phase is not Phase.DONE:
                 raise BenchError(
                     f"session failed at N={n}: {outcome.error_code}")
-            samples.append(elapsed)
-        stddev = statistics.stdev(samples) if len(samples) > 1 else 0.0
-        points.append(BenchPoint(backend, n, trials,
-                                 statistics.fmean(samples), stddev))
-    return points
+            times.append(elapsed)
+    return [BenchPoint(backend, n, trials, statistics.fmean(times),
+                       statistics.stdev(times) if len(times) > 1 else 0.0)
+            for (n, _, _), times in zip(inputs, samples)]
 
 
 def linear_fit(points: Sequence[tuple[float, float]]) -> LinearFit:

@@ -4,13 +4,15 @@ The core map is the classic Chaum-van Heijst-Pfitzmann construction
 ``(x, y) -> g^x * h^y`` (``x*G + y*H`` on curves). Each participant
 contributes one share; the multiset of shares combines, in any order, to
 ``g^(sum x) * h^(sum y)``, which is what makes the protocol's digest
-independent of who holds the message.
+independent of who holds the message. A key pair is long-lived, so a
+non-owner's share is computed once per key pair and group and kept on the
+key object; only the owner's share, which folds in m, is computed afresh.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import GroupError
@@ -19,10 +21,13 @@ from .groups import GroupParams, scalar_inv
 
 @dataclass(frozen=True)
 class ParticipantKeys:
-    """One participant's secret exponent pair."""
+    """One participant's secret exponent pair. ``_shares`` keeps its member
+    share per group; it takes no part in construction, equality, hashing or
+    repr, and lives and dies with the object."""
 
     x: int
     y: int
+    _shares: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def random(cls, params: GroupParams, rng: random.Random) -> "ParticipantKeys":
@@ -36,8 +41,11 @@ def cvhp(params: GroupParams, x: int, y: int):
 
 
 def member_share(params: GroupParams, keys: ParticipantKeys):
-    """A non-owner's contribution: the hash of its own key pair."""
-    return cvhp(params, keys.x, keys.y)
+    """A non-owner's contribution: the hash of its own key pair, computed
+    once per key pair and group and kept on ``keys``."""
+    if params not in keys._shares:  # membership, not None: the curve identity is None
+        keys._shares[params] = cvhp(params, keys.x, keys.y)
+    return keys._shares[params]
 
 
 def owner_share(params: GroupParams, keys: ParticipantKeys, m: int,

@@ -20,7 +20,7 @@ from comhash.bench import (
     run_bench,
     write_csv,
 )
-from comhash import bench, cli, groups
+from comhash import bench, cli, groups, hashing
 from comhash.net import run_basic_session
 
 
@@ -116,6 +116,29 @@ def test_run_bench_builds_every_comb_table_in_setup(backend, monkeypatch):
     monkeypatch.setattr(bench, "run_basic_session", timed)
     run_bench(backend, [1, 2], trials=2, seed=8)
     assert built == [[0, 0, 0]] * 4
+
+
+def test_run_bench_times_sizes_round_robin_on_kept_shares(toy_subgroup, monkeypatch):
+    # trial-major order spreads a drift in host speed over every size, and
+    # each member share is kept from set-up, so a timed session computes
+    # only its owner's share
+    shares = []
+
+    def cvhp(*args, _cvhp=hashing.cvhp):
+        shares.append(args)
+        return _cvhp(*args)
+    monkeypatch.setattr(hashing, "cvhp", cvhp)
+    timed = []
+
+    def counted(params, keys, *args, **kwargs):
+        before = len(shares)
+        outcome = run_basic_session(params, keys, *args, **kwargs)
+        timed.append((len(keys), len(shares) - before))
+        return outcome
+
+    monkeypatch.setattr(bench, "run_basic_session", counted)
+    run_bench("modp", [2, 3, 4], trials=2, seed=9, params=toy_subgroup)
+    assert timed == [(2, 1), (3, 1), (4, 1)] * 2
 
 
 def test_run_bench_rejects_bad_args(toy_subgroup):

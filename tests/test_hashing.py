@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import permutations
 
@@ -15,6 +16,7 @@ from comhash import (
     owner_share,
     reference_digest,
 )
+from comhash import hashing
 
 
 def test_cvhp_worked_values(toy_subgroup, toy_primitive):
@@ -35,6 +37,43 @@ def test_member_share_values(toy_subgroup, toy_curve):
     assert member_share(toy_subgroup, ParticipantKeys(0, 0)) == 1
     assert member_share(toy_curve, ParticipantKeys(1, 1)) == \
         toy_curve.combine(toy_curve.g, toy_curve.h)
+
+
+def test_one_key_pair_keeps_each_groups_own_share(toy_subgroup, toy_primitive, toy_curve):
+    # the two toy modp groups share p = 23 but not their generators, so the
+    # memo must key on the whole group, not its modulus
+    keys = ParticipantKeys(2, 3)
+    for _ in range(2):
+        assert member_share(toy_curve, keys) == cvhp(toy_curve, 2, 3)
+        assert member_share(toy_subgroup, keys) == cvhp(toy_subgroup, 2, 3) == 16
+        assert member_share(toy_primitive, keys) == cvhp(toy_primitive, 2, 3) == 19
+    assert len(keys._shares) == 3
+
+
+def test_the_share_memo_is_invisible(toy_subgroup, toy_curve):
+    keys = ParticipantKeys(2, 3)
+    member_share(toy_subgroup, keys)
+    member_share(toy_curve, keys)
+    fresh = ParticipantKeys(2, 3)
+    assert keys == fresh and hash(keys) == hash(fresh)
+    assert repr(keys) == "ParticipantKeys(x=2, y=3)"
+    copy = dataclasses.replace(keys)
+    assert copy == keys and copy._shares == {}
+    with pytest.raises(TypeError):
+        ParticipantKeys(2, 3, {})
+
+
+def test_an_identity_share_is_computed_once(toy_curve, monkeypatch):
+    # the curve identity is None, so the memo cannot test for a missing share by None
+    calls = []
+
+    def counted(params, x, y, _cvhp=hashing.cvhp):
+        calls.append((x, y))
+        return _cvhp(params, x, y)
+    monkeypatch.setattr(hashing, "cvhp", counted)
+    keys = ParticipantKeys(0, 0)
+    assert [member_share(toy_curve, keys) for _ in range(3)] == [None] * 3
+    assert calls == [(0, 0)]
 
 
 def test_owner_share_values(toy_subgroup):

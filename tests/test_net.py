@@ -345,6 +345,9 @@ def test_modp_session_membership_budget(which, per_share, per_session, request,
     # its comb table is built: in the first of two sessions, not the second.
     # The server opens its receipts in one power_many, a power per base: mod
     # p it calls power for each, and on a curve each base is counted here.
+    # A member share is kept on its key pair, so the first session makes 5
+    # powers per share and the second only the owner's g and h powers plus
+    # 3 per share: g^e and the key power of each receipt, and its opening.
     params = request.getfixturevalue(which)
     cls = type(params)
     rng = random.Random(12)
@@ -369,10 +372,56 @@ def test_modp_session_membership_budget(which, per_share, per_session, request,
                               server_keypair=server) for seed in (5, 6)]
     assert [out.phase for out in outs] == [Phase.DONE, Phase.DONE]
     assert calls == {"element_valid": 2 * (per_share * n + per_session) + 1,
-                     "power": 2 * 5 * n}
+                     "power": 5 * n + 3 * n + 2}
     monkeypatch.undo()
     for out in outs:
         assert out.digest == reference_digest(params, m, keys)
+
+
+@pytest.mark.parametrize("which", ["modp2048", "secp"])
+def test_a_second_session_powers_only_the_owners_share(which, request, monkeypatch):
+    # a member share is a constant of its key pair: after the first session
+    # over a key list, the next powers g and h only for the owner, besides
+    # each receipt's g^e, its key power and the server's opening
+    params = request.getfixturevalue(which)
+    cls = type(params)
+    rng = random.Random(41)
+    n = 4
+    keys = [ParticipantKeys.random(params, rng) for _ in range(n)]
+    server = pke.generate_keypair(params, rng)
+    m = rng.randrange(params.exponent_modulus)
+    owner = 2
+    first = run_basic_session(params, keys, m, owner_index=owner, seed=5,
+                              server_keypair=server)
+    bases = Counter()
+
+    def kind(base):
+        named = {"g": params.g, "h": params.h, "key": server.public}
+        return next((name for name, value in named.items() if base == value), "var")
+
+    def counted(self, base, *args, _method=cls.power, **kwargs):
+        bases[kind(base)] += 1
+        return _method(self, base, *args, **kwargs)
+    monkeypatch.setattr(cls, "power", counted)
+    if cls is EcParams:
+        def counted_many(self, many, exponent, _method=cls.power_many):
+            bases["var"] += len(many)
+            return _method(self, many, exponent)
+        monkeypatch.setattr(cls, "power_many", counted_many)
+    second = run_basic_session(params, keys, m, owner_index=owner, seed=6,
+                               server_keypair=server)
+    monkeypatch.undo()
+    assert second.phase is Phase.DONE
+    assert bases == {"g": 1 + n, "h": 1, "key": n, "var": n}
+    assert second.digest == first.digest == reference_digest(params, m, keys)
+
+    def elements(out):
+        frames = (decode_frame(d.data) for d in out.trace)
+        return {f.sender: f.payload[:params.element_width]
+                for f in frames if f.msg_type is MsgType.SHARE}
+    members = set(range(1, n + 1)) - {owner}
+    assert {i: elements(second)[i] for i in members} == \
+        {i: elements(first)[i] for i in members}
 
 
 def test_each_server_key_gets_one_comb_table(secp):
