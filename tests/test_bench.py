@@ -20,7 +20,7 @@ from comhash.bench import (
     run_bench,
     write_csv,
 )
-from comhash import bench, cli, groups, hashing
+from comhash import bench, cli, groups, hashing, protocol
 from comhash.net import run_basic_session
 
 
@@ -101,8 +101,10 @@ def test_run_bench_full_size_sweep_shape(toy_subgroup):
 
 @pytest.mark.parametrize("backend", ["ec", "modp"])
 def test_run_bench_builds_every_comb_table_in_setup(backend, monkeypatch):
-    # a table built inside a timed trial would time its construction too
-    tables = (groups._ec_comb_table, groups._modp_comb_table, groups._glv_constants)
+    # a table built, or a share decoded, inside a timed trial would time
+    # that work too
+    tables = (groups._ec_comb_table, groups._modp_comb_table, groups._glv_constants,
+              protocol._share_element)
     for table in tables:
         table.cache_clear()
     built = []
@@ -115,13 +117,13 @@ def test_run_bench_builds_every_comb_table_in_setup(backend, monkeypatch):
 
     monkeypatch.setattr(bench, "run_basic_session", timed)
     run_bench(backend, [1, 2], trials=2, seed=8)
-    assert built == [[0, 0, 0]] * 4
+    assert built == [[0, 0, 0, 0]] * 4
 
 
 def test_run_bench_times_sizes_round_robin_on_kept_shares(toy_subgroup, monkeypatch):
     # trial-major order spreads a drift in host speed over every size, and
-    # each member share is kept from set-up, so a timed session computes
-    # only its owner's share
+    # each member share is kept from set-up, so a timed session builds its
+    # owner's share from the kept one and never calls cvhp
     shares = []
 
     def cvhp(*args, _cvhp=hashing.cvhp):
@@ -138,7 +140,7 @@ def test_run_bench_times_sizes_round_robin_on_kept_shares(toy_subgroup, monkeypa
 
     monkeypatch.setattr(bench, "run_basic_session", counted)
     run_bench("modp", [2, 3, 4], trials=2, seed=9, params=toy_subgroup)
-    assert timed == [(2, 1), (3, 1), (4, 1)] * 2
+    assert timed == [(2, 0), (3, 0), (4, 0)] * 2
 
 
 def test_run_bench_rejects_bad_args(toy_subgroup):
@@ -267,17 +269,21 @@ def test_cli_rejects_bad_trials(trials, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sizes", ["64", "8,8"])
-def test_cli_fit_needs_two_distinct_sizes(sizes, capsys, monkeypatch):
+@pytest.mark.parametrize("extra, flag", [
+    pytest.param(["--sizes", "64", "--fit"], "--fit", id="64"),
+    pytest.param(["--sizes", "8,8", "--fit"], "--fit", id="8,8"),
+    # a curve has no primitive mode; the option is refused, not ignored
+    pytest.param(["--sizes", "2,3", "--mode", "primitive"], "--mode", id="ec-primitive"),
+])
+def test_cli_fit_needs_two_distinct_sizes(extra, flag, capsys, monkeypatch):
     def no_session(*args, **kwargs):
         raise AssertionError("a session ran before the arguments were checked")
 
     monkeypatch.setattr(cli.bench, "run_bench", no_session)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["bench", "--backend", "ec", "--bits", "5", "--sizes", sizes,
-                  "--trials", "1", "--fit"])
+        cli.main(["bench", "--backend", "ec", "--bits", "5", "--trials", "1", *extra])
     assert exc.value.code == 2
-    assert "--fit" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_checks_the_out_path_before_any_session(tmp_path, capsys, monkeypatch):

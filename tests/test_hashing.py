@@ -100,6 +100,55 @@ def test_owner_share_blinded_and_dual(toy_subgroup):
         owner_share(toy_subgroup, keys, 5, blinding=3, m2=4)
 
 
+def _power_bases(params, monkeypatch) -> list:
+    """Record the base of every ``power`` call from here on as "g", "h" or
+    "other"."""
+    bases = []
+
+    def counted(self, base, *args, _power=type(params).power, **kwargs):
+        bases.append("g" if base == self.g else "h" if base == self.h else "other")
+        return _power(self, base, *args, **kwargs)
+    monkeypatch.setattr(type(params), "power", counted)
+    return bases
+
+
+@pytest.mark.parametrize("which", ["toy_curve", "toy_subgroup", "toy_primitive",
+                                   "secp", "modp2048"])
+def test_owner_share_from_a_kept_member_share(which, request, monkeypatch):
+    # g^((x+m) mod ord) * h^y = (g^x * h^y) * g^m, primitive mode's order
+    # p - 1 included: one power of g on top of the kept share, the same
+    # bytes. A fresh key pair, or a message in h's slot, powers g and h.
+    params = request.getfixturevalue(which)
+    mod = params.exponent_modulus
+    rng = random.Random(77)
+    pairs = [(rng.randrange(mod), rng.randrange(mod)) for _ in range(3)]
+    pairs += [(0, 0), (1, 0), (mod - 1, rng.randrange(mod))]
+    for x, y in pairs:
+        keys = ParticipantKeys(x, y)
+        m, m2 = rng.randrange(mod), rng.randrange(mod)
+        whole = [cvhp(params, (x + m) % mod, y), cvhp(params, (x + m) % mod, (y + m2) % mod)]
+        bases = _power_bases(params, monkeypatch)
+        assert owner_share(params, keys, m) == whole[0]
+        assert bases == ["g", "h"] and keys._shares == {}
+        member_share(params, keys)
+        bases.clear()
+        assert owner_share(params, keys, m, m2=m2) == whole[1]
+        assert bases == ["g", "h"]
+        monkeypatch.undo()
+        messages = list(range(mod)) if mod < 100 else [rng.randrange(mod) for _ in range(3)]
+        messages += [(mod - x) % mod, -x, mod + 5, 2 * mod - x]  # x + m = 0 thrice
+        for m in messages:
+            bases = _power_bases(params, monkeypatch)
+            share = owner_share(params, keys, m)
+            blinding = rng.randrange(1, mod)
+            blinded = owner_share(params, keys, m, blinding=blinding)
+            monkeypatch.undo()
+            assert bases == ["g", "g"], (x, y, m)
+            assert params.encode(share) == params.encode(cvhp(params, (x + m) % mod, y))
+            assert params.encode(blinded) == \
+                params.encode(cvhp(params, (x + m * blinding) % mod, y))
+
+
 def test_combine_shares_values(toy_subgroup):
     assert combine_shares(toy_subgroup, [6, 3]) == 18
     assert combine_shares(toy_subgroup, [9]) == 9

@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from comhash import (EcParams, ErrorCode, ModpParams, MsgType, ParticipantKeys, Phase,
-                     decode_frame, reference_digest)
-from comhash import groups, pke
+                     decode_frame, member_share, reference_digest)
+from comhash import groups, pke, protocol
 from comhash.encoding import prefixed
 from comhash.frames import HEADER_LENGTH
 from comhash.net import (
@@ -330,12 +330,12 @@ def test_unseeded_sessions_draw_fresh_session_ids(toy_subgroup):
     assert a.server.session_id != b.server.session_id
 
 
-@pytest.mark.parametrize("which, per_share, per_session", [
-    ("modp2048", 2, 0),
-    ("secp", 4, 1),
+@pytest.mark.parametrize("which, per_share, per_session, repeated", [
+    ("modp2048", 2, 0, 4),
+    ("secp", 4, 1, 0),
 ], ids=["modp2048", "secp"])
-def test_modp_session_membership_budget(which, per_share, per_session, request,
-                                        monkeypatch):
+def test_modp_session_membership_budget(which, per_share, per_session, repeated,
+                                        request, monkeypatch):
     # per share, only untrusted values get a membership check: the share
     # element and the receipt's ephemeral as the server decodes them;
     # computed elements are encoded unchecked. A curve point's encoding is
@@ -348,6 +348,9 @@ def test_modp_session_membership_budget(which, per_share, per_session, request,
     # A member share is kept on its key pair, so the first session makes 5
     # powers per share and the second only the owner's g and h powers plus
     # 3 per share: g^e and the key power of each receipt, and its opening.
+    # The second session sends the first one's share encodings again, so
+    # the server decodes none of them anew: mod p that skips one membership
+    # check per share, and a curve point's decode made none.
     params = request.getfixturevalue(which)
     cls = type(params)
     rng = random.Random(12)
@@ -357,6 +360,7 @@ def test_modp_session_membership_budget(which, per_share, per_session, request,
     m = rng.randrange(params.exponent_modulus)
     groups._modp_comb_table.cache_clear()
     groups._ec_comb_table.cache_clear()
+    protocol._share_element.cache_clear()
     calls = Counter()
     for name in ("power", "element_valid"):
         def counted(self, *args, _name=name, _method=getattr(cls, name), **kwargs):
@@ -371,7 +375,7 @@ def test_modp_session_membership_budget(which, per_share, per_session, request,
     outs = [run_basic_session(params, keys, m, owner_index=2, seed=seed,
                               server_keypair=server) for seed in (5, 6)]
     assert [out.phase for out in outs] == [Phase.DONE, Phase.DONE]
-    assert calls == {"element_valid": 2 * (per_share * n + per_session) + 1,
+    assert calls == {"element_valid": 2 * (per_share * n + per_session) + 1 - repeated,
                      "power": 5 * n + 3 * n + 2}
     monkeypatch.undo()
     for out in outs:
@@ -422,6 +426,62 @@ def test_a_second_session_powers_only_the_owners_share(which, request, monkeypat
     members = set(range(1, n + 1)) - {owner}
     assert {i: elements(second)[i] for i in members} == \
         {i: elements(first)[i] for i in members}
+
+
+@pytest.mark.parametrize("which", ["modp2048", "secp"])
+def test_a_warm_owner_powers_g_once_and_h_never(which, request, monkeypatch):
+    # the second session's owner sent a member share in the first, kept on
+    # its key pair: its own share is that one times g^m, one power of g.
+    # The first owner kept none; it gets one here, as bench set-up gives one
+    params = request.getfixturevalue(which)
+    cls = type(params)
+    rng = random.Random(42)
+    n = 4
+    keys = [ParticipantKeys.random(params, rng) for _ in range(n)]
+    server = pke.generate_keypair(params, rng)
+    m = rng.randrange(params.exponent_modulus)
+    run_basic_session(params, keys, m, owner_index=2, seed=5, server_keypair=server)
+    member_share(params, keys[1])
+    bases = Counter()
+
+    def counted(self, base, *args, _method=cls.power, **kwargs):
+        bases["g" if base == params.g else "h" if base == params.h else "other"] += 1
+        return _method(self, base, *args, **kwargs)
+    monkeypatch.setattr(cls, "power", counted)
+    second = run_basic_session(params, keys, m, owner_index=3, seed=6,
+                               server_keypair=server)
+    monkeypatch.undo()
+    assert second.phase is Phase.DONE
+    assert second.digest == reference_digest(params, m, keys)
+    assert (bases["g"], bases["h"]) == (1 + n, 0)  # the owner's g^m and each receipt's g^e
+
+
+@pytest.mark.parametrize("which", ["modp2048", "secp"])
+def test_a_repeated_share_encoding_is_decoded_once(which, request, monkeypatch):
+    # a member share is the same bytes in every session over its key pair,
+    # and so is the owner's for the same m: the server decodes each once
+    params = request.getfixturevalue(which)
+    cls = type(params)
+    rng = random.Random(43)
+    keys = [ParticipantKeys.random(params, rng) for _ in range(3)]
+    server = pke.generate_keypair(params, rng)
+    m = rng.randrange(params.exponent_modulus)
+    protocol._share_element.cache_clear()
+    decoded = Counter()
+
+    def counted(self, data, _method=cls.decode):
+        decoded[bytes(data)] += 1
+        return _method(self, data)
+    monkeypatch.setattr(cls, "decode", counted)
+    outs = [run_basic_session(params, keys, m, seed=seed, server_keypair=server)
+            for seed in (7, 8)]
+    monkeypatch.undo()
+    assert [out.digest for out in outs] == [reference_digest(params, m, keys)] * 2
+    sent = [f.payload[:params.element_width] for out in outs
+            for f in map(decode_frame, (d.data for d in out.trace))
+            if f.msg_type is MsgType.SHARE]
+    assert len(sent) == 6 and len(set(sent)) == 3
+    assert [decoded[b] for b in sent] == [1] * 6
 
 
 def test_each_server_key_gets_one_comb_table(secp):

@@ -24,7 +24,7 @@ from comhash import (
     server_begin,
     server_finalize,
 )
-from comhash import pke
+from comhash import pke, protocol
 from comhash.encoding import Reader, element_from_bytes, element_to_bytes
 
 
@@ -464,3 +464,52 @@ def test_a_round_s_added_check_fails_it_through_faults(flip_first, toy_subgroup,
     assert server.shares == {}
     with pytest.raises(ProtocolStateError, match="already failed"):
         server_finalize(server)
+
+
+# -- the server's memo of decoded share encodings ----------------------------
+
+def test_a_rejected_share_encoding_is_never_kept(toy_subgroup, server_kp):
+    # 5 is not a square mod 23: the decode raises, so nothing is kept and
+    # the same bad share fails the next session just as it failed this one
+    protocol._share_element.cache_clear()
+    for seed in (31, 32):
+        server, _ = server_begin(toy_subgroup, 1, server_kp, random.Random(seed))
+        server_absorb(server, Frame(MsgType.SHARE, server.session_id, 1, b"\x05" + bytes(20)))
+        assert (server.phase, server.error_code, server.culprit) == \
+            (Phase.FAILED, ErrorCode.MALFORMED, 1)
+    info = protocol._share_element.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+
+
+def test_the_share_memo_is_keyed_by_group(toy_subgroup, toy_primitive, server_kp):
+    # both toy groups work mod 23, and 5 is an element of the primitive one
+    # only: its decode there must not answer for the subgroup
+    protocol._share_element.cache_clear()
+    outcomes = []
+    for params, keypair in ((toy_primitive, pke.generate_keypair(toy_primitive, random.Random(98))),
+                            (toy_subgroup, server_kp)):
+        server, (nonce,) = server_begin(params, 1, keypair, random.Random(33))
+        receipt = pke.encrypt(params, keypair.public, nonce.payload, random.Random(34), b"\x05")
+        server_absorb(server, Frame(MsgType.SHARE, server.session_id, 1, b"\x05" + receipt))
+        outcomes.append((server.phase, server.error_code))
+    assert outcomes == [(Phase.COLLECTING, None), (Phase.FAILED, ErrorCode.MALFORMED)]
+    info = protocol._share_element.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 1)
+
+
+def test_a_bytearray_share_payload_is_absorbed(toy_subgroup, server_kp):
+    # the memo keys on the element's bytes, so a mutable payload is read as
+    # bytes; the second session finds both encodings decoded by the first
+    protocol._share_element.cache_clear()
+    keys = [ParticipantKeys(2, 3), ParticipantKeys(4, 6)]
+    for seed in (35, 36):
+        server, nonces = server_begin(toy_subgroup, 2, server_kp, random.Random(seed))
+        parts = make_participants(toy_subgroup, server_kp, server.session_id, keys, m=5)
+        for part, nonce in zip(parts, nonces):
+            share = part.respond(nonce)
+            server_absorb(server, Frame(MsgType.SHARE, share.session_id, share.sender,
+                                        bytearray(share.payload)))
+        assert [type(server.shares[i][1]) for i in (1, 2)] == [bytes, bytes]
+        assert server_finalize(server) == reference_digest(toy_subgroup, 5, keys)
+    info = protocol._share_element.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
