@@ -12,10 +12,12 @@ expected to be reproduced.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import random
 import statistics
+import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -137,16 +139,16 @@ def reference_fit(backend: str,
     return linear_fit([(row[0], row[column]) for row in rows])
 
 
-def write_csv(points: Sequence[BenchPoint], path: str) -> None:
+def write_csv(points: Sequence[BenchPoint], path: Optional[str]) -> None:
+    """The points as CSV with LF line ends, to path, or to stdout without one."""
     try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+        with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
-            for p in points:
-                writer.writerow([p.backend, p.n, p.trials,
-                                 f"{p.mean_s:.9f}", f"{p.stddev_s:.9f}"])
+            writer.writerows([p.backend, p.n, p.trials, f"{p.mean_s:.9f}", f"{p.stddev_s:.9f}"]
+                             for p in points)
     except OSError as exc:
-        raise BenchError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise BenchError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
 
 
 def read_csv(path: str) -> list[BenchPoint]:

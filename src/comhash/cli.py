@@ -77,12 +77,7 @@ def _cmd_bench(args) -> int:
                                 ModpMode(args.mode))
     points = bench.run_bench(args.backend, args.sizes, args.trials,
                              seed=args.seed, params=params)
-    if args.out:
-        bench.write_csv(points, args.out)
-    else:
-        print(",".join(bench.CSV_HEADER))
-        for p in points:
-            print(f"{p.backend},{p.n},{p.trials},{p.mean_s:.9f},{p.stddev_s:.9f}")
+    bench.write_csv(points, args.out)
     if args.fit:
         print(json.dumps(_fit_json(bench.fit_points(points))))
     return 0

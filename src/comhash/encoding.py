@@ -39,9 +39,10 @@ an element this process computed with ``power``/``combine`` or got from
 membership (a curve point still gets its cheap on-curve check). Decoding is
 strict: wrong widths, out-of-range values, off-curve x, and non-members of
 the subgroup are all rejected, so a decoded value is always a valid element
-and untrusted bytes are checked exactly once, where they enter; a share
-encoding the server already decoded is checked only the first time
-(``protocol._share_element``). Decoded modp parameters go through
+and untrusted bytes are checked exactly once, where they enter; a
+basic-round share encoding the server already decoded is checked only the
+first time (``protocol._share_element``), while threshold shares, dealt
+fresh each round, are decoded plainly. Decoded modp parameters go through
 ``validate_group``: that membership test needs p safe.
 """
 

@@ -2,19 +2,21 @@
 (mod p) and prime-order elliptic curves in short Weierstrass form.
 
 ``ModpParams`` and ``EcParams`` share one interface, and this module is the
-only one that tells them apart: generators ``g``/``h``, ``identity``, the
-``exponent_modulus`` all scalar arithmetic is reduced by, ``prime_order``;
-``power``, ``combine`` (the group law) and ``element_valid``; the element
-codec ``element_width``, ``encode`` (trusting) and ``decode`` (strict); and
-``generator_candidate`` and ``structure_problems``, the backend's steps of
-``derive_second_generator`` and ``validate_group``.
+only one that tells them apart, but for the parameter-set codec
+(``encoding.params_to_bytes`` and ``params_from_bytes``): generators
+``g``/``h``, ``identity``, the ``exponent_modulus`` all scalar arithmetic is
+reduced by, ``prime_order``; ``power``, ``combine`` (the group law) and
+``element_valid``; the element codec ``element_width``, ``encode``
+(trusting) and ``decode`` (strict); and ``generator_candidate`` and
+``structure_problems``, the backend's steps of ``derive_second_generator``
+and ``validate_group``.
 
 ``power`` routes by what the caller says, never by the exponent's value.
 Both backends send two kinds of base to one Lim-Lee comb (CRYPTO '94): the
-same table builder and evaluation loop, given each backend's identity,
-squaring and multiplication, with tables built once per process and shared
-by value, per (base, bits). ``power(base, e)`` sends ``g`` and ``h`` there,
-on tables as wide as the exponent modulus, and reduces e by it.
+same table builder and evaluation loop, in the group law each backend's
+``_comb_ops`` gives, with tables built once per process and kept by value,
+per (base, bits), in one cache. ``power(base, e)`` sends ``g`` and ``h``
+there, on tables as wide as the exponent modulus, and reduces e by it.
 ``power(base, e, bits=b)`` marks base as long-lived and e as below 2^b,
 which it checks instead of reducing: base, whatever it is, gets a b-bit
 table, and a base other than ``g`` and ``h`` is checked to be a group
@@ -272,8 +274,12 @@ class ModpParams:
             bits = self.exponent_modulus.bit_length()
         else:
             k = _bounded(exponent, bits)
-        return _comb_pow(_modp_comb_table(self, base, bits), bits, k,
-                         *_modp_ops(self.modulus))
+        return _comb_pow(self, base, bits, k)
+
+    def _comb_ops(self) -> tuple:
+        """The comb's identity, squaring, multiplication and normalisation mod p."""
+        p = self.modulus
+        return 1, lambda x: x * x % p, lambda x, y: x * y % p, list
 
     def power_many(self, bases: list, exponent: int) -> list:
         """``[self.power(b, exponent) for b in bases]``."""
@@ -395,21 +401,28 @@ class EcParams:
     def power(self, base: Point, exponent: int, bits: Optional[int] = None) -> Point:
         """exponent * base; ``bits`` as in ``ModpParams.power``."""
         self._check(base)
-        p, a = self.field_prime, self.curve_a
         if bits is None:
             k = exponent % self.order
             if base is None or k == 0:
                 return None
             if base != self.g and base != self.h:
-                glv = _glv_constants(p, a, self.order, self.g)
+                glv = _glv_constants(self.field_prime, self.curve_a, self.order, self.g)
                 if glv is not None:
                     return _glv_mul(self, base, k, glv)
                 return _ec_mul(self, base, k)
             bits = self.order.bit_length()
         else:
             k = _bounded(exponent, bits)
-        table = _ec_comb_table(self, base, bits)
-        return _normalize([_comb_pow(table, bits, k, *_ec_ops(p, a))], p)[0]
+        return _comb_pow(self, base, bits, k)
+
+    def _comb_ops(self) -> tuple:
+        """The comb's identity, doubling, addition and normalisation: a Jacobian
+        accumulator plus an affine point, None the identity, made affine in a batch."""
+        p, a = self.field_prime, self.curve_a
+
+        def add(acc, q):
+            return acc if q is None else _jac_add_affine(*acc, q[0], q[1], p, a)
+        return (0, 1, 0), lambda acc: _jac_double(*acc, p, a), add, lambda pts: _normalize(pts, p)
 
     def power_many(self, bases: list, exponent: int) -> list:
         """``[self.power(b, exponent) for b in bases]`` as the lanes of
@@ -482,10 +495,9 @@ def _bounded(exponent: int, bits: int) -> int:
     return exponent
 
 
-def _comb_pow(table: tuple, bits: int, k: int, one, square, mul):
+def _comb_pow(params: GroupParams, base, bits: int, k: int):
     """base^k for 0 <= k < 2^bits from base's comb table of that width, in
-    the backend's group operations: ``mul(r, entry)`` multiplies by a table
-    entry.
+    params' comb group law, normalised.
 
     Tooth i holds bits [i*a, (i+1)*a) of k, a = span * columns, and column j
     of a tooth its bits [j*span, (j+1)*span). The digit at (j, s) gathers bit
@@ -493,6 +505,8 @@ def _comb_pow(table: tuple, bits: int, k: int, one, square, mul):
     column j's row. One squaring per bit of a column, one multiplication per
     nonzero digit.
     """
+    table = _comb_table(params, base, bits)
+    one, square, mul, normalize = params._comb_ops()
     span = _comb_span(bits)
     a = span * COMB_COLUMNS
     mask = (1 << a) - 1
@@ -507,14 +521,19 @@ def _comb_pow(table: tuple, bits: int, k: int, one, square, mul):
             d = digits[j * span + s]
             if d:
                 r = mul(r, row[d])
-    return r
+    return normalize([r])[0]
 
 
-def _comb_rows(params: GroupParams, base, bits: int, one, square, mul, normalize) -> tuple:
-    """base's comb table for exponents below 2^bits. Row j, entry u: the
-    product over the set bits i of u of base^(2^(i*a + j*span)), with entry
-    0 the identity; ``normalize`` puts a list of results into the form
-    ``mul`` takes as its second operand.
+@functools.lru_cache(maxsize=16)
+def _comb_table(params: GroupParams, base, bits: int) -> tuple:
+    """base's comb table for exponents below 2^bits, in params' comb group
+    law. Row j, entry u: the product over the set bits i of u of
+    base^(2^(i*a + j*span)), with entry 0 the identity; each row is
+    normalised into the form the law's multiplication takes as its second
+    operand. Keyed by value, not by params instance, so every
+    ``modp_group(2048)`` or ``secp256k1()`` in a process shares one table per
+    (base, bits). The bound caps the memory a process that builds many
+    parameter sets or long-lived keys spends on tables.
 
     A base other than g and h is checked here, once per table, to be a group
     element other than the identity. The base powers cost one squaring per
@@ -523,6 +542,7 @@ def _comb_rows(params: GroupParams, base, bits: int, one, square, mul, normalize
     if base != params.g and base != params.h and (
             base == params.identity or not params.element_valid(base)):
         raise GroupError("a comb table's base must be a group element other than the identity")
+    one, square, mul, normalize = params._comb_ops()
     span = _comb_span(bits)
     powers = [mul(one, base)]  # base^(2^(n*span)); tooth i, column j is n = i*columns + j
     for _ in range(COMB_TEETH * COMB_COLUMNS - 1):
@@ -540,37 +560,6 @@ def _comb_rows(params: GroupParams, base, bits: int, one, square, mul, normalize
             row.append(mul(row[u ^ low], teeth[low.bit_length() - 1]))
         rows.append(tuple(normalize(row)))
     return tuple(rows)
-
-
-def _modp_ops(p: int) -> tuple:
-    """The comb's identity, squaring and multiplication mod p."""
-    return 1, lambda x: x * x % p, lambda x, y: x * y % p
-
-
-def _ec_ops(p: int, a: int) -> tuple:
-    """The comb's identity, doubling and addition on a curve: a Jacobian
-    accumulator plus an affine point, None the identity."""
-    def add(acc, q):
-        return acc if q is None else _jac_add_affine(*acc, q[0], q[1], p, a)
-    return (0, 1, 0), lambda acc: _jac_double(*acc, p, a), add
-
-
-@functools.lru_cache(maxsize=16)
-def _modp_comb_table(params: ModpParams, base: int, bits: int) -> tuple:
-    """base's comb table of width bits mod p. Keyed by value, not by params
-    instance, so every ``modp_group(2048)`` in a process shares one table
-    per (base, bits). The bound caps the memory a process that builds many
-    parameter sets or long-lived keys spends on tables."""
-    return _comb_rows(params, base, bits, *_modp_ops(params.modulus), list)
-
-
-@functools.lru_cache(maxsize=16)
-def _ec_comb_table(params: EcParams, base: Tuple[int, int], bits: int) -> tuple:
-    """base's comb table of width bits on a curve, entries affine and
-    batch-normalised; keyed by value like ``_modp_comb_table``."""
-    p = params.field_prime
-    return _comb_rows(params, base, bits, *_ec_ops(p, params.curve_a),
-                      lambda pts: _normalize(pts, p))
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +697,7 @@ def _glv_constants(p: int, a: int, n: int, g: Tuple[int, int]) -> Optional[tuple
     with it by lambda * g == (beta * g_x, g_y), which fails only when n is
     not g's order. v1 and v2 are short vectors (a, b) with
     a + b * lambda = 0 mod n, from the extended Euclidean algorithm on n and
-    lambda (Guide to ECC, Alg. 3.74). Cached by value like ``_ec_comb_table``.
+    lambda (Guide to ECC, Alg. 3.74). Cached by value like ``_comb_table``.
     """
     if a != 0 or p % 3 != 1 or n % 3 != 1:
         return None

@@ -10,8 +10,9 @@ code; a failed session never stores a digest.
 
 ``absorb`` checks each share's form as it arrives: its element's decode and
 how its round reads the receipt. A member share is the same bytes in every
-session over its key pair, so the element is decoded through a by-value
-memo, ``_share_element``, that keeps every encoding it accepted.
+session over its key pair, so a basic round decodes the element through a
+by-value memo, ``_share_element``, that keeps every encoding it accepted; a
+threshold round's shares are dealt fresh, and it decodes them plainly.
 ``finalize`` ends collection. It fails MISSING at the lowest index without
 a share, else on the first fault that its round's ``_faults`` yields over
 the combined shares: a basic round opens every receipt in index order, one
@@ -59,8 +60,9 @@ class OwnerRole:
 
 class ServerSession:
     """Server side of one run, driven by one logical thread. A subclass replaces
-    ``begin_round``, its one issuing step, how a receipt is read
-    (``_read_receipt``), and ``_faults``, its one stream of check verdicts;
+    ``begin_round``, its one issuing step, how a share element is decoded
+    (``_decode_share``) and a receipt read (``_read_receipt``), and
+    ``_faults``, its one stream of check verdicts;
     ``fail`` is the one way the session fails."""
 
     def __init__(self, params: GroupParams, n: int, keypair: pke.KeyPair,
@@ -82,6 +84,11 @@ class ServerSession:
     @property
     def live(self):
         return self.requests.keys()  # the indices issued a request, whose shares it takes
+
+    def _decode_share(self, element_bytes: bytes):
+        """The share element, through the memo: a member share repeats in
+        every session over its key pair."""
+        return _share_element(self.params, element_bytes)
 
     def _read_receipt(self, receipt: bytes):
         """``receipt`` as read for ``_faults``, or ``EncodingError``."""
@@ -137,7 +144,7 @@ class ServerSession:
         try:
             # the receipt's tag covers the element bytes exactly as received
             element_bytes = bytes(rd.element_bytes(self.params))
-            element = _share_element(self.params, element_bytes)
+            element = self._decode_share(element_bytes)
             receipt = self._read_receipt(rd.rest())
         except EncodingError:
             return self.fail(ErrorCode.MALFORMED, index)

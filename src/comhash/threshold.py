@@ -39,7 +39,7 @@ from enum import Enum
 from functools import partial
 from typing import Iterator, Optional, Sequence
 
-from .encoding import Reader, prefixed, scalar_from_bytes, scalar_to_bytes
+from .encoding import Reader, element_from_bytes, prefixed, scalar_from_bytes, scalar_to_bytes
 from .errors import AuthenticationError, EncodingError, ProtocolStateError
 from .frames import ErrorCode, Frame, MsgType, SERVER_ID, SESSION_ID_LENGTH, encode_frame
 from .groups import GroupParams, scalar_inv
@@ -381,6 +381,11 @@ class ThresholdServer(ServerSession):
         self.subset, self.owner, self.requests = subset, owner, requests
         self._dealt = {i: pair for i, pair in zip(subset, self.pairs) if i != owner}
         return out
+
+    def _decode_share(self, element_bytes: bytes):
+        """The share element, decoded plainly: pairs are dealt fresh, so a
+        share never repeats and would only evict the memo's member shares."""
+        return element_from_bytes(self.params, element_bytes)
 
     def _read_receipt(self, receipt: bytes) -> bytes:
         if len(receipt) != pke.TAG_LENGTH:

@@ -103,8 +103,7 @@ def test_run_bench_full_size_sweep_shape(toy_subgroup):
 def test_run_bench_builds_every_comb_table_in_setup(backend, monkeypatch):
     # a table built, or a share decoded, inside a timed trial would time
     # that work too
-    tables = (groups._ec_comb_table, groups._modp_comb_table, groups._glv_constants,
-              protocol._share_element)
+    tables = (groups._comb_table, groups._glv_constants, protocol._share_element)
     for table in tables:
         table.cache_clear()
     built = []
@@ -117,7 +116,7 @@ def test_run_bench_builds_every_comb_table_in_setup(backend, monkeypatch):
 
     monkeypatch.setattr(bench, "run_basic_session", timed)
     run_bench(backend, [1, 2], trials=2, seed=8)
-    assert built == [[0, 0, 0, 0]] * 4
+    assert built == [[0, 0, 0]] * 4
 
 
 def test_run_bench_times_sizes_round_robin_on_kept_shares(toy_subgroup, monkeypatch):
@@ -200,6 +199,20 @@ def test_cli_bench_stdout_table(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "backend,N,trials,mean_s,stddev_s"
     assert len(lines) == 3
+
+
+def test_cli_bench_stdout_and_out_file_are_the_same_bytes(tmp_path, capsysbinary, monkeypatch):
+    points = [BenchPoint("modp", 2, 1, 0.25, 0.0), BenchPoint("modp", 3, 1, 1 / 3, 0.125)]
+    monkeypatch.setattr(cli.bench, "run_bench", lambda *args, **kwargs: points)
+    argv = ["bench", "--backend", "modp", "--bits", "5", "--sizes", "2,3", "--trials", "1"]
+    assert cli.main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "bench.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed == (b"backend,N,trials,mean_s,stddev_s\n"
+                                           b"modp,2,1,0.250000000,0.000000000\n"
+                                           b"modp,3,1,0.333333333,0.125000000\n")
 
 
 def test_cli_verify_bundled_table(capsys):

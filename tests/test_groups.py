@@ -534,7 +534,7 @@ def test_bounded_comb_checks_a_base_once_per_table(modp2048, rng, monkeypatch):
         return element_valid(self, el)
 
     monkeypatch.setattr(ModpParams, "element_valid", counted)
-    groups._modp_comb_table.cache_clear()
+    groups._comb_table.cache_clear()
     key = pow(modp2048.g, rng.randrange(2**320), modp2048.modulus)
     for _ in range(3):
         modp2048.power(key, rng.randrange(2**320), bits=320)

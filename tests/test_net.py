@@ -358,8 +358,7 @@ def test_modp_session_membership_budget(which, per_share, per_session, repeated,
     keys = [ParticipantKeys.random(params, rng) for _ in range(n)]
     server = pke.generate_keypair(params, rng)
     m = rng.randrange(params.exponent_modulus)
-    groups._modp_comb_table.cache_clear()
-    groups._ec_comb_table.cache_clear()
+    groups._comb_table.cache_clear()
     protocol._share_element.cache_clear()
     calls = Counter()
     for name in ("power", "element_valid"):
@@ -491,14 +490,14 @@ def test_each_server_key_gets_one_comb_table(secp):
     rng = random.Random(14)
     keys = [ParticipantKeys.random(secp, rng) for _ in range(3)]
     server = pke.generate_keypair(secp, rng)
-    groups._ec_comb_table.cache_clear()
+    groups._comb_table.cache_clear()
     run_basic_session(secp, keys, 5, seed=1)  # g's and h's tables
     built = []
     for server_keypair in (None, None, server, server):
-        before = groups._ec_comb_table.cache_info().misses
+        before = groups._comb_table.cache_info().misses
         out = run_basic_session(secp, keys, 5, seed=2, server_keypair=server_keypair)
         assert out.digest == reference_digest(secp, 5, keys)
-        built.append(groups._ec_comb_table.cache_info().misses - before)
+        built.append(groups._comb_table.cache_info().misses - before)
     assert built == [1, 0, 1, 0]
 
 

@@ -421,6 +421,25 @@ def test_threshold_on_curve_backend(toy_curve):
     assert run.digest == expected
 
 
+def test_threshold_shares_leave_the_share_memo_alone(toy_curve):
+    # a threshold round's pairs are dealt fresh, so its shares never repeat:
+    # kept in the memo they would only evict the basic round's member shares
+    rng = random.Random(15)
+    keys = [ParticipantKeys.random(toy_curve, rng) for _ in range(3)]
+    server = pke.generate_keypair(toy_curve, rng)
+    protocol._share_element.cache_clear()
+    first = net.run_basic_session(toy_curve, keys, 4, seed=1, server_keypair=server)
+    kept = protocol._share_element.cache_info().currsize
+    for seed in range(3):
+        run = run_threshold_session(toy_curve, 5, 7, 4, 5, 12, random.Random(seed))
+        assert run.phase is Phase.DONE
+    assert protocol._share_element.cache_info().currsize == kept
+    misses = protocol._share_element.cache_info().misses
+    second = net.run_basic_session(toy_curve, keys, 4, seed=2, server_keypair=server)
+    assert second.digest == first.digest
+    assert protocol._share_element.cache_info().misses == misses
+
+
 def test_threshold_k_equals_n(toy_subgroup):
     run = run_threshold_session(toy_subgroup, 5, 6, 5, 5, 4,
                                 rng=random.Random(20))
@@ -894,7 +913,7 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
     monkeypatch.setattr(type(secp), "power_many", counted_many)
     monkeypatch.setattr(ThresholdServer, "begin_round", recording)
     for seed in (71, 72):
-        misses = groups._ec_comb_table.cache_info().misses
+        misses = groups._comb_table.cache_info().misses
         calls.update(fixed=0, var=0, bounded=[], many=[])
         run = run_threshold_session(secp, 5, 6, k, n, 7, random.Random(seed))
         assert run.digest == digest
@@ -902,7 +921,7 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
         assert Counter(calls["bounded"]) == {secp.g: n + 1,
                                              run.server.keypair.public: k}
         assert calls["many"] == [[publics[i] for i in run.server.subset]]
-        assert groups._ec_comb_table.cache_info().misses == misses + 1
+        assert groups._comb_table.cache_info().misses == misses + 1
 
 
 def test_threshold_transcript_bytes_pinned(secp):
