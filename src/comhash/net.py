@@ -7,7 +7,9 @@ non-empty queue and delivers its head to the destination's handler. A
 handler is any callable taking (src, data) and returning the follow-up
 (dst, data) messages, so a session plays out from the basic round's upload
 request or the threshold round's k deals; the router knows nothing of
-frames, parties or receipts. Each server issues its requests in one
+frames, parties or receipts. The channel authenticates each frame's sender:
+``frame_handler`` takes a frame only from the party its header names, and a
+participant answers only the server. Each server issues its requests in one
 ``begin_round`` and ends collection in ``finalize``, which decides any
 failure, so one ``answerer``, ``collect`` and ``play`` serve both.
 A fault plan can drop, duplicate, delay, flip a byte of, or swap the nonce
@@ -163,25 +165,29 @@ def route(handlers: dict[int, Handler], pending: list[Delivery], seed: int = 0,
 
 def frame_handler(on_frame: Callable[[Frame], list[tuple[int, Frame]]]) -> Handler:
     """A handler that decodes each delivery, ignores bytes that are not a
-    frame, and encodes the (dst, frame) replies of ``on_frame``."""
+    frame or a frame whose sender is not the party it came from, and encodes
+    the (dst, frame) replies of ``on_frame``."""
 
     def handle(src: int, data: bytes) -> list[tuple[int, bytes]]:
         try:
             frame = decode_frame(data)
         except FrameError:
             return []  # undeliverable junk; missing shares surface at drain
+        if frame.sender != src:
+            return []  # forged or altered in transit: one party cannot speak for another
         return [(dst, encode_frame(reply)) for dst, reply in on_frame(frame)]
 
     return handle
 
 
 def answerer(respond: Callable[[Frame], Frame]) -> Handler:
-    """A participant's handler: answer each frame with the frame ``respond``
-    makes for the server; one that is not its request, or does not open, gets none."""
+    """A participant's handler: answer each frame from the server with the
+    frame ``respond`` makes for it; another party's frame, one that is not
+    its request, or one that does not open gets none."""
 
     def on_frame(frame: Frame) -> list[tuple[int, Frame]]:
-        if frame.msg_type in (MsgType.RESULT, MsgType.ERROR):
-            return []  # the closing frame needs no answer
+        if frame.sender != SERVER_ID or frame.msg_type in (MsgType.RESULT, MsgType.ERROR):
+            return []  # only the server asks, and its closing frame needs no answer
         try:
             return [(SERVER_ID, respond(frame))]
         except (ProtocolStateError, AuthenticationError, EncodingError):

@@ -8,11 +8,11 @@ the request table once in its ``begin_round`` and shares ``share_frame``. Any
 mismatch parks the session in a terminal failed state with a specific error
 code; a failed session never stores a digest.
 
-``absorb`` checks each share's form as it arrives: its element's decode and
-how its round reads the receipt. A member share is the same bytes in every
-session over its key pair, so a basic round decodes the element through a
-by-value memo, ``_share_element``, that keeps every encoding it accepted; a
-threshold round's shares are dealt fresh, and it decodes them plainly.
+``absorb`` reads each share's element and receipt as it arrives, in one
+call to its round's ``_read_share``. A member share is the same bytes in
+every session over its key pair, so a basic round decodes the element
+through a by-value memo, ``_share_element``, that keeps every encoding it
+accepted; a threshold round decodes its freshly dealt shares plainly.
 ``finalize`` ends collection. It fails MISSING at the lowest index without
 a share, else on the first fault that its round's ``_faults`` yields over
 the combined shares: a basic round opens every receipt in index order, one
@@ -60,10 +60,9 @@ class OwnerRole:
 
 class ServerSession:
     """Server side of one run, driven by one logical thread. A subclass replaces
-    ``begin_round``, its one issuing step, how a share element is decoded
-    (``_decode_share``) and a receipt read (``_read_receipt``), and
-    ``_faults``, its one stream of check verdicts;
-    ``fail`` is the one way the session fails."""
+    ``begin_round``, its one issuing step, ``_read_share``, how it reads a
+    share's element and receipt, and ``_faults``, its one stream of check
+    verdicts; ``fail`` is the one way the session fails."""
 
     def __init__(self, params: GroupParams, n: int, keypair: pke.KeyPair,
                  rng: random.Random):
@@ -85,14 +84,12 @@ class ServerSession:
     def live(self):
         return self.requests.keys()  # the indices issued a request, whose shares it takes
 
-    def _decode_share(self, element_bytes: bytes):
-        """The share element, through the memo: a member share repeats in
-        every session over its key pair."""
-        return _share_element(self.params, element_bytes)
-
-    def _read_receipt(self, receipt: bytes):
-        """``receipt`` as read for ``_faults``, or ``EncodingError``."""
-        return pke.read_ciphertext(self.params, receipt)
+    def _read_share(self, element_bytes: bytes, receipt: bytes) -> tuple:
+        """The share element, through the memo, as a member share repeats in
+        every session over its key pair, and ``receipt`` as read for
+        ``_faults``; ``EncodingError`` if either is malformed."""
+        return (_share_element(self.params, element_bytes),
+                pke.read_ciphertext(self.params, receipt))
 
     def _faults(self, indices: list, digest) -> Iterator[tuple[ErrorCode, int]]:
         """Yield ``(code, index)`` for each fault in the round of ``indices``
@@ -144,8 +141,7 @@ class ServerSession:
         try:
             # the receipt's tag covers the element bytes exactly as received
             element_bytes = bytes(rd.element_bytes(self.params))
-            element = self._decode_share(element_bytes)
-            receipt = self._read_receipt(rd.rest())
+            element, receipt = self._read_share(element_bytes, rd.rest())
         except EncodingError:
             return self.fail(ErrorCode.MALFORMED, index)
         self.shares[index] = (element, element_bytes, receipt)

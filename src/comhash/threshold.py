@@ -382,15 +382,14 @@ class ThresholdServer(ServerSession):
         self._dealt = {i: pair for i, pair in zip(subset, self.pairs) if i != owner}
         return out
 
-    def _decode_share(self, element_bytes: bytes):
+    def _read_share(self, element_bytes: bytes, receipt: bytes) -> tuple:
         """The share element, decoded plainly: pairs are dealt fresh, so a
-        share never repeats and would only evict the memo's member shares."""
-        return element_from_bytes(self.params, element_bytes)
-
-    def _read_receipt(self, receipt: bytes) -> bytes:
+        share never repeats and would only evict the memo's member shares;
+        then ``receipt``, which must be exactly one tag."""
+        element = element_from_bytes(self.params, element_bytes)
         if len(receipt) != pke.TAG_LENGTH:
             raise EncodingError("a threshold receipt is one tag")
-        return receipt
+        return element, receipt
 
     def _faults(self, indices: list, digest) -> Iterator[tuple[ErrorCode, int]]:
         """DECRYPT_FAIL for each bad receipt tag in index order, i's under its

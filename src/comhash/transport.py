@@ -19,6 +19,8 @@ that is replayed, reordered, reflected, truncated, forged without the keys
 or taken from another link fails its tag. A record costs no
 exponentiation.
 
+A channel handshakes once: a second ``handshake`` would reuse its keys and
+sequence numbers, so it raises ``TransportError`` before it sends a byte.
 The first rejected record ends the link: a stream whose sequence numbers
 are implicit cannot resynchronise, so every later ``send_frame`` or
 ``recv_frame`` raises ``TransportError``. The handshake itself is not
@@ -67,6 +69,8 @@ class SecureChannel:
         self._failed = False
 
     def handshake(self) -> None:
+        if self.peer_public is not None:
+            raise TransportError("handshake already complete")
         digest = params_digest(self.params)
         self.sock.sendall(digest)
         theirs = _read_exact(self.sock, len(digest))

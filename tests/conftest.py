@@ -9,6 +9,7 @@ from comhash import (
     toy_modp_primitive,
     toy_modp_subgroup,
 )
+from comhash.net import Delivery
 
 
 def distinct_nonzero_scalars(modulus: int, count: int, rng: random.Random) -> list[int]:
@@ -24,6 +25,27 @@ def distinct_nonzero_scalars(modulus: int, count: int, rng: random.Random) -> li
             seen.add(v)
             out.append(v)
     return out
+
+
+def forging_route(route, j, dst, data, at_start):
+    """A stand-in for ``net.route`` under which participant j also sends
+    ``data`` to ``dst`` once: among the opening deliveries, or with its
+    answer to the first frame it takes."""
+    unsent = [(dst, data)]
+
+    def forging(handlers, pending, **kwargs):
+        if unsent and at_start:
+            pending = [*pending, Delivery(j, *unsent.pop())]
+        elif unsent:
+            def answer_and_forge(src, got, answer=handlers[j]):
+                replies = answer(src, got) + unsent
+                unsent.clear()
+                return replies
+
+            handlers[j] = answer_and_forge
+        return route(handlers, pending, **kwargs)
+
+    return forging
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from comhash import (EcParams, ErrorCode, ModpParams, MsgType, ParticipantKeys, Phase,
-                     decode_frame, member_share, reference_digest)
-from comhash import groups, pke, protocol
+from comhash import (EcParams, ErrorCode, Frame, ModpParams, MsgType, ParticipantKeys, Phase,
+                     decode_frame, encode_frame, member_share, reference_digest)
+from comhash import groups, net, pke, protocol
 from comhash.encoding import prefixed
-from comhash.frames import HEADER_LENGTH
+from comhash.frames import _FIXED_PAYLOAD, HEADER_LENGTH, SERVER_ID, SESSION_ID_LENGTH
 from comhash.net import (
     Delivery,
     Drop,
@@ -20,6 +22,7 @@ from comhash.net import (
     route,
     run_basic_session,
 )
+from conftest import forging_route
 
 
 TOY_KEYS = [ParticipantKeys(2, 3), ParticipantKeys(4, 6)]
@@ -320,6 +323,66 @@ def test_flipped_share_element_never_stores_a_wrong_digest(which, seeds, request
                 assert out.digest is None
                 codes[out.error_code] += 1
     assert set(codes) == {ErrorCode.DECRYPT_FAIL, ErrorCode.MALFORMED}
+
+
+# ---------------------------------------------------------------------------
+# a participant speaks only for itself, and only the server asks
+# ---------------------------------------------------------------------------
+
+FORGER_KEYS = [ParticipantKeys(1, 2), ParticipantKeys(3, 4), ParticipantKeys(5, 6)]
+
+
+def _clean_share(params, seed, j):
+    """The session id of a clean seeded toy run, and participant j's SHARE payload in it."""
+    clean = run_basic_session(params, FORGER_KEYS, 5, seed=seed)
+    share = next(frame for d, frame in zip(clean.trace, clean.transcript)
+                 if d.src == j and frame.msg_type is MsgType.SHARE)
+    return clean.server.session_id, share.payload
+
+
+@pytest.mark.parametrize("dst, msg_type, sender", [
+    (SERVER_ID, MsgType.SHARE, 3),  # a SHARE in another participant's name
+    (3, MsgType.NONCE, 2),  # a request in its own name
+    (3, MsgType.NONCE, SERVER_ID),  # a request in the server's name
+], ids=["share-as-3", "nonce-as-2", "nonce-as-server"])
+def test_a_participant_cannot_make_the_server_blame_another(dst, msg_type, sender,
+                                                            toy_curve, monkeypatch):
+    # participant 2 also sends one forged frame when its NONCE arrives
+    sid, own = _clean_share(toy_curve, 21, 2)
+    payload = own if msg_type is MsgType.SHARE else b"\x5a" * 32
+    forged = encode_frame(Frame(msg_type, sid, sender, payload))
+    monkeypatch.setattr(net, "route", forging_route(net.route, 2, dst, forged, False))
+    out = run_basic_session(toy_curve, FORGER_KEYS, 5, seed=21)
+    assert (out.phase, out.error_code) == (Phase.DONE, None)
+    assert out.digest == reference_digest(toy_curve, 5, FORGER_KEYS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_an_extra_frame_fails_only_its_sender(toy_curve, data):
+    j = data.draw(st.integers(1, 3))
+    sender = data.draw(st.integers(0, 3))
+    dst = data.draw(st.integers(0, 3))
+    # half the draws are the two types a basic round acts on
+    msg_type = data.draw(st.one_of(st.sampled_from([MsgType.NONCE, MsgType.SHARE]),
+                                   st.sampled_from(MsgType)))
+    sid, own = _clean_share(toy_curve, 22, j)
+    if data.draw(st.booleans()):
+        sid = data.draw(st.binary(min_size=SESSION_ID_LENGTH, max_size=SESSION_ID_LENGTH))
+    if msg_type in _FIXED_PAYLOAD:
+        size = _FIXED_PAYLOAD[msg_type]
+        payload = data.draw(st.binary(min_size=size, max_size=size))
+    else:
+        payload = data.draw(st.one_of(st.just(own), st.binary(max_size=2 * len(own))))
+    forged = encode_frame(Frame(msg_type, sid, sender, payload))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(net, "route",
+                      forging_route(net.route, j, dst, forged, data.draw(st.booleans())))
+        out = run_basic_session(toy_curve, FORGER_KEYS, 5, seed=22)
+    if out.phase is Phase.DONE:
+        assert out.digest == reference_digest(toy_curve, 5, FORGER_KEYS)
+    else:
+        assert (out.phase, out.server.culprit) == (Phase.FAILED, j)
 
 
 def test_unseeded_sessions_draw_fresh_session_ids(toy_subgroup):

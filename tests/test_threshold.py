@@ -41,7 +41,7 @@ from comhash.frames import HEADER_LENGTH, Frame, MsgType, SERVER_ID, encode_fram
 from comhash.net import Drop, Duplicate, FaultPlan, FlipByte, Reorder
 from comhash.groups import scalar_inv
 from comhash.threshold import ThresholdParticipant, ThresholdServer
-from conftest import distinct_nonzero_scalars
+from conftest import distinct_nonzero_scalars, forging_route
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +438,19 @@ def test_threshold_shares_leave_the_share_memo_alone(toy_curve):
     second = net.run_basic_session(toy_curve, keys, 4, seed=2, server_keypair=server)
     assert second.digest == first.digest
     assert protocol._share_element.cache_info().misses == misses
+
+
+def test_a_member_cannot_forge_another_members_share(toy_curve, monkeypatch):
+    # member 2 also sends its SHARE under member 3's name when its deal arrives
+    s0, t0, m = 5, 7, 12
+    clean = run_threshold_session(toy_curve, s0, t0, 3, 3, m, random.Random(16))
+    own = next(frame for d, frame in zip(clean.trace, clean.transcript)
+               if d.src == 2 and frame.msg_type is MsgType.SHARE)
+    forged = encode_frame(Frame(MsgType.SHARE, own.session_id, 3, own.payload))
+    monkeypatch.setattr(net, "route", forging_route(net.route, 2, SERVER_ID, forged, False))
+    run = run_threshold_session(toy_curve, s0, t0, 3, 3, m, random.Random(16))
+    assert (run.phase, run.error_code) == (Phase.DONE, None)
+    assert run.digest == cvhp(toy_curve, (m + s0) % 19, t0)
 
 
 def test_threshold_k_equals_n(toy_subgroup):

@@ -246,6 +246,19 @@ def socketpair_channels(params, seeds=(5, 6)):
     return ends
 
 
+def test_a_channel_handshakes_once(secp):
+    # a second handshake would derive the same keys and number each direction
+    # from zero again, so its first record would reuse the first one's keystream
+    client, server = socketpair_channels(secp)
+    client.sock.settimeout(2)  # a handshake that starts waits for a peer that never answers
+    with pytest.raises(TransportError, match="already"):
+        client.handshake()
+    client.send_frame(FRAME_A)
+    assert server.recv_frame() == FRAME_A
+    client.close()
+    server.close()
+
+
 def test_send_frame_rejects_an_oversize_frame(secp):
     client, server = socketpair_channels(secp)
     with pytest.raises(TransportError, match="too long"):
