@@ -5,17 +5,19 @@
 only one that tells them apart, but for the parameter-set codec
 (``encoding.params_to_bytes`` and ``params_from_bytes``): generators
 ``g``/``h``, ``identity``, the ``exponent_modulus`` all scalar arithmetic is
-reduced by, ``prime_order``; ``power``, ``combine`` (the group law) and
-``element_valid``; the element codec ``element_width``, ``encode``
-(trusting) and ``decode`` (strict); and ``generator_candidate`` and
-``structure_problems``, the backend's steps of ``derive_second_generator``
-and ``validate_group``.
+reduced by, ``prime_order``; ``power``, ``combine`` (the group law, over
+any number of elements) and ``element_valid``; the element codec
+``element_width``, ``encode`` (trusting) and ``decode`` (strict); and
+``generator_candidate`` and ``structure_problems``, the backend's steps of
+``derive_second_generator`` and ``validate_group``.
 
 ``power`` routes by what the caller says, never by the exponent's value.
-Both backends send two kinds of base to one Lim-Lee comb (CRYPTO '94): the
-same table builder and evaluation loop, in the group law each backend's
-``_comb_ops`` gives, with tables built once per process and kept by value,
-per (base, bits), in one cache. ``power(base, e)`` sends ``g`` and ``h``
+Both backends send two kinds of base to one Lim-Lee comb (CRYPTO '94): one
+table builder, whose base powers come in the group law each backend's
+``_comb_ops`` gives and whose rows each backend's ``_comb_rows`` fills, and
+one digit reader, ``_comb_digits``, whose byte digits each backend's
+``_comb_eval`` loop reads. Tables are built once per process and kept by
+value, per (base, bits), in one cache. ``power(base, e)`` sends ``g`` and ``h``
 there, on tables as wide as the exponent modulus, and reduces e by it.
 ``power(base, e, bits=b)`` marks base as long-lived and e as below 2^b,
 which it checks instead of reducing: base, whatever it is, gets a b-bit
@@ -33,7 +35,11 @@ and each step's lanes share one field inversion (Montgomery, Math. Comp.
 1987). Each lane holds c * base and adds d * base, with the same c and d
 in every lane, so with bases of prime order a lane meets a zero denominator
 (c = +-d or 2c = 0 mod the order) exactly when all do; then the call falls
-back to ``power``, base by base.
+back to ``power``, base by base. On a curve the comb's rows are built the
+same way: level by level, in affine coordinates, one field inversion per
+level, falling back to entry-by-entry Jacobian additions on a zero
+denominator (only the toy curve meets one). ``combine`` folds any number
+of points into one Jacobian accumulator, made affine with one inversion.
 """
 
 from __future__ import annotations
@@ -59,10 +65,16 @@ DEFAULT_H_LABEL = b"comhash/second-generator/v1"
 # base powers: columns * 2^teeth = 1024 entries, whose size is set by the
 # element width, not by bits: about 0.19 MB on secp256k1 (1,020 affine
 # points), 0.31 MB at 2048 bits and 0.42 MB at 3072. A power costs span
-# squarings and at most columns * span multiplications. With Python 3.11 on
-# a 2-vCPU Xeon VM:
+# squarings and at most columns * span multiplications. Every digit of an
+# exponent is one byte of one integer (``_comb_digits``), and a curve's loop
+# keeps its Jacobian accumulator in locals. With Python 3.11 on a 2-vCPU
+# Xeon VM:
 # - secp256k1, 256 bits (g, h, a long-lived key): 8 doublings and 32 mixed
-#   additions, 0.28-0.42 ms against 1.0-1.3 ms for GLV; 14-18 ms to build.
+#   additions, 0.21-0.23 ms against 1.0-1.3 ms for GLV. 4.4-4.6 ms to
+#   build: the base powers in Jacobian coordinates, then the entries level
+#   by level, by the number of teeth set, each level of all 4 rows one
+#   batch of affine additions sharing one inversion; 9.4-9.7 ms entry by
+#   entry (the toy curve's fallback) in the same runs.
 # - 2048 bits, full width (g, h): 64 and 256, 5-6 ms against 31 ms for
 #   built-in pow; 40-45 ms to build.
 # - 2048 bits, 320 bits (g and a long-lived key under pke's receipt
@@ -75,6 +87,12 @@ DEFAULT_H_LABEL = b"comhash/second-generator/v1"
 COMB_TEETH = 8
 COMB_COLUMNS = 4
 WNAF_WIDTH = 5
+
+# _SPREAD[b]: byte b's 8 bits, least significant first, one per byte
+_SPREAD = tuple(bytes((b >> i) & 1 for i in range(8)) for b in range(256))
+# a comb row's entries with two or more teeth set, grouped by how many
+_COMB_LEVELS = tuple(tuple(u for u in range(1 << COMB_TEETH) if bin(u).count("1") == n)
+                     for n in range(2, COMB_TEETH + 1))
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -277,16 +295,37 @@ class ModpParams:
         return _comb_pow(self, base, bits, k)
 
     def _comb_ops(self) -> tuple:
-        """The comb's identity, squaring, multiplication and normalisation mod p."""
+        """The table builder's identity, squaring, multiplication and
+        normalisation mod p."""
         p = self.modulus
         return 1, lambda x: x * x % p, lambda x, y: x * y % p, list
+
+    def _comb_rows(self, powers: list) -> tuple:
+        return _entrywise_rows(self, powers)
+
+    def _comb_eval(self, table: tuple, digits: bytes, span: int) -> int:
+        """The comb's loop: a squaring per bit of a column, a multiplication
+        per nonzero digit."""
+        p = self.modulus
+        r = 1
+        for s in range(span - 1, -1, -1):
+            r = r * r % p
+            for d, row in zip(digits[s::span], table):
+                if d:
+                    r = r * row[d] % p
+        return r
 
     def power_many(self, bases: list, exponent: int) -> list:
         """``[self.power(b, exponent) for b in bases]``."""
         return [self.power(b, exponent) for b in bases]
 
-    def combine(self, e1: int, e2: int) -> int:
-        return self._check(e1) * self._check(e2) % self.modulus
+    def combine(self, *elements: int) -> int:
+        """The product of the elements mod p; 1 for none."""
+        p = self.modulus
+        acc = 1
+        for el in elements:
+            acc = acc * self._check(el) % p
+        return acc
 
     def generator_candidate(self, seed: bytes) -> Optional[int]:
         """The generator seed hashes to, or None if it hashes to none."""
@@ -416,13 +455,38 @@ class EcParams:
         return _comb_pow(self, base, bits, k)
 
     def _comb_ops(self) -> tuple:
-        """The comb's identity, doubling, addition and normalisation: a Jacobian
-        accumulator plus an affine point, None the identity, made affine in a batch."""
+        """The table builder's identity, doubling, addition and normalisation:
+        a Jacobian accumulator plus an affine point, None the identity, made
+        affine in a batch."""
         p, a = self.field_prime, self.curve_a
 
         def add(acc, q):
             return acc if q is None else _jac_add_affine(*acc, q[0], q[1], p, a)
         return (0, 1, 0), lambda acc: _jac_double(*acc, p, a), add, lambda pts: _normalize(pts, p)
+
+    def _comb_rows(self, powers: list) -> tuple:
+        """``_affine_rows``, or ``_entrywise_rows`` after a zero denominator
+        there (the toy curve's tables hold the identity and repeated points)."""
+        if None not in powers:
+            try:
+                return _affine_rows(powers, self.field_prime, self.curve_a)
+            except ValueError:  # a zero denominator
+                pass
+        return _entrywise_rows(self, powers)
+
+    def _comb_eval(self, table: tuple, digits: bytes, span: int) -> Point:
+        """The comb's loop on a Jacobian accumulator: a doubling per bit of a
+        column, a mixed addition per nonzero digit, one inversion at the end."""
+        p, a = self.field_prime, self.curve_a
+        X, Y, Z = 0, 1, 0
+        for s in range(span - 1, -1, -1):
+            X, Y, Z = _jac_double(X, Y, Z, p, a)
+            for d, row in zip(digits[s::span], table):
+                if d:
+                    q = row[d]
+                    if q is not None:  # the identity, on the toy curve
+                        X, Y, Z = _jac_add_affine(X, Y, Z, q[0], q[1], p, a)
+        return _normalize([(X, Y, Z)], p)[0]
 
     def power_many(self, bases: list, exponent: int) -> list:
         """``[self.power(b, exponent) for b in bases]`` as the lanes of
@@ -435,15 +499,17 @@ class EcParams:
                 pass
         return [self.power(b, exponent) for b in bases]
 
-    def combine(self, p1: Point, p2: Point) -> Point:
-        """p1 + p2 by the comb's mixed addition: p1 as a Jacobian point
-        with Z = 1, p2 affine."""
-        p = self.field_prime
-        p1, p2 = self._check(p1), self._check(p2)
-        if p2 is None:
-            return p1
-        acc = (0, 1, 0) if p1 is None else (p1[0], p1[1], 1)
-        return _normalize([_jac_add_affine(*acc, p2[0], p2[1], p, self.curve_a)], p)[0]
+    def combine(self, *points: Point) -> Point:
+        """The sum of the points; None, the identity, for none. One Jacobian
+        accumulator takes each point by mixed addition and is made affine
+        once, so a fold of any length pays one field inversion."""
+        p, a = self.field_prime, self.curve_a
+        X, Y, Z = 0, 1, 0
+        for pt in points:
+            pt = self._check(pt)
+            if pt is not None:
+                X, Y, Z = _jac_add_affine(X, Y, Z, pt[0], pt[1], p, a)
+        return _normalize([(X, Y, Z)], p)[0]
 
     def generator_candidate(self, seed: bytes) -> Point:
         """The point with x hashed from seed and even y; None if x is off the curve."""
@@ -496,32 +562,29 @@ def _bounded(exponent: int, bits: int) -> int:
 
 
 def _comb_pow(params: GroupParams, base, bits: int, k: int):
-    """base^k for 0 <= k < 2^bits from base's comb table of that width, in
-    params' comb group law, normalised.
+    """base^k for 0 <= k < 2^bits from base's comb table of that width, by
+    params' comb loop on ``_comb_digits``, normalised."""
+    return params._comb_eval(_comb_table(params, base, bits), _comb_digits(k, bits),
+                             _comb_span(bits))
+
+
+def _comb_digits(k: int, bits: int) -> bytes:
+    """k's comb digits, 0 <= k < 2^bits, one per byte.
 
     Tooth i holds bits [i*a, (i+1)*a) of k, a = span * columns, and column j
-    of a tooth its bits [j*span, (j+1)*span). The digit at (j, s) gathers bit
+    of a tooth its bits [j*span, (j+1)*span). Byte j*span + s gathers bit
     j*span + s of every tooth, tooth i as bit i, and selects one entry from
-    column j's row. One squaring per bit of a column, one multiplication per
-    nonzero digit.
+    column j's row. ``_SPREAD`` gives every bit of k a byte of its own, so
+    tooth i's bits are bytes [i*a, (i+1)*a) of the spread, and the teeth,
+    each shifted to its bit, OR into one integer whose bytes are the digits.
+    With COMB_TEETH = 8, k's a little-endian bytes hold every tooth.
     """
-    table = _comb_table(params, base, bits)
-    one, square, mul, normalize = params._comb_ops()
-    span = _comb_span(bits)
-    a = span * COMB_COLUMNS
-    mask = (1 << a) - 1
-    # zip reads the teeth's binary strings column by column; the last tooth
-    # comes first so that it lands on the digit's top bit
-    teeth = [f"{(k >> (i * a)) & mask:0{a}b}" for i in reversed(range(COMB_TEETH))]
-    digits = [int("".join(column), 2) for column in zip(*teeth)][::-1]
-    r = one
-    for s in range(span - 1, -1, -1):
-        r = square(r)
-        for j, row in enumerate(table):
-            d = digits[j * span + s]
-            if d:
-                r = mul(r, row[d])
-    return normalize([r])[0]
+    a = _comb_span(bits) * COMB_COLUMNS
+    spread = b"".join([_SPREAD[b] for b in k.to_bytes(a, "little")])
+    d = 0
+    for i in range(COMB_TEETH):
+        d |= int.from_bytes(spread[i * a:(i + 1) * a], "little") << i
+    return d.to_bytes(a, "little")
 
 
 @functools.lru_cache(maxsize=16)
@@ -537,7 +600,7 @@ def _comb_table(params: GroupParams, base, bits: int) -> tuple:
 
     A base other than g and h is checked here, once per table, to be a group
     element other than the identity. The base powers cost one squaring per
-    exponent bit and each entry one multiplication.
+    exponent bit; the rows are the backend's ``_comb_rows`` of them.
     """
     if base != params.g and base != params.h and (
             base == params.identity or not params.element_valid(base)):
@@ -550,7 +613,14 @@ def _comb_table(params: GroupParams, base, bits: int) -> tuple:
         for _ in range(span):
             x = square(x)
         powers.append(x)
-    powers = normalize(powers)
+    return params._comb_rows(normalize(powers))
+
+
+def _entrywise_rows(params: GroupParams, powers: list) -> tuple:
+    """The comb table's rows from its normalised base powers, in params'
+    comb group law: each entry one multiplication, each row normalised with
+    one batch inversion on a curve."""
+    one, _, mul, normalize = params._comb_ops()
     rows = []
     for j in range(COMB_COLUMNS):
         teeth = powers[j::COMB_COLUMNS]
@@ -560,6 +630,27 @@ def _comb_table(params: GroupParams, base, bits: int) -> tuple:
             row.append(mul(row[u ^ low], teeth[low.bit_length() - 1]))
         rows.append(tuple(normalize(row)))
     return tuple(rows)
+
+
+def _affine_rows(powers: list, p: int, a: int) -> tuple:
+    """The comb table's rows from its affine base powers, level by level:
+    an entry with n teeth set is the entry without its lowest tooth plus
+    that tooth, and each level's entries of every row are one
+    ``_affine_sums``, sharing one field inversion (7 inversions, in place
+    of 1,020 Jacobian additions and 4 normalisations). An entry that
+    is the identity or meets its tooth's x coordinate makes a zero
+    denominator, which raises ``ValueError``."""
+    rows = [[None] * (1 << COMB_TEETH) for _ in range(COMB_COLUMNS)]
+    for j, row in enumerate(rows):
+        for i, tooth in enumerate(powers[j::COMB_COLUMNS]):
+            row[1 << i] = tooth
+    for level in _COMB_LEVELS:
+        sums = iter(_affine_sums([row[u & (u - 1)] for row in rows for u in level],
+                                 [row[u & -u] for row in rows for u in level], p, a))
+        for row in rows:
+            for u in level:
+                row[u] = next(sums)
+    return tuple(tuple(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,11 @@ def owner_share(params: GroupParams, keys: ParticipantKeys, m: int,
 
 
 def combine_shares(params: GroupParams, shares: Sequence):
-    """Fold the shares with the group law; order never matters."""
+    """Fold the shares with the group law, in one ``combine``; order never
+    matters."""
     if not shares:
         raise ValueError("cannot combine an empty share list")
-    acc = shares[0]
-    for share in shares[1:]:
-        acc = params.combine(acc, share)
-    return acc
+    return params.combine(*shares)
 
 
 def reference_digest(params: GroupParams, m: int,

@@ -213,8 +213,16 @@ class SessionOutcome:
     server: Optional[ServerSession] = None
 
     @property
-    def transcript(self) -> list[Frame]:
-        return [decode_frame(d.data) for d in self.trace]
+    def transcript(self) -> list[Optional[Frame]]:
+        """Each delivery's frame, in trace order; None where a fault left
+        bytes that are not a frame, so the list stays aligned with the trace."""
+        frames: list[Optional[Frame]] = []
+        for d in self.trace:
+            try:
+                frames.append(decode_frame(d.data))
+            except FrameError:
+                frames.append(None)
+        return frames
 
 
 def play(handlers: dict[int, Handler], pending: list[Delivery], seed: int,

@@ -261,6 +261,40 @@ def test_combine_matches_the_chord_and_tangent_rule(toy_curve, secp, rng):
     assert secp.combine(a, minus_a) is None
 
 
+def _fold_oracle(params, elements):
+    """The pairwise fold of elements from the identity: chord and tangent on
+    a curve, the product mod p."""
+    acc = params.identity
+    for el in elements:
+        acc = (chord_and_tangent(params, acc, el) if params.backend == "ec"
+               else acc * el % params.modulus)
+    return acc
+
+
+def _combine_pool(params) -> list:
+    """Elements whose folds meet the identity, P + (-P) and repeated points."""
+    if params.backend == "modp":
+        return [el for el in range(1, params.modulus) if params.element_valid(el)]
+    if params.field_prime < 100:
+        return enumerate_curve_points(params)
+    points = [params.g, params.h, params.power(params.g, 2), params.power(params.g, 3)]
+    return [None] + points + [(x, params.field_prime - y) for x, y in points]
+
+
+@pytest.mark.parametrize("which", ["toy_subgroup", "toy_curve", "secp"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_combine_of_many_equals_the_pairwise_fold(which, data, request):
+    params = request.getfixturevalue(which)
+    pool = _combine_pool(params)
+    indices = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+    elements = [pool[i] for i in indices]
+    if data.draw(st.booleans()):  # an element and its inverse side by side
+        el = pool[data.draw(st.integers(0, len(pool) - 1))]
+        elements += [el, params.power(el, -1)]
+    assert params.combine(*elements) == _fold_oracle(params, elements)
+
+
 def test_backend_mismatch_rejected(toy_subgroup, toy_curve):
     with pytest.raises(GroupError):
         toy_subgroup.power((5, 1), 3)
@@ -544,6 +578,80 @@ def test_bounded_comb_checks_a_base_once_per_table(modp2048, rng, monkeypatch):
     modp2048.power(modp2048.g, 5, bits=48)
     modp2048.power(modp2048.h, 5, bits=48)
     assert checked == [key, key]
+
+
+# ---------------------------------------------------------------------------
+# comb kernel: digits and table builds
+# ---------------------------------------------------------------------------
+
+def _gathered_digits(k: int, bits: int) -> list:
+    """The comb digits by definition: digit t gathers bit t of every tooth,
+    tooth i (bits [i*a, (i+1)*a) of k) as bit i."""
+    a = groups._comb_span(bits) * COMB_COLUMNS
+    return [sum(((k >> (i * a + t)) & 1) << i for i in range(COMB_TEETH)) for t in range(a)]
+
+
+@pytest.mark.parametrize("which", ["toy_subgroup", "toy_curve", "secp"])
+def test_byte_digits_gather_every_tooth(which, request, rng):
+    params = request.getfixturevalue(which)
+    for bits in (params.exponent_modulus.bit_length(), pke._exponent_bits(params), 7, 320):
+        span = groups._comb_span(bits)
+        ks = set(_bounded_exponents(bits))  # 0, 2^bits - 1, every column and tooth boundary
+        ks |= {2**(span * j) for j in range(COMB_TEETH * COMB_COLUMNS) if span * j < bits}
+        ks |= {rng.randrange(2**bits) for _ in range(20)}
+        for k in sorted(ks):
+            assert list(groups._comb_digits(k, bits)) == _gathered_digits(k, bits), (bits, k)
+
+
+def _base_powers(params, base, bits: int) -> list:
+    """base^(2^(n*span)) for every tooth and column, by w-NAF, not by the comb."""
+    span = groups._comb_span(bits)
+    return [_ec_mul(params, base, 2**(n * span)) for n in range(COMB_TEETH * COMB_COLUMNS)]
+
+
+def _spied_entrywise_rows(monkeypatch) -> list:
+    """Record each ``_entrywise_rows`` call a curve's table build makes."""
+    calls = []
+    entrywise = groups._entrywise_rows
+
+    def spy(params, powers):
+        calls.append(powers)
+        return entrywise(params, powers)
+
+    monkeypatch.setattr(groups, "_entrywise_rows", spy)
+    return calls
+
+
+def test_secp_batched_tables_equal_the_entrywise_tables(secp, rng, monkeypatch):
+    key = secp.power(secp.g, rng.randrange(1, secp.order))
+    entrywise = groups._entrywise_rows
+    calls = _spied_entrywise_rows(monkeypatch)
+    for base in (secp.g, secp.h, key):
+        powers = _base_powers(secp, base, 256)
+        batched = groups._affine_rows(powers, secp.field_prime, secp.curve_a)
+        assert batched == entrywise(secp, powers), base
+        assert groups._comb_table.__wrapped__(secp, base, 256) == batched, base
+    assert calls == []  # no secp256k1 table falls back
+
+
+@pytest.mark.parametrize("bits", [5, 7])
+def test_toy_curve_tables_fall_back_to_the_entrywise_build(toy_curve, bits, monkeypatch):
+    # 19 points: a row of 255 entries repeats points and holds the identity
+    calls = _spied_entrywise_rows(monkeypatch)
+    members = enumerate_curve_points(toy_curve)[1:]
+    for base in (toy_curve.g, toy_curve.h, members[7]):
+        powers = _base_powers(toy_curve, base, bits)
+        with pytest.raises(ValueError):
+            groups._affine_rows(powers, toy_curve.field_prime, toy_curve.curve_a)
+        del calls[:]
+        table = groups._comb_table.__wrapped__(toy_curve, base, bits)
+        assert calls == [powers], base
+        span = groups._comb_span(bits)
+        for j, row in enumerate(table):  # entry u of row j, by definition
+            for u, entry in enumerate(row):
+                k = sum(2**(i * span * COMB_COLUMNS + j * span)
+                        for i in range(COMB_TEETH) if u >> i & 1)
+                assert entry == _ec_mul(toy_curve, base, k), (base, j, u)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from comhash import (EcParams, ErrorCode, Frame, ModpParams, MsgType, Participan
                      decode_frame, encode_frame, member_share, reference_digest)
 from comhash import groups, net, pke, protocol
 from comhash.encoding import prefixed
+from comhash.errors import FrameError
 from comhash.frames import _FIXED_PAYLOAD, HEADER_LENGTH, SERVER_ID, SESSION_ID_LENGTH
 from comhash.net import (
     Delivery,
@@ -338,6 +339,23 @@ def _clean_share(params, seed, j):
     share = next(frame for d, frame in zip(clean.trace, clean.transcript)
                  if d.src == j and frame.msg_type is MsgType.SHARE)
     return clean.server.session_id, share.payload
+
+
+def test_a_faulted_transcript_keeps_one_entry_per_delivery(toy_curve):
+    # the flipped magic byte makes the first NONCE junk: its recipient drops
+    # it, and the transcript holds None in its place
+    out = run_basic_session(toy_curve, FORGER_KEYS, 5, seed=3,
+                            faults=FaultPlan({1: FlipByte(0)}))
+    assert (out.phase, out.error_code) == (Phase.FAILED, ErrorCode.MISSING)
+    transcript = out.transcript
+    assert len(transcript) == len(out.trace)
+    assert [i for i, frame in enumerate(transcript) if frame is None] == [1]
+    for d, frame in zip(out.trace, transcript):
+        if frame is None:
+            with pytest.raises(FrameError):
+                decode_frame(d.data)
+        else:
+            assert encode_frame(frame) == d.data
 
 
 @pytest.mark.parametrize("dst, msg_type, sender", [
