@@ -16,8 +16,10 @@ Both backends send two kinds of base to one Lim-Lee comb (CRYPTO '94): one
 table builder, whose base powers come in the group law each backend's
 ``_comb_ops`` gives and whose rows each backend's ``_comb_rows`` fills, and
 one digit reader, ``_comb_digits``, whose byte digits each backend's
-``_comb_eval`` loop reads. Tables are built once per process and kept by
-value, per (base, bits), in one cache. ``power(base, e)`` sends ``g`` and ``h``
+``_comb_eval`` loop reads. Tables are kept by value, per (base, bits):
+``g``'s and ``h``'s in a 16-entry cache, every other base's in a 2-entry
+one, so a one-shot key's table is freed within two more keys and never
+evicts a generator's. ``power(base, e)`` sends ``g`` and ``h``
 there, on tables as wide as the exponent modulus, and reduces e by it.
 ``power(base, e, bits=b)`` marks base as long-lived and e as below 2^b,
 which it checks instead of reducing: base, whatever it is, gets a b-bit
@@ -564,7 +566,8 @@ def _bounded(exponent: int, bits: int) -> int:
 def _comb_pow(params: GroupParams, base, bits: int, k: int):
     """base^k for 0 <= k < 2^bits from base's comb table of that width, by
     params' comb loop on ``_comb_digits``, normalised."""
-    return params._comb_eval(_comb_table(params, base, bits), _comb_digits(k, bits),
+    tables = _generator_tables if base == params.g or base == params.h else _key_tables
+    return params._comb_eval(tables(params, base, bits), _comb_digits(k, bits),
                              _comb_span(bits))
 
 
@@ -587,18 +590,14 @@ def _comb_digits(k: int, bits: int) -> bytes:
     return d.to_bytes(a, "little")
 
 
-@functools.lru_cache(maxsize=16)
 def _comb_table(params: GroupParams, base, bits: int) -> tuple:
     """base's comb table for exponents below 2^bits, in params' comb group
     law. Row j, entry u: the product over the set bits i of u of
     base^(2^(i*a + j*span)), with entry 0 the identity; each row is
     normalised into the form the law's multiplication takes as its second
-    operand. Keyed by value, not by params instance, so every
-    ``modp_group(2048)`` or ``secp256k1()`` in a process shares one table per
-    (base, bits). The bound caps the memory a process that builds many
-    parameter sets or long-lived keys spends on tables.
+    operand. Uncached: ``_comb_pow`` reads it through the two caches below.
 
-    A base other than g and h is checked here, once per table, to be a group
+    A base other than g and h is checked here, once per build, to be a group
     element other than the identity. The base powers cost one squaring per
     exponent bit; the rows are the backend's ``_comb_rows`` of them.
     """
@@ -614,6 +613,17 @@ def _comb_table(params: GroupParams, base, bits: int) -> tuple:
             x = square(x)
         powers.append(x)
     return params._comb_rows(normalize(powers))
+
+
+# Built tables are kept by value, not by params instance, so every
+# ``modp_group(2048)`` or ``secp256k1()`` in a process shares one table per
+# (base, bits), in two LRUs whose bounds cap the memory they hold: g's and
+# h's tables in 16 entries, every other base's in 2, so that no key evicts
+# a generator's table. A round raises one key, and the second entry keeps a
+# long-lived key's table across one interleaved one-shot key; two or more
+# evict it, and it costs one rebuild.
+_generator_tables = functools.lru_cache(maxsize=16)(_comb_table)
+_key_tables = functools.lru_cache(maxsize=2)(_comb_table)
 
 
 def _entrywise_rows(params: GroupParams, powers: list) -> tuple:
@@ -788,7 +798,7 @@ def _glv_constants(p: int, a: int, n: int, g: Tuple[int, int]) -> Optional[tuple
     with it by lambda * g == (beta * g_x, g_y), which fails only when n is
     not g's order. v1 and v2 are short vectors (a, b) with
     a + b * lambda = 0 mod n, from the extended Euclidean algorithm on n and
-    lambda (Guide to ECC, Alg. 3.74). Cached by value like ``_comb_table``.
+    lambda (Guide to ECC, Alg. 3.74). Cached by value like the comb tables.
     """
     if a != 0 or p % 3 != 1 or n % 3 != 1:
         return None

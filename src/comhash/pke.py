@@ -42,7 +42,9 @@ on comb tables of that width (``groups``' ``power(..., bits=bits)``): ``g``,
 for key pairs and ephemerals, and every recipient key of ``encrypt``. In the
 protocol that is the one server key all of a basic session's receipts go
 to, and every chosen participant raises the same key to derive its deal keys.
-A table checks its key once, when it is built. A participant's own key is
+A table checks its key once, when it is built. Key tables are kept apart
+from ``g``'s, two at most, so a round's one-shot key evicts no generator
+table and is dropped within two more keys. A participant's own key is
 used once, by the dealer, and a receipt's ephemeral once, by the server;
 both take the general route in one ``power_many``, the dealer's over its k
 keys and the basic server's over a session's n ephemerals at ``finalize``.

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from comhash import (
+    groups,
     modp_group,
     secp256k1,
     toy_ec,
@@ -25,6 +26,11 @@ def distinct_nonzero_scalars(modulus: int, count: int, rng: random.Random) -> li
             seen.add(v)
             out.append(v)
     return out
+
+
+def comb_builds() -> tuple:
+    """How many generator tables and key tables the process has built."""
+    return groups._generator_tables.cache_info().misses, groups._key_tables.cache_info().misses
 
 
 def forging_route(route, j, dst, data, at_start):

@@ -103,7 +103,8 @@ def test_run_bench_full_size_sweep_shape(toy_subgroup):
 def test_run_bench_builds_every_comb_table_in_setup(backend, monkeypatch):
     # a table built, or a share decoded, inside a timed trial would time
     # that work too
-    tables = (groups._comb_table, groups._glv_constants, protocol._share_element)
+    tables = (groups._generator_tables, groups._key_tables, groups._glv_constants,
+              protocol._share_element)
     for table in tables:
         table.cache_clear()
     built = []
@@ -116,7 +117,7 @@ def test_run_bench_builds_every_comb_table_in_setup(backend, monkeypatch):
 
     monkeypatch.setattr(bench, "run_basic_session", timed)
     run_bench(backend, [1, 2], trials=2, seed=8)
-    assert built == [[0, 0, 0]] * 4
+    assert built == [[0, 0, 0, 0]] * 4
 
 
 def test_run_bench_times_sizes_round_robin_on_kept_shares(toy_subgroup, monkeypatch):

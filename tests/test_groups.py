@@ -568,7 +568,8 @@ def test_bounded_comb_checks_a_base_once_per_table(modp2048, rng, monkeypatch):
         return element_valid(self, el)
 
     monkeypatch.setattr(ModpParams, "element_valid", counted)
-    groups._comb_table.cache_clear()
+    groups._generator_tables.cache_clear()
+    groups._key_tables.cache_clear()
     key = pow(modp2048.g, rng.randrange(2**320), modp2048.modulus)
     for _ in range(3):
         modp2048.power(key, rng.randrange(2**320), bits=320)
@@ -630,7 +631,7 @@ def test_secp_batched_tables_equal_the_entrywise_tables(secp, rng, monkeypatch):
         powers = _base_powers(secp, base, 256)
         batched = groups._affine_rows(powers, secp.field_prime, secp.curve_a)
         assert batched == entrywise(secp, powers), base
-        assert groups._comb_table.__wrapped__(secp, base, 256) == batched, base
+        assert groups._comb_table(secp, base, 256) == batched, base
     assert calls == []  # no secp256k1 table falls back
 
 
@@ -644,7 +645,7 @@ def test_toy_curve_tables_fall_back_to_the_entrywise_build(toy_curve, bits, monk
         with pytest.raises(ValueError):
             groups._affine_rows(powers, toy_curve.field_prime, toy_curve.curve_a)
         del calls[:]
-        table = groups._comb_table.__wrapped__(toy_curve, base, bits)
+        table = groups._comb_table(toy_curve, base, bits)
         assert calls == [powers], base
         span = groups._comb_span(bits)
         for j, row in enumerate(table):  # entry u of row j, by definition

@@ -23,7 +23,7 @@ from comhash.net import (
     route,
     run_basic_session,
 )
-from conftest import forging_route
+from conftest import comb_builds, forging_route
 
 
 TOY_KEYS = [ParticipantKeys(2, 3), ParticipantKeys(4, 6)]
@@ -439,7 +439,8 @@ def test_modp_session_membership_budget(which, per_share, per_session, repeated,
     keys = [ParticipantKeys.random(params, rng) for _ in range(n)]
     server = pke.generate_keypair(params, rng)
     m = rng.randrange(params.exponent_modulus)
-    groups._comb_table.cache_clear()
+    groups._generator_tables.cache_clear()
+    groups._key_tables.cache_clear()
     protocol._share_element.cache_clear()
     calls = Counter()
     for name in ("power", "element_valid"):
@@ -571,15 +572,16 @@ def test_each_server_key_gets_one_comb_table(secp):
     rng = random.Random(14)
     keys = [ParticipantKeys.random(secp, rng) for _ in range(3)]
     server = pke.generate_keypair(secp, rng)
-    groups._comb_table.cache_clear()
+    groups._generator_tables.cache_clear()
+    groups._key_tables.cache_clear()
     run_basic_session(secp, keys, 5, seed=1)  # g's and h's tables
     built = []
     for server_keypair in (None, None, server, server):
-        before = groups._comb_table.cache_info().misses
+        before = comb_builds()
         out = run_basic_session(secp, keys, 5, seed=2, server_keypair=server_keypair)
         assert out.digest == reference_digest(secp, 5, keys)
-        built.append(groups._comb_table.cache_info().misses - before)
-    assert built == [1, 0, 1, 0]
+        built.append(tuple(a - b for a, b in zip(comb_builds(), before)))
+    assert built == [(0, 1), (0, 0), (0, 1), (0, 0)]
 
 
 def test_session_power_budget(secp, monkeypatch):

@@ -31,6 +31,7 @@ from comhash import (
     multiply_step,
     poly_eval,
     ratio_from_quotients,
+    reference_digest,
     run_multiply,
     run_threshold_session,
     scalar_to_bytes,
@@ -39,9 +40,9 @@ from comhash import groups, net, pke, protocol, threshold
 from comhash.encoding import prefixed
 from comhash.frames import HEADER_LENGTH, Frame, MsgType, SERVER_ID, encode_frame
 from comhash.net import Drop, Duplicate, FaultPlan, FlipByte, Reorder
-from comhash.groups import scalar_inv
+from comhash.groups import _ec_mul, scalar_inv
 from comhash.threshold import ThresholdParticipant, ThresholdServer
-from conftest import distinct_nonzero_scalars, forging_route
+from conftest import comb_builds, distinct_nonzero_scalars, forging_route
 
 
 # ---------------------------------------------------------------------------
@@ -926,7 +927,7 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
     monkeypatch.setattr(type(secp), "power_many", counted_many)
     monkeypatch.setattr(ThresholdServer, "begin_round", recording)
     for seed in (71, 72):
-        misses = groups._comb_table.cache_info().misses
+        before = comb_builds()
         calls.update(fixed=0, var=0, bounded=[], many=[])
         run = run_threshold_session(secp, 5, 6, k, n, 7, random.Random(seed))
         assert run.digest == digest
@@ -934,7 +935,63 @@ def test_threshold_round_builds_a_table_for_the_server_key_only(secp, monkeypatc
         assert Counter(calls["bounded"]) == {secp.g: n + 1,
                                              run.server.keypair.public: k}
         assert calls["many"] == [[publics[i] for i in run.server.subset]]
-        assert groups._comb_table.cache_info().misses == misses + 1
+        assert comb_builds() == (before[0], before[1] + 1)
+
+
+def test_one_shot_keys_leave_the_generator_tables_alone(secp, rng):
+    # a key's table is kept apart from g's and h's, so 20 fresh keys on
+    # tables and 20 evaluator inputs sealed to fresh keys evict neither
+    bits = pke._exponent_bits(secp)
+    evaluator = SealedPolynomialEvaluator(secp)
+    for base in (secp.g, secp.h):
+        secp.power(base, 1)
+        secp.power(base, 1, bits=bits)
+    before = comb_builds()
+    for _ in range(20):
+        key = secp.power(secp.g, rng.randrange(1, secp.order))
+        secp.power(key, rng.randrange(2**bits), bits=bits)
+    for x in range(20):
+        evaluator.encrypt_input(pke.generate_keypair(secp, rng).public, x, rng)
+    assert comb_builds() == (before[0], before[1] + 40)
+    for base in (secp.g, secp.h):
+        k = rng.randrange(secp.order)
+        assert secp.power(base, k) == secp.power(base, k, bits=bits) == _ec_mul(secp, base, k)
+    assert comb_builds() == (before[0], before[1] + 40)
+
+
+def test_threshold_sessions_keep_two_key_tables_at_most(secp):
+    # once g's and h's tables are warm, a session builds its one-shot server
+    # key's table and nothing else, and a dead key's table is dropped: the
+    # first session's key gets a new one
+    run_threshold_session(secp, 5, 6, 2, 3, 7, random.Random(80))
+    built, servers = [], []
+    for seed in range(81, 86):
+        before = comb_builds()
+        run = run_threshold_session(secp, 5, 6, 2, 3, 7, random.Random(seed))
+        assert run.digest == cvhp(secp, 5 + 7, 6)
+        built.append(tuple(a - b for a, b in zip(comb_builds(), before)))
+        servers.append(run.server.keypair.public)
+    assert built == [(0, 1)] * 5
+    assert groups._key_tables.cache_info().currsize <= 2
+    before = comb_builds()
+    secp.power(servers[-1], 3, bits=pke._exponent_bits(secp))
+    assert comb_builds() == before
+    assert secp.power(servers[0], 3, bits=pke._exponent_bits(secp)) == _ec_mul(secp, servers[0], 3)
+    assert comb_builds() == (before[0], before[1] + 1)
+
+
+def test_a_server_key_keeps_its_table_across_a_threshold_session(secp):
+    # a long-lived basic server key's table outlives one interleaved
+    # one-shot key: the basic session after the threshold one builds nothing
+    rng = random.Random(17)
+    keys = [ParticipantKeys.random(secp, rng) for _ in range(3)]
+    server = pke.generate_keypair(secp, rng)
+    net.run_basic_session(secp, keys, 5, seed=1, server_keypair=server)
+    run_threshold_session(secp, 5, 6, 2, 3, 7, random.Random(18))
+    before = comb_builds()
+    out = net.run_basic_session(secp, keys, 5, seed=2, server_keypair=server)
+    assert out.digest == reference_digest(secp, 5, keys)
+    assert comb_builds() == before
 
 
 def test_threshold_transcript_bytes_pinned(secp):
