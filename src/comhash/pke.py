@@ -44,10 +44,14 @@ protocol that is the one server key all of a basic session's receipts go
 to, and every chosen participant raises the same key to derive its deal keys.
 A table checks its key once, when it is built. Key tables are kept apart
 from ``g``'s, two at most, so a round's one-shot key evicts no generator
-table and is dropped within two more keys. A participant's own key is
-used once, by the dealer, and a receipt's ephemeral once, by the server;
-both take the general route in one ``power_many``, the dealer's over its k
-keys and the basic server's over a session's n ephemerals at ``finalize``.
+table and is dropped within two more keys. On a curve a key's table keeps
+8 teeth and is signed, so it holds 512 points, half the unsigned table's,
+and a threshold round's one-shot server key builds its table in 3.5-3.9
+ms on secp256k1, against 4.7-5.3 ms for the unsigned table's. A
+participant's own key is used once, by the dealer, and a receipt's
+ephemeral once, by the server; both take the general route in one
+``power_many``, the dealer's over its k keys and the basic server's over a
+session's n ephemerals at ``finalize``.
 """
 
 from __future__ import annotations

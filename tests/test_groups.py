@@ -585,11 +585,11 @@ def test_bounded_comb_checks_a_base_once_per_table(modp2048, rng, monkeypatch):
 # comb kernel: digits and table builds
 # ---------------------------------------------------------------------------
 
-def _gathered_digits(k: int, bits: int) -> list:
+def _gathered_digits(k: int, bits: int, teeth: int = COMB_TEETH) -> list:
     """The comb digits by definition: digit t gathers bit t of every tooth,
     tooth i (bits [i*a, (i+1)*a) of k) as bit i."""
-    a = groups._comb_span(bits) * COMB_COLUMNS
-    return [sum(((k >> (i * a + t)) & 1) << i for i in range(COMB_TEETH)) for t in range(a)]
+    a = groups._comb_span(bits, teeth) * COMB_COLUMNS
+    return [sum(((k >> (i * a + t)) & 1) << i for i in range(teeth)) for t in range(a)]
 
 
 @pytest.mark.parametrize("which", ["toy_subgroup", "toy_curve", "secp"])
@@ -604,10 +604,45 @@ def test_byte_digits_gather_every_tooth(which, request, rng):
             assert list(groups._comb_digits(k, bits)) == _gathered_digits(k, bits), (bits, k)
 
 
-def _base_powers(params, base, bits: int) -> list:
-    """base^(2^(n*span)) for every tooth and column, by w-NAF, not by the comb."""
-    span = groups._comb_span(bits)
-    return [_ec_mul(params, base, 2**(n * span)) for n in range(COMB_TEETH * COMB_COLUMNS)]
+def test_two_byte_digits_gather_every_tooth(rng):
+    teeth = groups.COMB_GENERATOR_TEETH
+    for bits in (256, 264, 100, 7):
+        span = groups._comb_span(bits, teeth)
+        width = teeth * COMB_COLUMNS * span  # the signed comb's recoded exponents reach 2^width
+        ks = {0, 1, 2**bits - 1, 2**width - 1}
+        for j in range(1, teeth * COMB_COLUMNS + 1):
+            ks |= {2**(span * j) - 1, 2**(span * j), 2**(span * j) + 1}
+        ks |= {rng.randrange(2**width) for _ in range(20)}
+        for k in sorted(k for k in ks if k < 2**width):
+            digits = groups._comb_digits(k, bits, teeth)
+            assert list(digits) == _gathered_digits(k, bits, teeth), (bits, k)
+            assert max(digits) < 2**teeth
+
+
+def _comb_exponent(bits: int, teeth: int, i: int, j: int) -> int:
+    """The exponent of tooth i, column j's base power in a table of that shape."""
+    span = groups._comb_span(bits, teeth)
+    return 2**(i * span * COMB_COLUMNS + j * span)
+
+
+def _signed_entry_exponent(params, bits: int, teeth: int, j: int, v: int) -> int:
+    """Entry v of row j of a signed table, by definition: the top tooth,
+    plus each lower tooth whose bit v sets, minus every other."""
+    e = _comb_exponent(bits, teeth, teeth - 1, j)
+    for i in range(teeth - 1):
+        e += (1 if v >> i & 1 else -1) * _comb_exponent(bits, teeth, i, j)
+    return e % params.order
+
+
+def _starts_and_steps(params, base, bits: int) -> tuple:
+    """A signed table's row starts (every bit of v clear) and steps (twice
+    each lower tooth), by w-NAF, not by the comb."""
+    teeth = groups._comb_teeth(params, base, bits)
+    starts = [_ec_mul(params, base, _signed_entry_exponent(params, bits, teeth, j, 0))
+              for j in range(COMB_COLUMNS)]
+    steps = [[_ec_mul(params, base, 2 * _comb_exponent(bits, teeth, i, j))
+              for i in range(teeth - 1)] for j in range(COMB_COLUMNS)]
+    return starts, steps
 
 
 def _spied_entrywise_rows(monkeypatch) -> list:
@@ -615,9 +650,9 @@ def _spied_entrywise_rows(monkeypatch) -> list:
     calls = []
     entrywise = groups._entrywise_rows
 
-    def spy(params, powers):
-        calls.append(powers)
-        return entrywise(params, powers)
+    def spy(params, starts, steps):
+        calls.append((starts, steps))
+        return entrywise(params, starts, steps)
 
     monkeypatch.setattr(groups, "_entrywise_rows", spy)
     return calls
@@ -627,32 +662,161 @@ def test_secp_batched_tables_equal_the_entrywise_tables(secp, rng, monkeypatch):
     key = secp.power(secp.g, rng.randrange(1, secp.order))
     entrywise = groups._entrywise_rows
     calls = _spied_entrywise_rows(monkeypatch)
-    for base in (secp.g, secp.h, key):
-        powers = _base_powers(secp, base, 256)
-        batched = groups._affine_rows(powers, secp.field_prime, secp.curve_a)
-        assert batched == entrywise(secp, powers), base
+    for base, teeth in ((secp.g, 11), (secp.h, 11), (key, 8)):
+        assert groups._comb_teeth(secp, base, 256) == teeth
+        starts, steps = _starts_and_steps(secp, base, 256)
+        batched = groups._affine_rows(starts, steps, secp.field_prime, secp.curve_a)
+        assert batched == entrywise(secp, starts, steps), base
         assert groups._comb_table(secp, base, 256) == batched, base
+        assert [len(row) for row in batched] == [2**(teeth - 1)] * COMB_COLUMNS
+        for _ in range(8):  # entry v of row j, by definition
+            j, v = rng.randrange(COMB_COLUMNS), rng.randrange(2**(teeth - 1))
+            e = _signed_entry_exponent(secp, 256, teeth, j, v)
+            assert batched[j][v] == _ec_mul(secp, base, e), (base, j, v)
     assert calls == []  # no secp256k1 table falls back
 
 
 @pytest.mark.parametrize("bits", [5, 7])
 def test_toy_curve_tables_fall_back_to_the_entrywise_build(toy_curve, bits, monkeypatch):
-    # 19 points: a row of 255 entries repeats points and holds the identity
+    # 19 points: a row of 128 entries repeats points and holds the identity
     calls = _spied_entrywise_rows(monkeypatch)
     members = enumerate_curve_points(toy_curve)[1:]
     for base in (toy_curve.g, toy_curve.h, members[7]):
-        powers = _base_powers(toy_curve, base, bits)
+        teeth = groups._comb_teeth(toy_curve, base, bits)
+        assert teeth == COMB_TEETH  # eleven teeth would not shorten a 5- or 7-bit loop
+        starts, steps = _starts_and_steps(toy_curve, base, bits)
+        assert None not in starts
         with pytest.raises(ValueError):
-            groups._affine_rows(powers, toy_curve.field_prime, toy_curve.curve_a)
+            groups._affine_rows(starts, steps, toy_curve.field_prime, toy_curve.curve_a)
         del calls[:]
         table = groups._comb_table(toy_curve, base, bits)
-        assert calls == [powers], base
-        span = groups._comb_span(bits)
-        for j, row in enumerate(table):  # entry u of row j, by definition
-            for u, entry in enumerate(row):
-                k = sum(2**(i * span * COMB_COLUMNS + j * span)
-                        for i in range(COMB_TEETH) if u >> i & 1)
-                assert entry == _ec_mul(toy_curve, base, k), (base, j, u)
+        assert calls == [(starts, steps)], base
+        assert [len(row) for row in table] == [2**(teeth - 1)] * COMB_COLUMNS
+        for j, row in enumerate(table):  # entry v of row j, by definition
+            for v, entry in enumerate(row):
+                e = _signed_entry_exponent(toy_curve, bits, teeth, j, v)
+                assert entry == _ec_mul(toy_curve, base, e), (base, j, v)
+
+
+# ---------------------------------------------------------------------------
+# signed comb on a curve: exactness and cost
+# ---------------------------------------------------------------------------
+
+def test_signed_comb_on_the_toy_curve_is_exact(toy_curve, monkeypatch):
+    groups._generator_tables.cache_clear()
+    groups._key_tables.cache_clear()
+    calls = _spied_entrywise_rows(monkeypatch)
+    n = toy_curve.order
+    for base in (toy_curve.g, toy_curve.h):  # full width, every exponent below the order
+        for k in range(n):
+            assert toy_curve.power(base, k) == combine_oracle(toy_curve, base, k), (base, k)
+    bits = pke._exponent_bits(toy_curve)
+    for base in enumerate_curve_points(toy_curve)[1:]:  # every point as a bits= base
+        for k in range(n):
+            assert toy_curve.power(base, k, bits=bits) == _ec_mul(toy_curve, base, k), (base, k)
+    assert calls  # the toy curve's tables come from the signed entrywise build
+
+
+def test_secp_signed_comb_edge_exponents(secp, rng):
+    n = secp.order
+    glv = _glv_constants(secp.field_prime, secp.curve_a, n, secp.g)
+    key = secp.power(secp.g, rng.randrange(1, n))
+    full = [0, 1, 2, n - 2, n - 1, n]
+    above = [n, n + 1, n + 2, 2**256 - 2, 2**256 - 1] + [rng.randrange(n, 2**256) for _ in range(6)]
+    for base in (secp.g, secp.h, key):
+        for k in full + above:
+            expected = _glv_mul(secp, base, k % n, glv) if k % n else None
+            if base != key:
+                assert secp.power(base, k) == expected, (base, k)
+            assert secp.power(base, k, bits=256) == expected, (base, k)
+
+
+def test_secp_comb_boundaries_of_both_shapes(secp, rng):
+    # each boundary from the shape the table uses: 11 x 4 for g and h, 8 x 4 for a key
+    n = secp.order
+    key = secp.power(secp.g, rng.randrange(1, n))
+    for base, bits, teeth in ((secp.g, 256, 11), (secp.h, 256, 11), (key, 256, 8)):
+        assert groups._comb_teeth(secp, base, bits) == teeth
+        tables = groups._key_tables if base == key else groups._generator_tables
+        assert [len(row) for row in tables(secp, base, bits)] == [2**(teeth - 1)] * COMB_COLUMNS
+        span = groups._comb_span(bits, teeth)
+        assert span == {11: 6, 8: 8}[teeth]
+        for j in range(1, teeth * COMB_COLUMNS + 1):
+            for k in range(2**(span * j) - 2, 2**(span * j) + 3):  # even and odd neighbours
+                if k < 2**bits:
+                    expected = _ec_mul(secp, base, k % n)
+                    assert secp.power(base, k, bits=bits) == expected, (base, k)
+                    if base != key:
+                        assert secp.power(base, k) == expected, (base, k)
+
+
+def test_secp_tables_narrower_than_the_order_take_even_exponents(secp, rng):
+    # a 64- or 100-bit table cannot hold order - k: an even k becomes k + 1, minus the base
+    key = secp.power(secp.g, rng.randrange(1, secp.order))
+    for base, bits in ((key, 64), (secp.g, 100), (secp.h, 100), (key, 100)):
+        teeth = groups._comb_teeth(secp, base, bits)
+        span = groups._comb_span(bits, teeth)
+        assert teeth * COMB_COLUMNS * span < secp.order.bit_length()
+        ks = {0, 1, 2, 3, 2**bits - 2, 2**bits - 1}
+        for j in range(1, teeth * COMB_COLUMNS + 1):
+            ks |= {2**(span * j) + d for d in (-2, -1, 0, 1)}
+        ks |= {rng.randrange(2**bits) & ~1 for _ in range(10)}
+        for k in sorted(k for k in ks if k < 2**bits):
+            assert secp.power(base, k, bits=bits) == _ec_mul(secp, base, k), (base, bits, k)
+
+
+def _counted_group_law(monkeypatch) -> dict:
+    """Count the Jacobian doublings and mixed additions from here on."""
+    counts = {"double": 0, "add": 0}
+    double, add = groups._jac_double, groups._jac_add_affine
+
+    def counted_double(*args):
+        counts["double"] += 1
+        return double(*args)
+
+    def counted_add(*args):
+        counts["add"] += 1
+        return add(*args)
+
+    monkeypatch.setattr(groups, "_jac_double", counted_double)
+    monkeypatch.setattr(groups, "_jac_add_affine", counted_add)
+    return counts
+
+
+def test_secp_comb_power_budget(secp, rng, monkeypatch):
+    # a g or h power: 6 doublings, 24 additions; a key's: 8 and 32
+    n = secp.order
+    key = secp.power(secp.g, rng.randrange(1, n))
+    ks = [1, 2, n - 2, n - 1] + [rng.randrange(n) for _ in range(12)]
+    for base in (secp.g, secp.h):
+        secp.power(base, 1)  # build the tables outside the count
+    secp.power(key, 1, bits=256)
+    counts = _counted_group_law(monkeypatch)
+    for base, kwargs, doublings, additions in ((secp.g, {}, 6, 24), (secp.h, {}, 6, 24),
+                                               (key, {"bits": 256}, 8, 32)):
+        for k in ks:
+            counts.update(double=0, add=0)
+            secp.power(base, k, **kwargs)
+            assert counts["double"] <= doublings and counts["add"] <= additions, (base, k, counts)
+
+
+def test_comb_table_sizes(secp, modp2048, toy_curve, rng):
+    # 4,096 points per curve generator table, 512 per curve key table, 1,024 entries mod p
+    key = secp.power(secp.g, rng.randrange(1, secp.order))
+    for base in (secp.g, secp.h):
+        table = groups._generator_tables(secp, base, 256)
+        assert sum(len(row) for row in table) == 4096
+        assert None not in {entry for row in table for entry in row}
+    assert sum(len(row) for row in groups._key_tables(secp, key, 256)) == 512
+    bits = pke._exponent_bits(modp2048)
+    mkey = pow(modp2048.g, rng.randrange(2**bits), modp2048.modulus)
+    full = modp2048.exponent_modulus.bit_length()
+    for tables, base, width in ((groups._generator_tables, modp2048.g, full),
+                                (groups._generator_tables, modp2048.h, bits),
+                                (groups._key_tables, mkey, bits)):
+        assert sum(len(row) for row in tables(modp2048, base, width)) == 1024
+    for base in (toy_curve.g, toy_curve.h):  # no 4,096-entry table where it cannot help
+        assert sum(len(row) for row in groups._generator_tables(toy_curve, base, 5)) == 512
 
 
 # ---------------------------------------------------------------------------

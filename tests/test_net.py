@@ -619,6 +619,64 @@ def test_session_power_budget(secp, monkeypatch):
     assert out.digest == reference_digest(secp, m, keys)
 
 
+@pytest.mark.parametrize("which", ["secp", "modp2048"])
+def test_warm_session_power_budget_per_role(which, request, monkeypatch):
+    # once the tables are built and the member shares kept, the server makes
+    # one power_many over the n ephemerals and no power; a member's respond
+    # makes two powers, g^e on g's table and the server key's on its own;
+    # the owner's makes three, its g^m too. Nothing builds a table.
+    params = request.getfixturevalue(which)
+    cls = type(params)
+    rng = random.Random(14)
+    n = 4
+    keys = [ParticipantKeys.random(params, rng) for _ in range(n)]
+    server = pke.generate_keypair(params, rng)
+    m = rng.randrange(params.exponent_modulus)
+    run_basic_session(params, keys, m, owner_index=2, seed=5, server_keypair=server)
+    for k in keys:
+        member_share(params, k)  # the owner of the first session kept none
+    bits = pke._exponent_bits(params)
+    calls = {}
+    role = ["server"]  # whose work a call is: a participant's index inside its respond
+    power, power_many = cls.power, cls.power_many
+    respond = protocol.ParticipantSession.respond
+
+    def counted_respond(self, frame):
+        role.append(self.index)
+        try:
+            return respond(self, frame)
+        finally:
+            role.pop()
+
+    def counted_power(self, base, exponent, bits=None):
+        if role[-1] != "power_many":  # mod p, power_many calls power per base
+            kind = "g" if base == self.g else "key" if base == server.public else base
+            calls.setdefault(role[-1], Counter())[("power", kind, bits)] += 1
+        return power(self, base, exponent, bits=bits)
+
+    def counted_many(self, bases, exponent):
+        calls.setdefault(role[-1], Counter())[("power_many", len(bases))] += 1
+        role.append("power_many")
+        try:
+            return power_many(self, bases, exponent)
+        finally:
+            role.pop()
+
+    monkeypatch.setattr(protocol.ParticipantSession, "respond", counted_respond)
+    monkeypatch.setattr(cls, "power", counted_power)
+    monkeypatch.setattr(cls, "power_many", counted_many)
+    before = comb_builds()
+    out = run_basic_session(params, keys, m, owner_index=2, seed=6, server_keypair=server)
+    assert out.phase is Phase.DONE
+    assert comb_builds() == before
+    member = Counter({("power", "g", bits): 1, ("power", "key", bits): 1})
+    owner = member + Counter({("power", "g", None): 1})
+    assert calls == {"server": Counter({("power_many", n): 1}),
+                     1: member, 2: owner, 3: member, 4: member}
+    monkeypatch.undo()
+    assert out.digest == reference_digest(params, m, keys)
+
+
 def test_modp_session_power_budget(modp2048, monkeypatch):
     # as test_session_power_budget, and g, h and the server key come from
     # their comb tables: built-in pow runs only for the server's ephemeral^sk
